@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import EmptySample, InsufficientCloud, MapFailure, NotConverged
-from .flow import TWO_PI, ENSEMBLE_CONFIG, IntegratorConfig, OrbitTrace, integrate_ensemble, metric_x2_period, phase_space_distance
+from .errors import EmptySample, FinslerLabError, InsufficientCloud, MapFailure, NotConverged
+from .flow import TWO_PI, ENSEMBLE_CONFIG, IntegratorConfig, OrbitTrace, integrate_ensemble, integrate_orbit, metric_x2_period, phase_space_distance
 from .metrics import DualMetric
 from .profiles import RotationalProfile
 
@@ -526,9 +526,12 @@ def tube_diagnostics(
     Each ensemble orbit's minimal xi1-distance to the tube boundary levels is
     tracked along its run (xi1 is conserved, so the distance essentially
     equals the initial gap); boundary_fraction(eps) is the fraction of orbits
-    that come within eps of the boundary.  One long orbit is run against the
-    witness balls: a ball whose xi1-range avoids the orbit's conserved level
-    must keep a positive distance, the numerical shadow of non-density.
+    that come within eps of the boundary.  If the stacked batch fails, each
+    orbit is retried alone and the ones that fail again are counted in
+    n_failed.  One long orbit, from the first state, is run on the scalar
+    path (:func:`integrate_orbit`, same config and checkpoint grid) against
+    the witness balls: a ball whose xi1-range avoids the orbit's conserved
+    level must keep a positive distance, the numerical shadow of non-density.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:
@@ -541,15 +544,13 @@ def tube_diagnostics(
         ens = integrate_ensemble(H, states, ensemble_time, config)
         xi1_paths = ens.states[:, :, 2]  # (m, N)
         min_dists = np.min(tube.gap(xi1_paths), axis=0)
-    except Exception:  # batch integration failed; fall back orbit by orbit
-        from .flow import integrate_orbit
-
+    except FinslerLabError:  # batch integration failed; fall back orbit by orbit
         dists = []
         for y0 in states:
             try:
                 tr = integrate_orbit(H, y0, ensemble_time, config, enforce_drift=False)
                 dists.append(float(np.min(tube.gap(tr.h1_values))))
-            except Exception:
+            except FinslerLabError:
                 n_failed += 1
         min_dists = np.array(dists)
 
@@ -558,8 +559,7 @@ def tube_diagnostics(
 
     witness_distances: list[tuple[np.ndarray, float, float]] = []
     if witness_balls:
-        long_trace = integrate_ensemble(H, states[:1], long_time, config)
-        orbit = long_trace.states[:, 0, :]
+        orbit = integrate_orbit(H, states[0], long_time, config, enforce_drift=False).states
         for ball in witness_balls:
             d = phase_space_distance(orbit, ball.center, x2_period) - ball.radius
             witness_distances.append((np.asarray(ball.center, dtype=float), ball.radius, float(np.min(d))))

@@ -59,7 +59,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     invariant_drift_tol: float = 1e-8
-    projection: bool = False
     checkpoint_dt: float = 0.1
     x2_cap: float | None = 30.0
 
@@ -209,47 +208,23 @@ def integrate_orbit(
     rhs = H.scalar_rhs()
     t_eval = _checkpoint_grid(T, config.checkpoint_dt)
 
-    if config.projection:
-        states = [y0.copy()]
-        y = y0.copy()
-        for k in range(len(t_eval) - 1):
-            seg = solve_ivp(
-                rhs,
-                (t_eval[k], t_eval[k + 1]),
-                y,
-                method=config.method,
-                rtol=config.rel_tol,
-                atol=config.abs_tol,
-                max_step=config.max_step,
-                events=events or None,
-                dense_output=False,
-            )
-            _check_sol(seg)
-            y = seg.y[:, -1].copy()
-            y[2:] *= h0 / float(H.value(y))
-            states.append(y.copy())
-        times = t_eval
-        states = np.array(states)
-    else:
-        sol = solve_ivp(
-            rhs,
-            (0.0, T),
-            y0,
-            method=config.method,
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-            max_step=config.max_step,
-            t_eval=t_eval,
-            events=events or None,
-            dense_output=False,
-        )
-        _check_sol(sol)
-        times = sol.t
-        states = sol.y.T.copy()
-
+    sol = solve_ivp(
+        rhs,
+        (0.0, T),
+        y0,
+        method=config.method,
+        rtol=config.rel_tol,
+        atol=config.abs_tol,
+        max_step=config.max_step,
+        t_eval=t_eval,
+        events=events or None,
+        dense_output=False,
+    )
+    _check_sol(sol)
+    states = sol.y.T.copy()
     h = np.asarray(H.value(states))
     h1 = states[:, 2].copy()
-    trace = OrbitTrace(times=times, states=states, h_values=h, h1_values=h1, x2_period=x2_period)
+    trace = OrbitTrace(times=sol.t, states=states, h_values=h, h1_values=h1, x2_period=x2_period)
     if enforce_drift:
         if trace.h_drift() > config.invariant_drift_tol:
             raise InvariantDrift("H", trace.h_drift(), config.invariant_drift_tol)

@@ -34,6 +34,7 @@ from .profiles import (
     eval_f0,
     make_cutoffs,
     profile_from_spec,
+    smooth_step_pair,
 )
 
 __all__ = [
@@ -282,23 +283,6 @@ class KatokDualMetric(DualMetric):
         width = hi - lo
         alpha = self.alpha
 
-        def eta_pair(r):
-            u = (r - lo) / width
-            if u <= 0.0:
-                return 0.0, 0.0
-            if u >= 1.0:
-                return 1.0, 0.0
-            ea = math.exp(-1.0 / u)
-            eb = math.exp(-1.0 / (1.0 - u))
-            if ea == 0.0:
-                return 0.0, 0.0
-            if eb == 0.0:
-                return 1.0, 0.0
-            s = ea + eb
-            w = ea / s
-            dw = ea * eb * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (s * s)
-            return w, dw / width
-
         def rhs(t, y):
             x2, xi1, xi2 = y[1], y[2], y[3]
             f, fp = f_fp(x2)
@@ -307,8 +291,9 @@ class KatokDualMetric(DualMetric):
             dx1, dx2 = xi1 * inv, xi2 * inv
             dxi2 = R * fp / (f * f)
             if abs(x2) <= b:
-                eta, etad = eta_pair(xi1 * f / R)
+                eta, etad = smooth_step_pair((xi1 * f / R - lo) / width)
                 if eta != 0.0 or etad != 0.0:
+                    etad /= width
                     dx1 += alpha * (eta + xi1 * etad * f * xi2 * xi2 / R**3)
                     dx2 -= alpha * etad * f * xi1 * xi1 * xi2 / R**3
                     dxi2 -= alpha * etad * xi1 * xi1 * fp / R

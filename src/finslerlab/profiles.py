@@ -29,6 +29,7 @@ __all__ = [
     "eval_h",
     "smooth_step",
     "smooth_step_deriv",
+    "smooth_step_pair",
     "SmoothStep",
     "make_eta",
     "CutoffPair",
@@ -126,6 +127,28 @@ def smooth_step_deriv(u):
     )
     out[mid] = val
     return out if out.ndim else float(out)
+
+
+def smooth_step_pair(u: float) -> tuple[float, float]:
+    """Scalar (smooth_step(u), smooth_step_deriv(u)) in pure ``math``.
+
+    The one scalar step of the integration inner loops; same closed forms and
+    the same flat ends as the numpy pair: where a bump factor underflows, the
+    step is exactly 0 or 1 and its derivative exactly 0.
+    """
+    if u <= 0.0:
+        return 0.0, 0.0
+    if u >= 1.0:
+        return 1.0, 0.0
+    v = 1.0 - u
+    a = math.exp(-1.0 / u)
+    b = math.exp(-1.0 / v)
+    if a == 0.0:
+        return 0.0, 0.0
+    if b == 0.0:
+        return 1.0, 0.0
+    s = a + b
+    return a / s, a * b * (1.0 / (u * u) + 1.0 / (v * v)) / (s * s)
 
 
 @dataclass(frozen=True)
@@ -294,8 +317,8 @@ class SplicedTorusProfile(RotationalProfile):
             return v, -v * math.tanh(t)
         s = t + L if t < 0 else t
         u = (s - self._zone) / (2.0 * self.eps_splice)
-        w = float(smooth_step(u))
-        dw = float(smooth_step_deriv(u)) / (2.0 * self.eps_splice)
+        w, dw = smooth_step_pair(u)
+        dw /= 2.0 * self.eps_splice
         fa, fb = _f0_scalar(s), _f0_scalar(s - L)
         da, db = -fa * math.tanh(s), -fb * math.tanh(s - L)
         return (1.0 - w) * fa + w * fb, (1.0 - w) * da + w * db + dw * (fb - fa)

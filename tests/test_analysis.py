@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finslerlab import analysis
 from finslerlab.analysis import (
     DirectionEstimate,
     TubeSpec,
@@ -28,8 +29,8 @@ from finslerlab.benchmarks import (
     rigid_rotation,
     twist_map,
 )
-from finslerlab.errors import EmptySample, InsufficientCloud, MapFailure, NotConverged
-from finslerlab.flow import TWO_PI, IntegratorConfig, integrate_orbit
+from finslerlab.errors import EmptySample, InsufficientCloud, MapFailure, NotConverged, StepFailure
+from finslerlab.flow import TWO_PI, IntegratorConfig, integrate_ensemble, integrate_orbit, phase_space_distance
 from finslerlab.sampling import sample_tube_states, solve_xi2_on_level
 
 
@@ -286,6 +287,33 @@ class TestTubeDiagnostics:
         (c1, r1, d1), (c2, r2, d2) = report.witness_distances
         assert d1 >= 0.1 - r1 - 1e-6
         assert d2 >= 0.2 - r2 - 1e-6
+        # independent route: the same start as a 1-row stacked system
+        stacked = integrate_ensemble(katok_torus_reversible, y0[None, :], 60.0).states[:, 0, :]
+        for (_, _, d), ball in zip(report.witness_distances, balls):
+            ref = np.min(phase_space_distance(stacked, ball.center, 4.0)) - ball.radius
+            assert d == pytest.approx(ref, abs=1e-6)
+
+    def test_failed_batch_falls_back_orbit_by_orbit(self, katok_torus_reversible, rng, monkeypatch):
+        def failing_batch(*args, **kwargs):
+            raise StepFailure("stacked step size underflow")
+
+        monkeypatch.setattr(analysis, "integrate_ensemble", failing_batch)
+        tube = TubeSpec(c_lo=0.3, c_hi=0.9)
+        good = sample_tube_states(katok_torus_reversible, rng, 3, (0.35, 0.85), x2_period=4.0)
+        states = np.vstack([good, [0.0, 0.0, 0.0, 0.0]])  # xi = 0 fails alone too
+        report = tube_diagnostics(katok_torus_reversible, tube, states, [0.1], [], ensemble_time=2.0)
+        assert report.n_failed == 1
+        assert len(report.min_boundary_dists) == 3
+        assert np.all(report.min_boundary_dists >= report.initial_gaps[:3] - 1e-6)
+
+    def test_programming_error_in_batch_propagates(self, katok_torus_reversible, rng, monkeypatch):
+        def broken_batch(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(analysis, "integrate_ensemble", broken_batch)
+        states = sample_tube_states(katok_torus_reversible, rng, 2, (0.35, 0.85), x2_period=4.0)
+        with pytest.raises(TypeError):
+            tube_diagnostics(katok_torus_reversible, TubeSpec(0.3, 0.9), states, [0.1], [])
 
     def test_collar_fraction_statistics(self, katok_torus_reversible, rng):
         # uniform xi1 sampling: the eps-collar of the boundary holds about

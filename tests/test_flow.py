@@ -100,12 +100,6 @@ class TestIntegrateOrbit:
         with pytest.raises(ZeroCovector):
             integrate_orbit(h0_sphere, np.array([0.0, 0.0, 0.0, 0.0]), 1.0, tight_config)
 
-    def test_projection_keeps_level(self, h0_torus):
-        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-9, projection=True)
-        y0 = np.array([0.0, 0.0, 0.6, 0.8])
-        trace = integrate_orbit(h0_torus, y0, 10.0, cfg)
-        assert trace.h_drift() <= 1e-12
-
     def test_rotating_orbit_against_reduced_quadrature(self, h0_torus, spliced_profile, tight_config):
         c = 0.2
         y0 = np.array([0.0, 0.0, c, math.sqrt(1.0 - c * c)])

@@ -222,16 +222,20 @@ class TestReversibilization:
         states = states[np.abs(states[:, 2]) > 0.05]  # keep FD stencils off the seam
         _assert_gradients_match(rev, states, tol=1e-6)
 
-    def test_scalar_rhs_matches_vector_field(self, katok_sphere, rng):
+    def test_scalar_rhs_matches_vector_field(self, katok_sphere, katok_torus_reversible, rng):
         from finslerlab.flow import hamiltonian_vector_field
 
-        rev = reversibilize(katok_sphere)
-        rhs = rev.scalar_rhs()
-        states = sample_covectors(rng, 100)
-        for y in states:
-            expected = hamiltonian_vector_field(rev, y)
-            got = rhs(0.0, list(y))
-            assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-14
+        # the torus states reach across the splice bridge |x2| in [1.75, 2.25]
+        cases = [
+            (reversibilize(katok_sphere), sample_covectors(rng, 100)),
+            (katok_torus_reversible, sample_covectors(rng, 200, x2_range=(-2.25, 2.25))),
+        ]
+        for rev, states in cases:
+            rhs = rev.scalar_rhs()
+            for y in states:
+                expected = hamiltonian_vector_field(rev, y)
+                got = rhs(0.0, list(y))
+                assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-14
 
 
 class TestConvexityScan:

@@ -17,6 +17,7 @@ from finslerlab.profiles import (
     profile_from_spec,
     smooth_step,
     smooth_step_deriv,
+    smooth_step_pair,
 )
 
 # f0(1) evaluated through the independent sech route, frozen
@@ -99,6 +100,19 @@ class TestSmoothStep:
         g = np.linspace(0.05, 0.95, 19)
         fd = (smooth_step(g + 1e-7) - smooth_step(g - 1e-7)) / 2e-7
         assert np.max(np.abs(fd - smooth_step_deriv(g))) < 1e-6
+
+    def test_scalar_pair_matches_numpy_step(self):
+        # flat ends are exact, also where a bump factor underflows
+        for u in (-3.0, -1e-300, 0.0, 1e-3, 5e-324):
+            assert smooth_step_pair(u) == (0.0, 0.0)
+        for u in (1.0 - 1e-3, 1.0, 7.0):
+            assert smooth_step_pair(u) == (1.0, 0.0)
+        g = np.linspace(-0.5, 1.5, 20_001)
+        pair = np.array([smooth_step_pair(float(u)) for u in g])
+        w, dw = smooth_step(g), smooth_step_deriv(g)
+        assert np.max(np.abs(pair[:, 0] - w)) <= 1e-15
+        # dw peaks at 2, so its agreement is relative above 1
+        assert np.max(np.abs(pair[:, 1] - dw) / np.maximum(1.0, dw)) <= 1e-15
 
 
 class TestSplicedProfile:
