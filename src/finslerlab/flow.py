@@ -36,6 +36,7 @@ __all__ = [
     "OrbitTrace",
     "EnsembleTrace",
     "hamiltonian_vector_field",
+    "stacked_rhs",
     "integrate_orbit",
     "integrate_ensemble",
     "compose_commuting_flows",
@@ -92,9 +93,20 @@ def metric_x2_period(H: DualMetric) -> float | None:
 def hamiltonian_vector_field(H: DualMetric, p) -> np.ndarray:
     """(dH/dxi, -dH/dx) at one state or a batch of states."""
     y = p.array if isinstance(p, CotangentPoint) else np.asarray(p, dtype=float)
-    gxi = H.grad_xi(y)
-    gx = H.grad_x(y)
-    return np.concatenate([gxi, -gx], axis=-1)
+    return H.vector_field(y)
+
+
+def stacked_rhs(H: DualMetric, n: int):
+    """rhs(t, flat) for n orbits stacked into one (4n,) system.
+
+    The shared right-hand side of every stacked solve: one batched
+    ``H.vector_field`` call per evaluation.
+    """
+
+    def rhs(t, flat):
+        return H.vector_field(flat.reshape(n, 4)).reshape(-1)
+
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -264,8 +276,10 @@ def integrate_ensemble(
 ) -> EnsembleTrace:
     """Integrate N orbits as one stacked system (shared adaptive step).
 
-    Meant for orbit statistics (entropy clouds, tube ensembles); acceptance
-    grade per-orbit runs should use :func:`integrate_orbit`.
+    The right-hand side is :func:`stacked_rhs`, one batched
+    ``H.vector_field`` call per evaluation.  Meant for orbit statistics
+    (entropy clouds, tube ensembles); acceptance grade per-orbit runs should
+    use :func:`integrate_orbit`.
     """
     states0 = np.atleast_2d(np.asarray(states0, dtype=float))
     n = states0.shape[0]
@@ -273,14 +287,8 @@ def integrate_ensemble(
         t_eval = _checkpoint_grid(T, config.checkpoint_dt)
     t_eval = np.asarray(t_eval, dtype=float)
 
-    def rhs(t, flat):
-        y = flat.reshape(n, 4)
-        gxi = H.grad_xi(y)
-        gx = H.grad_x(y)
-        return np.concatenate([gxi, -gx], axis=1).reshape(-1)
-
     sol = solve_ivp(
-        rhs,
+        stacked_rhs(H, n),
         (float(t_eval[0]), float(t_eval[-1])),
         states0.reshape(-1),
         method=config.method,

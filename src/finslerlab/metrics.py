@@ -16,6 +16,12 @@ Concrete kinds:
 * ``ReversibilizedDualMetric`` -- H'(xi) = H(xi) for xi1 >= 0, H(-xi) below,
   smooth because the inner metric equals the even H0 near the seam.
 
+Each kind has one batched definition of its canonical equations,
+``vector_field(y) -> (..., 4)`` = (dH/dxi, -dH/dx): it evaluates the profile,
+the cone ratio and the cutoffs once per call.  ``grad_xi`` and ``grad_x`` are
+its slices, so no kind carries a second gradient formula; ``scalar_rhs`` is the
+pure-``math`` single-orbit route to the same equations.
+
 Everything is immutable after construction and evaluation is pure, so metric
 values can be shared freely across concurrent orbit computations.
 """
@@ -102,7 +108,12 @@ def _check_nonzero(R) -> None:
 
 
 class DualMetric:
-    """Positively 1-homogeneous Hamiltonian H(x, xi) with gradients."""
+    """Positively 1-homogeneous Hamiltonian H(x, xi) with its canonical equations.
+
+    ``vector_field`` is the one batched definition of the equations;
+    ``grad_xi`` and ``grad_x`` are its slices.  A kind overrides either
+    ``vector_field`` or both gradients (the fallback then stacks them).
+    """
 
     kind: str = "abstract"
     x1_symmetric: bool = True  # all in-scope kinds conserve xi1
@@ -111,24 +122,28 @@ class DualMetric:
     def value(self, y):
         raise NotImplementedError
 
+    def vector_field(self, y):
+        """(dH/dxi, -dH/dx) at one state (4,) or a batch (..., 4)."""
+        if type(self).grad_x is DualMetric.grad_x:
+            raise NotImplementedError
+        y = np.asarray(y, dtype=float)
+        return np.concatenate([self.grad_xi(y), -self.grad_x(y)], axis=-1)
+
     def grad_x(self, y):
-        raise NotImplementedError
+        return -self.vector_field(y)[..., 2:]
 
     def grad_xi(self, y):
-        raise NotImplementedError
+        return self.vector_field(y)[..., :2]
 
     def scalar_rhs(self):
         """Return rhs(t, y) -> list for the canonical equations, scalar-fast.
 
-        The generic fallback routes through the vectorized gradients; concrete
-        kinds override with pure-math closures for integrator inner loops.
+        The generic fallback routes through ``vector_field``; concrete kinds
+        override with pure-math closures for integrator inner loops.
         """
 
         def rhs(t, y):
-            arr = np.asarray(y, dtype=float)
-            gxi = self.grad_xi(arr)
-            gx = self.grad_x(arr)
-            return [gxi[0], gxi[1], -gx[0], -gx[1]]
+            return list(self.vector_field(np.asarray(y, dtype=float)))
 
         return rhs
 
@@ -151,24 +166,18 @@ class RotationalDualMetric(DualMetric):
         _check_nonzero(R)
         return R / self.profile.f(y[..., 1])
 
-    def grad_x(self, y):
+    def vector_field(self, y):
         y = np.asarray(y, dtype=float)
         R = np.hypot(y[..., 2], y[..., 3])
         _check_nonzero(R)
         f = self.profile.f(y[..., 1])
         fp = self.profile.fp(y[..., 1])
-        out = np.zeros(y.shape[:-1] + (2,))
-        out[..., 1] = -R * fp / f**2
-        return out
-
-    def grad_xi(self, y):
-        y = np.asarray(y, dtype=float)
-        R = np.hypot(y[..., 2], y[..., 3])
-        _check_nonzero(R)
-        f = self.profile.f(y[..., 1])
-        out = np.empty(y.shape[:-1] + (2,))
-        out[..., 0] = y[..., 2] / (f * R)
-        out[..., 1] = y[..., 3] / (f * R)
+        fR = f * R
+        out = np.empty(y.shape)
+        out[..., 0] = y[..., 2] / fR
+        out[..., 1] = y[..., 3] / fR
+        out[..., 2] = -0.0  # -dH/dx1 of an x1-invariant metric; grad_x gets +0.0
+        out[..., 3] = R * fp / f**2
         return out
 
     def scalar_rhs(self):
@@ -219,8 +228,8 @@ class AngularDualMetric(DualMetric):
 class KatokDualMetric(DualMetric):
     """The commuting perturbation H0 + alpha * chi(x) * eta(H1/H0) * H1.
 
-    Gradients are assembled from closed forms everywhere: the step eta has an
-    exact derivative, and the indicator chi only jumps where eta(H1/H0)
+    The vector field is assembled from closed forms everywhere: the step eta
+    has an exact derivative, and the indicator chi only jumps where eta(H1/H0)
     vanishes identically, so the chain rule is valid at every state.
     """
 
@@ -230,7 +239,6 @@ class KatokDualMetric(DualMetric):
         self.profile = profile
         self.cutoffs = cutoffs
         self.alpha = float(alpha)
-        self._h0 = RotationalDualMetric(profile)
 
     # ratio = H1/H0 = xi1 * f(x2) / |xi|
     def _ratio(self, y, R, f):
@@ -245,35 +253,25 @@ class KatokDualMetric(DualMetric):
         psi = self.cutoffs.chi(y[..., 1]) * self.cutoffs.eta(ratio) * y[..., 2]
         return R / f + self.alpha * psi
 
-    def grad_x(self, y):
-        y = np.asarray(y, dtype=float)
-        R = np.hypot(y[..., 2], y[..., 3])
-        _check_nonzero(R)
-        f = self.profile.f(y[..., 1])
-        fp = self.profile.fp(y[..., 1])
-        ratio = self._ratio(y, R, f)
-        chi = self.cutoffs.chi(y[..., 1])
-        etad = self.cutoffs.eta.deriv(ratio)
-        out = np.zeros(y.shape[:-1] + (2,))
-        # d ratio / d x2 = xi1 * f' / R
-        out[..., 1] = -R * fp / f**2 + self.alpha * chi * etad * (y[..., 2] ** 2) * fp / R
-        return out
-
-    def grad_xi(self, y):
+    def vector_field(self, y):
         y = np.asarray(y, dtype=float)
         xi1, xi2 = y[..., 2], y[..., 3]
         R = np.hypot(xi1, xi2)
         _check_nonzero(R)
         f = self.profile.f(y[..., 1])
+        fp = self.profile.fp(y[..., 1])
         ratio = self._ratio(y, R, f)
-        chi = self.cutoffs.chi(y[..., 1])
-        eta = self.cutoffs.eta(ratio)
-        etad = self.cutoffs.eta.deriv(ratio)
-        out = np.empty(y.shape[:-1] + (2,))
-        out[..., 0] = xi1 / (f * R) + self.alpha * chi * (
-            eta + xi1 * etad * f * xi2**2 / R**3
-        )
-        out[..., 1] = xi2 / (f * R) - self.alpha * chi * etad * f * xi1**2 * xi2 / R**3
+        achi = self.alpha * self.cutoffs.chi(y[..., 1])
+        eta, etad = self.cutoffs.eta.with_deriv(ratio)
+        fR = f * R
+        R3 = R**3
+        out = np.empty(y.shape)
+        out[..., 0] = xi1 / fR + achi * (eta + xi1 * etad * f * xi2**2 / R3)
+        out[..., 1] = xi2 / fR - achi * etad * f * xi1**2 * xi2 / R3
+        out[..., 2] = -0.0
+        # -dH/dx2, negated as a whole so grad_x is this closed form bit for bit;
+        # d ratio / d x2 = xi1 * f' / R
+        out[..., 3] = -(-R * fp / f**2 + achi * etad * (xi1**2) * fp / R)
         return out
 
     def scalar_rhs(self):
@@ -339,21 +337,16 @@ class ReversibilizedDualMetric(DualMetric):
         out[flat_neg] = self.inner.value(self._mirror(np.atleast_2d(y)[flat_neg]))
         return out.reshape(np.shape(neg)) if np.ndim(neg) else float(out[0])
 
-    def _grad(self, y, which):
-        y2 = np.atleast_2d(np.asarray(y, dtype=float))
-        neg = y2[..., 2] < 0.0
-        fn = self.inner.grad_x if which == "x" else self.inner.grad_xi
-        out = np.array(fn(y2), dtype=float, copy=True)
-        if np.any(neg):
-            g = fn(self._mirror(y2[neg]))
-            out[neg] = g if which == "x" else -g
-        return out.reshape(np.shape(np.asarray(y))[:-1] + (2,))
-
-    def grad_x(self, y):
-        return self._grad(y, "x")
-
-    def grad_xi(self, y):
-        return self._grad(y, "xi")
+    def vector_field(self, y):
+        # rows with xi1 < 0 are evaluated at the mirror (x, -xi), where
+        # dH'/dxi = -dH/dxi and dH'/dx = dH/dx: one inner call for the batch
+        y = np.asarray(y, dtype=float)
+        sign = np.where(y[..., 2] < 0.0, -1.0, 1.0)[..., None]
+        m = np.array(y, copy=True)
+        m[..., 2:] *= sign
+        out = self.inner.vector_field(m)
+        out[..., :2] *= sign
+        return out
 
     def scalar_rhs(self):
         inner_rhs = self.inner.scalar_rhs()

@@ -30,6 +30,7 @@ __all__ = [
     "smooth_step",
     "smooth_step_deriv",
     "smooth_step_pair",
+    "smooth_step_pair_array",
     "SmoothStep",
     "make_eta",
     "CutoffPair",
@@ -37,7 +38,6 @@ __all__ = [
     "RotationalProfile",
     "RoundSphereProfile",
     "SplicedTorusProfile",
-    "CallablePeriodicProfile",
     "make_spliced_profile",
     "profile_from_spec",
 ]
@@ -88,45 +88,46 @@ def eval_h(t):
 
 # --- smooth step ------------------------------------------------------------
 
-def _bump(u):
-    """exp(-1/u) continued by 0 for u <= 0."""
+# exp(-1/t) is exactly 0 for 0 < t <= 1/760 (e^-745 is below half the least
+# subnormal), so the step is flat there; bumps are only formed inside
+_FLAT = 1.0 / 760.0
+
+
+def smooth_step_pair_array(u):
+    """Array twin of :func:`smooth_step_pair`: (w, dw) from one exp per bump.
+
+    w = a / (a + b) and dw = a*b*(1/u^2 + 1/(1-u)^2) / (a+b)^2 with the bumps
+    a = exp(-1/u), b = exp(-1/(1-u)).  Where a bump factor vanishes in double
+    precision (u <= 1/760 or 1 - u <= 1/760, and of course u <= 0 or u >= 1)
+    the pair is exactly (0, 0) or (1, 0); the bumps are evaluated only in
+    between, where 1/u and 1/u^2 cannot overflow, so no floating-point error
+    state needs silencing.
+    """
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0.0
-    with np.errstate(over="ignore"):  # 1/u may overflow for subnormal u; exp(-inf) = 0
-        out[pos] = np.exp(-1.0 / u[pos])
-    return out
+    w = np.where(u >= 1.0 - _FLAT, 1.0, 0.0)
+    dw = np.zeros_like(w)
+    mid = (u > _FLAT) & (u < 1.0 - _FLAT)
+    if np.any(mid):
+        um = u[mid]
+        vm = 1.0 - um
+        a = np.exp(-1.0 / um)
+        b = np.exp(-1.0 / vm)
+        s = a + b
+        w[mid] = a / s
+        dw[mid] = a * b * (1.0 / um**2 + 1.0 / vm**2) / s**2
+    if w.ndim:
+        return w, dw
+    return float(w), float(dw)
 
 
 def smooth_step(u):
     """C-infinity monotone step: exactly 0 for u <= 0 and exactly 1 for u >= 1."""
-    u = np.asarray(u, dtype=float)
-    a = _bump(u)
-    b = _bump(1.0 - u)
-    out = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return out if out.ndim else float(out)
+    return smooth_step_pair_array(u)[0]
 
 
 def smooth_step_deriv(u):
-    """Derivative of smooth_step; closed form a*b*(1/u^2 + 1/(1-u)^2) / (a+b)^2.
-
-    Where either bump factor underflows to zero the true derivative is far
-    below double precision, so 0 is returned (avoids 0 * inf near the ends).
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
-    with np.errstate(over="ignore"):
-        a = np.exp(-1.0 / um)
-        b = np.exp(-1.0 / (1.0 - um))
-    ok = (a > 0.0) & (b > 0.0)
-    val = np.zeros_like(um)
-    val[ok] = (
-        a[ok] * b[ok] * (1.0 / um[ok] ** 2 + 1.0 / (1.0 - um[ok]) ** 2) / (a[ok] + b[ok]) ** 2
-    )
-    out[mid] = val
-    return out if out.ndim else float(out)
+    """Derivative of :func:`smooth_step` (second half of the array step pair)."""
+    return smooth_step_pair_array(u)[1]
 
 
 def smooth_step_pair(u: float) -> tuple[float, float]:
@@ -161,9 +162,11 @@ class SmoothStep:
     def __call__(self, t):
         return smooth_step((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo))
 
-    def deriv(self, t):
+    def with_deriv(self, t):
+        """(step, derivative) at t from one evaluation of the step pair."""
         width = self.hi - self.lo
-        return smooth_step_deriv((np.asarray(t, dtype=float) - self.lo) / width) / width
+        w, dw = smooth_step_pair_array((np.asarray(t, dtype=float) - self.lo) / width)
+        return w, dw / width
 
 
 def make_eta(a0: float, a1: float) -> SmoothStep:
@@ -302,8 +305,8 @@ class SplicedTorusProfile(RotationalProfile):
         if np.any(bridge):
             s = np.where(t1[bridge] < 0, t1[bridge] + self.period, t1[bridge])
             u = (s - self._zone) / (2.0 * self.eps_splice)
-            w = smooth_step(u)
-            dw = smooth_step_deriv(u) / (2.0 * self.eps_splice)
+            w, dw = smooth_step_pair_array(u)
+            dw = dw / (2.0 * self.eps_splice)
             fa, fb = eval_f0(s), eval_f0(s - self.period)
             da, db = eval_f0_deriv(s), eval_f0_deriv(s - self.period)
             out[bridge] = (1.0 - w) * da + w * db + dw * (fb - fa)
@@ -325,26 +328,6 @@ class SplicedTorusProfile(RotationalProfile):
 
     def to_spec(self):
         return {"kind": "spliced", "L": self.period, "eps": self.eps_splice}
-
-
-class CallablePeriodicProfile(RotationalProfile):
-    """Adapter for synthetic periodic profiles given as callables (tests, demos)."""
-
-    kind = "periodic"
-
-    def __init__(self, f, fp, period: float):
-        self._f = f
-        self._fp = fp
-        self.period = float(period)
-
-    def f(self, x2):
-        return self._f(np.asarray(x2, dtype=float))
-
-    def fp(self, x2):
-        return self._fp(np.asarray(x2, dtype=float))
-
-    def to_spec(self):
-        return {"kind": "periodic", "L": self.period}
 
 
 def make_spliced_profile(length: float, eps_splice: float) -> SplicedTorusProfile:

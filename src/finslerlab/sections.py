@@ -35,7 +35,7 @@ from .errors import (
     NotVanishing,
     StepFailure,
 )
-from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, metric_x2_period
+from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, metric_x2_period, stacked_rhs
 from .metrics import DualMetric
 from .profiles import RotationalProfile
 
@@ -462,10 +462,14 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Integrates the stacked system once, then locates each orbit's first upward
-    crossing on a shared scan grid and refines it with the grid's cubic
-    Hermite interpolant.  Returns (new_states, taus, ok_mask); failed orbits
-    keep their input state and tau = nan.
+    Integrates the stacked system once (right-hand side
+    :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field`` call
+    per evaluation), then locates each orbit's first upward crossing on a
+    shared scan grid and refines it with the grid's cubic Hermite
+    interpolant, whose slopes come from one more ``vector_field`` call at the
+    two ends of every bracketing scan step.  The refined crossings are checked
+    for transversality together.  Returns (new_states, taus, ok_mask); failed orbits keep their
+    input state and tau = nan.
     """
     chart = chart or AnnulusChart(H, spec)
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -473,14 +477,8 @@ def ensemble_return_step(
     m = int(spec.max_return_time / spec.scan_dt) + 1
     ts = np.linspace(0.0, spec.max_return_time, m)
 
-    def rhs(t, flat):
-        y = flat.reshape(n, 4)
-        gxi = H.grad_xi(y)
-        gx = H.grad_x(y)
-        return np.concatenate([gxi, -gx], axis=1).reshape(-1)
-
     sol = solve_ivp(
-        rhs,
+        stacked_rhs(H, n),
         (0.0, float(ts[-1])),
         states.reshape(-1),
         method=config.method,
@@ -491,14 +489,8 @@ def ensemble_return_step(
     if sol.status != 0:
         raise StepFailure(sol.message)
     path = sol.y.T.reshape(m, n, 4)
-    vel = np.empty((m, n, 4))
-    gxi = H.grad_xi(path.reshape(-1, 4)).reshape(m, n, 2)
-    gx = H.grad_x(path.reshape(-1, 4)).reshape(m, n, 2)
-    vel[..., :2] = gxi
-    vel[..., 2:] = -gx
 
     coord = chart.coordinate(path)  # (m, n)
-    dcoord = vel[..., 1] if spec.kind == "equator_birkhoff" else vel[..., 0]
     level_spacing = chart.periodic_levels
     if level_spacing is None:
         up = (coord[:-1] < 0.0) & (coord[1:] >= 0.0)
@@ -510,18 +502,21 @@ def ensemble_return_step(
     # row 0 only ever flags the start point itself (states arrive on-section)
     up[0] = False
 
-    new_states = states.copy()
-    taus = np.full(n, np.nan)
-    ok = np.zeros(n, dtype=bool)
     first_idx = np.argmax(up, axis=0)
-    has = up[first_idx, np.arange(n)]
+    found = np.nonzero(up[first_idx, np.arange(n)])[0]
+    rows = first_idx[found]
+    # Hermite slopes: the vector field at both ends of each bracketing scan step
+    vel = H.vector_field(np.stack([path[rows, found], path[rows + 1, found]]))
+    axis = 1 if spec.kind == "equator_birkhoff" else 0
     dt = float(ts[1] - ts[0])
-    for j in np.nonzero(has)[0]:
-        i = first_idx[j]
+    y_found = np.empty((len(found), 4))
+    tau_found = np.empty(len(found))
+    for r, (i, j) in enumerate(zip(rows, found)):
+        v0, v1 = vel[0, r], vel[1, r]
         g0 = coord[i, j] - levels[i, j]
         g1 = coord[i + 1, j] - levels[i, j]
-        d0 = dcoord[i, j] * dt
-        d1 = dcoord[i + 1, j] * dt
+        d0 = v0[axis] * dt
+        d1 = v1[axis] * dt
         # cubic Hermite root of the transverse coordinate on [0, 1]
         x = g0 / (g0 - g1) if g1 != g0 else 0.5
         for _ in range(12):
@@ -546,18 +541,17 @@ def ensemble_return_step(
         h10 = x**3 - 2 * x**2 + x
         h01 = -2 * x**3 + 3 * x**2
         h11 = x**3 - x**2
-        y_ev = (
-            h00 * path[i, j]
-            + h10 * vel[i, j] * dt
-            + h01 * path[i + 1, j]
-            + h11 * vel[i + 1, j] * dt
-        )
-        speed = float(chart.transverse_velocity(y_ev))
-        if speed < spec.transversality_tol:
-            continue
-        new_states[j] = y_ev
-        taus[j] = ts[i] + x * dt
-        ok[j] = True
+        y_found[r] = h00 * path[i, j] + h10 * v0 * dt + h01 * path[i + 1, j] + h11 * v1 * dt
+        tau_found[r] = ts[i] + x * dt
+    # only speeds known to be below the tolerance are rejected (NaN is kept)
+    keep = ~(chart.transverse_velocity(y_found) < spec.transversality_tol)
+    accepted = found[keep]
+    new_states = states.copy()
+    new_states[accepted] = y_found[keep]
+    taus = np.full(n, np.nan)
+    taus[accepted] = tau_found[keep]
+    ok = np.zeros(n, dtype=bool)
+    ok[accepted] = True
     return new_states, taus, ok
 
 

@@ -10,6 +10,7 @@ from finslerlab.metrics import (
     ALPHA_GOLDEN,
     AngularDualMetric,
     CotangentPoint,
+    DualMetric,
     KatokDualMetric,
     RotationalDualMetric,
     build_katok_family,
@@ -304,6 +305,94 @@ class TestCotangentPoint:
     def test_unit_covector_lands_on_level(self, katok_sphere):
         y = unit_covector(katok_sphere, 0.3, 0.1, 0.2)
         assert float(katok_sphere.value(y)) == pytest.approx(1.0, abs=1e-15)
+
+
+FIELD_KINDS = ["h0_sphere", "h0_torus", "katok_sphere", "katok_torus_reversible", "angular"]
+
+
+def _field_metric(request, name):
+    return AngularDualMetric() if name == "angular" else request.getfixturevalue(name)
+
+
+def _field_states(rng, cutoffs, spliced_profile):
+    """Random states plus the edges of every branch of the equations.
+
+    xi1 = +-0 (reversibilization seam), |x2| = b (chi edge), L/2 +- eps (ends
+    of the splice bridge) and ratio = f0(a1), f0(a0) (ends of the eta step).
+    """
+    half, eps = spliced_profile.period / 2.0, spliced_profile.eps_splice
+    b = cutoffs.b
+    x2s = [0.0, b, -b, np.nextafter(b, 3.0), half - eps, -(half - eps), half + eps, -(half + eps),
+           np.nextafter(half - eps, 0.0), half]
+    special = []
+    for x2 in x2s:
+        for xi1, xi2 in [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.7), (-0.0, -1.3), (0.6, 0.8), (-0.6, -0.8)]:
+            special.append([0.3, x2, xi1, xi2])
+        for a in (cutoffs.a1, cutoffs.a0):
+            c = float(eval_f0(a)) / float(spliced_profile.f(x2))
+            for cos_theta in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)):
+                if cos_theta < 1.0:
+                    s = math.sqrt(1.0 - cos_theta**2)
+                    special.append([1.1, x2, cos_theta, s])
+                    special.append([1.1, x2, -cos_theta, -s])
+    return np.concatenate([np.array(special), sample_covectors(rng, 400, x2_range=(-2.5, 2.5))])
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("name", FIELD_KINDS)
+    def test_batch_matches_rows_bitwise(self, request, name, rng, cutoffs, spliced_profile):
+        H = _field_metric(request, name)
+        states = _field_states(rng, cutoffs, spliced_profile)
+        batch = H.vector_field(states)
+        assert batch.shape == states.shape
+        rows = np.array([H.vector_field(y) for y in states])
+        assert all(H.vector_field(y).shape == (4,) for y in states[:3])
+        assert rows.tobytes() == batch.tobytes()
+        m = 2 * (len(states) // 2)
+        grid = H.vector_field(states[:m].reshape(2, m // 2, 4))
+        assert grid.shape == (2, m // 2, 4)
+        assert grid.tobytes() == batch[:m].tobytes()
+
+    @pytest.mark.parametrize("name", FIELD_KINDS)
+    def test_gradients_are_slices(self, request, name, rng, cutoffs, spliced_profile):
+        from finslerlab.flow import hamiltonian_vector_field
+
+        H = _field_metric(request, name)
+        states = _field_states(rng, cutoffs, spliced_profile)
+        vf = H.vector_field(states)
+        assert np.array_equal(H.grad_xi(states), vf[:, :2])
+        assert np.array_equal(H.grad_x(states), -vf[:, 2:])
+        assert hamiltonian_vector_field(H, states).tobytes() == vf.tobytes()
+        # xi1 is conserved exactly: every kind is x1-invariant
+        assert np.all(vf[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("name", FIELD_KINDS[:-1])
+    def test_zero_covector_rejected(self, request, name):
+        H = _field_metric(request, name)
+        with pytest.raises(ZeroCovector):
+            H.vector_field(np.array([0.0, 0.5, 0.0, 0.0]))
+        batch = np.array([[0.0, 0.5, 0.6, 0.8], [0.0, 0.5, -0.0, 0.0]])
+        with pytest.raises(ZeroCovector):
+            H.vector_field(batch)
+
+    @pytest.mark.parametrize("name", ["katok_sphere", "h0_torus", "katok_torus_reversible"])
+    def test_scalar_route_matches(self, request, name, rng, cutoffs, spliced_profile):
+        # scalar_rhs is the independent pure-math route to the same equations
+        H = _field_metric(request, name)
+        states = _field_states(rng, cutoffs, spliced_profile)
+        states = np.concatenate([states, sample_covectors(rng, 200, x2_range=(-2.25, 2.25))])
+        vf = H.vector_field(states)
+        rhs = H.scalar_rhs()
+        got = np.array([rhs(0.0, list(y)) for y in states])
+        assert np.max(np.abs(got - vf)) <= 1e-14
+
+    def test_angular_fallback_stacks_gradients(self):
+        h1 = AngularDualMetric()
+        vf = h1.vector_field(np.array([[0.0, 1.0, 0.5, 0.5], [2.0, -1.0, -3.0, 0.0]]))
+        assert vf.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 2
+        # a kind that defines neither side has no equations, not a recursion
+        with pytest.raises(NotImplementedError):
+            DualMetric().grad_x(np.array([0.0, 1.0, 0.5, 0.5]))
 
 
 def _assert_gradients_match(H, states, tol):

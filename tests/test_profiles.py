@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from finslerlab.errors import InvalidBand, InvalidSplice
 from finslerlab.profiles import (
-    CallablePeriodicProfile,
     eval_f0,
     eval_f0_deriv,
     eval_h,
@@ -18,6 +18,7 @@ from finslerlab.profiles import (
     smooth_step,
     smooth_step_deriv,
     smooth_step_pair,
+    smooth_step_pair_array,
 )
 
 # f0(1) evaluated through the independent sech route, frozen
@@ -114,6 +115,55 @@ class TestSmoothStep:
         # dw peaks at 2, so its agreement is relative above 1
         assert np.max(np.abs(pair[:, 1] - dw) / np.maximum(1.0, dw)) <= 1e-15
 
+    def test_array_pair_exact_ends(self):
+        below = np.array([-7.0, -1e-300, -0.0, 0.0])
+        above = np.array([1.0, 1.0 + 1e-15, 7.0, np.inf])
+        w, dw = smooth_step_pair_array(np.concatenate([below, above]))
+        assert w.tolist() == [0.0] * 4 + [1.0] * 4
+        assert dw.tolist() == [0.0] * 8
+        assert smooth_step_pair_array(0.0) == (0.0, 0.0)
+        assert smooth_step_pair_array(1.0) == (1.0, 0.0)
+
+    def test_array_pair_quiet_at_subnormal_and_near_one(self):
+        u = np.array([5e-324, 1e-310, 1e-300, 1.0 - 1e-16, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, dw = smooth_step_pair_array(u)
+            single = [smooth_step_pair_array(float(v)) for v in u]
+        assert w.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+        assert dw.tolist() == [0.0] * 5
+        assert single == list(zip(w.tolist(), dw.tolist()))
+
+    def test_array_pair_matches_scalar_pair(self):
+        g = np.linspace(-0.5, 1.5, 20_001)
+        edges = [1e-3, 1.0 - 1e-3, 1.0 / 760, 1.0 / 745, 1.0 - 1.0 / 760, 1.0 - 1.0 / 745]
+        g = np.concatenate([g, edges])
+        pair = np.array([smooth_step_pair(float(u)) for u in g])
+        w, dw = smooth_step_pair_array(g)
+        assert np.max(np.abs(pair[:, 0] - w)) <= 1e-15
+        assert np.max(np.abs(pair[:, 1] - dw) / np.maximum(1.0, dw)) <= 1e-15
+        # same flat ends, down to the last subnormal bump value
+        assert np.array_equal(pair[:, 0] > 0.0, w > 0.0)
+        assert np.array_equal(pair[:, 0] < 1.0, w < 1.0)
+        assert np.array_equal(pair[:, 1] > 0.0, dw > 0.0)
+        # the two halves are the array step and its derivative, bit for bit
+        assert w.tobytes() == smooth_step(g).tobytes()
+        assert dw.tobytes() == smooth_step_deriv(g).tobytes()
+        w2, dw2 = smooth_step_pair_array(g[9_995:10_001].reshape(2, 3))
+        assert w2.shape == dw2.shape == (2, 3)
+        assert w2.tobytes() == w[9_995:10_001].tobytes()
+        assert dw2.tobytes() == dw[9_995:10_001].tobytes()
+
+    def test_eta_with_deriv_is_scaled_step_pair(self):
+        eta = make_eta(0.3, 1.3)
+        width = eta.hi - eta.lo
+        t = np.linspace(eta.lo - 0.05, eta.hi + 0.05, 2001)
+        w, dw = eta.with_deriv(t)
+        assert w.tobytes() == eta(t).tobytes()
+        assert dw.tobytes() == (smooth_step_deriv((t - eta.lo) / width) / width).tobytes()
+        mid = 0.5 * (eta.lo + eta.hi)
+        assert eta.with_deriv(mid) == (eta(mid), smooth_step_deriv(0.5) / width)
+
 
 class TestSplicedProfile:
     def test_values_inside_splice_zone_are_bitexact(self):
@@ -208,13 +258,3 @@ class TestCutoffs:
         assert cut.chi(1.6000001) == 0.0
         vals = cut.chi(np.array([-2.0, -1.0, 0.5, 1.59, 1.61]))
         assert list(vals) == [0.0, 1.0, 1.0, 1.0, 0.0]
-
-
-class TestCallableProfile:
-    def test_wraps_callables(self):
-        prof = CallablePeriodicProfile(
-            f=lambda x: 2.0 + np.cos(x), fp=lambda x: -np.sin(x), period=2 * math.pi
-        )
-        assert prof.f(0.0) == 3.0
-        assert prof.fp(math.pi / 2) == pytest.approx(-1.0)
-        assert prof.min_value() == pytest.approx(1.0, abs=1e-5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,6 +225,27 @@ class TestIterateSectionMap:
             got = chart.state_to_point(new_states[i])
             assert abs(circdiff(got[0] - sample.image[0])) <= 1e-5
             assert abs(got[1] - sample.image[1]) <= 1e-5
+
+    def test_transversality_rejects_orbit_by_orbit(self, katok_sphere, fast_config):
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(31)
+        pts = zip(rng.uniform(0.0, chart.circumference, 12), rng.uniform(0.3, 2.8, 12))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        base_states, base_taus, base_ok = ensemble_return_step(
+            katok_sphere, SPHERE_SPEC, states, fast_config, chart=chart
+        )
+        assert base_ok.all()
+        speeds = chart.transverse_velocity(base_states)
+        tol = float(np.median(speeds))
+        slow = speeds < tol
+        assert 0 < np.count_nonzero(slow) < len(states)
+        strict = replace(SPHERE_SPEC, transversality_tol=tol)
+        new_states, taus, ok = ensemble_return_step(katok_sphere, strict, states, fast_config, chart=chart)
+        assert np.array_equal(ok, ~slow)
+        assert new_states[slow].tobytes() == states[slow].tobytes()
+        assert np.isnan(taus[slow]).all()
+        assert new_states[ok].tobytes() == base_states[ok].tobytes()
+        assert taus[ok].tobytes() == base_taus[ok].tobytes()
 
 
 class TestAreaPreservation:
