@@ -32,6 +32,7 @@ __all__ = [
     "greedy_separated_set",
     "exact_separated_cardinality",
     "wrapped_metric",
+    "WrappedMetric",
     "GraphReport",
     "invariant_graph_test",
     "TubeSpec",
@@ -168,36 +169,107 @@ def bounded_deviation(trace_or_path, rho, times=None) -> DeviationReport:
 # --- separated-set entropy -----------------------------------------------------
 
 
-def wrapped_metric(periods):
+@dataclass(frozen=True)
+class WrappedMetric:
     """Euclidean metric with selected coordinates wrapped on circles.
 
     ``periods[j]`` is the period of coordinate j or None for a linear
-    coordinate.  Returns a vectorized ``d(a, b)`` over arrays (..., d).
+    coordinate; calling it gives the vectorized ``d(a, b)`` over arrays
+    (..., d).  The separated-set distance kernel reads ``periods`` and
+    computes the same numbers bit for bit without calling the metric.
     """
-    periods = tuple(periods)
 
-    def metric(a, b):
+    periods: tuple
+
+    def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         total = 0.0
-        for j, p in enumerate(periods):
+        for j, p in enumerate(self.periods):
             d = a[..., j] - b[..., j]
             if p is not None:
                 d = (d + p / 2.0) % p - p / 2.0
             total = total + d * d
         return np.sqrt(total)
 
-    return metric
+
+def wrapped_metric(periods) -> WrappedMetric:
+    """Metric for the separated-set estimators; see :class:`WrappedMetric`.
+
+    The estimators take its ``periods`` (``metric.periods``), so a metric
+    passed to them must come from here.
+    """
+    return WrappedMetric(tuple(periods))
 
 
-def pairwise_orbit_distance(segments, T: int, metric) -> np.ndarray:
+# entries (rows x N) of one row block of the distance kernel: the block of
+# dmat and its float64 scratch planes stay in cache across all time slices
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _raise_orbit_distance(dmat, segments, t_lo: int, t_hi: int, periods) -> None:
+    """Raise dmat[i, j] in place to d(orbit_i(t), orbit_j(t)) for t_lo <= t <= t_hi.
+
+    Bit for bit the running ``np.maximum`` of ``WrappedMetric(periods)``
+    applied to ``pts[:, None]`` and ``pts[None, :]`` slice by slice: the same
+    difference, wrap, squares summed in coordinate order and sqrt per slice.
+
+    The wrap is numpy's ``(d + p/2) % p - p/2``.  When a slice's spread
+    (``np.ptp``) of a coordinate is below p, x = fl(d + p/2) lies in
+    [-p/2, 3p/2], where ``x % p`` is fl(x + p) for x < 0, x - p (exact by
+    Sterbenz) for x >= p and x otherwise; x is never -0.0, so adding
+    p * (x < 0) and subtracting p * (x >= p) gives the same bits.  Both
+    masks are taken before either update, because fl(x + p) can round to p.
+    Wider slices (lifted angles) use ``np.remainder``.
+    """
+    n = dmat.shape[0]
+    if n == 0 or t_hi < t_lo:
+        return
+    cols = np.ascontiguousarray(np.moveaxis(segments[:, t_lo : t_hi + 1, :], 0, -1))
+    spans = np.ptp(cols, axis=-1)  # (slices, d)
+    periods = [None if p is None else float(p) for p in periods]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    diff, sq, acc = (np.empty((rows, n)) for _ in range(3))
+    below, above = (np.empty((rows, n), dtype=bool) for _ in range(2))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        m = r1 - r0
+        block = dmat[r0:r1]
+        dv, sv, av, lo, hi = diff[:m], sq[:m], acc[:m], below[:m], above[:m]
+        for k in range(cols.shape[0]):
+            for j, p in enumerate(periods):
+                c = cols[k, j]
+                np.subtract(c[r0:r1, None], c[None, :], out=dv)
+                if p is not None:
+                    h = p / 2.0
+                    np.add(dv, h, out=dv)
+                    if spans[k, j] < p:
+                        np.less(dv, 0.0, out=lo)
+                        np.greater_equal(dv, p, out=hi)
+                        np.multiply(lo, p, out=sv)
+                        np.add(dv, sv, out=dv)
+                        np.multiply(hi, p, out=sv)
+                        np.subtract(dv, sv, out=dv)
+                    else:
+                        np.remainder(dv, p, out=dv)
+                    np.subtract(dv, h, out=dv)
+                if j == 0:
+                    np.multiply(dv, dv, out=av)
+                else:
+                    np.multiply(dv, dv, out=sv)
+                    np.add(av, sv, out=av)
+            np.sqrt(av, out=av)
+            np.maximum(block, av, out=block)
+
+
+def pairwise_orbit_distance(segments, T: int, metric: WrappedMetric) -> np.ndarray:
     """(N, N) matrix of d_T(i, j) = max over t <= T of d(orbit_i(t), orbit_j(t))."""
     segments = np.asarray(segments, dtype=float)
+    if segments.shape[1] < T + 1:
+        raise ValueError("segments shorter than T + 1 iterates")
     n = segments.shape[0]
     dmat = np.zeros((n, n))
-    for t in range(T + 1):
-        pts = segments[:, t, :]
-        np.maximum(dmat, metric(pts[:, None, :], pts[None, :, :]), out=dmat)
+    _raise_orbit_distance(dmat, segments, 0, T, metric.periods)
     return dmat
 
 
@@ -226,7 +298,7 @@ def _farthest_first_set(dmat: np.ndarray, eps: float, seed=()) -> np.ndarray:
     return np.array(selected, dtype=int)
 
 
-def greedy_separated_set(segments, T: int, eps: float, metric, seed=()) -> np.ndarray:
+def greedy_separated_set(segments, T: int, eps: float, metric: WrappedMetric, seed=()) -> np.ndarray:
     """Maximal (T, eps)-separated subset of an orbit-segment cloud.
 
     ``segments`` has shape (N, M, d) with the orbit of point i sampled at
@@ -237,7 +309,7 @@ def greedy_separated_set(segments, T: int, eps: float, metric, seed=()) -> np.nd
     return _farthest_first_set(pairwise_orbit_distance(segments, T, metric), eps, seed)
 
 
-def exact_separated_cardinality(segments, T: int, eps: float, metric) -> int:
+def exact_separated_cardinality(segments, T: int, eps: float, metric: WrappedMetric) -> int:
     """Exact maximal (T, eps)-separated cardinality by subset enumeration.
 
     Brute force for cross-checking greedy counts; only feasible for tiny
@@ -247,16 +319,10 @@ def exact_separated_cardinality(segments, T: int, eps: float, metric) -> int:
     n = segments.shape[0]
     if n > 20:
         raise ValueError("exact enumeration limited to N <= 20")
-    window = segments[:, : T + 1, :]
-    close = np.zeros(n, dtype=int)  # bitmask of eps-close (non-separated) pairs
-    for i in range(n):
-        d = metric(window[i][None, :, :], window)
-        near = np.max(d, axis=-1) <= eps
-        mask = 0
-        for j in range(n):
-            if j != i and near[j]:
-                mask |= 1 << j
-        close[i] = mask
+    near = pairwise_orbit_distance(segments, T, metric) <= eps
+    np.fill_diagonal(near, False)
+    # bitmask of eps-close (non-separated) partners of each point
+    close = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in near]
     best = 0
     for subset in range(1 << n):
         if subset.bit_count() <= best:
@@ -302,7 +368,7 @@ def entropy_separated_sets(
     segments,
     T_list,
     eps_list,
-    metric,
+    metric: WrappedMetric,
     *,
     saturation_fraction: float = 0.4,
     stability_tol: float = 0.1,
@@ -316,6 +382,10 @@ def entropy_separated_sets(
     separated-set cardinality and enforces monotonicity in eps.  The estimate
     is the log-count slope over the non-saturated T window, taken at the
     smallest eps whose linear fit is stable.
+
+    ``metric`` comes from :func:`wrapped_metric`: the distance kernel reads
+    its ``metric.periods`` and raises the (N, N) running maximum slice by
+    slice, resuming at the first T not yet covered.
     """
     segments = np.asarray(segments, dtype=float)
     n = segments.shape[0]
@@ -332,9 +402,7 @@ def entropy_separated_sets(
     dmat = np.zeros((n, n))
     t_done = -1
     for T in T_list:
-        for t in range(t_done + 1, T + 1):
-            pts = segments[:, t, :]
-            np.maximum(dmat, metric(pts[:, None, :], pts[None, :, :]), out=dmat)
+        _raise_orbit_distance(dmat, segments, t_done + 1, T, metric.periods)
         t_done = T
         for eps in eps_desc:
             sel = _farthest_first_set(dmat, eps, seeds[eps])

@@ -170,8 +170,7 @@ class RotationalDualMetric(DualMetric):
         y = np.asarray(y, dtype=float)
         R = np.hypot(y[..., 2], y[..., 3])
         _check_nonzero(R)
-        f = self.profile.f(y[..., 1])
-        fp = self.profile.fp(y[..., 1])
+        f, fp = self.profile.f_fp(y[..., 1])
         fR = f * R
         out = np.empty(y.shape)
         out[..., 0] = y[..., 2] / fR
@@ -258,8 +257,7 @@ class KatokDualMetric(DualMetric):
         xi1, xi2 = y[..., 2], y[..., 3]
         R = np.hypot(xi1, xi2)
         _check_nonzero(R)
-        f = self.profile.f(y[..., 1])
-        fp = self.profile.fp(y[..., 1])
+        f, fp = self.profile.f_fp(y[..., 1])
         ratio = self._ratio(y, R, f)
         achi = self.alpha * self.cutoffs.chi(y[..., 1])
         eta, etad = self.cutoffs.eta.with_deriv(ratio)

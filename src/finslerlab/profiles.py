@@ -218,6 +218,10 @@ class RotationalProfile:
     def fp(self, x2):
         raise NotImplementedError
 
+    def f_fp(self, x2):
+        """(f(x2), fp(x2)) over an array, sharing the work the two have in common."""
+        return self.f(x2), self.fp(x2)
+
     def f_fp_scalar(self, x2: float) -> tuple[float, float]:
         """Scalar fast path for integration inner loops."""
         return float(self.f(x2)), float(self.fp(x2))
@@ -245,6 +249,12 @@ class RoundSphereProfile(RotationalProfile):
 
     def fp(self, x2):
         return eval_f0_deriv(x2)
+
+    def f_fp(self, x2):
+        t = np.asarray(x2, dtype=float)
+        f = eval_f0(t)
+        fp = -f * np.tanh(t)
+        return f, (fp if np.ndim(fp) else float(fp))
 
     def f_fp_scalar(self, x2):
         v = _f0_scalar(x2)
@@ -283,23 +293,16 @@ class SplicedTorusProfile(RotationalProfile):
         return x2 - L * np.round(x2 / L)
 
     def f(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        t = self._reduce(x2)
-        out = eval_f0(np.asarray(t))
-        out = np.atleast_1d(np.asarray(out, dtype=float))
-        t1 = np.atleast_1d(t)
-        bridge = np.abs(t1) > self._zone
-        if np.any(bridge):
-            s = np.where(t1[bridge] < 0, t1[bridge] + self.period, t1[bridge])
-            u = (s - self._zone) / (2.0 * self.eps_splice)
-            w = smooth_step(u)
-            out[bridge] = (1.0 - w) * eval_f0(s) + w * eval_f0(s - self.period)
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+        return self.f_fp(x2)[0]
 
     def fp(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        t = self._reduce(x2)
-        out = np.atleast_1d(np.asarray(eval_f0_deriv(np.asarray(t)), dtype=float))
+        return self.f_fp(x2)[1]
+
+    def f_fp(self, x2):
+        t = self._reduce(np.asarray(x2, dtype=float))
+        f0 = eval_f0(t)
+        fp = np.atleast_1d(-f0 * np.tanh(t))
+        f = np.atleast_1d(np.asarray(f0, dtype=float))
         t1 = np.atleast_1d(t)
         bridge = np.abs(t1) > self._zone
         if np.any(bridge):
@@ -308,9 +311,12 @@ class SplicedTorusProfile(RotationalProfile):
             w, dw = smooth_step_pair_array(u)
             dw = dw / (2.0 * self.eps_splice)
             fa, fb = eval_f0(s), eval_f0(s - self.period)
-            da, db = eval_f0_deriv(s), eval_f0_deriv(s - self.period)
-            out[bridge] = (1.0 - w) * da + w * db + dw * (fb - fa)
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+            da, db = -fa * np.tanh(s), -fb * np.tanh(s - self.period)
+            f[bridge] = (1.0 - w) * fa + w * fb
+            fp[bridge] = (1.0 - w) * da + w * db + dw * (fb - fa)
+        if np.ndim(t):
+            return f.reshape(np.shape(t)), fp.reshape(np.shape(t))
+        return float(f[0]), float(fp[0])
 
     def f_fp_scalar(self, x2):
         L = self.period

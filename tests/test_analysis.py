@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ class TestSeparatedSets:
             assert all(b >= a for a, b in zip(counts, counts[1:]))  # nondecreasing in T
         for T in range(5):
             row = [by[(T, e)] for e in (0.4, 0.25, 0.15)]
-            assert all(b >= a for a, b in zip(row, row[1:]))  # nonincreasing in eps... reversed
+            assert all(b >= a for a, b in zip(row, row[1:]))  # nondecreasing as eps shrinks
         assert est.s_of(3, 0.25) == by[(3, 0.25)]
 
     def test_identity_map_estimate_zero(self, rng):
@@ -210,6 +211,148 @@ class TestSeparatedSets:
         lines = path.read_text().splitlines()
         assert lines[0] == "T,eps,s,slope"
         assert len(lines) == 5
+
+
+def _reference_pairwise(segments, T, periods):
+    """The per-slice (N, N) formula the blocked distance kernel reproduces bit for bit."""
+
+    def metric(a, b):
+        total = 0.0
+        for j, p in enumerate(periods):
+            d = a[..., j] - b[..., j]
+            if p is not None:
+                d = (d + p / 2.0) % p - p / 2.0
+            total = total + d * d
+        return np.sqrt(total)
+
+    dmat = np.zeros((len(segments), len(segments)))
+    for t in range(T + 1):
+        pts = segments[:, t, :]
+        np.maximum(dmat, metric(pts[:, None, :], pts[None, :, :]), out=dmat)
+    return dmat
+
+
+def _reference_sets(segments, T_list, eps_list, periods):
+    """Farthest-first sets grown along T on reference distance matrices."""
+    seeds = {eps: () for eps in eps_list}
+    sets = {}
+    for T in sorted(T_list):
+        dmat = _reference_pairwise(segments, T, periods)
+        for eps in sorted(eps_list, reverse=True):
+            sets[(T, eps)] = analysis._farthest_first_set(dmat, eps, seeds[eps])
+            seeds[eps] = tuple(sets[(T, eps)])
+    return sets
+
+
+def _flow_like_cloud(rng, n, horizon, period):
+    """Orbit segments shaped like the torus flow clouds: lifted x1 (wide), x2 on
+    a period and two linear covector coordinates."""
+    t = np.arange(horizon + 1.0)
+    x1 = rng.uniform(0.0, TWO_PI, (n, 1)) + rng.normal(0.0, 0.4, (n, 1)) * t
+    x2 = rng.uniform(0.0, period, (n, 1)) + 0.3 * np.sin(rng.uniform(0.1, 1.0, (n, 1)) * t)
+    xi1 = np.repeat(rng.uniform(-1.0, 1.0, (n, 1)), horizon + 1, axis=1)
+    xi2 = np.cos(rng.uniform(0.1, 1.0, (n, 1)) * t)
+    return np.stack([x1, x2, xi1, xi2], axis=-1)
+
+
+def _edge_cloud():
+    """Slices whose wrap lands on every branch edge of numpy's remainder.
+
+    Coordinate 0 (period 1): a narrow slice holding 0, -0.0, p/2, 1 - 2^-53
+    (differences reach x = p exactly, x = 3p/2 - 2^-53 and x = 0), the same
+    slice shifted to +-1.5p, and a slice of spread exactly p (remainder
+    route).  Coordinate 1 (period 3): 0 and 1.5 + 2^-52 give x = -2^-52,
+    where fl(x + 3) rounds up to p itself.  Coordinate 2 is linear.
+    """
+    base = np.array([0.0, -0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25, 0.75, 0.125])
+    # 1.5 + (1 - 2^-53) would round to 2.5 and widen the slice to exactly p
+    high = 1.5 + np.array([0.0, 0.5, 1.0 - 2.0**-51, 0.25, 0.75, 0.125, 2.0**-51, 0.375])
+    c0 = np.stack([base, high, base - 1.5, np.array([0.0, 1.0] * 4), base * 0.999])
+    c1 = np.stack([np.array([0.0, 1.5 + 2.0**-52] * 4)] * 5)
+    c1[1] = [0.0, 1.5, 3.0 - 2.0**-51, 2.9, -0.0, 1e-300, 1.5 - 2.0**-52, 0.1]
+    c2 = np.stack([np.linspace(-1.0, 1.0, 8)] * 5)
+    return np.stack([c0.T, c1.T, c2.T], axis=-1), [1.0, 3.0, None]
+
+
+def _block_sizes():
+    """1, 7, one full row block, one block plus a tail, a one-row tail, an uneven tail."""
+    budget = analysis._BLOCK_ENTRIES
+    one = math.isqrt(budget)  # largest cloud whose rows fit in one block
+    one_row_tail = next(n for n in range(one + 1, 4 * one) if n % (budget // n) == 1)
+    uneven = next(n for n in range(one_row_tail + 1, 4 * one) if n % (budget // n) > 1)
+    return [1, 7, one, one + 1, one_row_tail, uneven]
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("n", _block_sizes())
+    def test_blocks_match_reference_bitwise(self, rng, n):
+        segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (n, 2)), 3)
+        got = pairwise_orbit_distance(segs, 3, wrapped_metric([1.0, 1.0]))
+        want = _reference_pairwise(segs, 3, [1.0, 1.0])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_wrap_edges_match_reference_bitwise(self):
+        segs, periods = _edge_cloud()
+        metric = wrapped_metric(periods)
+        got = pairwise_orbit_distance(segs, 4, metric)
+        assert np.array_equal(got.view(np.int64), _reference_pairwise(segs, 4, periods).view(np.int64))
+        spans = np.ptp(segs, axis=0)
+        assert np.all(spans[[0, 1, 2, 4], 0] < 1.0) and spans[3, 0] == 1.0 and spans[0, 1] < 3.0
+        # the called metric is the same formula
+        pts = segs[:, 1, :]
+        assert metric(pts[:, None], pts[None]).tobytes() == _reference_pairwise(segs[:, 1:2], 0, periods).tobytes()
+
+    def test_wide_and_linear_coordinates_match_reference_bitwise(self, rng):
+        period = 2.0 * math.pi * 0.9
+        segs = _flow_like_cloud(rng, 300, 12, period)
+        assert np.ptp(segs[:, -1, 0]) > TWO_PI  # lifted x1 takes the remainder route
+        periods = [TWO_PI, period, None, None]
+        got = pairwise_orbit_distance(segs, 12, wrapped_metric(periods))
+        assert np.array_equal(got.view(np.int64), _reference_pairwise(segs, 12, periods).view(np.int64))
+        with pytest.raises(ValueError):
+            pairwise_orbit_distance(segs, 13, wrapped_metric(periods))
+
+    def test_incremental_windows_match_reference_bitwise(self, rng):
+        segs = _flow_like_cloud(rng, 250, 9, 4.0)
+        periods = [TWO_PI, 4.0, None, None]
+        dmat = np.zeros((250, 250))
+        for t_lo, t_hi in [(0, 0), (1, 3), (4, 3), (4, 9)]:
+            analysis._raise_orbit_distance(dmat, segs, t_lo, t_hi, periods)
+            if t_hi >= t_lo:
+                want = _reference_pairwise(segs, t_hi, periods)
+                assert np.array_equal(dmat.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("cloud", ["cat", "doubling", "flow"])
+    def test_entropy_tables_and_sets_match_reference(self, rng, cloud):
+        if cloud == "cat":
+            segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (600, 2)), 4)
+            periods, T_list, eps_list = [1.0, 1.0], [1, 2, 3, 4], [0.35, 0.3]
+        elif cloud == "doubling":
+            segs = iterate_map_segments(doubling_map, rng.uniform(0.0, 1.0, (500, 1)), 6)
+            periods, T_list, eps_list = [1.0], list(range(7)), [1 / 16, 1 / 32]
+        else:
+            segs = _flow_like_cloud(rng, 400, 20, 4.0)
+            periods, T_list, eps_list = [TWO_PI, 4.0, None, None], [0, 5, 10, 20], [0.5, 0.3]
+        est = entropy_separated_sets(segs, T_list, eps_list, wrapped_metric(periods))
+        ref = _reference_sets(segs, T_list, eps_list, periods)
+        assert est.sets.keys() == ref.keys()
+        assert all(np.array_equal(est.sets[k], ref[k]) for k in ref)
+        for T in T_list:
+            running = 0
+            for eps in sorted(eps_list, reverse=True):
+                running = max(running, len(ref[(T, eps)]))
+                assert est.s_of(T, eps) == running
+
+    def test_peak_memory_stays_near_output(self, rng):
+        segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (1500, 2)), 3)
+        metric = wrapped_metric([1.0, 1.0])
+        tracemalloc.start()
+        try:
+            dmat = pairwise_orbit_distance(segs, 3, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dmat.nbytes
 
 
 class TestInvariantGraphs:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from finslerlab.errors import InvalidBand, InvalidSplice
 from finslerlab.profiles import (
+    RoundSphereProfile,
     eval_f0,
     eval_f0_deriv,
     eval_h,
@@ -165,6 +166,21 @@ class TestSmoothStep:
         assert eta.with_deriv(mid) == (eta(mid), smooth_step_deriv(0.5) / width)
 
 
+def _spliced_pair_reference(prof, x2):
+    """Spliced (f, f') from the closed forms: f0 off the bridge, the blend on it."""
+    L, eps = prof.period, prof.eps_splice
+    t = x2 - L * np.round(x2 / L)
+    f, fp = np.array(eval_f0(t)), np.array(eval_f0_deriv(t))
+    bridge = np.abs(t) > L / 2.0 - eps
+    s = np.where(t[bridge] < 0, t[bridge] + L, t[bridge])
+    w, dw = smooth_step_pair_array((s - (L / 2.0 - eps)) / (2.0 * eps))
+    dw = dw / (2.0 * eps)
+    fa, fb = eval_f0(s), eval_f0(s - L)
+    f[bridge] = (1.0 - w) * fa + w * fb
+    fp[bridge] = (1.0 - w) * eval_f0_deriv(s) + w * eval_f0_deriv(s - L) + dw * (fb - fa)
+    return f, fp
+
+
 class TestSplicedProfile:
     def test_values_inside_splice_zone_are_bitexact(self):
         prof = make_spliced_profile(4.0, 0.25)
@@ -202,6 +218,24 @@ class TestSplicedProfile:
             f, fp = prof.f_fp_scalar(float(x))
             assert f == pytest.approx(float(prof.f(x)), abs=1e-15)
             assert fp == pytest.approx(float(prof.fp(x)), abs=1e-15)
+
+    def test_array_pair_matches_f_and_fp_bitwise(self):
+        spliced = make_spliced_profile(4.0, 0.25)
+        zone = 2.0 - 0.25
+        edges = [0.0, -0.0, zone, np.nextafter(zone, 3.0), -zone, 2.0, -2.0, 2.25, -2.25, 6.0]
+        x = np.concatenate([edges, np.linspace(-6.0, 6.0, 4001)])
+        for prof in (RoundSphereProfile(), spliced):
+            f, fp = prof.f_fp(x)
+            assert f.tobytes() == prof.f(x).tobytes()
+            assert fp.tobytes() == prof.fp(x).tobytes()
+            f2, fp2 = prof.f_fp(x[:4000].reshape(2, 2000))
+            assert f2.shape == fp2.shape == (2, 2000)
+            assert f2.tobytes() == f[:4000].tobytes() and fp2.tobytes() == fp[:4000].tobytes()
+            for xs in edges:
+                pair = prof.f_fp(xs)
+                assert all(type(v) is float for v in pair)
+                assert pair == (prof.f(xs), prof.fp(xs))
+        assert np.array(spliced.f_fp(x)).tobytes() == np.array(_spliced_pair_reference(spliced, x)).tobytes()
 
     @pytest.mark.parametrize("L,eps", [(4.0, 1.0), (4.0, 0.0), (4.0, -0.1), (2.0, 0.6)])
     def test_invalid_splice_rejected(self, L, eps):
