@@ -16,32 +16,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    TubeSpec,
-    WitnessBall,
-    entropy_separated_sets,
-    invariant_graph_test,
-    rotation_number_from_displacements,
-    tube_diagnostics,
-    wrapped_metric,
-)
-from .benchmarks import cat_map, doubling_map, iterate_map_segments
-from .config import (
-    apply_override,
-    default_config,
-    integrator_from_config,
-    load_config_file,
-    merge_config,
-    parse_set_option,
-    section_from_config,
-    validate_config,
-)
+from .analysis import TubeSpec, rotation_number_from_displacements
+from .config import build_config, default_config, integrator_from_config, parse_set_option, section_from_config
 from .errors import FinslerLabError
-from .flow import TWO_PI, IntegratorConfig, integrate_ensemble, integrate_orbit
-from .metrics import fiber_convexity_check, metric_from_spec
+from .flow import IntegratorConfig, integrate_orbit
+from .metrics import metric_from_spec
+from .profiles import profile_from_spec
 from .reporting import dump_json, render_section_plot
-from .sampling import sample_covectors, sample_tube_states, sample_unit_level, solve_xi2_on_level
-from .scenarios import SCENARIO_NAMES, run_scenario
+from .sampling import sample_covectors, solve_xi2_on_level
+from .scenarios import (
+    MAP_SYSTEMS,
+    SCENARIO_NAMES,
+    axiom_checks,
+    evenness_check,
+    flow_entropy,
+    level_set_graphs,
+    run_scenario,
+    tube_run,
+)
 from .sections import AnnulusChart, build_return_map_grid, iterate_section_map
 
 
@@ -52,17 +44,19 @@ def _metric_from_config(cfg: dict):
     return metric_from_spec(spec)
 
 
+def _overrides(args) -> list:
+    return [parse_set_option(item) for item in args.set or []]
+
+
 def _build_config(args) -> dict:
-    cfg = default_config()
-    if args.config:
-        cfg = merge_config(cfg, load_config_file(args.config))
-    for item in args.set or []:
-        key, value = parse_set_option(item)
-        cfg = apply_override(cfg, key, value)
-    if args.seed is not None:
-        cfg["scenario"]["seed"] = args.seed
-    validate_config(cfg)
-    return cfg
+    return build_config(default_config(), args.config, _overrides(args), args.seed)
+
+
+def _torus_period(cfg: dict, needs: str) -> float:
+    period = cfg["profile"].get("L")
+    if period is None:
+        raise FinslerLabError(f"{needs} a periodic (spliced) profile")
+    return float(period)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -158,37 +152,12 @@ def _cmd_entropy(args) -> int:
     cfg = _build_config(args)
     ent = cfg["analysis"].get("entropy", {})
     system = ent.get("system", "doubling")
-    n_cloud = int(ent.get("cloud", 2000))
     rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
-    if system == "identity":
-        segs = iterate_map_segments(lambda p: p, rng.uniform(0, 1, (n_cloud, 1)), 6)
-        est = entropy_separated_sets(segs, range(7), [1 / 16, 1 / 32], wrapped_metric([1.0]))
-    elif system == "rotation":
-        rho = (math.sqrt(5.0) - 1.0) / 2.0
-        segs = iterate_map_segments(lambda p: (p + rho) % 1.0, rng.uniform(0, 1, (n_cloud, 1)), 6)
-        est = entropy_separated_sets(segs, range(7), [1 / 16, 1 / 32], wrapped_metric([1.0]))
-    elif system == "doubling":
-        segs = iterate_map_segments(lambda p: doubling_map(p), rng.uniform(0, 1, (n_cloud, 1)), 6)
-        est = entropy_separated_sets(segs, range(7), [1 / 16, 1 / 32, 1 / 64], wrapped_metric([1.0]))
-    elif system == "cat":
-        segs = iterate_map_segments(cat_map, rng.uniform(0, 1, (n_cloud, 2)), 4)
-        est = entropy_separated_sets(segs, [1, 2, 3, 4], [0.35, 0.3], wrapped_metric([1.0, 1.0]))
+    if system in MAP_SYSTEMS:
+        maps = MAP_SYSTEMS[system]
+        est = maps.entropy(rng.uniform(0, 1, (int(ent.get("cloud", 2000)), maps.dim)), maps.T_list, maps.eps)
     elif system == "flow":
-        metric = _metric_from_config(cfg)
-        period = cfg["profile"].get("L")
-        if period is None:
-            raise FinslerLabError("flow entropy needs a periodic (spliced) profile")
-        horizon = int(ent.get("horizon", 60))
-        cloud = sample_unit_level(metric, rng, n_cloud, x2_range=(0.0, float(period)))
-        ens_cfg = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
-        tr = integrate_ensemble(metric, cloud, float(horizon), ens_cfg, t_eval=np.arange(horizon + 1.0))
-        segs = np.swapaxes(tr.states, 0, 1)
-        est = entropy_separated_sets(
-            segs,
-            ent.get("T_list", [0, 10, 20, 40, 60]),
-            ent.get("eps", [0.5, 0.3]),
-            wrapped_metric([TWO_PI, float(period), None, None]),
-        )
+        est = flow_entropy(_metric_from_config(cfg), _torus_period(cfg, "flow entropy needs"), ent, rng)
     else:
         raise FinslerLabError(f"unknown entropy system {system!r}")
     out = _out_dir(args, "entropy")
@@ -204,32 +173,24 @@ def _cmd_entropy(args) -> int:
 def _cmd_graphs(args) -> int:
     cfg = _build_config(args)
     metric = _metric_from_config(cfg)
-    period = cfg["profile"].get("L")
-    if period is None:
-        raise FinslerLabError("graph tests need a periodic (spliced) profile")
-    period = float(period)
+    period = _torus_period(cfg, "graph tests need")
     g = cfg["analysis"].get("graphs", {})
     c = float(g.get("c", 0.2))
-    side = int(g.get("side", 256))
-    xx1, xx2 = np.meshgrid(
-        np.linspace(0.0, TWO_PI, side, endpoint=False),
-        np.linspace(0.0, period, side, endpoint=False),
-    )
-    xi2 = np.array(
-        [solve_xi2_on_level(metric, 0.0, x2, c) or math.nan for x2 in np.linspace(0.0, period, side, endpoint=False)]
-    )
-    xi2_grid = np.tile(xi2, (side, 1)).T.ravel()
-    states = np.stack([xx1.ravel(), xx2.ravel(), np.full(xx1.size, c), xi2_grid], axis=1)
-    states = states[~np.isnan(states[:, 3])]
-    reports = {}
-    for nb in g.get("bins", [32, 128]):
-        rep = invariant_graph_test(states, x2_period=period, bins=(int(nb), int(nb)))
-        reports[str(nb)] = {
+    bins = g.get("bins", [32, 128])
+
+    def xi2_of_x2(x2):
+        return np.array([solve_xi2_on_level(metric, 0.0, v, c) or math.nan for v in x2])
+
+    _, graph_reports = level_set_graphs(period, c, int(g.get("side", 256)), xi2_of_x2, bins)
+    reports = {
+        str(nb): {
             "is_graph": rep.is_graph,
             "max_fiber_gap": rep.max_fiber_gap,
             "lipschitz": rep.lipschitz_estimate,
             "occupied_fraction": rep.occupied_fraction,
         }
+        for nb, rep in zip(bins, graph_reports)
+    }
     out = _out_dir(args, "graphs")
     dump_json({"c": c, "reports": reports}, out / "graphs.json")
     print(f"graph verdicts: {[(k, v['is_graph']) for k, v in reports.items()]}")
@@ -239,31 +200,12 @@ def _cmd_graphs(args) -> int:
 def _cmd_tube(args) -> int:
     cfg = _build_config(args)
     metric = _metric_from_config(cfg)
-    period = cfg["profile"].get("L")
-    if period is None:
-        raise FinslerLabError("tube diagnostics need a periodic (spliced) profile")
-    period = float(period)
+    period = _torus_period(cfg, "tube diagnostics need")
     t = cfg["analysis"].get("tube", {})
-    from .profiles import profile_from_spec
-
-    profile = profile_from_spec(cfg["profile"])
-    c_lo = float(t.get("c_lo", profile.min_value()))
+    c_lo = float(t.get("c_lo", profile_from_spec(cfg["profile"]).min_value()))
     c_hi = float(t.get("c_hi", 0.95))
     rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
-    ens = sample_tube_states(metric, rng, int(t.get("orbits", 32)), (c_lo + 0.02, c_hi - 0.02), x2_period=period)
-    balls = [
-        WitnessBall(center=np.array([math.pi, 0.3, 0.5 * (c_lo + c_hi) + off, 0.5]), radius=0.05)
-        for off in (0.1, 0.15, -0.12, 0.2, -0.18)
-    ]
-    report = tube_diagnostics(
-        metric,
-        TubeSpec(c_lo=c_lo, c_hi=c_hi),
-        ens,
-        t.get("eps_grid", [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]),
-        balls,
-        ensemble_time=float(t.get("ensemble_time", 30.0)),
-        long_time=float(t.get("long_time", 1000.0)),
-    )
+    report = tube_run(metric, TubeSpec(c_lo=c_lo, c_hi=c_hi), period, t, rng, 0.5 * (c_lo + c_hi), [])
     out = _out_dir(args, "tube")
     dump_json(
         {
@@ -280,35 +222,26 @@ def _cmd_tube(args) -> int:
     return 0
 
 
+# validate.json key of each axiom-battery check
+_VALIDATE_KEYS = {
+    "axioms.homogeneity": "homogeneity_max_rel_err",
+    "axioms.euler_identity": "euler_max_rel_err",
+    "axioms.hessian_min_eigenvalue": "hessian_min_eigenvalue",
+    "reversible.evenness": "evenness_max_err",
+}
+
+
 def _cmd_validate(args) -> int:
     cfg = _build_config(args)
     metric = _metric_from_config(cfg)
     rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
     x2_range = (0.0, float(cfg["profile"]["L"])) if cfg["profile"].get("kind") == "spliced" else (-2.0, 2.0)
     states = sample_covectors(rng, 1000, x2_range=x2_range)
-    scales = rng.uniform(0.3, 3.0, states.shape[0])
-    scaled = states.copy()
-    scaled[:, 2] *= scales
-    scaled[:, 3] *= scales
-    h = np.asarray(metric.value(states))
-    homo = float(np.max(np.abs(np.asarray(metric.value(scaled)) - scales * h) / (scales * h)))
-    gxi = metric.grad_xi(states)
-    euler = float(np.max(np.abs(states[:, 2] * gxi[:, 0] + states[:, 3] * gxi[:, 1] - h) / h))
-    hess = fiber_convexity_check(metric, states)
-    result = {
-        "homogeneity_max_rel_err": homo,
-        "euler_max_rel_err": euler,
-        "hessian_min_eigenvalue": hess.min_eigenvalue,
-    }
+    checks = axiom_checks(metric, states, rng)
     if metric.reversible:
-        mirrored = states.copy()
-        mirrored[:, 2:] *= -1.0
-        result["evenness_max_err"] = float(
-            np.max(np.abs(np.asarray(metric.value(states)) - np.asarray(metric.value(mirrored))))
-        )
-    passed = homo <= 1e-10 and euler <= 1e-10 and hess.min_eigenvalue > 0.0
-    if metric.reversible:
-        passed = passed and result["evenness_max_err"] <= 1e-12
+        checks.append(evenness_check(metric, states))
+    result = {_VALIDATE_KEYS[c.name]: c.value for c in checks}
+    passed = all(c.passed for c in checks)
     result["passed"] = passed
     out = _out_dir(args, "validate")
     dump_json(result, out / "validate.json")
@@ -317,12 +250,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = [parse_set_option(item) for item in (args.set or [])]
     report = run_scenario(
         args.scenario,
         seed=args.seed,
         config_file=args.config,
-        overrides=overrides,
+        overrides=_overrides(args),
         out_root=args.out or "out",
         write=True,
     )

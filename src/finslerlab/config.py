@@ -22,6 +22,7 @@ __all__ = [
     "apply_override",
     "parse_set_option",
     "validate_config",
+    "build_config",
     "integrator_from_config",
     "section_from_config",
 ]
@@ -160,6 +161,19 @@ def validate_config(cfg: dict) -> None:
             "scenario.seed",
             "must be a nonnegative integer",
         )
+
+
+def build_config(base: dict, config_file, overrides, seed) -> dict:
+    """Base config, then the file merged over it, then --set overrides, then the seed; validated."""
+    cfg = base
+    if config_file is not None:
+        cfg = merge_config(cfg, load_config_file(config_file))
+    for key, value in overrides:
+        cfg = apply_override(cfg, key, value)
+    if seed is not None:
+        cfg["scenario"]["seed"] = int(seed)
+    validate_config(cfg)
+    return cfg
 
 
 def integrator_from_config(cfg: dict) -> IntegratorConfig:

@@ -46,6 +46,7 @@ __all__ = [
     "phase_space_distance",
     "circle_difference",
     "metric_x2_period",
+    "pole_cap_events",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -182,13 +183,18 @@ def _checkpoint_grid(T: float, dt: float) -> np.ndarray:
     return grid
 
 
-def _cap_event(cap: float):
+def pole_cap_events(H: DualMetric, config: IntegratorConfig):
+    """Terminal |x2| = cap event for sphere-chart runs (None on periodic bases)."""
+    if config.x2_cap is None or metric_x2_period(H) is not None:
+        return None
+    cap = config.x2_cap
+
     def event(t, y):
         return cap - abs(y[1])
 
     event.terminal = True
     event.direction = -1
-    return event
+    return [event]
 
 
 def integrate_orbit(
@@ -213,10 +219,6 @@ def integrate_orbit(
         raise ValueError(f"H(p0) = {h0!r} must be positive")
 
     x2_period = metric_x2_period(H)
-    events = []
-    if config.x2_cap is not None and x2_period is None:
-        events.append(_cap_event(config.x2_cap))
-
     rhs = H.scalar_rhs()
     t_eval = _checkpoint_grid(T, config.checkpoint_dt)
 
@@ -229,7 +231,7 @@ def integrate_orbit(
         atol=config.abs_tol,
         max_step=config.max_step,
         t_eval=t_eval,
-        events=events or None,
+        events=pole_cap_events(H, config),
         dense_output=False,
     )
     _check_sol(sol)

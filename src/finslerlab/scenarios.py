@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,19 +30,12 @@ from .analysis import (
     wrapped_metric,
 )
 from .benchmarks import CAT_ENTROPY, cat_map, doubling_map, iterate_map_segments, rigid_rotation, twist_map
-from .config import (
-    default_config,
-    integrator_from_config,
-    load_config_file,
-    merge_config,
-    apply_override,
-    section_from_config,
-    validate_config,
-)
+from .config import build_config, default_config, integrator_from_config, section_from_config
 from .errors import NotVanishing, PoleProximity, UnknownScenario
 from .flow import (
     TWO_PI,
     IntegratorConfig,
+    check_periodicity,
     integrate_ensemble,
     integrate_orbit,
     phase_space_distance,
@@ -73,7 +68,17 @@ from .sections import (
     smooth_divide,
 )
 
-__all__ = ["SCENARIO_NAMES", "scenario_defaults", "run_scenario"]
+__all__ = [
+    "SCENARIO_NAMES",
+    "MAP_SYSTEMS",
+    "axiom_checks",
+    "evenness_check",
+    "flow_entropy",
+    "level_set_graphs",
+    "tube_run",
+    "scenario_defaults",
+    "run_scenario",
+]
 
 SCENARIO_NAMES = (
     "round-sphere-baseline",
@@ -87,7 +92,7 @@ SCENARIO_NAMES = (
 # --- shared batteries ---------------------------------------------------------
 
 
-def _axiom_checks(H, states, rng, prefix: str = "axioms") -> list[Check]:
+def axiom_checks(H, states, rng) -> list[Check]:
     """Positive 1-homogeneity, Euler identity, fiber Hessian positivity."""
     states = np.asarray(states, dtype=float)
     scales = rng.uniform(0.3, 3.0, states.shape[0])
@@ -112,6 +117,89 @@ def _axiom_checks(H, states, rng, prefix: str = "axioms") -> list[Check]:
             detail="pass iff > tolerance",
         ),
     ]
+
+
+def evenness_check(H, states) -> Check:
+    """Reversibility H(x, -xi) = H(x, xi) on the given states."""
+    mirrored = states.copy()
+    mirrored[:, 2:] *= -1.0
+    gap = float(np.max(np.abs(np.asarray(H.value(states)) - np.asarray(H.value(mirrored)))))
+    return Check("reversible.evenness", gap <= 1e-12, gap, 1e-12)
+
+
+class MapSystem(NamedTuple):
+    """Calibration map of the unit d-torus with its default estimator window."""
+
+    step: Callable
+    dim: int
+    T_list: tuple
+    eps: tuple
+
+    def entropy(self, cloud, T_list, eps_list):
+        """Separated-set entropy of the map on a cloud of (N, dim) start points."""
+        segments = iterate_map_segments(self.step, cloud, max(T_list))
+        return entropy_separated_sets(segments, T_list, eps_list, wrapped_metric([1.0] * self.dim))
+
+
+_GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
+
+MAP_SYSTEMS = {
+    "identity": MapSystem(lambda p: p, 1, tuple(range(7)), (1 / 16, 1 / 32)),
+    "rotation": MapSystem(lambda p: (p + _GOLDEN_ROTATION) % 1.0, 1, tuple(range(7)), (1 / 16, 1 / 32)),
+    "doubling": MapSystem(doubling_map, 1, tuple(range(7)), (1 / 16, 1 / 32, 1 / 64)),
+    "cat": MapSystem(cat_map, 2, (1, 2, 3, 4), (0.35, 0.3)),
+}
+
+
+def flow_entropy(H, period: float, ent_cfg: dict, rng):
+    """Separated-set entropy of the time-1 flow on a unit-level cloud over one x2-period."""
+    horizon = int(ent_cfg.get("horizon", 60))
+    cloud = sample_unit_level(H, rng, int(ent_cfg.get("cloud", 2000)), x2_range=(0.0, period))
+    ens_cfg = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
+    trace = integrate_ensemble(H, cloud, float(horizon), ens_cfg, t_eval=np.arange(horizon + 1.0))
+    return entropy_separated_sets(
+        np.swapaxes(trace.states, 0, 1),  # (N, horizon+1, 4)
+        T_list=ent_cfg.get("T_list", [0, 10, 20, 40, 60]),
+        eps_list=ent_cfg.get("eps", [0.5, 0.3]),
+        metric=wrapped_metric([TWO_PI, period, None, None]),
+    )
+
+
+def level_set_graphs(period: float, c: float, side: int, xi2_of_x2, bins):
+    """The level set {xi1 = c} on a side x side torus grid and its graph test per bin count.
+
+    ``xi2_of_x2`` maps the x2 axis of the grid to the xi2 of each row; rows
+    where it is nan are dropped.
+    """
+    x2 = np.linspace(0.0, period, side, endpoint=False)
+    xx1, xx2 = np.meshgrid(np.linspace(0.0, TWO_PI, side, endpoint=False), x2)
+    level = np.stack([xx1.ravel(), xx2.ravel(), np.full(xx1.size, c), np.repeat(xi2_of_x2(x2), side)], axis=1)
+    level = level[~np.isnan(level[:, 3])]
+    return level, [invariant_graph_test(level, x2_period=period, bins=(int(nb), int(nb))) for nb in bins]
+
+
+def tube_run(H, tube: TubeSpec, period: float, tube_cfg: dict, rng, witness_c: float, witness_rows):
+    """Tube diagnostics of a random tube ensemble placed after ``witness_rows``.
+
+    The long witness orbit starts from the first row; the witness balls sit
+    around the level xi1 = witness_c.
+    """
+    ens = sample_tube_states(
+        H, rng, int(tube_cfg.get("orbits", 32)), (tube.c_lo + 0.02, tube.c_hi - 0.02), x2_period=period
+    )
+    balls = [
+        WitnessBall(center=np.array([math.pi, 0.3, witness_c + off, 0.5]), radius=0.05)
+        for off in (0.1, 0.15, -0.12, 0.2, -0.18)
+    ]
+    return tube_diagnostics(
+        H,
+        tube,
+        np.vstack([*witness_rows, ens]),
+        tube_cfg.get("eps_grid", [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]),
+        balls,
+        ensemble_time=float(tube_cfg.get("ensemble_time", 30.0)),
+        long_time=float(tube_cfg.get("long_time", 1000.0)),
+    )
 
 
 def _commuting_check(profile, alpha, cutoffs, samples, config, t_final=TWO_PI) -> Check:
@@ -282,8 +370,8 @@ def scenario_defaults(name: str) -> dict:
     elif name == "benchmark-maps":
         cfg["analysis"] = {
             "cloud": 2000,
-            "doubling": {"iterates": 6, "eps": [1 / 16, 1 / 32, 1 / 64]},
-            "cat": {"T_list": [1, 2, 3, 4], "eps": [0.35, 0.3]},
+            "doubling": {"iterates": max(MAP_SYSTEMS["doubling"].T_list), "eps": list(MAP_SYSTEMS["doubling"].eps)},
+            "cat": {"T_list": list(MAP_SYSTEMS["cat"].T_list), "eps": list(MAP_SYSTEMS["cat"].eps)},
         }
     elif name == "appendix-smooth-division":
         cfg["analysis"] = {"xs": [-1.0, 0.5, 2.0], "fd_step": 0.05}
@@ -295,64 +383,55 @@ def scenario_defaults(name: str) -> dict:
 # --- scenario runners ------------------------------------------------------------
 
 
-def _run_round_sphere(cfg, rng, artifact, timings) -> list[Check]:
+def _run_round_sphere(cfg, rng, artifact, stage) -> list[Check]:
     profile = profile_from_spec(cfg["profile"])
     h0 = RotationalDualMetric(profile)
     config = integrator_from_config(cfg)
     spec = section_from_config(cfg)
     checks: list[Check] = []
 
-    t0 = time.perf_counter()
-    states = sample_covectors(rng, 1000, x2_range=(-2.0, 2.0))
-    checks += _axiom_checks(h0, states, rng)
-    timings["axioms"] = time.perf_counter() - t0
+    with stage("axioms"):
+        states = sample_covectors(rng, 1000, x2_range=(-2.0, 2.0))
+        checks += axiom_checks(h0, states, rng)
 
-    t0 = time.perf_counter()
-    n_samp = int(cfg["analysis"].get("periodicity_samples", 50))
-    cone_states = sample_cone_states(rng, profile, 0.5, n_samp)
-    dists = np.empty(n_samp)
-    for i, y0 in enumerate(cone_states):
-        trace = integrate_orbit(h0, y0, TWO_PI, config)
-        dists[i] = phase_space_distance(trace.final_state, y0, None)
-    worst = float(np.max(dists))
-    checks.append(Check("periodicity.max_distance", worst <= 1e-6, worst, 1e-6))
-    timings["periodicity"] = time.perf_counter() - t0
+    with stage("periodicity"):
+        n_samp = int(cfg["analysis"].get("periodicity_samples", 50))
+        cone_states = sample_cone_states(rng, profile, 0.5, n_samp)
+        worst = check_periodicity(h0, cone_states, TWO_PI, config).max_distance
+        checks.append(Check("periodicity.max_distance", worst <= 1e-6, worst, 1e-6))
 
-    t0 = time.perf_counter()
-    n_grid = int(cfg["analysis"].get("grid", 8))
-    s_vals = np.linspace(0.2, TWO_PI - 0.2, n_grid)
-    # asymmetric angle grid: the exact polar direction u = pi/2 leaves the
-    # sphere chart through a pole and never returns in-chart
-    u_vals = np.linspace(0.3, math.pi - 0.35, n_grid)
-    table = build_return_map_grid(h0, spec, s_vals, u_vals, config)
-    ok = table.ok_records()
-    id_err = max(
-        max(
-            abs((r.s_image - r.s + math.pi) % TWO_PI - math.pi),
-            abs(r.u_image - r.u),
+    with stage("return_grid"):
+        n_grid = int(cfg["analysis"].get("grid", 8))
+        s_vals = np.linspace(0.2, TWO_PI - 0.2, n_grid)
+        # asymmetric angle grid: the exact polar direction u = pi/2 leaves the
+        # sphere chart through a pole and never returns in-chart
+        u_vals = np.linspace(0.3, math.pi - 0.35, n_grid)
+        table = build_return_map_grid(h0, spec, s_vals, u_vals, config)
+        ok = table.ok_records()
+        id_err = max(
+            max(
+                abs((r.s_image - r.s + math.pi) % TWO_PI - math.pi),
+                abs(r.u_image - r.u),
+            )
+            for r in ok
         )
-        for r in ok
-    )
-    tau_err = max(abs(r.tau - TWO_PI) for r in ok)
-    checks.append(Check("return_grid.identity", id_err <= 1e-6, id_err, 1e-6))
-    checks.append(Check("return_grid.tau", tau_err <= 1e-6, tau_err, 1e-6))
-    checks.append(
-        Check("return_grid.all_points_returned", len(ok) == n_grid * n_grid, float(len(ok)), float(n_grid**2))
-    )
-    timings["return_grid"] = time.perf_counter() - t0
+        tau_err = max(abs(r.tau - TWO_PI) for r in ok)
+        checks.append(Check("return_grid.identity", id_err <= 1e-6, id_err, 1e-6))
+        checks.append(Check("return_grid.tau", tau_err <= 1e-6, tau_err, 1e-6))
+        checks.append(
+            Check("return_grid.all_points_returned", len(ok) == n_grid * n_grid, float(len(ok)), float(n_grid**2))
+        )
 
-    t0 = time.perf_counter()
-    ext = return_time_boundary_extension(h0, spec, config)
-    gap = abs(ext.tau_boundary - TWO_PI)
-    checks.append(Check("boundary.tau_gap", gap <= 1e-5, gap, 1e-5))
-    checks.append(Check("boundary.poly_residual", ext.residual <= 1e-4, ext.residual, 1e-4))
-    timings["boundary"] = time.perf_counter() - t0
+    with stage("boundary"):
+        ext = return_time_boundary_extension(h0, spec, config)
+        gap = abs(ext.tau_boundary - TWO_PI)
+        checks.append(Check("boundary.tau_gap", gap <= 1e-5, gap, 1e-5))
+        checks.append(Check("boundary.poly_residual", ext.residual <= 1e-4, ext.residual, 1e-4))
 
-    t0 = time.perf_counter()
-    trapped = np.array([0.0, 0.0, 0.6, 0.8])
-    meridianish = np.array([0.0, -0.5, 0.2, float(np.sqrt(profile.f(-0.5) ** 2 - 0.04))])
-    checks += _conservation_checks(h0, [trapped, meridianish], config)
-    timings["conservation"] = time.perf_counter() - t0
+    with stage("conservation"):
+        trapped = np.array([0.0, 0.0, 0.6, 0.8])
+        meridianish = np.array([0.0, -0.5, 0.2, float(np.sqrt(profile.f(-0.5) ** 2 - 0.04))])
+        checks += _conservation_checks(h0, [trapped, meridianish], config)
 
     try:
         integrate_orbit(h0, np.array([0.0, 0.0, 0.0, 1.0]), 2.0, config)
@@ -375,7 +454,7 @@ def _run_round_sphere(cfg, rng, artifact, timings) -> list[Check]:
     return checks
 
 
-def _run_katok_sphere(cfg, rng, artifact, timings) -> list[Check]:
+def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
     profile = profile_from_spec(cfg["profile"])
     m = cfg["metric"]
     cutoffs = make_cutoffs(m["a0"], m["a1"], m["b"])
@@ -388,96 +467,84 @@ def _run_katok_sphere(cfg, rng, artifact, timings) -> list[Check]:
     checks: list[Check] = []
     n_ax = int(cfg["analysis"].get("axiom_samples", 1000))
 
-    t0 = time.perf_counter()
-    states = sample_covectors(rng, n_ax, x2_range=(-1.5, 1.5))
-    checks += _axiom_checks(metric, states, rng)
-    timings["axioms"] = time.perf_counter() - t0
+    with stage("axioms"):
+        states = sample_covectors(rng, n_ax, x2_range=(-1.5, 1.5))
+        checks += axiom_checks(metric, states, rng)
 
-    t0 = time.perf_counter()
-    outside = sample_outside_cone_states(rng, profile, m["a1"], 1000, x2_range=(-2.5, 2.5))
-    gap_out = float(np.max(np.abs(np.asarray(metric.value(outside)) - np.asarray(h0.value(outside)))))
-    checks.append(Check("locality.outside_inner_cone", gap_out == 0.0, gap_out, 0.0, detail="exact zero"))
-    inside = sample_cone_states(rng, profile, m["a0"], 1000)
-    gap_in = float(
-        np.max(np.abs(np.asarray(metric.value(inside)) - (np.asarray(h0.value(inside)) + alpha * inside[:, 2])))
-    )
-    checks.append(Check("locality.inner_cone_formula", gap_in <= 1e-14, gap_in, 1e-14))
-    timings["locality"] = time.perf_counter() - t0
+    with stage("locality"):
+        outside = sample_outside_cone_states(rng, profile, m["a1"], 1000, x2_range=(-2.5, 2.5))
+        gap_out = float(np.max(np.abs(np.asarray(metric.value(outside)) - np.asarray(h0.value(outside)))))
+        checks.append(Check("locality.outside_inner_cone", gap_out == 0.0, gap_out, 0.0, detail="exact zero"))
+        inside = sample_cone_states(rng, profile, m["a0"], 1000)
+        gap_in = float(
+            np.max(np.abs(np.asarray(metric.value(inside)) - (np.asarray(h0.value(inside)) + alpha * inside[:, 2])))
+        )
+        checks.append(Check("locality.inner_cone_formula", gap_in <= 1e-14, gap_in, 1e-14))
 
-    t0 = time.perf_counter()
-    cone_samples = sample_cone_states(rng, profile, m["a0"], 10, scale_range=(1.0, 1.0))
-    checks.append(_commuting_check(profile, alpha, cutoffs, cone_samples, config))
-    timings["commuting"] = time.perf_counter() - t0
+    with stage("commuting"):
+        cone_samples = sample_cone_states(rng, profile, m["a0"], 10, scale_range=(1.0, 1.0))
+        checks.append(_commuting_check(profile, alpha, cutoffs, cone_samples, config))
 
-    t0 = time.perf_counter()
-    pts = sample_covectors(rng, 1000, x2_range=(-2.0, 2.0))
-    mirrored = pts.copy()
-    mirrored[:, 2:] *= -1.0
-    even_gap = float(np.max(np.abs(np.asarray(reversible.value(pts)) - np.asarray(reversible.value(mirrored)))))
-    checks.append(Check("reversible.evenness", even_gap <= 1e-12, even_gap, 1e-12))
-    seam = np.array([[0.3, x2, 0.0, s] for x2 in (-1.0, -0.2, 0.5, 1.1) for s in (0.9, -0.9)])
-    jet_gap = _jet_gap_across_seam(reversible, seam)
-    checks.append(Check("reversible.seam_jets", jet_gap <= 1e-5, jet_gap, 1e-5))
-    timings["reversibilization"] = time.perf_counter() - t0
+    with stage("reversibilization"):
+        pts = sample_covectors(rng, 1000, x2_range=(-2.0, 2.0))
+        checks.append(evenness_check(reversible, pts))
+        seam = np.array([[0.3, x2, 0.0, s] for x2 in (-1.0, -0.2, 0.5, 1.1) for s in (0.9, -0.9)])
+        jet_gap = _jet_gap_across_seam(reversible, seam)
+        checks.append(Check("reversible.seam_jets", jet_gap <= 1e-5, jet_gap, 1e-5))
 
-    t0 = time.perf_counter()
-    chart = AnnulusChart(metric, spec)
-    s0, u0, d = 0.8, 0.25, 0.01
-    corners = [(s0 - d, u0 - d), (s0 + d, u0 - d), (s0 + d, u0 + d), (s0 - d, u0 + d)]
-    before = []
-    after = []
-    for corner in corners:
-        y = chart.point_to_state(*corner)
-        before.append(chart.symplectic_coords(y))
-        sample = first_return(metric, spec, corner, config, chart=chart)
-        y_img = chart.point_to_state(*sample.image)
-        # x1-lift of the crossing state: winding in turns times 2 pi
-        after.append((y[0] + sample.lift_displacement * TWO_PI, y_img[2]))
-    a0_, a1_ = _np_shoelace(before), _np_shoelace(after)
-    area_err = abs(a1_ - a0_) / a0_
-    checks.append(Check("area.quad_relative_error", area_err <= 0.01, area_err, 0.01))
-    timings["area"] = time.perf_counter() - t0
+    with stage("area"):
+        chart = AnnulusChart(metric, spec)
+        s0, u0, d = 0.8, 0.25, 0.01
+        corners = [(s0 - d, u0 - d), (s0 + d, u0 - d), (s0 + d, u0 + d), (s0 - d, u0 + d)]
+        before = []
+        after = []
+        for corner in corners:
+            y = chart.point_to_state(*corner)
+            before.append(chart.symplectic_coords(y))
+            sample = first_return(metric, spec, corner, config, chart=chart)
+            y_img = chart.point_to_state(*sample.image)
+            # x1-lift of the crossing state: winding in turns times 2 pi
+            after.append((y[0] + sample.lift_displacement * TWO_PI, y_img[2]))
+        a0_, a1_ = _np_shoelace(before), _np_shoelace(after)
+        area_err = abs(a1_ - a0_) / a0_
+        checks.append(Check("area.quad_relative_error", area_err <= 0.01, area_err, 0.01))
 
-    t0 = time.perf_counter()
-    orbit = iterate_section_map(metric, spec, (0.5, 0.3), 40, config)
-    rot = rotation_number_from_displacements(orbit.displacements)
-    rot_err = abs(rot.value - (1.0 + alpha))
-    checks.append(Check("rotation.cone_twist", rot_err <= 1e-6, rot_err, 1e-6))
-    timings["rotation"] = time.perf_counter() - t0
+    with stage("rotation"):
+        orbit = iterate_section_map(metric, spec, (0.5, 0.3), 40, config)
+        rot = rotation_number_from_displacements(orbit.displacements)
+        rot_err = abs(rot.value - (1.0 + alpha))
+        checks.append(Check("rotation.cone_twist", rot_err <= 1e-6, rot_err, 1e-6))
 
-    t0 = time.perf_counter()
-    ext = return_time_boundary_extension(metric, spec, config)
-    checks.append(
-        Check("boundary.tau_finite", math.isfinite(ext.tau_boundary), ext.tau_boundary, None)
-    )
-    checks.append(Check("boundary.poly_residual", ext.residual <= 1e-4, ext.residual, 1e-4))
-    timings["boundary"] = time.perf_counter() - t0
+    with stage("boundary"):
+        ext = return_time_boundary_extension(metric, spec, config)
+        checks.append(
+            Check("boundary.tau_finite", math.isfinite(ext.tau_boundary), ext.tau_boundary, None)
+        )
+        checks.append(Check("boundary.poly_residual", ext.residual <= 1e-4, ext.residual, 1e-4))
 
-    t0 = time.perf_counter()
-    ent_cfg = cfg["analysis"].get("entropy", {})
-    fast = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
-    est, n_failed = _return_map_entropy(
-        metric,
-        spec,
-        rng,
-        n_cloud=int(ent_cfg.get("cloud", 2000)),
-        T_list=[int(t) for t in ent_cfg.get("T_list", [8, 12, 16, 20, 24])],
-        eps_list=list(ent_cfg.get("eps", [0.5, 0.25])),
-        config=fast,
-    )
-    checks.append(Check("entropy.return_map", est.value <= 0.05, est.value, 0.05))
-    checks.append(Check("entropy.return_map_failures", n_failed == 0, float(n_failed), 0.0))
-    timings["entropy"] = time.perf_counter() - t0
+    with stage("entropy"):
+        ent_cfg = cfg["analysis"].get("entropy", {})
+        fast = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
+        est, n_failed = _return_map_entropy(
+            metric,
+            spec,
+            rng,
+            n_cloud=int(ent_cfg.get("cloud", 2000)),
+            T_list=[int(t) for t in ent_cfg.get("T_list", [8, 12, 16, 20, 24])],
+            eps_list=list(ent_cfg.get("eps", [0.5, 0.25])),
+            config=fast,
+        )
+        checks.append(Check("entropy.return_map", est.value <= 0.05, est.value, 0.05))
+        checks.append(Check("entropy.return_map_failures", n_failed == 0, float(n_failed), 0.0))
 
-    t0 = time.perf_counter()
-    band_xi2 = solve_xi2_on_level(metric, 0.0, 0.0, 0.84)
-    starts = [
-        sample_cone_states(rng, profile, m["a0"], 1, scale_range=(1.0, 1.0))[0],
-        np.array([0.0, 0.0, 0.84, band_xi2]),
-        np.array([0.0, 0.0, 0.6, 0.8]),
-    ]
-    checks += _conservation_checks(metric, starts, config)
-    timings["conservation"] = time.perf_counter() - t0
+    with stage("conservation"):
+        band_xi2 = solve_xi2_on_level(metric, 0.0, 0.0, 0.84)
+        starts = [
+            sample_cone_states(rng, profile, m["a0"], 1, scale_range=(1.0, 1.0))[0],
+            np.array([0.0, 0.0, 0.84, band_xi2]),
+            np.array([0.0, 0.0, 0.6, 0.8]),
+        ]
+        checks += _conservation_checks(metric, starts, config)
 
     lo, hi = critical_alpha_scan(profile, cutoffs, alpha_hi=2.0, tol=1e-2)
     checks.append(
@@ -491,7 +558,8 @@ def _run_katok_sphere(cfg, rng, artifact, timings) -> list[Check]:
     if path:
         plot_cfg = cfg["analysis"].get("iterate_plot", {})
         groups = []
-        for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg.get("seeds", 5))):
+        # u = pi/2 is the polar direction, which leaves the chart strip
+        for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg.get("seeds", 5)), endpoint=False):
             so = iterate_section_map(
                 metric, spec, (1.0, float(u_seed)), int(plot_cfg.get("iterates", 200)), fast
             )
@@ -502,7 +570,7 @@ def _run_katok_sphere(cfg, rng, artifact, timings) -> list[Check]:
     return checks
 
 
-def _run_katok_torus(cfg, rng, artifact, timings) -> list[Check]:
+def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     profile = profile_from_spec(cfg["profile"])
     period = profile.period
     m = cfg["metric"]
@@ -514,187 +582,135 @@ def _run_katok_torus(cfg, rng, artifact, timings) -> list[Check]:
     fast = IntegratorConfig(method="DOP853", rel_tol=1e-9, abs_tol=1e-9)
     checks: list[Check] = []
 
-    t0 = time.perf_counter()
-    states = sample_covectors(rng, 1000, x2_range=(0.0, period))
-    checks += _axiom_checks(metric, states, rng)
-    timings["axioms"] = time.perf_counter() - t0
+    with stage("axioms"):
+        states = sample_covectors(rng, 1000, x2_range=(0.0, period))
+        checks += axiom_checks(metric, states, rng)
 
     # invariant level-set graphs, closed form, two bin resolutions
-    t0 = time.perf_counter()
-    c_rot = 0.2
-    n_side = 256
-    xx1, xx2 = np.meshgrid(
-        np.linspace(0.0, TWO_PI, n_side, endpoint=False),
-        np.linspace(0.0, period, n_side, endpoint=False),
-    )
-    f_vals = np.asarray(profile.f(xx2.ravel()))
-    level = np.stack(
-        [xx1.ravel(), xx2.ravel(), np.full(xx1.size, c_rot), np.sqrt(f_vals**2 - c_rot**2)],
-        axis=1,
-    )
-    bins = cfg["analysis"].get("graph_bins", [32, 128])
-    reports = [
-        invariant_graph_test(level, x2_period=period, bins=(nb, nb)) for nb in bins
-    ]
-    stable = all(r.is_graph for r in reports)
-    checks.append(
-        Check(
-            "graphs.level_set_stable",
-            stable,
-            max(r.max_fiber_gap for r in reports),
-            None,
-            detail=f"bins {bins}, verdicts {[r.is_graph for r in reports]}",
+    with stage("graphs_level"):
+        c_rot = 0.2
+        bins = cfg["analysis"].get("graph_bins", [32, 128])
+        level, reports = level_set_graphs(
+            period, c_rot, 256, lambda x2: np.sqrt(np.asarray(profile.f(x2)) ** 2 - c_rot**2), bins
         )
-    )
-    two_branch = np.concatenate([level, level * np.array([1.0, 1.0, 1.0, -1.0])])
-    rep2 = invariant_graph_test(two_branch, x2_period=period, bins=(32, 32))
-    checks.append(
-        Check("graphs.two_branch_rejected", not rep2.is_graph, rep2.max_fiber_gap, None)
-    )
-    timings["graphs_level"] = time.perf_counter() - t0
+        stable = all(r.is_graph for r in reports)
+        checks.append(
+            Check(
+                "graphs.level_set_stable",
+                stable,
+                max(r.max_fiber_gap for r in reports),
+                None,
+                detail=f"bins {bins}, verdicts {[r.is_graph for r in reports]}",
+            )
+        )
+        two_branch = np.concatenate([level, level * np.array([1.0, 1.0, 1.0, -1.0])])
+        rep2 = invariant_graph_test(two_branch, x2_period=period, bins=(32, 32))
+        checks.append(
+            Check("graphs.two_branch_rejected", not rep2.is_graph, rep2.max_fiber_gap, None)
+        )
 
     # long rotating orbit lies on the analytic graph
-    t0 = time.perf_counter()
-    y_rot = np.array([0.0, 0.0, c_rot, float(np.sqrt(profile.f(0.0) ** 2 - c_rot**2))])
-    orbit_cfg = fast.with_(checkpoint_dt=0.05)
-    tr_rot = integrate_orbit(metric, y_rot, 2000.0, orbit_cfg, enforce_drift=False)
-    rep_orbit = [
-        invariant_graph_test(tr_rot.states, x2_period=period, bins=(nb, nb)) for nb in (32, 128)
-    ]
-    checks.append(
-        Check(
-            "graphs.rotating_orbit",
-            all(r.is_graph for r in rep_orbit),
-            max(r.max_fiber_gap for r in rep_orbit),
-            None,
-            detail=f"lipschitz {['%.3f' % r.lipschitz_estimate for r in rep_orbit]}",
+    with stage("graphs_orbit"):
+        y_rot = np.array([0.0, 0.0, c_rot, float(np.sqrt(profile.f(0.0) ** 2 - c_rot**2))])
+        orbit_cfg = fast.with_(checkpoint_dt=0.05)
+        tr_rot = integrate_orbit(metric, y_rot, 2000.0, orbit_cfg, enforce_drift=False)
+        rep_orbit = [
+            invariant_graph_test(tr_rot.states, x2_period=period, bins=(nb, nb)) for nb in (32, 128)
+        ]
+        checks.append(
+            Check(
+                "graphs.rotating_orbit",
+                all(r.is_graph for r in rep_orbit),
+                max(r.max_fiber_gap for r in rep_orbit),
+                None,
+                detail=f"lipschitz {['%.3f' % r.lipschitz_estimate for r in rep_orbit]}",
+            )
         )
-    )
-    timings["graphs_orbit"] = time.perf_counter() - t0
 
     # bounded deviation of the rotating orbit stabilizes between T and 2T.
     # The line direction comes from whole x2-cycles: the x1-advance per cycle
     # is an exact constant of the reduced system, so a chord between
     # same-phase crossings is parallel to the true asymptotic direction.
-    t0 = time.perf_counter()
-    rho = _direction_from_cycles(tr_rot.lifted_base, period)
-    half = tr_rot.states[: len(tr_rot.times) // 2, :2]
-    dev_half = bounded_deviation(half, rho).sup_distance
-    dev_full = bounded_deviation(tr_rot.lifted_base, rho).sup_distance
-    dev_change = abs(dev_full - dev_half) / dev_full
-    checks.append(Check("deviation.rotating_stable", dev_change <= 0.05, dev_change, 0.05))
-    timings["deviation"] = time.perf_counter() - t0
+    with stage("deviation"):
+        rho = _direction_from_cycles(tr_rot.lifted_base, period)
+        half = tr_rot.states[: len(tr_rot.times) // 2, :2]
+        dev_half = bounded_deviation(half, rho).sup_distance
+        dev_full = bounded_deviation(tr_rot.lifted_base, rho).sup_distance
+        dev_change = abs(dev_full - dev_half) / dev_full
+        checks.append(Check("deviation.rotating_stable", dev_change <= 0.05, dev_change, 0.05))
 
     # trapped orbit confined by the turning point
-    t0 = time.perf_counter()
-    c_trap = 0.6
-    y_trap = np.array([0.0, 0.0, c_trap, float(np.sqrt(profile.f(0.0) ** 2 - c_trap**2))])
-    tr_trap = integrate_orbit(metric, y_trap, 300.0, fast, enforce_drift=False)
-    x_star = turning_point_bisect(profile, c_trap, x_hi=period / 2.0 - float(cfg["profile"]["eps"]))
-    sup_x2 = float(np.max(np.abs(tr_trap.states[:, 1])))
-    checks.append(
-        Check("trapped.sup_x2_bound", sup_x2 <= x_star + 1e-4, sup_x2, x_star + 1e-4)
-    )
-    timings["trapped"] = time.perf_counter() - t0
+    with stage("trapped"):
+        c_trap = 0.6
+        y_trap = np.array([0.0, 0.0, c_trap, float(np.sqrt(profile.f(0.0) ** 2 - c_trap**2))])
+        tr_trap = integrate_orbit(metric, y_trap, 300.0, fast, enforce_drift=False)
+        x_star = turning_point_bisect(profile, c_trap, x_hi=period / 2.0 - float(cfg["profile"]["eps"]))
+        sup_x2 = float(np.max(np.abs(tr_trap.states[:, 1])))
+        checks.append(
+            Check("trapped.sup_x2_bound", sup_x2 <= x_star + 1e-4, sup_x2, x_star + 1e-4)
+        )
 
     # tube diagnostics
-    t0 = time.perf_counter()
-    tube_cfg = cfg["analysis"].get("tube", {})
-    c_lo = profile.min_value()
-    c_hi = 1.0 / (1.0 + alpha)
-    tube = TubeSpec(c_lo=c_lo, c_hi=c_hi)
-    n_orbits = int(tube_cfg.get("orbits", 32))
-    ens = sample_tube_states(
-        metric, rng, n_orbits, (c_lo + 0.02, c_hi - 0.02), x2_period=period
-    )
-    witness_c = 0.55
-    y_wit = np.array([0.0, 0.0, witness_c, solve_xi2_on_level(metric, 0.0, 0.0, witness_c)])
-    balls = [
-        WitnessBall(center=np.array([math.pi, 0.3, witness_c + off, 0.5]), radius=0.05)
-        for off in (0.1, 0.15, -0.12, 0.2, -0.18)
-    ]
-    report = tube_diagnostics(
-        metric,
-        tube,
-        np.vstack([y_wit, ens]),
-        tube_cfg.get("eps_grid", [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]),
-        balls,
-        ensemble_time=30.0,
-        long_time=1000.0,
-        config=fast,
-    )
-    gap_violation = float(np.max(report.initial_gaps - report.min_boundary_dists))
-    checks.append(Check("tube.gap_bound", gap_violation <= 1e-6, gap_violation, 1e-6))
-    n_positive = sum(1 for (_, _, d) in report.witness_distances if d > 0.0)
-    checks.append(
-        Check("tube.witness_holes", n_positive >= 5, float(n_positive), 5.0, detail="positive distances")
-    )
-    mono = bool(np.all(np.diff(report.boundary_fraction) >= 0.0))
-    checks.append(Check("tube.fraction_monotone", mono, float(mono), None))
-    timings["tube"] = time.perf_counter() - t0
+    with stage("tube"):
+        witness_c = 0.55
+        y_wit = np.array([0.0, 0.0, witness_c, solve_xi2_on_level(metric, 0.0, 0.0, witness_c)])
+        tube = TubeSpec(c_lo=profile.min_value(), c_hi=1.0 / (1.0 + alpha))
+        report = tube_run(metric, tube, period, cfg["analysis"].get("tube", {}), rng, witness_c, [y_wit])
+        gap_violation = float(np.max(report.initial_gaps - report.min_boundary_dists))
+        checks.append(Check("tube.gap_bound", gap_violation <= 1e-6, gap_violation, 1e-6))
+        n_positive = sum(1 for (_, _, d) in report.witness_distances if d > 0.0)
+        checks.append(
+            Check("tube.witness_holes", n_positive >= 5, float(n_positive), 5.0, detail="positive distances")
+        )
+        mono = bool(np.all(np.diff(report.boundary_fraction) >= 0.0))
+        checks.append(Check("tube.fraction_monotone", mono, float(mono), None))
 
     # separated-set entropy of the integrable time-1 flow
-    t0 = time.perf_counter()
-    ent_cfg = cfg["analysis"].get("entropy", {})
-    n_cloud = int(ent_cfg.get("cloud", 2000))
-    horizon = int(ent_cfg.get("horizon", 60))
-    cloud = sample_unit_level(h0, rng, n_cloud, x2_range=(0.0, period))
-    ens_cfg = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
-    seg_tr = integrate_ensemble(h0, cloud, float(horizon), ens_cfg, t_eval=np.arange(horizon + 1.0))
-    segments = np.swapaxes(seg_tr.states, 0, 1)  # (N, horizon+1, 4)
-    est = entropy_separated_sets(
-        segments,
-        T_list=list(ent_cfg.get("T_list", [0, 10, 20, 40, 60])),
-        eps_list=list(ent_cfg.get("eps", [0.5, 0.3])),
-        metric=wrapped_metric([TWO_PI, period, None, None]),
-    )
-    checks.append(Check("entropy.integrable_flow", est.value <= 0.05, est.value, 0.05))
-    timings["entropy"] = time.perf_counter() - t0
+    with stage("entropy"):
+        est = flow_entropy(h0, period, cfg["analysis"].get("entropy", {}), rng)
+        checks.append(Check("entropy.integrable_flow", est.value <= 0.05, est.value, 0.05))
 
     # conservation battery (trapped, rotating, in-cone, band-crossing)
-    t0 = time.perf_counter()
-    band_xi2 = solve_xi2_on_level(metric, 0.0, 0.0, 0.84)
-    cone_state = sample_cone_states(rng, profile, m["a0"], 1, scale_range=(1.0, 1.0))[0]
-    checks += _conservation_checks(
-        metric,
-        [y_trap, y_rot, cone_state, np.array([0.0, 0.0, 0.84, band_xi2])],
-        config,
-    )
-    timings["conservation"] = time.perf_counter() - t0
+    with stage("conservation"):
+        band_xi2 = solve_xi2_on_level(metric, 0.0, 0.0, 0.84)
+        cone_state = sample_cone_states(rng, profile, m["a0"], 1, scale_range=(1.0, 1.0))[0]
+        checks += _conservation_checks(
+            metric,
+            [y_trap, y_rot, cone_state, np.array([0.0, 0.0, 0.84, band_xi2])],
+            config,
+        )
 
     # asymptotic directions
-    t0 = time.perf_counter()
-    c_deep = 0.96
-    y_deep = np.array([0.0, 0.0, c_deep, solve_xi2_on_level(metric, 0.0, 0.0, c_deep)])
-    tr_deep = integrate_orbit(metric, y_deep, 1000.0, fast, enforce_drift=False)
-    dir_est = asymptotic_direction(tr_deep, residual_tol=None)
-    angle = abs(math.atan2(dir_est.direction[1], dir_est.direction[0]))
-    checks.append(
-        Check(
-            "directions.trapped_horizontal",
-            angle <= 2e-3 and dir_est.residual <= 1e-3,
-            dir_est.residual,
-            1e-3,
-            detail=f"angle to +e1: {angle:.2e}",
+    with stage("directions"):
+        c_deep = 0.96
+        y_deep = np.array([0.0, 0.0, c_deep, solve_xi2_on_level(metric, 0.0, 0.0, c_deep)])
+        tr_deep = integrate_orbit(metric, y_deep, 1000.0, fast, enforce_drift=False)
+        dir_est = asymptotic_direction(tr_deep, residual_tol=None)
+        angle = abs(math.atan2(dir_est.direction[1], dir_est.direction[0]))
+        checks.append(
+            Check(
+                "directions.trapped_horizontal",
+                angle <= 2e-3 and dir_est.residual <= 1e-3,
+                dir_est.residual,
+                1e-3,
+                detail=f"angle to +e1: {angle:.2e}",
+            )
         )
-    )
-    y_vert = np.array([1.0, 0.3, 0.0, float(profile.f(0.3))])
-    tr_vert = integrate_orbit(metric, y_vert, 50.0, fast, enforce_drift=False)
-    dir_vert = asymptotic_direction(tr_vert, residual_tol=None)
-    checks.append(
-        Check(
-            "directions.vertical_rotating",
-            abs(dir_vert.direction[0]) <= 1e-9,
-            abs(float(dir_vert.direction[0])),
-            1e-9,
+        y_vert = np.array([1.0, 0.3, 0.0, float(profile.f(0.3))])
+        tr_vert = integrate_orbit(metric, y_vert, 50.0, fast, enforce_drift=False)
+        dir_vert = asymptotic_direction(tr_vert, residual_tol=None)
+        checks.append(
+            Check(
+                "directions.vertical_rotating",
+                abs(dir_vert.direction[0]) <= 1e-9,
+                abs(float(dir_vert.direction[0])),
+                1e-9,
+            )
         )
-    )
-    timings["directions"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    cone_samples = sample_cone_states(rng, profile, m["a0"], 4, scale_range=(1.0, 1.0))
-    checks.append(_commuting_check(profile, alpha, cutoffs, cone_samples, config))
-    timings["commuting"] = time.perf_counter() - t0
+    with stage("commuting"):
+        cone_samples = sample_cone_states(rng, profile, m["a0"], 4, scale_range=(1.0, 1.0))
+        checks.append(_commuting_check(profile, alpha, cutoffs, cone_samples, config))
 
     path = artifact("entropy.csv")
     if path:
@@ -715,60 +731,37 @@ def _run_katok_torus(cfg, rng, artifact, timings) -> list[Check]:
     return checks
 
 
-def _run_benchmark_maps(cfg, rng, artifact, timings) -> list[Check]:
+def _run_benchmark_maps(cfg, rng, artifact, stage) -> list[Check]:
     checks: list[Check] = []
     n_cloud = int(cfg["analysis"].get("cloud", 2000))
-    circle = wrapped_metric([1.0])
-    torus = wrapped_metric([1.0, 1.0])
+    identity, rotation, doubling, cat_sys = (MAP_SYSTEMS[k] for k in ("identity", "rotation", "doubling", "cat"))
 
-    t0 = time.perf_counter()
-    cloud1 = rng.uniform(0.0, 1.0, (n_cloud, 1))
-    ident = entropy_separated_sets(
-        iterate_map_segments(lambda p: p, cloud1, 6),
-        T_list=range(7),
-        eps_list=[1 / 16, 1 / 32],
-        metric=circle,
-    )
-    checks.append(Check("entropy.identity", abs(ident.value) <= 0.02, ident.value, 0.02))
-    rot_m = (math.sqrt(5.0) - 1.0) / 2.0
-    rot = entropy_separated_sets(
-        iterate_map_segments(lambda p: (p + rot_m) % 1.0, cloud1, 6),
-        T_list=range(7),
-        eps_list=[1 / 16, 1 / 32],
-        metric=circle,
-    )
-    checks.append(Check("entropy.rigid_rotation", abs(rot.value) <= 0.02, rot.value, 0.02))
-    timings["entropy_zero"] = time.perf_counter() - t0
+    with stage("entropy_zero"):
+        cloud1 = rng.uniform(0.0, 1.0, (n_cloud, 1))
+        ident = identity.entropy(cloud1, identity.T_list, identity.eps)
+        checks.append(Check("entropy.identity", abs(ident.value) <= 0.02, ident.value, 0.02))
+        rot = rotation.entropy(cloud1, rotation.T_list, rotation.eps)
+        checks.append(Check("entropy.rigid_rotation", abs(rot.value) <= 0.02, rot.value, 0.02))
 
-    t0 = time.perf_counter()
-    dbl_cfg = cfg["analysis"].get("doubling", {})
-    dbl = entropy_separated_sets(
-        iterate_map_segments(lambda p: doubling_map(p), cloud1, int(dbl_cfg.get("iterates", 6))),
-        T_list=range(int(dbl_cfg.get("iterates", 6)) + 1),
-        eps_list=list(dbl_cfg.get("eps", [1 / 16, 1 / 32, 1 / 64])),
-        metric=circle,
-    )
-    rel_dbl = abs(dbl.value / math.log(2.0) - 1.0)
-    checks.append(
-        Check("entropy.doubling", rel_dbl <= 0.15, dbl.value, None, detail=f"rel err {rel_dbl:.3f} vs log 2")
-    )
-    timings["entropy_doubling"] = time.perf_counter() - t0
+    with stage("entropy_doubling"):
+        dbl_cfg = cfg["analysis"].get("doubling", {})
+        n_dbl = int(dbl_cfg.get("iterates", max(doubling.T_list)))
+        dbl = doubling.entropy(cloud1, range(n_dbl + 1), dbl_cfg.get("eps", doubling.eps))
+        rel_dbl = abs(dbl.value / math.log(2.0) - 1.0)
+        checks.append(
+            Check("entropy.doubling", rel_dbl <= 0.15, dbl.value, None, detail=f"rel err {rel_dbl:.3f} vs log 2")
+        )
 
-    t0 = time.perf_counter()
-    cat_cfg = cfg["analysis"].get("cat", {})
-    cloud2 = rng.uniform(0.0, 1.0, (n_cloud, 2))
-    t_list = list(cat_cfg.get("T_list", [1, 2, 3, 4]))
-    cat = entropy_separated_sets(
-        iterate_map_segments(cat_map, cloud2, max(t_list)),
-        T_list=t_list,
-        eps_list=list(cat_cfg.get("eps", [0.35, 0.3])),
-        metric=torus,
-    )
-    rel_cat = abs(cat.value / CAT_ENTROPY - 1.0)
-    checks.append(
-        Check("entropy.cat_map", rel_cat <= 0.10, cat.value, None, detail=f"rel err {rel_cat:.3f} vs log((3+sqrt5)/2)")
-    )
-    timings["entropy_cat"] = time.perf_counter() - t0
+    with stage("entropy_cat"):
+        cat_cfg = cfg["analysis"].get("cat", {})
+        cloud2 = rng.uniform(0.0, 1.0, (n_cloud, cat_sys.dim))
+        cat = cat_sys.entropy(cloud2, cat_cfg.get("T_list", cat_sys.T_list), cat_cfg.get("eps", cat_sys.eps))
+        rel_cat = abs(cat.value / CAT_ENTROPY - 1.0)
+        checks.append(
+            Check(
+                "entropy.cat_map", rel_cat <= 0.10, cat.value, None, detail=f"rel err {rel_cat:.3f} vs log((3+sqrt5)/2)"
+            )
+        )
 
     est = rotation_number(rigid_rotation(0.25), 0.1, 200)
     checks.append(
@@ -801,7 +794,7 @@ def _run_benchmark_maps(cfg, rng, artifact, timings) -> list[Check]:
     return checks
 
 
-def _run_smooth_division(cfg, rng, artifact, timings) -> list[Check]:
+def _run_smooth_division(cfg, rng, artifact, stage) -> list[Check]:
     del rng
     xs = [float(x) for x in cfg["analysis"].get("xs", [-1.0, 0.5, 2.0])]
     battery = [
@@ -814,35 +807,34 @@ def _run_smooth_division(cfg, rng, artifact, timings) -> list[Check]:
     fd_step = float(cfg["analysis"].get("fd_step", 0.05))
     checks: list[Check] = []
     rows = []
-    t0 = time.perf_counter()
-    worst = {0: 0.0, 1: 0.0, 2: 0.0}
-    worst_identity = {0: 0.0, 1: 0.0, 2: 0.0}
-    for name, F, exact in battery:
-        q = smooth_divide(F, order=2)
-        for x in xs:
-            vals = exact(x)
-            for k in range(3):
-                got = q.dt_at_zero(x, k)
-                worst[k] = max(worst[k], abs(got - vals[k]))
-                # independent route: (k+1)-th derivative of F by central stencil
-                nodes = np.arange(-4, 5) * fd_step
-                fv = np.array([F(x, t) for t in nodes])
-                coeff = np.polynomial.polynomial.polyfit(nodes, fv, 7)
-                dkp1_f = math.factorial(k + 1) * coeff[k + 1]
-                worst_identity[k] = max(worst_identity[k], abs(got - dkp1_f / (k + 1.0)))
-                rows.append((name, x, k, got, vals[k]))
-    for k in range(3):
-        checks.append(Check(f"smooth_divide.exact_k{k}", worst[k] <= 1e-4, worst[k], 1e-4))
-        checks.append(
-            Check(
-                f"smooth_divide.derivative_identity_k{k}",
-                worst_identity[k] <= 1e-4,
-                worst_identity[k],
-                1e-4,
-                detail="dG^k(0) vs dF^(k+1)(0)/(k+1), finite-difference route",
+    with stage("battery"):
+        worst = {0: 0.0, 1: 0.0, 2: 0.0}
+        worst_identity = {0: 0.0, 1: 0.0, 2: 0.0}
+        for name, F, exact in battery:
+            q = smooth_divide(F, order=2)
+            for x in xs:
+                vals = exact(x)
+                for k in range(3):
+                    got = q.dt_at_zero(x, k)
+                    worst[k] = max(worst[k], abs(got - vals[k]))
+                    # independent route: (k+1)-th derivative of F by central stencil
+                    nodes = np.arange(-4, 5) * fd_step
+                    fv = np.array([F(x, t) for t in nodes])
+                    coeff = np.polynomial.polynomial.polyfit(nodes, fv, 7)
+                    dkp1_f = math.factorial(k + 1) * coeff[k + 1]
+                    worst_identity[k] = max(worst_identity[k], abs(got - dkp1_f / (k + 1.0)))
+                    rows.append((name, x, k, got, vals[k]))
+        for k in range(3):
+            checks.append(Check(f"smooth_divide.exact_k{k}", worst[k] <= 1e-4, worst[k], 1e-4))
+            checks.append(
+                Check(
+                    f"smooth_divide.derivative_identity_k{k}",
+                    worst_identity[k] <= 1e-4,
+                    worst_identity[k],
+                    1e-4,
+                    detail="dG^k(0) vs dF^(k+1)(0)/(k+1), finite-difference route",
+                )
             )
-        )
-    timings["battery"] = time.perf_counter() - t0
 
     try:
         smooth_divide(lambda x, t: 1.0 + t, order=1)(0.0, 0.0)
@@ -890,14 +882,7 @@ def run_scenario(
     """
     if name not in _RUNNERS:
         raise UnknownScenario(f"{name!r} (known: {', '.join(SCENARIO_NAMES)})")
-    cfg = scenario_defaults(name)
-    if config_file is not None:
-        cfg = merge_config(cfg, load_config_file(config_file))
-    for key, value in overrides:
-        cfg = apply_override(cfg, key, value)
-    if seed is not None:
-        cfg["scenario"]["seed"] = int(seed)
-    validate_config(cfg)
+    cfg = build_config(scenario_defaults(name), config_file, overrides, seed)
     seed_val = int(cfg["scenario"].get("seed", 0))
     rng = np.random.default_rng(seed_val)
 
@@ -915,9 +900,16 @@ def run_scenario(
         return run_dir / fname
 
     timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-    checks = _RUNNERS[name](cfg, rng, artifact, timings)
-    timings["total"] = time.perf_counter() - t_start
+
+    @contextmanager
+    def stage(key: str):
+        """Record the wall time of the block under ``key`` (sidecar only)."""
+        t0 = time.perf_counter()
+        yield
+        timings[key] = time.perf_counter() - t0
+
+    with stage("total"):
+        checks = _RUNNERS[name](cfg, rng, artifact, stage)
 
     report = RunReport(
         scenario=name,

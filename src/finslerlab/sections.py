@@ -35,7 +35,7 @@ from .errors import (
     NotVanishing,
     StepFailure,
 )
-from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, metric_x2_period, stacked_rhs
+from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, pole_cap_events, stacked_rhs
 from .metrics import DualMetric
 from .profiles import RotationalProfile
 
@@ -234,20 +234,6 @@ class AnnulusChart:
 # --- crossing detection -------------------------------------------------
 
 
-def _chart_cap_events(H: DualMetric, config: IntegratorConfig):
-    """Pole-cap event list for sphere-chart runs (empty on periodic bases)."""
-    if config.x2_cap is None or metric_x2_period(H) is not None:
-        return None
-    cap = config.x2_cap
-
-    def event(t, y):
-        return cap - abs(y[1])
-
-    event.terminal = True
-    event.direction = -1
-    return [event]
-
-
 def _solve_dense(H, y0, t_span, config, *, where: str):
     sol = solve_ivp(
         H.scalar_rhs(),
@@ -258,7 +244,7 @@ def _solve_dense(H, y0, t_span, config, *, where: str):
         atol=config.abs_tol,
         max_step=config.max_step,
         dense_output=True,
-        events=_chart_cap_events(H, config),
+        events=pole_cap_events(H, config),
     )
     if sol.status == 1:
         raise NoCrossing(f"orbit left the chart strip during {where}")

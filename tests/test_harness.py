@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from finslerlab.benchmarks import CAT_ENTROPY
 from finslerlab.cli import main as cli_main
 from finslerlab.config import (
     apply_override,
@@ -184,6 +185,26 @@ class TestScenarioRunner:
         assert len(names) == len(set(names))
         assert report.overall_pass == all(c.passed for c in report.checks)
 
+    def test_katok_sphere_writes_report(self, tmp_path):
+        # writing artifacts runs the iterate plot, whose seeds must avoid the
+        # polar direction u = pi/2: that orbit leaves the chart strip
+        report = run_scenario(
+            "katok-sphere",
+            seed=0,
+            overrides=[
+                ("analysis.entropy.cloud", 60),
+                ("analysis.entropy.T_list", [2, 4, 6]),
+                ("analysis.axiom_samples", 50),
+                ("analysis.iterate_plot.iterates", 10),
+            ],
+            out_root=tmp_path,
+            write=True,
+        )
+        run_dir = tmp_path / "katok-sphere" / "latest"
+        assert (run_dir / "report.json").exists()
+        assert (run_dir / "iterates.svg").read_text().startswith("<svg")
+        assert "iterates.svg" in report.artifacts
+
     def test_determinism_two_runs_byte_identical(self, tmp_path):
         a = run_scenario("appendix-smooth-division", seed=11, out_root=tmp_path / "a")
         b = run_scenario("appendix-smooth-division", seed=11, out_root=tmp_path / "b")
@@ -193,12 +214,19 @@ class TestScenarioRunner:
         assert a.overall_pass and b.overall_pass
 
 
+TORUS = 'profile={"kind":"spliced","L":4.0,"eps":0.25}'
+KATOK_REVERSIBLE = 'metric={"kind":"katok","a0":0.3,"a1":1.3,"b":1.6,"alpha":0.0309,"reversible":true}'
+
+
 class TestCli:
     def test_validate_command(self, tmp_path, capsys):
-        rc = cli_main(["validate", "--out", str(tmp_path), "--seed", "2"])
-        assert rc == 0
-        payload = json.loads((tmp_path / "validate.json").read_text())
-        assert payload["passed"] is True
+        for i, extra in enumerate([[], ["--set", KATOK_REVERSIBLE]]):
+            out = tmp_path / str(i)
+            rc = cli_main(["validate", "--out", str(out), "--seed", "2", *extra])
+            assert rc == 0
+            payload = json.loads((out / "validate.json").read_text())
+            assert payload["passed"] is True
+            assert payload["evenness_max_err"] <= 1e-12  # both metrics are reversible
 
     def test_simulate_command_csv_schema(self, tmp_path):
         rc = cli_main(
@@ -219,13 +247,24 @@ class TestCli:
         assert payload["n"] == 12
 
     def test_entropy_command(self, tmp_path):
-        rc = cli_main(
-            ["entropy", "--out", str(tmp_path), "--set", "analysis.entropy.system=identity",
-             "--set", "analysis.entropy.cloud=400", "--seed", "4"]
-        )
-        assert rc == 0
-        payload = json.loads((tmp_path / "entropy_identity.json").read_text())
-        assert abs(payload["value"]) <= 0.02
+        cases = [
+            ("identity", [], 0.0, 0.02),
+            ("rotation", [], 0.0, 0.02),
+            ("doubling", [], math.log(2.0), 0.15 * math.log(2.0)),
+            # a 400-point cloud undersamples the 2-torus: the scenario's 10%
+            # holds at 2000 points only
+            ("cat", [], CAT_ENTROPY, 0.2 * CAT_ENTROPY),
+            ("flow", ["--set", TORUS, "--set", "analysis.entropy.horizon=10",
+                      "--set", "analysis.entropy.T_list=[0,5,10]"], 0.0, 0.05),
+        ]
+        for system, extra, exact, tol in cases:
+            rc = cli_main(
+                ["entropy", "--out", str(tmp_path), "--set", f"analysis.entropy.system={system}",
+                 "--set", "analysis.entropy.cloud=400", "--seed", "4", *extra]
+            )
+            assert rc == 0
+            payload = json.loads((tmp_path / f"entropy_{system}.json").read_text())
+            assert abs(payload["value"] - exact) <= tol, system
 
     def test_graphs_command_requires_torus(self, tmp_path, capsys):
         rc = cli_main(["graphs", "--out", str(tmp_path)])
@@ -276,4 +315,6 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, tmp_path):
         rc = cli_main(["validate", "--out", str(tmp_path), "--set", "integrator.rel_tol=-1"])
+        assert rc == 3
+        rc = cli_main(["entropy", "--out", str(tmp_path), "--set", "analysis.entropy.system=bogus"])
         assert rc == 3
