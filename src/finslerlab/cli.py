@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import TubeSpec, rotation_number_from_displacements
 from .config import build_config, default_config, integrator_from_config, parse_set_option, section_from_config
 from .errors import FinslerLabError
-from .flow import IntegratorConfig, integrate_orbit
+from .flow import ENSEMBLE_CONFIG, IntegratorConfig, integrate_orbit
 from .metrics import metric_from_spec
 from .profiles import profile_from_spec
 from .reporting import dump_json, render_section_plot
@@ -205,7 +205,10 @@ def _cmd_tube(args) -> int:
     c_lo = float(t.get("c_lo", profile_from_spec(cfg["profile"]).min_value()))
     c_hi = float(t.get("c_hi", 0.95))
     rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
-    report = tube_run(metric, TubeSpec(c_lo=c_lo, c_hi=c_hi), period, t, rng, 0.5 * (c_lo + c_hi), [])
+    report = tube_run(
+        metric, TubeSpec(c_lo=c_lo, c_hi=c_hi), period, t, rng, 0.5 * (c_lo + c_hi), [],
+        float(t.get("ensemble_time", 30.0)), float(t.get("long_time", 1000.0)), ENSEMBLE_CONFIG,
+    )
     out = _out_dir(args, "tube")
     dump_json(
         {

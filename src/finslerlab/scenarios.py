@@ -178,11 +178,16 @@ def level_set_graphs(period: float, c: float, side: int, xi2_of_x2, bins):
     return level, [invariant_graph_test(level, x2_period=period, bins=(int(nb), int(nb))) for nb in bins]
 
 
-def tube_run(H, tube: TubeSpec, period: float, tube_cfg: dict, rng, witness_c: float, witness_rows):
+def tube_run(
+    H, tube: TubeSpec, period: float, tube_cfg: dict, rng, witness_c: float, witness_rows,
+    ensemble_time: float, long_time: float, config: IntegratorConfig,
+):
     """Tube diagnostics of a random tube ensemble placed after ``witness_rows``.
 
     The long witness orbit starts from the first row; the witness balls sit
-    around the level xi1 = witness_c.
+    around the level xi1 = witness_c. ``tube_cfg`` sizes the ensemble
+    (``orbits``) and the eps grid; the horizons and the integrator are the
+    caller's.
     """
     ens = sample_tube_states(
         H, rng, int(tube_cfg.get("orbits", 32)), (tube.c_lo + 0.02, tube.c_hi - 0.02), x2_period=period
@@ -197,8 +202,9 @@ def tube_run(H, tube: TubeSpec, period: float, tube_cfg: dict, rng, witness_c: f
         np.vstack([*witness_rows, ens]),
         tube_cfg.get("eps_grid", [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]),
         balls,
-        ensemble_time=float(tube_cfg.get("ensemble_time", 30.0)),
-        long_time=float(tube_cfg.get("long_time", 1000.0)),
+        ensemble_time=ensemble_time,
+        long_time=long_time,
+        config=config,
     )
 
 
@@ -655,7 +661,9 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
         witness_c = 0.55
         y_wit = np.array([0.0, 0.0, witness_c, solve_xi2_on_level(metric, 0.0, 0.0, witness_c)])
         tube = TubeSpec(c_lo=profile.min_value(), c_hi=1.0 / (1.0 + alpha))
-        report = tube_run(metric, tube, period, cfg["analysis"].get("tube", {}), rng, witness_c, [y_wit])
+        report = tube_run(
+            metric, tube, period, cfg["analysis"].get("tube", {}), rng, witness_c, [y_wit], 30.0, 1000.0, fast
+        )
         gap_violation = float(np.max(report.initial_gaps - report.min_boundary_dists))
         checks.append(Check("tube.gap_bound", gap_violation <= 1e-6, gap_violation, 1e-6))
         n_positive = sum(1 for (_, _, d) in report.witness_distances if d > 0.0)
