@@ -77,7 +77,9 @@ def rotation_number(map_fn, x0, n: int) -> RotationEstimate:
 
     ``map_fn(point) -> (image_point, lift_displacement)``; displacements are
     measured in full turns, so the reduction of the value mod 1 is the
-    rotation number on the circle.
+    rotation number on the circle.  A library error raised by ``map_fn`` is
+    reported as :class:`MapFailure` with the iterate index; any other
+    exception propagates unchanged.
     """
     if n < 10:
         raise ValueError("need n >= 10 iterates")
@@ -86,7 +88,7 @@ def rotation_number(map_fn, x0, n: int) -> RotationEstimate:
     for i in range(n):
         try:
             x, d = map_fn(x)
-        except Exception as err:  # noqa: BLE001 - reported with iterate index
+        except FinslerLabError as err:
             raise MapFailure(i, err) from err
         displacements[i] = d
     return rotation_number_from_displacements(displacements)

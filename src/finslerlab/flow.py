@@ -133,10 +133,6 @@ class OrbitTrace:
         return base
 
     @property
-    def initial_state(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 

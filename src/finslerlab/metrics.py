@@ -92,9 +92,6 @@ class CotangentPoint:
         b2 = self.x2 % x2_period if x2_period else self.x2
         return b1, b2
 
-    def covector_norm(self) -> float:
-        return math.hypot(self.xi1, self.xi2)
-
 
 def _as_state_array(p) -> np.ndarray:
     if isinstance(p, CotangentPoint):

@@ -70,10 +70,6 @@ def _f0_scalar(t: float) -> float:
     return 2.0 * u / (1.0 + u * u)
 
 
-def _f0_deriv_scalar(t: float) -> float:
-    return -_f0_scalar(t) * math.tanh(t)
-
-
 def eval_h(t):
     """Antiderivative of f0 with h(0) = 0, i.e. h(t) = 2 arctan(e^t) - pi/2.
 

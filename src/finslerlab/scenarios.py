@@ -370,7 +370,7 @@ def scenario_defaults(name: str) -> dict:
         }
         cfg["analysis"] = {
             "entropy": {"cloud": 2000, "horizon": 60, "T_list": [0, 10, 20, 40, 60], "eps": [0.5, 0.3]},
-            "tube": {"orbits": 32, "fraction_orbits": 300, "eps_grid": [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]},
+            "tube": {"orbits": 32, "eps_grid": [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]},
             "graph_bins": [32, 128],
         }
     elif name == "benchmark-maps":

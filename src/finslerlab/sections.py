@@ -231,7 +231,63 @@ class AnnulusChart:
         return float(state[1]), float(state[3])
 
 
-# --- crossing detection -------------------------------------------------
+# --- crossing location -------------------------------------------------------
+
+
+def _upward_brackets(coord: np.ndarray, spacing: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Scan steps on which the transverse coordinate crosses a section level upward.
+
+    ``coord`` has time along axis 0 (one orbit's scan, or an (m, n) cloud).
+    Returns ``(up, levels)``, both shaped like ``coord[1:]``: ``up[i]`` flags an
+    upward crossing between rows i and i + 1, at level ``levels[i]`` (the
+    highest level passed when a step passes several periodic levels).
+    """
+    if spacing is None:
+        return (coord[:-1] < 0.0) & (coord[1:] >= 0.0), np.zeros_like(coord[1:])
+    k = np.floor(coord / spacing)
+    return k[1:] > k[:-1], k[1:] * spacing
+
+
+def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
+    """Roots of ``g`` in the brackets [lo, hi], where g(lo) < 0 <= g(hi), all at once.
+
+    ``g`` maps an array of times to the array of values, entry by entry.  The
+    iteration is Illinois (modified regula falsi), with a bisection step
+    wherever three steps have not halved the bracket.  Each bracket is refined
+    until it is narrower than brentq's tolerance ``xtol + 4 eps |t|``; the
+    midpoint of the final bracket is returned.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    if not a.size:
+        return a
+    fa, fb = g(a), g(b)
+    side = np.zeros(a.shape)  # -1 where the last step moved a, +1 where it moved b
+    ref = b - a  # bracket width when it last halved
+    stall = np.zeros(a.shape, dtype=int)  # steps since then
+    while True:
+        tol = xtol + 4.0 * np.finfo(float).eps * np.maximum(abs(a), abs(b))
+        live = (fa != 0.0) & (fb != 0.0) & (b - a > tol)
+        if not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        c = np.where(np.isfinite(c) & (stall < 3), c, 0.5 * (a + b))
+        # stay half a tolerance inside, so that a converged end closes the bracket
+        c = np.where(live, np.clip(c, a + 0.5 * tol, b - 0.5 * tol), a)
+        fc = g(c)
+        move_a = live & (fc < 0.0)
+        move_b = live & ~move_a
+        # Illinois: halve the value at an end kept for the second step in a row
+        fb = np.where(move_a & (side < 0), 0.5 * fb, fb)
+        fa = np.where(move_b & (side > 0), 0.5 * fa, fa)
+        a, fa = np.where(move_a, c, a), np.where(move_a, fc, fa)
+        b, fb = np.where(move_b, c, b), np.where(move_b, fc, fb)
+        side = np.where(move_a, -1.0, np.where(move_b, 1.0, side))
+        halved = b - a <= 0.5 * ref
+        ref = np.where(halved, b - a, ref)
+        stall = np.where(halved, 0, stall + live)
+    return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
 def _solve_dense(H, y0, t_span, config, *, where: str):
@@ -253,6 +309,22 @@ def _solve_dense(H, y0, t_span, config, *, where: str):
     return sol
 
 
+def _dense_crossings(sol, chart: AnnulusChart, ts: np.ndarray):
+    """Upward crossings of a dense-output orbit, bracketed on the scan times ``ts``.
+
+    Returns the crossing times (in time order), the states there and their
+    transverse speeds.
+    """
+    up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
+    hits = np.flatnonzero(up)
+    levels = levels[hits]
+    t_events = _refine_roots(
+        lambda t: chart.coordinate(sol.sol(t).T) - levels, ts[hits], ts[hits + 1]
+    )
+    states = sol.sol(t_events).T if len(hits) else np.empty((0, 4))
+    return t_events, states, chart.transverse_velocity(states)
+
+
 def detect_crossing(
     H: DualMetric,
     start_state,
@@ -265,6 +337,8 @@ def detect_crossing(
 ) -> CrossingEvent:
     """First transverse upward crossing of the section after t_skip.
 
+    Crossings are bracketed on the ``scan_dt`` grid of the dense output
+    (:func:`_upward_brackets`) and refined together (:func:`_refine_roots`).
     Near-tangent candidates (transverse speed below tolerance) are skipped and
     counted; NoCrossing is raised when the time budget runs out or the orbit
     escapes the sphere chart toward a pole.
@@ -278,49 +352,19 @@ def detect_crossing(
     ts = np.arange(t_skip, t_max, spec.scan_dt)
     if ts[-1] < t_max:
         ts = np.append(ts, t_max)
-    path = sol.sol(ts).T
-    coord = chart.coordinate(path)
-    level_spacing = chart.periodic_levels
-    skipped = 0
-    for i in range(len(ts) - 1):
-        g0, g1 = coord[i], coord[i + 1]
-        if level_spacing is None:
-            level = 0.0
-            crossing = g0 < 0.0 <= g1
-        else:
-            k0 = math.floor(g0 / level_spacing)
-            k1 = math.floor(g1 / level_spacing)
-            if k1 <= k0:
-                continue
-            level = k1 * level_spacing
-            crossing = True
-        if not crossing:
-            continue
-
-        def shifted(t, lv=level):
-            return float(chart.coordinate(sol.sol(t))) - lv
-
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa, fb = shifted(a), shifted(b)
-        if fa == 0.0:
-            t_event = a
-        elif fb == 0.0:
-            t_event = b
-        else:
-            t_event = brentq(shifted, a, b, xtol=1e-13, rtol=8.9e-16)
-        state = sol.sol(t_event)
-        speed = float(chart.transverse_velocity(state))
-        if speed < spec.transversality_tol:
-            skipped += 1
-            continue
-        return CrossingEvent(
-            time=float(t_event),
-            state=np.asarray(state, dtype=float),
-            transverse_speed=speed,
-            skipped_tangencies=skipped,
+    t_events, states, speeds = _dense_crossings(sol, chart, ts)
+    # only speeds known to be below the tolerance are skipped (NaN is kept)
+    transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
+    if not len(transverse):
+        raise NoCrossing(
+            f"no transverse crossing within t = {t_max} ({len(t_events)} tangencies skipped)"
         )
-    raise NoCrossing(
-        f"no transverse crossing within t = {t_max} ({skipped} tangencies skipped)"
+    j = int(transverse[0])
+    return CrossingEvent(
+        time=float(t_events[j]),
+        state=states[j],
+        transverse_speed=float(speeds[j]),
+        skipped_tangencies=j,
     )
 
 
@@ -373,9 +417,11 @@ def iterate_section_map(
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is integrated in dense-output windows and every transverse
-    upward crossing inside a window is refined; this keeps the per-iterate
-    cost near one flow period even for thousands of iterates.
+    The orbit is integrated in dense-output windows; the upward crossings
+    inside a window are bracketed on the ``scan_dt`` grid
+    (:func:`_upward_brackets`), refined together (:func:`_refine_roots`), and
+    the transverse ones kept.  This keeps the per-iterate cost near one flow
+    period even for thousands of iterates.
     """
     chart = AnnulusChart(H, spec)
     y = chart.point_to_state(*start_point)
@@ -383,7 +429,6 @@ def iterate_section_map(
         raise NonTransverse("start point is not transverse")
     if window is None:
         window = 16.0 * spec.max_return_time
-    level_spacing = chart.periodic_levels
 
     points = [chart.state_to_point(y)]
     lift = [chart.lift_s(y)]
@@ -396,38 +441,17 @@ def iterate_section_map(
             raise NoCrossing(f"return rate too low: {len(times) - 1} of {n} found")
         sol = _solve_dense(H, y, (0.0, window), config, where="return-map iteration")
         ts = np.arange(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt)
-        coord = chart.coordinate(sol.sol(ts).T)
+        t_events, states_ev, speeds = _dense_crossings(sol, chart, ts)
         prev_t = times[-1] - t_base
-        # bracket every upward crossing in the window, then refine all of
-        # them together by vectorized bisection on the dense output
-        if level_spacing is None:
-            hits = np.nonzero((coord[:-1] < 0.0) & (coord[1:] >= 0.0))[0]
-            levels = np.zeros(len(hits))
-        else:
-            k = np.floor(coord / level_spacing)
-            hits = np.nonzero(k[1:] > k[:-1])[0]
-            levels = k[hits + 1] * level_spacing
-        if len(hits):
-            lo = ts[hits].astype(float)
-            hi = ts[hits + 1].astype(float)
-            for _ in range(54):
-                mid = 0.5 * (lo + hi)
-                vals = chart.coordinate(sol.sol(mid).T) - levels
-                neg = vals < 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
-            t_events = 0.5 * (lo + hi)
-            states_ev = sol.sol(t_events).T
-            speeds = chart.transverse_velocity(states_ev)
-            pts = chart.points_of_states(states_ev)
-            for j in range(len(t_events)):
-                if len(times) > n:
-                    break
-                if t_events[j] <= prev_t or speeds[j] < spec.transversality_tol:
-                    continue
-                points.append((float(pts[j, 0]), float(pts[j, 1])))
-                lift.append(chart.lift_s(states_ev[j]))
-                times.append(t_base + float(t_events[j]))
+        pts = chart.points_of_states(states_ev)
+        for j in range(len(t_events)):
+            if len(times) > n:
+                break
+            if t_events[j] <= prev_t or speeds[j] < spec.transversality_tol:
+                continue
+            points.append((float(pts[j, 0]), float(pts[j, 1])))
+            lift.append(chart.lift_s(states_ev[j]))
+            times.append(t_base + float(t_events[j]))
         y = sol.y[:, -1].copy()
         t_base += window
     return SectionOrbit(
@@ -450,12 +474,14 @@ def ensemble_return_step(
 
     Integrates the stacked system once (right-hand side
     :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field`` call
-    per evaluation), then locates each orbit's first upward crossing on a
-    shared scan grid and refines it with the grid's cubic Hermite
-    interpolant, whose slopes come from one more ``vector_field`` call at the
-    two ends of every bracketing scan step.  The refined crossings are checked
-    for transversality together.  Returns (new_states, taus, ok_mask); failed orbits keep their
-    input state and tau = nan.
+    per evaluation) on the shared scan grid, with no dense output.  Each
+    orbit's first upward crossing is bracketed on that grid
+    (:func:`_upward_brackets`) and refined on the cubic Hermite interpolant of
+    its scan step (:func:`_refine_roots`), whose slopes come from one more
+    ``vector_field`` call at the two ends of every bracketing step.  The
+    refined crossings are checked for transversality together.  Returns
+    (new_states, taus, ok_mask); failed orbits keep their input state and
+    tau = nan.
     """
     chart = chart or AnnulusChart(H, spec)
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -476,59 +502,31 @@ def ensemble_return_step(
         raise StepFailure(sol.message)
     path = sol.y.T.reshape(m, n, 4)
 
-    coord = chart.coordinate(path)  # (m, n)
-    level_spacing = chart.periodic_levels
-    if level_spacing is None:
-        up = (coord[:-1] < 0.0) & (coord[1:] >= 0.0)
-        levels = np.zeros_like(coord[:-1])
-    else:
-        k = np.floor(coord / level_spacing)
-        up = k[1:] > k[:-1]
-        levels = k[1:] * level_spacing
+    up, levels = _upward_brackets(chart.coordinate(path), chart.periodic_levels)
     # row 0 only ever flags the start point itself (states arrive on-section)
     up[0] = False
 
     first_idx = np.argmax(up, axis=0)
-    found = np.nonzero(up[first_idx, np.arange(n)])[0]
+    found = np.flatnonzero(up[first_idx, np.arange(n)])
     rows = first_idx[found]
+    level = levels[rows, found]
+    t0, t1 = ts[rows], ts[rows + 1]
+    h = (t1 - t0)[:, None]
+    y0, y1 = path[rows, found], path[rows + 1, found]
     # Hermite slopes: the vector field at both ends of each bracketing scan step
-    vel = H.vector_field(np.stack([path[rows, found], path[rows + 1, found]]))
-    axis = 1 if spec.kind == "equator_birkhoff" else 0
-    dt = float(ts[1] - ts[0])
-    y_found = np.empty((len(found), 4))
-    tau_found = np.empty(len(found))
-    for r, (i, j) in enumerate(zip(rows, found)):
-        v0, v1 = vel[0, r], vel[1, r]
-        g0 = coord[i, j] - levels[i, j]
-        g1 = coord[i + 1, j] - levels[i, j]
-        d0 = v0[axis] * dt
-        d1 = v1[axis] * dt
-        # cubic Hermite root of the transverse coordinate on [0, 1]
-        x = g0 / (g0 - g1) if g1 != g0 else 0.5
-        for _ in range(12):
-            h00 = 2 * x**3 - 3 * x**2 + 1
-            h10 = x**3 - 2 * x**2 + x
-            h01 = -2 * x**3 + 3 * x**2
-            h11 = x**3 - x**2
-            val = h00 * g0 + h10 * d0 + h01 * g1 + h11 * d1
-            dh = (
-                (6 * x**2 - 6 * x) * g0
-                + (3 * x**2 - 4 * x + 1) * d0
-                + (-6 * x**2 + 6 * x) * g1
-                + (3 * x**2 - 2 * x) * d1
-            )
-            if dh == 0.0:
-                break
-            step = val / dh
-            x = min(max(x - step, 0.0), 1.0)
-            if abs(step) < 1e-14:
-                break
-        h00 = 2 * x**3 - 3 * x**2 + 1
-        h10 = x**3 - 2 * x**2 + x
-        h01 = -2 * x**3 + 3 * x**2
-        h11 = x**3 - x**2
-        y_found[r] = h00 * path[i, j] + h10 * v0 * dt + h01 * path[i + 1, j] + h11 * v1 * dt
-        tau_found[r] = ts[i] + x * dt
+    m0, m1 = H.vector_field(np.stack([y0, y1])) * h
+
+    def hermite(t):
+        x = (t - t0)[:, None] / h
+        return (
+            (2 * x**3 - 3 * x**2 + 1) * y0
+            + (x**3 - 2 * x**2 + x) * m0
+            + (-2 * x**3 + 3 * x**2) * y1
+            + (x**3 - x**2) * m1
+        )
+
+    tau_found = _refine_roots(lambda t: chart.coordinate(hermite(t)) - level, t0, t1)
+    y_found = hermite(tau_found)
     # only speeds known to be below the tolerance are rejected (NaN is kept)
     keep = ~(chart.transverse_velocity(y_found) < spec.transversality_tol)
     accepted = found[keep]
@@ -743,21 +741,18 @@ def return_time_boundary_extension(
         t_fit=float(angles[0]),
     )
 
-    def g_at_zero(tau: float) -> float:
-        return quotient(float(tau), 0.0)
+    def g_at_zero(taus: np.ndarray) -> np.ndarray:
+        return np.array([quotient(float(tau), 0.0) for tau in taus])
 
     # first upward zero of G(., 0) near the observed return times
     lo = max(float(np.min(taus)) - 0.5, 0.1)
     hi = min(float(np.max(taus)) + 0.5, t_hi)
     grid = np.linspace(lo, hi, 101)
-    gvals = np.array([g_at_zero(t) for t in grid])
-    tau_boundary = math.nan
-    for i in range(len(grid) - 1):
-        if gvals[i] < 0.0 <= gvals[i + 1]:
-            tau_boundary = brentq(g_at_zero, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
-            break
-    if math.isnan(tau_boundary):
+    up, _ = _upward_brackets(g_at_zero(grid), None)
+    hits = np.flatnonzero(up)[:1]
+    if not len(hits):
         raise ExtrapolationUnstable("no sign change of the divided coordinate at u = 0")
+    tau_boundary = float(_refine_roots(g_at_zero, grid[hits], grid[hits + 1], xtol=1e-12)[0])
     return BoundaryExtensionReport(
         angles=angles,
         taus=taus,

@@ -68,12 +68,22 @@ class TestRotationNumber:
     def test_map_failure_carries_index(self):
         def flaky(x):
             if x > 0.7:
-                raise RuntimeError("boom")
+                raise StepFailure("boom")
             return x + 0.3, 0.3
 
         with pytest.raises(MapFailure) as info:
             rotation_number(flaky, 0.0, 50)
         assert info.value.index == 3  # 0.0 -> 0.3 -> 0.6 -> 0.9 raises
+
+    def test_programming_error_propagates(self):
+        def broken(x):
+            if x > 0.7:
+                return x + None, 0.3
+            return x + 0.3, 0.3
+
+        with pytest.raises(TypeError) as info:
+            rotation_number(broken, 0.0, 50)
+        assert not isinstance(info.value, MapFailure)
 
     def test_too_few_iterates_rejected(self):
         with pytest.raises(ValueError):

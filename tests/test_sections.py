@@ -18,6 +18,7 @@ from finslerlab.metrics import ALPHA_GOLDEN
 from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
+    _refine_roots,
     build_return_map_grid,
     detect_crossing,
     ensemble_return_step,
@@ -92,6 +93,18 @@ class TestDetectCrossing:
         with pytest.raises(NoCrossing):
             detect_crossing(h0_torus, y0, spec, tight_config)
 
+    def test_slow_crossing_is_skipped_as_tangency(self, h0_torus, tight_config):
+        # this meridian orbit crosses first at normal speed 1.17, then at 2.61
+        spec = SectionSpec(kind="meridian", max_return_time=40.0)
+        chart = AnnulusChart(h0_torus, spec)
+        y0 = chart.point_to_state(0.3, 0.3)
+        orbit = iterate_section_map(h0_torus, spec, (0.3, 0.3), 2, tight_config)
+        strict = replace(spec, transversality_tol=1.8)
+        event = detect_crossing(h0_torus, y0, strict, tight_config, chart=chart, t_skip=spec.scan_dt)
+        assert event.skipped_tangencies == 1
+        assert event.transverse_speed >= 1.8
+        assert event.time == pytest.approx(orbit.times[2], abs=1e-9)
+
     def test_torus_parallel_section_crossing_within_quadrature_bound(
         self, h0_torus, spliced_profile, tight_config
     ):
@@ -107,6 +120,19 @@ class TestDetectCrossing:
         period = float(np.trapezoid(f, grid))
         assert event.time == pytest.approx(period, abs=1e-6)
         assert event.time <= spec.max_return_time
+
+
+class TestRefineRoots:
+    def test_closed_form_roots_to_brentq_tolerance(self):
+        # sin(t) - level on brackets of one scan step, near 0 and near t = 100
+        starts = np.array([0.1, 0.42, 1.0, 99.5, 100.43])
+        levels = np.sin(starts + 0.013)
+        roots = _refine_roots(lambda t: np.sin(t) - levels, starts, starts + 0.02)
+        exact = np.arcsin(levels) + np.where(starts > 50, 32 * math.pi, 0.0)
+        assert np.all(np.abs(roots - exact) <= 1e-13 + 4 * np.finfo(float).eps * exact)
+        # a zero at a bracket end is returned exactly; no brackets, no calls
+        assert _refine_roots(lambda t: t - 1.0, [0.5], [1.0])[0] == 1.0
+        assert _refine_roots(None, [], []).shape == (0,)
 
 
 class TestFirstReturn:
