@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK45, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (
@@ -290,38 +290,125 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
-def _solve_dense(H, y0, t_span, config, *, where: str):
-    sol = solve_ivp(
-        H.scalar_rhs(),
-        t_span,
-        y0,
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        dense_output=True,
-        events=pole_cap_events(H, config),
-    )
-    if sol.status == 1:
-        raise NoCrossing(f"orbit left the chart strip during {where}")
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-    return sol
+_SOLVERS = {"RK45": RK45, "DOP853": DOP853}
 
 
-def _dense_crossings(sol, chart: AnnulusChart, ts: np.ndarray):
-    """Upward crossings of a dense-output orbit, bracketed on the scan times ``ts``.
+class _March:
+    """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
 
-    Returns the crossing times (in time order), the states there and their
-    transverse speeds.
+    The solver is the scipy class a one-shot scipy solve would build for
+    ``config`` (same ``rtol``, ``atol`` and ``max_step``), and each step is
+    handled the way that solve handles it, so the numbers are the same:
+
+    * the scan times ``ts`` the step covers are sampled from its dense output
+      in one call (as ``t_eval`` is, by ``searchsorted(..., side="right")``)
+      into ``path[:n]``;
+    * the terminal event ``cap`` (see :func:`~finslerlab.flow.pole_cap_events`)
+      fires by scipy's direction -1 rule, ends the run at its root and sets
+      ``capped``;
+    * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
+
+    Callers stop stepping once they have the crossing they need.
     """
-    up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
+
+    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
+        if config.method not in _SOLVERS:
+            raise ValueError(f"section solves need RK45 or DOP853, not {config.method!r}")
+        self.solver = _SOLVERS[config.method](
+            fun, 0.0, y0, t_end,
+            rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
+        )
+        self.ts = np.asarray(ts, dtype=float)
+        self.path = np.empty((len(self.ts), len(y0)))
+        self.n = 0
+        self.capped = False
+        self._cap = cap
+        self._g = None if cap is None else cap(0.0, y0)
+        self._dense = dense
+        self._t = [0.0]
+        self._interpolants = []
+
+    def step(self) -> bool:
+        """Take one step; False once the run has reached ``t_end`` or the cap."""
+        solver = self.solver
+        if self.capped or solver.status != "running":
+            return False
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(message)
+        t = solver.t
+        sol = solver.dense_output() if self._dense else None
+        if self._cap is not None:
+            g = self._cap(t, solver.y)
+            if self._g >= 0.0 and g <= 0.0:
+                if sol is None:
+                    sol = solver.dense_output()
+                eps = np.finfo(float).eps
+                t = brentq(lambda s: self._cap(s, sol(s)), solver.t_old, t,
+                           xtol=4 * eps, rtol=4 * eps)
+                self.capped = True
+            self._g = g
+        hi = int(np.searchsorted(self.ts, t, side="right"))
+        if hi > self.n:
+            if sol is None:
+                sol = solver.dense_output()
+            self.path[self.n : hi] = sol(self.ts[self.n : hi]).T
+            self.n = hi
+        if self._dense:
+            self._t.append(t)
+            self._interpolants.append(sol)
+        return True
+
+    def solution(self) -> OdeSolution:
+        """Dense solution over the steps taken so far."""
+        return OdeSolution(self._t, self._interpolants)
+
+
+def _orbit_march(H, y0, t_end, config, ts=()) -> _March:
+    """A dense march of one orbit, with the sphere chart's pole cap."""
+    events = pole_cap_events(H, config)
+    return _March(
+        H.scalar_rhs(), np.asarray(y0, dtype=float), t_end, config, ts,
+        cap=events[0] if events else None, dense=True,
+    )
+
+
+def _solve_dense(H, y0, t_end, config, ts=(), *, where: str) -> _March:
+    """One orbit marched to ``t_end``; NoCrossing if it reaches the pole cap."""
+    march = _orbit_march(H, y0, t_end, config, ts)
+    while march.step():
+        pass
+    if march.capped:
+        raise NoCrossing(f"orbit left the chart strip during {where}")
+    return march
+
+
+def _scan_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """Scan times from ``t_start`` in steps of ``dt``, closed by ``t_end`` itself."""
+    ts = np.arange(t_start, t_end, dt)
+    return ts if len(ts) and ts[-1] >= t_end else np.append(ts, t_end)
+
+
+def _march_crossings(march: _March, chart: AnnulusChart, lo: int = 0):
+    """Upward crossings of a dense march between the scan times ts[lo] and ts[n - 1].
+
+    Bracketed on the sampled scan states and refined together on the dense
+    solution so far.  Returns the crossing times (in time order), the states
+    there and their transverse speeds.
+    """
+    ts = march.ts[lo : march.n]
+    up, levels = _upward_brackets(
+        chart.coordinate(march.path[lo : march.n]), chart.periodic_levels
+    )
     hits = np.flatnonzero(up)
+    if not len(hits):
+        return np.empty(0), np.empty((0, march.path.shape[1])), np.empty(0)
+    sol = march.solution()
     levels = levels[hits]
     t_events = _refine_roots(
-        lambda t: chart.coordinate(sol.sol(t).T) - levels, ts[hits], ts[hits + 1]
+        lambda t: chart.coordinate(sol(t).T) - levels, ts[hits], ts[hits + 1]
     )
-    states = sol.sol(t_events).T if len(hits) else np.empty((0, 4))
+    states = sol(t_events).T
     return t_events, states, chart.transverse_velocity(states)
 
 
@@ -337,34 +424,42 @@ def detect_crossing(
 ) -> CrossingEvent:
     """First transverse upward crossing of the section after t_skip.
 
-    Crossings are bracketed on the ``scan_dt`` grid of the dense output
-    (:func:`_upward_brackets`) and refined together (:func:`_refine_roots`).
-    Near-tangent candidates (transverse speed below tolerance) are skipped and
-    counted; NoCrossing is raised when the time budget runs out or the orbit
-    escapes the sphere chart toward a pole.
+    The orbit is marched step by step (:class:`_March`).  Crossings are
+    bracketed on the ``scan_dt`` grid as the steps sample it
+    (:func:`_upward_brackets`) and refined on the dense solution so far
+    (:func:`_refine_roots`); the solve stops at the step in which the first
+    transverse crossing is bracketed, not at ``t_max``.  Near-tangent
+    candidates (transverse speed below tolerance) are skipped and counted;
+    NoCrossing is raised when the time budget runs out, or when the orbit
+    reaches the sphere chart's pole cap before it crosses.
     """
     chart = chart or AnnulusChart(H, spec)
     if t_max is None:
         t_max = spec.max_return_time
-    y0 = np.asarray(start_state, dtype=float)
-    sol = _solve_dense(H, y0, (0.0, t_max), config, where="crossing detection")
-
-    ts = np.arange(t_skip, t_max, spec.scan_dt)
-    if ts[-1] < t_max:
-        ts = np.append(ts, t_max)
-    t_events, states, speeds = _dense_crossings(sol, chart, ts)
-    # only speeds known to be below the tolerance are skipped (NaN is kept)
-    transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
-    if not len(transverse):
-        raise NoCrossing(
-            f"no transverse crossing within t = {t_max} ({len(t_events)} tangencies skipped)"
-        )
-    j = int(transverse[0])
-    return CrossingEvent(
-        time=float(t_events[j]),
-        state=states[j],
-        transverse_speed=float(speeds[j]),
-        skipped_tangencies=j,
+    if not t_skip < t_max:
+        raise ValueError(f"t_skip = {t_skip} must be below t_max = {t_max}")
+    ts = _scan_grid(t_skip, t_max, spec.scan_dt)
+    march = _orbit_march(H, start_state, t_max, config, ts)
+    skipped = 0
+    lo = 0
+    while march.step():
+        t_events, states, speeds = _march_crossings(march, chart, lo)
+        lo = max(march.n - 1, 0)
+        # only speeds known to be below the tolerance are skipped (NaN is kept)
+        transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
+        if len(transverse):
+            j = int(transverse[0])
+            return CrossingEvent(
+                time=float(t_events[j]),
+                state=states[j],
+                transverse_speed=float(speeds[j]),
+                skipped_tangencies=skipped + j,
+            )
+        skipped += len(t_events)
+    if march.capped:
+        raise NoCrossing("orbit left the chart strip during crossing detection")
+    raise NoCrossing(
+        f"no transverse crossing within t = {t_max} ({skipped} tangencies skipped)"
     )
 
 
@@ -417,10 +512,10 @@ def iterate_section_map(
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is integrated in dense-output windows; the upward crossings
-    inside a window are bracketed on the ``scan_dt`` grid
-    (:func:`_upward_brackets`), refined together (:func:`_refine_roots`), and
-    the transverse ones kept.  This keeps the per-iterate cost near one flow
+    The orbit is marched in dense windows (:class:`_March`, run to the end of
+    each window); the upward crossings inside a window are bracketed on the
+    ``scan_dt`` grid up to the window's end (:func:`_upward_brackets`), refined
+    together (:func:`_refine_roots`), and the transverse ones kept.  This keeps the per-iterate cost near one flow
     period even for thousands of iterates.
     """
     chart = AnnulusChart(H, spec)
@@ -439,9 +534,9 @@ def iterate_section_map(
         guard += 1
         if guard > max(4, 4 * int(n * spec.max_return_time / window) + 4):
             raise NoCrossing(f"return rate too low: {len(times) - 1} of {n} found")
-        sol = _solve_dense(H, y, (0.0, window), config, where="return-map iteration")
-        ts = np.arange(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt)
-        t_events, states_ev, speeds = _dense_crossings(sol, chart, ts)
+        ts = _scan_grid(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt)
+        march = _solve_dense(H, y, window, config, ts, where="return-map iteration")
+        t_events, states_ev, speeds = _march_crossings(march, chart)
         prev_t = times[-1] - t_base
         pts = chart.points_of_states(states_ev)
         for j in range(len(t_events)):
@@ -452,7 +547,7 @@ def iterate_section_map(
             points.append((float(pts[j, 0]), float(pts[j, 1])))
             lift.append(chart.lift_s(states_ev[j]))
             times.append(t_base + float(t_events[j]))
-        y = sol.y[:, -1].copy()
+        y = march.solver.y.copy()
         t_base += window
     return SectionOrbit(
         points=np.array(points[: n + 1]),
@@ -472,16 +567,18 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Integrates the stacked system once (right-hand side
+    Marches the stacked system (:class:`_March`; right-hand side
     :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field`` call
-    per evaluation) on the shared scan grid, with no dense output.  Each
-    orbit's first upward crossing is bracketed on that grid
-    (:func:`_upward_brackets`) and refined on the cubic Hermite interpolant of
-    its scan step (:func:`_refine_roots`), whose slopes come from one more
-    ``vector_field`` call at the two ends of every bracketing step.  The
-    refined crossings are checked for transversality together.  Returns
-    (new_states, taus, ok_mask); failed orbits keep their input state and
-    tau = nan.
+    per evaluation) on the shared scan grid, with no dense output.  The march
+    stops at the step in which every orbit has an upward crossing bracketed,
+    so a step's length is set by the cloud's slowest return; only a cloud with
+    an orbit that never crosses runs to ``max_return_time``.  Each orbit's
+    first upward crossing is bracketed on that grid (:func:`_upward_brackets`)
+    and refined on the cubic Hermite interpolant of its scan step
+    (:func:`_refine_roots`), whose slopes come from one more ``vector_field``
+    call at the two ends of every bracketing step.  The refined crossings are
+    checked for transversality together.  Returns (new_states, taus, ok_mask);
+    failed orbits keep their input state and tau = nan.
     """
     chart = chart or AnnulusChart(H, spec)
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -489,19 +586,26 @@ def ensemble_return_step(
     m = int(spec.max_return_time / spec.scan_dt) + 1
     ts = np.linspace(0.0, spec.max_return_time, m)
 
-    sol = solve_ivp(
-        stacked_rhs(H, n),
-        (0.0, float(ts[-1])),
-        states.reshape(-1),
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        t_eval=ts,
-    )
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-    path = sol.y.T.reshape(m, n, 4)
+    march = _March(stacked_rhs(H, n), states.reshape(-1), float(ts[-1]), config, ts)
+    # brackets count from row 1 on, as in _hermite_returns
+    pending = np.ones(n, dtype=bool)
+    lo = 1
+    while pending.any() and march.step():
+        rows = march.path[lo : march.n].reshape(-1, n, 4)
+        up, _ = _upward_brackets(chart.coordinate(rows), chart.periodic_levels)
+        pending &= ~up.any(axis=0)
+        lo = max(march.n - 1, 1)
+    return _hermite_returns(H, spec, chart, states, ts, march.path[: march.n].reshape(-1, n, 4))
 
+
+def _hermite_returns(H, spec, chart, states, ts, path):
+    """First returns of a stacked cloud from its states ``path`` at the scan times ``ts``.
+
+    See :func:`ensemble_return_step`: each orbit's first upward crossing after
+    row 0 is refined on the cubic Hermite interpolant of its scan step, then
+    checked for transversality.
+    """
+    n = states.shape[0]
     up, levels = _upward_brackets(chart.coordinate(path), chart.periodic_levels)
     # row 0 only ever flags the start point itself (states arrive on-section)
     up[0] = False
@@ -731,7 +835,7 @@ def return_time_boundary_extension(
         u = float(u)
         if u not in sols:
             y0 = chart.point_to_state(s0, u)
-            sols[u] = _solve_dense(H, y0, (0.0, t_hi), config, where="boundary extension").sol
+            sols[u] = _solve_dense(H, y0, t_hi, config, where="boundary extension").solution()
         return float(chart.coordinate(sols[u](tau)))
 
     quotient = smooth_divide(

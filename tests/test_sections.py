@@ -13,12 +13,21 @@ from finslerlab.errors import (
     NonTransverse,
     NotVanishing,
 )
-from finslerlab.flow import TWO_PI, integrate_orbit, phase_space_distance
+from finslerlab.flow import (
+    TWO_PI,
+    IntegratorConfig,
+    integrate_orbit,
+    phase_space_distance,
+    pole_cap_events,
+    stacked_rhs,
+)
 from finslerlab.metrics import ALPHA_GOLDEN
 from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
+    _hermite_returns,
     _refine_roots,
+    _upward_brackets,
     build_return_map_grid,
     detect_crossing,
     ensemble_return_step,
@@ -120,6 +129,30 @@ class TestDetectCrossing:
         period = float(np.trapezoid(f, grid))
         assert event.time == pytest.approx(period, abs=1e-6)
         assert event.time <= spec.max_return_time
+
+
+    def test_skip_beyond_budget_rejected(self, h0_sphere, tight_config):
+        y0 = np.array([0.0, -0.5, 0.3, float(np.sqrt(h0_sphere.profile.f(-0.5) ** 2 - 0.09))])
+        for t_skip in (SPHERE_SPEC.max_return_time, SPHERE_SPEC.max_return_time + 1.0):
+            with pytest.raises(ValueError, match="t_skip"):
+                detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config, t_skip=t_skip)
+
+    def test_pole_cap_before_crossing_raises(self, h0_sphere, tight_config):
+        # this orbit meets the cap at t = 0.96 (it would climb to x2 = 1.67), long before t = 2 pi
+        y0 = AnnulusChart(h0_sphere, SPHERE_SPEC).point_to_state(1.0, 1.2)
+        capped = tight_config.with_(x2_cap=1.0)
+        with pytest.raises(NoCrossing, match="chart strip"):
+            detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped, t_skip=SPHERE_SPEC.scan_dt)
+
+    def test_crossing_before_pole_cap_is_returned(self, h0_sphere, tight_config):
+        # crosses the equator at t = 0.51 and meets the cap at t = 1.01 (it would climb to 1.87)
+        y0 = np.array([0.0, -0.5, 0.3, float(np.sqrt(h0_sphere.profile.f(-0.5) ** 2 - 0.09))])
+        capped = tight_config.with_(x2_cap=0.5)
+        event = detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped)
+        free = detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config)
+        assert event.time < 1.0
+        assert event.state.tobytes() == free.state.tobytes()
+        assert np.float64(event.time).tobytes() == np.float64(free.time).tobytes()
 
 
 class TestRefineRoots:
@@ -272,6 +305,112 @@ class TestIterateSectionMap:
         assert np.isnan(taus[slow]).all()
         assert new_states[ok].tobytes() == base_states[ok].tobytes()
         assert taus[ok].tobytes() == base_taus[ok].tobytes()
+
+
+    def test_return_at_window_end_is_kept(self, h0_sphere, tight_config):
+        # windows of 4 pi + 0.01 end just after every second return at 2 pi k
+        orbit = iterate_section_map(
+            h0_sphere, SPHERE_SPEC, (1.0, 0.8), 6, tight_config, window=4 * math.pi + 0.01
+        )
+        assert np.allclose(np.diff(orbit.times), TWO_PI, atol=1e-9)
+        assert np.allclose(orbit.displacements, 1.0, atol=1e-9)
+
+
+def _reference_detect(H, y0, spec, config, t_skip):
+    """detect_crossing from one dense solve_ivp over the whole budget."""
+    chart = AnnulusChart(H, spec)
+    t_max = spec.max_return_time
+    sol = solve_ivp(
+        H.scalar_rhs(), (0.0, t_max), y0, method=config.method, rtol=config.rel_tol,
+        atol=config.abs_tol, max_step=config.max_step, dense_output=True,
+        events=pole_cap_events(H, config),
+    )
+    assert sol.status == 0
+    ts = np.append(np.arange(t_skip, t_max, spec.scan_dt), t_max)
+    up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
+    hits = np.flatnonzero(up)
+    t_events = _refine_roots(
+        lambda t: chart.coordinate(sol.sol(t).T) - levels[hits], ts[hits], ts[hits + 1]
+    )
+    states = sol.sol(t_events).T
+    speeds = chart.transverse_velocity(states)
+    j = int(np.flatnonzero(~(speeds < spec.transversality_tol))[0])
+    return t_events[j], states[j], speeds[j], j
+
+
+def _reference_ensemble_step(H, spec, states, config, chart):
+    """ensemble_return_step from one stacked solve_ivp over max_return_time; also its nfev."""
+    n = len(states)
+    m = int(spec.max_return_time / spec.scan_dt) + 1
+    ts = np.linspace(0.0, spec.max_return_time, m)
+    sol = solve_ivp(
+        stacked_rhs(H, n), (0.0, float(ts[-1])), states.reshape(-1), method=config.method,
+        rtol=config.rel_tol, atol=config.abs_tol, t_eval=ts,
+    )
+    assert sol.status == 0
+    return _hermite_returns(H, spec, chart, states, ts, sol.y.T.reshape(m, n, 4)), sol.nfev
+
+
+class _CountingMetric:
+    """A metric whose vector_field calls are counted."""
+
+    def __init__(self, H):
+        self.H = H
+        self.calls = 0
+
+    def vector_field(self, states):
+        self.calls += 1
+        return self.H.vector_field(states)
+
+
+class TestMarchAgainstFullSolve:
+    """Section solves that stop at the needed crossing match a full-horizon solve bit for bit."""
+
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
+    def test_detect_crossing_bitwise(self, katok_sphere, h0_torus, method, tol):
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(7)
+        points = zip(rng.uniform(0.0, chart.circumference, 4), rng.uniform(0.2, 2.9, 4))
+        cases = [(katok_sphere, SPHERE_SPEC, chart.point_to_state(s, u)) for s, u in points]
+        # a meridian orbit whose first crossing (speed 1.17) is skipped as a tangency
+        meridian = SectionSpec(kind="meridian", max_return_time=40.0, transversality_tol=1.8)
+        cases.append((h0_torus, meridian, AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)))
+        for H, spec, y0 in cases:
+            got = detect_crossing(H, y0, spec, config, t_skip=spec.scan_dt)
+            time, state, speed, skipped = _reference_detect(H, y0, spec, config, spec.scan_dt)
+            assert np.float64(got.time).tobytes() == time.tobytes()
+            assert got.state.tobytes() == state.tobytes()
+            assert np.float64(got.transverse_speed).tobytes() == speed.tobytes()
+            assert got.skipped_tangencies == skipped
+        assert got.skipped_tangencies == 1
+
+    @pytest.mark.parametrize("max_return_time", [8.0, 6.35])
+    def test_ensemble_step_bitwise(self, katok_sphere, max_return_time):
+        # katok-sphere's entropy settings, with a stricter transversality tolerance
+        spec = SectionSpec(scan_dt=0.04, max_return_time=max_return_time, transversality_tol=1e-3)
+        config = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
+        chart = AnnulusChart(katok_sphere, spec)
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.0, chart.circumference, 12)
+        u = rng.uniform(0.1, 3.0, 12)
+        u[0] = 1e-4  # grazes the section: crosses again at speed ~1e-4, below the tolerance
+        states = np.array([chart.point_to_state(a, b) for a, b in zip(s, u)])
+        counting = _CountingMetric(katok_sphere)
+        got = ensemble_return_step(counting, spec, states, config, chart=chart)
+        want, nfev = _reference_ensemble_step(katok_sphere, spec, states, config, chart)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        new_states, taus, ok = got
+        assert not ok[0]
+        # orbit 9 starts in the perturbation cone and returns at tau = 6.42
+        assert ok[9] == (max_return_time > 6.42)
+        assert np.count_nonzero(ok) == 11 - (max_return_time < 6.42)
+        # one more vector_field call gives the Hermite slopes
+        if ok[9]:
+            assert counting.calls - 1 < nfev  # every orbit returned: stopped early
+        else:
+            assert counting.calls - 1 == nfev  # orbit 9 never crossed: ran to the end
 
 
 class TestAreaPreservation:
