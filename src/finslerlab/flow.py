@@ -10,6 +10,11 @@ built here) is monitored at checkpoints and enforced against a configured
 drift tolerance; drift is the audited quantity instead of a symplectic scheme,
 because the Hamiltonians are piecewise-defined and event location needs dense
 output.
+
+Every solve in the lab -- single orbits, stacked ensembles and the section
+paths in :mod:`~finslerlab.sections` -- steps one loop, :class:`_March`: the
+scipy Runge-Kutta class a one-shot scipy solve would build, advanced by hand
+with that solve's checkpoint sampling and pole-cap rule.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK45, OdeSolution
+from scipy.optimize import brentq
 
 from .errors import (
     ConeViolation,
@@ -46,10 +52,12 @@ __all__ = [
     "phase_space_distance",
     "circle_difference",
     "metric_x2_period",
-    "pole_cap_events",
+    "pole_cap_event",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_SOLVERS = {"RK45": RK45, "DOP853": DOP853}
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class IntegratorConfig:
     x2_cap: float | None = 30.0
 
     def __post_init__(self):
+        if self.method not in _SOLVERS:
+            raise ValueError(f"method must be RK45 or DOP853, not {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step <= 0 or self.checkpoint_dt <= 0:
@@ -179,7 +189,7 @@ def _checkpoint_grid(T: float, dt: float) -> np.ndarray:
     return grid
 
 
-def pole_cap_events(H: DualMetric, config: IntegratorConfig):
+def pole_cap_event(H: DualMetric, config: IntegratorConfig):
     """Terminal |x2| = cap event for sphere-chart runs (None on periodic bases)."""
     if config.x2_cap is None or metric_x2_period(H) is not None:
         return None
@@ -190,7 +200,79 @@ def pole_cap_events(H: DualMetric, config: IntegratorConfig):
 
     event.terminal = True
     event.direction = -1
-    return [event]
+    return event
+
+
+class _March:
+    """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
+
+    The one stepping loop of the lab.  The solver is the scipy class a
+    one-shot scipy solve would build for ``config`` (same ``rtol``, ``atol``
+    and ``max_step``), and each step is handled the way that solve handles it,
+    so the numbers are the same:
+
+    * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
+      are taken from its dense output in one call (as ``t_eval`` is, by
+      ``searchsorted(d * ts, d * t, side="right")`` with ``d`` the direction of
+      integration) into ``path[:n]``;
+    * the terminal event ``cap`` (see :func:`pole_cap_event`) fires by scipy's
+      direction -1 rule, ends the run at its root and sets ``capped`` to the
+      (time, state) there;
+    * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
+
+    Callers step it to ``t_end``, or stop once they have what they need.
+    """
+
+    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
+        self.solver = _SOLVERS[config.method](
+            fun, 0.0, y0, t_end,
+            rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
+        )
+        self.ts = np.asarray(ts, dtype=float)
+        self._dts = self.solver.direction * self.ts
+        self.path = np.empty((len(self.ts), len(y0)))
+        self.n = 0
+        self.capped = None
+        self._cap = cap
+        self._g = None if cap is None else cap(0.0, y0)
+        self._dense = dense
+        self._t = [0.0]
+        self._interpolants = []
+
+    def step(self) -> bool:
+        """Take one step; False once the run has reached ``t_end`` or the cap."""
+        solver = self.solver
+        if self.capped or solver.status != "running":
+            return False
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(message)
+        t = solver.t
+        sol = solver.dense_output() if self._dense else None
+        if self._cap is not None:
+            g = self._cap(t, solver.y)
+            if self._g >= 0.0 and g <= 0.0:
+                if sol is None:
+                    sol = solver.dense_output()
+                eps = np.finfo(float).eps
+                t = brentq(lambda s: self._cap(s, sol(s)), solver.t_old, t,
+                           xtol=4 * eps, rtol=4 * eps)
+                self.capped = (t, sol(t))
+            self._g = g
+        hi = int(np.searchsorted(self._dts, solver.direction * t, side="right"))
+        if hi > self.n:
+            if sol is None:
+                sol = solver.dense_output()
+            self.path[self.n : hi] = sol(self.ts[self.n : hi]).T
+            self.n = hi
+        if self._dense:
+            self._t.append(t)
+            self._interpolants.append(sol)
+        return True
+
+    def solution(self) -> OdeSolution:
+        """Dense solution over the steps taken so far."""
+        return OdeSolution(self._t, self._interpolants)
 
 
 def integrate_orbit(
@@ -214,41 +296,26 @@ def integrate_orbit(
     if not h0 > 0.0:
         raise ValueError(f"H(p0) = {h0!r} must be positive")
 
-    x2_period = metric_x2_period(H)
-    rhs = H.scalar_rhs()
-    t_eval = _checkpoint_grid(T, config.checkpoint_dt)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        y0,
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        t_eval=t_eval,
-        events=pole_cap_events(H, config),
-        dense_output=False,
+    march = _March(
+        H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt),
+        cap=pole_cap_event(H, config),
     )
-    _check_sol(sol)
-    states = sol.y.T.copy()
+    while march.step():
+        pass
+    if march.capped:
+        raise PoleProximity(*march.capped)
+    states = march.path
     h = np.asarray(H.value(states))
     h1 = states[:, 2].copy()
-    trace = OrbitTrace(times=sol.t, states=states, h_values=h, h1_values=h1, x2_period=x2_period)
+    trace = OrbitTrace(
+        times=march.ts, states=states, h_values=h, h1_values=h1, x2_period=metric_x2_period(H)
+    )
     if enforce_drift:
         if trace.h_drift() > config.invariant_drift_tol:
             raise InvariantDrift("H", trace.h_drift(), config.invariant_drift_tol)
         if H.x1_symmetric and trace.h1_drift() > config.invariant_drift_tol:
             raise InvariantDrift("xi1", trace.h1_drift(), config.invariant_drift_tol)
     return trace
-
-
-def _check_sol(sol) -> None:
-    if sol.status == 1:
-        t = float(sol.t_events[0][0])
-        raise PoleProximity(t, sol.y_events[0][0])
-    if sol.status != 0:
-        raise StepFailure(sol.message)
 
 
 @dataclass(frozen=True)
@@ -275,30 +342,26 @@ def integrate_ensemble(
     """Integrate N orbits as one stacked system (shared adaptive step).
 
     The right-hand side is :func:`stacked_rhs`, one batched
-    ``H.vector_field`` call per evaluation.  Meant for orbit statistics
-    (entropy clouds, tube ensembles); acceptance grade per-orbit runs should
-    use :func:`integrate_orbit`.
+    ``H.vector_field`` call per evaluation, stepped by :class:`_March` to the
+    end of the sample grid ``t_eval`` (default: the checkpoint grid of
+    ``[0, T]``), which must start at 0 and run toward its end.  Meant for
+    orbit statistics (entropy clouds, tube ensembles); acceptance grade
+    per-orbit runs should use :func:`integrate_orbit`.
     """
     states0 = np.atleast_2d(np.asarray(states0, dtype=float))
     n = states0.shape[0]
     if t_eval is None:
         t_eval = _checkpoint_grid(T, config.checkpoint_dt)
     t_eval = np.asarray(t_eval, dtype=float)
+    d = -1.0 if t_eval[-1] < 0.0 else 1.0
+    if t_eval[0] != 0.0 or np.any(d * np.diff(t_eval) < 0.0):
+        raise ValueError("t_eval must start at 0 and be ordered toward its end")
 
-    sol = solve_ivp(
-        stacked_rhs(H, n),
-        (float(t_eval[0]), float(t_eval[-1])),
-        states0.reshape(-1),
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        t_eval=t_eval,
-    )
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-    states = sol.y.T.reshape(len(t_eval), n, 4)
-    return EnsembleTrace(times=sol.t, states=states, x2_period=metric_x2_period(H))
+    march = _March(stacked_rhs(H, n), states0.reshape(-1), float(t_eval[-1]), config, t_eval)
+    while march.step():
+        pass
+    states = march.path.reshape(len(t_eval), n, 4)
+    return EnsembleTrace(times=t_eval, states=states, x2_period=metric_x2_period(H))
 
 
 def compose_commuting_flows(

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (
@@ -33,9 +32,8 @@ from .errors import (
     NoCrossing,
     NonTransverse,
     NotVanishing,
-    StepFailure,
 )
-from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, pole_cap_events, stacked_rhs
+from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, _March, pole_cap_event, stacked_rhs
 from .metrics import DualMetric
 from .profiles import RotationalProfile
 
@@ -290,86 +288,11 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
-_SOLVERS = {"RK45": RK45, "DOP853": DOP853}
-
-
-class _March:
-    """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
-
-    The solver is the scipy class a one-shot scipy solve would build for
-    ``config`` (same ``rtol``, ``atol`` and ``max_step``), and each step is
-    handled the way that solve handles it, so the numbers are the same:
-
-    * the scan times ``ts`` the step covers are sampled from its dense output
-      in one call (as ``t_eval`` is, by ``searchsorted(..., side="right")``)
-      into ``path[:n]``;
-    * the terminal event ``cap`` (see :func:`~finslerlab.flow.pole_cap_events`)
-      fires by scipy's direction -1 rule, ends the run at its root and sets
-      ``capped``;
-    * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
-
-    Callers stop stepping once they have the crossing they need.
-    """
-
-    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
-        if config.method not in _SOLVERS:
-            raise ValueError(f"section solves need RK45 or DOP853, not {config.method!r}")
-        self.solver = _SOLVERS[config.method](
-            fun, 0.0, y0, t_end,
-            rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
-        )
-        self.ts = np.asarray(ts, dtype=float)
-        self.path = np.empty((len(self.ts), len(y0)))
-        self.n = 0
-        self.capped = False
-        self._cap = cap
-        self._g = None if cap is None else cap(0.0, y0)
-        self._dense = dense
-        self._t = [0.0]
-        self._interpolants = []
-
-    def step(self) -> bool:
-        """Take one step; False once the run has reached ``t_end`` or the cap."""
-        solver = self.solver
-        if self.capped or solver.status != "running":
-            return False
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(message)
-        t = solver.t
-        sol = solver.dense_output() if self._dense else None
-        if self._cap is not None:
-            g = self._cap(t, solver.y)
-            if self._g >= 0.0 and g <= 0.0:
-                if sol is None:
-                    sol = solver.dense_output()
-                eps = np.finfo(float).eps
-                t = brentq(lambda s: self._cap(s, sol(s)), solver.t_old, t,
-                           xtol=4 * eps, rtol=4 * eps)
-                self.capped = True
-            self._g = g
-        hi = int(np.searchsorted(self.ts, t, side="right"))
-        if hi > self.n:
-            if sol is None:
-                sol = solver.dense_output()
-            self.path[self.n : hi] = sol(self.ts[self.n : hi]).T
-            self.n = hi
-        if self._dense:
-            self._t.append(t)
-            self._interpolants.append(sol)
-        return True
-
-    def solution(self) -> OdeSolution:
-        """Dense solution over the steps taken so far."""
-        return OdeSolution(self._t, self._interpolants)
-
-
 def _orbit_march(H, y0, t_end, config, ts=()) -> _March:
     """A dense march of one orbit, with the sphere chart's pole cap."""
-    events = pole_cap_events(H, config)
     return _March(
         H.scalar_rhs(), np.asarray(y0, dtype=float), t_end, config, ts,
-        cap=events[0] if events else None, dense=True,
+        cap=pole_cap_event(H, config), dense=True,
     )
 
 

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq
 
+import finslerlab
 from finslerlab.errors import (
     ConeViolation,
     InvariantDrift,
@@ -23,6 +26,8 @@ from finslerlab.flow import (
     integrate_orbit,
     lift_to_cover,
     phase_space_distance,
+    pole_cap_event,
+    stacked_rhs,
 )
 from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric
 from finslerlab.profiles import eval_f0, eval_f0_deriv
@@ -100,6 +105,10 @@ class TestIntegrateOrbit:
         with pytest.raises(ZeroCovector):
             integrate_orbit(h0_sphere, np.array([0.0, 0.0, 0.0, 0.0]), 1.0, tight_config)
 
+    def test_method_other_than_rk45_dop853_rejected(self):
+        with pytest.raises(ValueError, match="RK45 or DOP853"):
+            IntegratorConfig(method="Radau")
+
     def test_rotating_orbit_against_reduced_quadrature(self, h0_torus, spliced_profile, tight_config):
         c = 0.2
         y0 = np.array([0.0, 0.0, c, math.sqrt(1.0 - c * c)])
@@ -146,6 +155,11 @@ class TestEnsemble:
         states = sample_covectors(rng, 20, x2_range=(0.0, 4.0))
         ens = integrate_ensemble(h0_torus, states, 20.0, fast_config)
         assert ens.max_h_drift(h0_torus) <= 1e-5  # statistics tier: shared adaptive step
+
+    @pytest.mark.parametrize("t_eval", [[1.0, 2.0, 3.0], [0.0, 2.0, 1.0]], ids=["late", "unsorted"])
+    def test_t_eval_runs_from_zero_toward_its_end(self, h0_torus, fast_config, t_eval):
+        with pytest.raises(ValueError, match="t_eval"):
+            integrate_ensemble(h0_torus, [[0.0, 0.0, 0.3, 0.9]], 3.0, fast_config, t_eval=t_eval)
 
 
 class TestCommutingFlows:
@@ -238,3 +252,67 @@ class TestLift:
     def test_circle_difference_range(self):
         d = circle_difference(np.array([-7.0, -0.1, 0.0, 3.0, 9.0]), TWO_PI)
         assert np.all(d >= -math.pi) and np.all(d < math.pi)
+
+
+def _checkpoints(T, config):
+    return np.linspace(0.0, T, max(int(abs(T) / config.checkpoint_dt), 1) + 1)
+
+
+def _reference_orbit(H, y0, T, config):
+    """integrate_orbit as one solve_ivp call: checkpoints as t_eval, the pole cap as event."""
+    return solve_ivp(
+        H.scalar_rhs(), (0.0, T), y0, method=config.method, rtol=config.rel_tol,
+        atol=config.abs_tol, max_step=config.max_step, t_eval=_checkpoints(T, config),
+        events=pole_cap_event(H, config),
+    )
+
+
+class TestFlowAgainstFullSolve:
+    """integrate_orbit and integrate_ensemble match one scipy solve_ivp call bit for bit."""
+
+    @pytest.mark.parametrize("T", [25.0, -25.0])
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
+    def test_orbit_bitwise(self, katok_sphere, method, tol, T):
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        y0 = np.array([0.3, 0.2, 0.7, 0.6])
+        trace = integrate_orbit(katok_sphere, y0, T, config, enforce_drift=False)
+        sol = _reference_orbit(katok_sphere, y0, T, config)
+        assert sol.status == 0
+        states = sol.y.T.copy()
+        assert trace.times.tobytes() == sol.t.tobytes()
+        assert trace.states.tobytes() == states.tobytes()
+        assert trace.h_values.tobytes() == np.asarray(katok_sphere.value(states)).tobytes()
+
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
+    def test_pole_cap_bitwise(self, h0_sphere, method, tol):
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        y0 = np.array([0.0, 0.0, 0.0, 1.0])  # the meridian reaches the cap near t = pi/2
+        with pytest.raises(PoleProximity) as info:
+            integrate_orbit(h0_sphere, y0, 2.0, config)
+        sol = _reference_orbit(h0_sphere, y0, 2.0, config)
+        assert sol.status == 1
+        assert np.float64(info.value.time).tobytes() == sol.t_events[0][0].tobytes()
+        assert info.value.state.tobytes() == sol.y_events[0][0].tobytes()
+
+    @pytest.mark.parametrize("t_eval", [None, np.arange(6.0)], ids=["checkpoints", "arange"])
+    def test_ensemble_bitwise(self, katok_sphere, fast_config, t_eval):
+        states = sample_covectors(np.random.default_rng(4), 12, x2_range=(-0.5, 0.5))
+        ens = integrate_ensemble(katok_sphere, states, 5.0, fast_config, t_eval=t_eval)
+        grid = _checkpoints(5.0, fast_config) if t_eval is None else t_eval
+        sol = solve_ivp(
+            stacked_rhs(katok_sphere, 12), (0.0, 5.0), states.reshape(-1),
+            method=fast_config.method, rtol=fast_config.rel_tol, atol=fast_config.abs_tol,
+            t_eval=grid,
+        )
+        assert sol.status == 0
+        assert ens.times.tobytes() == sol.t.tobytes()
+        assert ens.states.tobytes() == sol.y.T.reshape(len(grid), 12, 4).tobytes()
+
+
+def test_no_library_module_imports_solve_ivp():
+    # every solve steps flow._March; a second stepping loop must not creep back
+    for path in sorted(Path(finslerlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "solve_ivp" not in names, path.name

@@ -18,7 +18,7 @@ from finslerlab.flow import (
     IntegratorConfig,
     integrate_orbit,
     phase_space_distance,
-    pole_cap_events,
+    pole_cap_event,
     stacked_rhs,
 )
 from finslerlab.metrics import ALPHA_GOLDEN
@@ -323,7 +323,7 @@ def _reference_detect(H, y0, spec, config, t_skip):
     sol = solve_ivp(
         H.scalar_rhs(), (0.0, t_max), y0, method=config.method, rtol=config.rel_tol,
         atol=config.abs_tol, max_step=config.max_step, dense_output=True,
-        events=pole_cap_events(H, config),
+        events=pole_cap_event(H, config),
     )
     assert sol.status == 0
     ts = np.append(np.arange(t_skip, t_max, spec.scan_dt), t_max)
