@@ -177,8 +177,11 @@ class WrappedMetric:
 
     ``periods[j]`` is the period of coordinate j or None for a linear
     coordinate; calling it gives the vectorized ``d(a, b)`` over arrays
-    (..., d).  The separated-set distance kernel reads ``periods`` and
-    computes the same numbers bit for bit without calling the metric.
+    (..., d).  The separated-set distance kernel reads ``periods``, reduces
+    each periodic coordinate into [0, p] first, and then computes the numbers
+    this call gives on the reduced coordinates bit for bit, without calling
+    the metric.  So the two agree bit for bit on input already in [0, p); on
+    lifted input they differ by a few ulp of the largest lift.
     """
 
     periods: tuple
@@ -204,98 +207,153 @@ def wrapped_metric(periods) -> WrappedMetric:
     return WrappedMetric(tuple(periods))
 
 
-# entries (rows x N) of one row block of the distance kernel: the block of
-# dmat and its float64 scratch planes stay in cache across all time slices
+# entries (slices x rows x N) of one tile of the distance kernel: the tile's
+# float64 scratch planes stay in cache across the coordinates
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _raise_orbit_distance(dmat, segments, t_lo: int, t_hi: int, periods) -> None:
-    """Raise dmat[i, j] in place to d(orbit_i(t), orbit_j(t)) for t_lo <= t <= t_hi.
+class _OrbitDistances(dict):
+    """Point i -> its row d_T(i, .), d_T(i, j) = max over t <= T of d(orbit_i(t), orbit_j(t)).
 
-    Bit for bit the running ``np.maximum`` of ``WrappedMetric(periods)``
-    applied to ``pts[:, None]`` and ``pts[None, :]`` slice by slice: the same
-    difference, wrap, squares summed in coordinate order and sqrt per slice.
+    ``segments`` (N, M, d) is read up to slice ``t_max``; each periodic
+    coordinate is reduced once per orbit and slice with ``np.mod`` into
+    [0, p] (``np.mod(-tiny, p)`` is p itself).  Input already in [0, p) keeps
+    its bits, up to -0.0 becoming 0.0, which no distance sees.
 
-    The wrap is numpy's ``(d + p/2) % p - p/2``.  When a slice's spread
-    (``np.ptp``) of a coordinate is below p, x = fl(d + p/2) lies in
-    [-p/2, 3p/2], where ``x % p`` is fl(x + p) for x < 0, x - p (exact by
-    Sterbenz) for x >= p and x otherwise; x is never -0.0, so adding
-    p * (x < 0) and subtracting p * (x >= p) gives the same bits.  Both
-    masks are taken before either update, because fl(x + p) can round to p.
-    Wider slices (lifted angles) use ``np.remainder``.
+    A row is computed over the slices 0..t_done at its first lookup
+    (``dist[i]``); :meth:`advance` raises every cached row together over the
+    slices up to a new T, so rows nobody reads are never computed.  Rows live
+    in blocks of ``_BLOCK_ENTRIES // N`` rows, which never move.  Every entry
+    is bit for bit the running max over slices of ``WrappedMetric(periods)``
+    on the reduced coordinates.
     """
-    n = dmat.shape[0]
-    if n == 0 or t_hi < t_lo:
-        return
-    cols = np.ascontiguousarray(np.moveaxis(segments[:, t_lo : t_hi + 1, :], 0, -1))
-    spans = np.ptp(cols, axis=-1)  # (slices, d)
-    periods = [None if p is None else float(p) for p in periods]
-    rows = max(1, _BLOCK_ENTRIES // n)
-    diff, sq, acc = (np.empty((rows, n)) for _ in range(3))
-    below, above = (np.empty((rows, n), dtype=bool) for _ in range(2))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        m = r1 - r0
-        block = dmat[r0:r1]
-        dv, sv, av, lo, hi = diff[:m], sq[:m], acc[:m], below[:m], above[:m]
-        for k in range(cols.shape[0]):
-            for j, p in enumerate(periods):
-                c = cols[k, j]
-                np.subtract(c[r0:r1, None], c[None, :], out=dv)
-                if p is not None:
-                    h = p / 2.0
-                    np.add(dv, h, out=dv)
-                    if spans[k, j] < p:
-                        np.less(dv, 0.0, out=lo)
-                        np.greater_equal(dv, p, out=hi)
-                        np.multiply(lo, p, out=sv)
-                        np.add(dv, sv, out=dv)
-                        np.multiply(hi, p, out=sv)
-                        np.subtract(dv, sv, out=dv)
-                    else:
-                        np.remainder(dv, p, out=dv)
-                    np.subtract(dv, h, out=dv)
-                if j == 0:
-                    np.multiply(dv, dv, out=av)
-                else:
-                    np.multiply(dv, dv, out=sv)
-                    np.add(av, sv, out=av)
-            np.sqrt(av, out=av)
-            np.maximum(block, av, out=block)
+
+    def __init__(self, segments, t_max: int, periods):
+        super().__init__()
+        segments = np.asarray(segments, dtype=float)
+        if segments.shape[1] < t_max + 1:
+            raise ValueError("segments shorter than T + 1 iterates")
+        self.n = segments.shape[0]
+        self.t_done = -1
+        self.periods = [None if p is None else float(p) for p in periods]
+        # (d, slices, N): one contiguous (slices, N) plane per coordinate
+        self.cols = np.ascontiguousarray(np.transpose(segments[:, : t_max + 1], (2, 1, 0)))
+        for j, p in enumerate(self.periods):
+            if p is not None:
+                np.mod(self.cols[j], p, out=self.cols[j])
+        self.budget = max(_BLOCK_ENTRIES, self.n)
+        self._blocks = []  # (rows, the points whose rows they hold)
+        # tile scratch: difference, wrap shift, sum of squares, slice max
+        self._planes = [np.empty(self.budget) for _ in range(4)]
+        self._views = {}
+
+    def advance(self, T: int) -> None:
+        """Raise every cached row over the slices t_done + 1..T."""
+        for rows, points in self._blocks:
+            self.raise_rows(rows[: len(points)], np.array(points), self.t_done + 1, T)
+        self.t_done = max(self.t_done, T)
+
+    def __missing__(self, i: int) -> np.ndarray:
+        if not self._blocks or len(self._blocks[-1][1]) == len(self._blocks[-1][0]):
+            self._blocks.append((np.zeros((self.budget // self.n, self.n)), []))
+        rows, points = self._blocks[-1]
+        k = len(points)
+        points.append(i)
+        self.raise_rows(rows[k : k + 1], np.array([i]), 0, self.t_done)
+        self[i] = rows[k]
+        return rows[k]
+
+    def raise_rows(self, out, points, t_lo: int, t_hi: int) -> None:
+        """Raise ``out[r]`` to the running max of row ``points[r]`` over slices t_lo..t_hi.
+
+        The work is tiled slices x rows x N within the ``_BLOCK_ENTRIES``
+        budget.  Per tile: the difference of the reduced coordinates, the
+        wrap, squares summed in coordinate order, the max over the tile's
+        slices and one ``sqrt``, exact because correctly rounded ``sqrt`` is
+        monotone.
+
+        The wrap is numpy's ``(d + p/2) % p - p/2``.  Reduced values lie in
+        [0, p], so x = fl(d + p/2) lies in [-p/2, 3p/2], where ``x % p`` is
+        fl(x + p) for x < 0, x - p (exact by Sterbenz) for x >= p and x
+        otherwise.  k = floor(fl(x / p)) picks that branch as -1, 1 or 0:
+        fl(x / p) is negative for x < 0 (|x| >= p 2^-54, no underflow), at
+        least 1 for x >= p and below 1 for 0 <= x < p (x / p <= 1 - ulp(p) / p
+        < 1 - 2^-53).  x is never -0.0, so x - k p gives the same bits, in
+        four float passes with no mask.
+        """
+        if len(out) == 0 or t_hi < t_lo:
+            return
+        slices = min(t_hi - t_lo + 1, self.budget // self.n)
+        rows = self.budget // (slices * self.n)
+        for r0 in range(0, len(out), rows):
+            for k0 in range(t_lo, t_hi + 1, slices):
+                self._tile(out[r0 : r0 + rows], points[r0 : r0 + rows], k0, min(t_hi + 1, k0 + slices))
+
+    def _tile(self, out, pts, k0: int, k1: int) -> None:
+        shape = (k1 - k0, len(out), self.n)
+        views = self._views.get(shape)
+        if views is None:
+            size = shape[0] * out.size
+            views = [v[:size].reshape(shape) for v in self._planes[:3]]
+            views.append(self._planes[3][: out.size].reshape(out.shape))
+            self._views[shape] = views
+        dv, sv, acc, peak = views
+        if len(pts) == 1:  # a view, not a fancy-index copy, for farthest-first's single rows
+            pts = slice(pts[0], pts[0] + 1)
+        for j, p in enumerate(self.periods):
+            c = self.cols[j, k0:k1]
+            np.subtract(c[:, pts, None], c[:, None, :], out=dv)
+            if p is not None:
+                h = p / 2.0
+                np.add(dv, h, out=dv)
+                np.divide(dv, p, out=sv)
+                np.floor(sv, out=sv)
+                np.multiply(sv, p, out=sv)
+                np.subtract(dv, sv, out=dv)
+                np.subtract(dv, h, out=dv)
+            if j == 0:
+                np.multiply(dv, dv, out=acc)
+            else:
+                np.multiply(dv, dv, out=dv)
+                np.add(acc, dv, out=acc)
+        np.maximum.reduce(acc, axis=0, out=peak)
+        np.sqrt(peak, out=peak)
+        np.maximum(out, peak, out=out)
 
 
 def pairwise_orbit_distance(segments, T: int, metric: WrappedMetric) -> np.ndarray:
-    """(N, N) matrix of d_T(i, j) = max over t <= T of d(orbit_i(t), orbit_j(t))."""
-    segments = np.asarray(segments, dtype=float)
-    if segments.shape[1] < T + 1:
-        raise ValueError("segments shorter than T + 1 iterates")
-    n = segments.shape[0]
-    dmat = np.zeros((n, n))
-    _raise_orbit_distance(dmat, segments, 0, T, metric.periods)
+    """(N, N) matrix of d_T(i, j) = max over t <= T of d(orbit_i(t), orbit_j(t)).
+
+    All rows of :class:`_OrbitDistances`, on the reduced coordinates.
+    """
+    dist = _OrbitDistances(segments, T, metric.periods)
+    dmat = np.zeros((dist.n, dist.n))
+    dist.raise_rows(dmat, np.arange(dist.n), 0, T)
     return dmat
 
 
-def _farthest_first_set(dmat: np.ndarray, eps: float, seed=()) -> np.ndarray:
+def _farthest_first_set(rows, n: int, eps: float, seed=()) -> np.ndarray:
     """Maximal eps-separated subset by deterministic farthest-first traversal.
 
-    Starts from the seed (assumed separated), always adds the point farthest
-    from the current set, and stops when every remaining point is within eps;
-    the result is maximal against the whole cloud.
+    ``rows[i]`` is point i's distance row (an (N, N) matrix or the rows on
+    demand of :class:`_OrbitDistances`).  Starts from the seed (assumed
+    separated), always adds the point farthest from the current set, and stops
+    when every remaining point is within eps; the result is maximal against
+    the whole cloud.  Only the rows of the selected points are read.
     """
-    n = dmat.shape[0]
     selected = list(seed)
     if not selected:
         selected = [0]
     mind = np.full(n, np.inf)
     for i in selected:
-        np.minimum(mind, dmat[i], out=mind)
+        np.minimum(mind, rows[i], out=mind)
         mind[i] = -np.inf
     while True:
         i = int(np.argmax(mind))
         if mind[i] <= eps:
             break
         selected.append(i)
-        np.minimum(mind, dmat[i], out=mind)
+        np.minimum(mind, rows[i], out=mind)
         mind[i] = -np.inf
     return np.array(selected, dtype=int)
 
@@ -308,7 +366,9 @@ def greedy_separated_set(segments, T: int, eps: float, metric: WrappedMetric, se
     d(orbit_i(t), orbit_j(t)) > eps.  A seed of already-separated indices is
     kept and extended, which makes sets nested along increasing T.
     """
-    return _farthest_first_set(pairwise_orbit_distance(segments, T, metric), eps, seed)
+    dist = _OrbitDistances(segments, T, metric.periods)
+    dist.advance(T)
+    return _farthest_first_set(dist, dist.n, eps, seed)
 
 
 def exact_separated_cardinality(segments, T: int, eps: float, metric: WrappedMetric) -> int:
@@ -385,9 +445,15 @@ def entropy_separated_sets(
     is the log-count slope over the non-saturated T window, taken at the
     smallest eps whose linear fit is stable.
 
-    ``metric`` comes from :func:`wrapped_metric`: the distance kernel reads
-    its ``metric.periods`` and raises the (N, N) running maximum slice by
-    slice, resuming at the first T not yet covered.
+    ``metric`` comes from :func:`wrapped_metric`: the distance kernel
+    (:class:`_OrbitDistances`) reads its ``metric.periods``, reduces each
+    periodic coordinate once into [0, p] and computes only the rows that
+    farthest-first reads; at each new T the cached rows are raised over the
+    slices not yet covered.  On input already in [0, p) every set is the one
+    farthest-first gives on the full (N, N) matrix of the metric.  On lifted
+    input (angles unwrapped along the orbit) the reduction moves a distance
+    by a few ulp of the largest lift, so a pair at a distance tie of exactly
+    eps can flip between separated and not, and with it a set and a count.
     """
     segments = np.asarray(segments, dtype=float)
     n = segments.shape[0]
@@ -401,13 +467,11 @@ def entropy_separated_sets(
     sets: dict[tuple[int, float], np.ndarray] = {}
     counts: dict[tuple[int, float], int] = {}
     seeds: dict[float, tuple] = {eps: () for eps in eps_desc}
-    dmat = np.zeros((n, n))
-    t_done = -1
+    dist = _OrbitDistances(segments, T_list[-1], metric.periods)
     for T in T_list:
-        _raise_orbit_distance(dmat, segments, t_done + 1, T, metric.periods)
-        t_done = T
+        dist.advance(T)
         for eps in eps_desc:
-            sel = _farthest_first_set(dmat, eps, seeds[eps])
+            sel = _farthest_first_set(dist, n, eps, seeds[eps])
             sets[(T, eps)] = sel
             counts[(T, eps)] = len(sel)
             seeds[eps] = tuple(sel)

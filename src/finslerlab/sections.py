@@ -296,16 +296,6 @@ def _orbit_march(H, y0, t_end, config, ts=()) -> _March:
     )
 
 
-def _solve_dense(H, y0, t_end, config, ts=(), *, where: str) -> _March:
-    """One orbit marched to ``t_end``; NoCrossing if it reaches the pole cap."""
-    march = _orbit_march(H, y0, t_end, config, ts)
-    while march.step():
-        pass
-    if march.capped:
-        raise NoCrossing(f"orbit left the chart strip during {where}")
-    return march
-
-
 def _scan_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     """Scan times from ``t_start`` in steps of ``dt``, closed by ``t_end`` itself."""
     ts = np.arange(t_start, t_end, dt)
@@ -424,6 +414,46 @@ class SectionOrbit:
         return np.diff(self.lift_s) / self.circumference
 
 
+def _window_crossings(march: _March, chart: AnnulusChart, spec: SectionSpec, prev_t: float, need: int):
+    """Refined crossings of one return-map window, marched only as far as ``need`` returns need.
+
+    Upward brackets are counted as scan samples arrive (a new scan interval
+    holds at most one, so counting waits until it could reach the count
+    wanted).  With enough brackets, all brackets so far are refined in one
+    batch, and the march stops once that batch holds ``need`` transverse
+    crossings after ``prev_t`` and the scan has sampled past the end of the
+    step in which the last of them closed.  Every bracket that can share a
+    step interpolant with them is then in the batch, so they come out bit
+    for bit as from a batch over the whole window (the RK45 interpolant is a
+    matrix product whose bits depend on how many points it takes at once).
+    Otherwise the window is marched to its end; the pole cap raises
+    NoCrossing.
+    """
+    closed = []  # for each upward bracket, a step end at or after the one it closed in
+    lo, want, wait = 0, need, -math.inf
+    while march.step():
+        if march.capped:
+            continue
+        if len(closed) + march.n - 1 - lo >= want:
+            up, _ = _upward_brackets(chart.coordinate(march.path[lo : march.n]), chart.periodic_levels)
+            lo = march.n - 1
+            closed += [march.solver.t] * int(np.count_nonzero(up))
+        if len(closed) < want or march.ts[march.n - 1] <= wait:
+            continue
+        crossings = _march_crossings(march, chart)
+        t_events, _, speeds = crossings
+        kept = np.flatnonzero((t_events > prev_t) & ~(speeds < spec.transversality_tol))
+        if len(kept) < need:
+            want = len(closed) + need - len(kept)
+            continue
+        wait = closed[kept[need - 1]]
+        if march.ts[march.n - 1] > wait:
+            return crossings
+    if march.capped:
+        raise NoCrossing("orbit left the chart strip during return-map iteration")
+    return _march_crossings(march, chart)
+
+
 def iterate_section_map(
     H: DualMetric,
     spec: SectionSpec,
@@ -435,11 +465,13 @@ def iterate_section_map(
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is marched in dense windows (:class:`_March`, run to the end of
-    each window); the upward crossings inside a window are bracketed on the
-    ``scan_dt`` grid up to the window's end (:func:`_upward_brackets`), refined
-    together (:func:`_refine_roots`), and the transverse ones kept.  This keeps the per-iterate cost near one flow
-    period even for thousands of iterates.
+    The orbit is marched in dense windows (:class:`_March`); the upward
+    crossings inside a window are bracketed on the ``scan_dt`` grid
+    (:func:`_upward_brackets`), refined together (:func:`_refine_roots`), and
+    the transverse ones kept.  A window is marched to its end unless it holds
+    the n-th return, where the march stops soon after it
+    (:func:`_window_crossings`).  This keeps the per-iterate cost near one
+    flow period even for thousands of iterates.
     """
     chart = AnnulusChart(H, spec)
     y = chart.point_to_state(*start_point)
@@ -458,9 +490,9 @@ def iterate_section_map(
         if guard > max(4, 4 * int(n * spec.max_return_time / window) + 4):
             raise NoCrossing(f"return rate too low: {len(times) - 1} of {n} found")
         ts = _scan_grid(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt)
-        march = _solve_dense(H, y, window, config, ts, where="return-map iteration")
-        t_events, states_ev, speeds = _march_crossings(march, chart)
+        march = _orbit_march(H, y, window, config, ts)
         prev_t = times[-1] - t_base
+        t_events, states_ev, speeds = _window_crossings(march, chart, spec, prev_t, n + 1 - len(times))
         pts = chart.points_of_states(states_ev)
         for j in range(len(t_events)):
             if len(times) > n:
@@ -757,8 +789,12 @@ def return_time_boundary_extension(
     def transverse(tau: float, u: float) -> float:
         u = float(u)
         if u not in sols:
-            y0 = chart.point_to_state(s0, u)
-            sols[u] = _solve_dense(H, y0, t_hi, config, where="boundary extension").solution()
+            march = _orbit_march(H, chart.point_to_state(s0, u), t_hi, config)
+            while march.step():
+                pass
+            if march.capped:
+                raise NoCrossing("orbit left the chart strip during boundary extension")
+            sols[u] = march.solution()
         return float(chart.coordinate(sols[u](tau)))
 
     quotient = smooth_divide(

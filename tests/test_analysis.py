@@ -224,7 +224,13 @@ class TestSeparatedSets:
 
 
 def _reference_pairwise(segments, T, periods):
-    """The per-slice (N, N) formula the blocked distance kernel reproduces bit for bit."""
+    """The per-slice (N, N) formula the distance kernel reproduces bit for bit
+    on coordinates reduced into [0, p] (see :func:`_reduced`)."""
+    return _reference_pairwise_rows(segments, T, periods, slice(None))
+
+
+def _reference_pairwise_rows(segments, T, periods, rows):
+    """The rows ``rows`` of :func:`_reference_pairwise`."""
 
     def metric(a, b):
         total = 0.0
@@ -235,21 +241,30 @@ def _reference_pairwise(segments, T, periods):
             total = total + d * d
         return np.sqrt(total)
 
-    dmat = np.zeros((len(segments), len(segments)))
+    dmat = np.zeros((len(segments[rows]), len(segments)))
     for t in range(T + 1):
         pts = segments[:, t, :]
-        np.maximum(dmat, metric(pts[:, None, :], pts[None, :, :]), out=dmat)
+        np.maximum(dmat, metric(pts[rows][:, None, :], pts[None, :, :]), out=dmat)
     return dmat
 
 
+def _reduced(segments, periods):
+    """Segments with each periodic coordinate reduced by ``np.mod``, as the kernel does."""
+    out = np.array(segments, dtype=float)
+    for j, p in enumerate(periods):
+        if p is not None:
+            out[..., j] = np.mod(out[..., j], p)
+    return out
+
+
 def _reference_sets(segments, T_list, eps_list, periods):
-    """Farthest-first sets grown along T on reference distance matrices."""
+    """Farthest-first sets grown along T on full reference distance matrices."""
     seeds = {eps: () for eps in eps_list}
     sets = {}
     for T in sorted(T_list):
-        dmat = _reference_pairwise(segments, T, periods)
+        dmat = _reference_pairwise(_reduced(segments, periods), T, periods)
         for eps in sorted(eps_list, reverse=True):
-            sets[(T, eps)] = analysis._farthest_first_set(dmat, eps, seeds[eps])
+            sets[(T, eps)] = analysis._farthest_first_set(dmat, len(dmat), eps, seeds[eps])
             seeds[eps] = tuple(sets[(T, eps)])
     return sets
 
@@ -268,33 +283,33 @@ def _flow_like_cloud(rng, n, horizon, period):
 def _edge_cloud():
     """Slices whose wrap lands on every branch edge of numpy's remainder.
 
-    Coordinate 0 (period 1): a narrow slice holding 0, -0.0, p/2, 1 - 2^-53
+    Coordinate 0 (period 1): a slice in [0, p) holding 0, -0.0, p/2, 1 - 2^-53
     (differences reach x = p exactly, x = 3p/2 - 2^-53 and x = 0), the same
-    slice shifted to +-1.5p, and a slice of spread exactly p (remainder
-    route).  Coordinate 1 (period 3): 0 and 1.5 + 2^-52 give x = -2^-52,
-    where fl(x + 3) rounds up to p itself.  Coordinate 2 is linear.
+    slice shifted to +-1.5p (lifted: the kernel reduces it), and a slice
+    whose reduction has spread exactly p: -2^-60 reduces to p itself, and
+    0.5 - 0 reaches x = p again.  Coordinate 1 (period 3): 0 and 1.5 + 2^-52
+    give x = -2^-52, where fl(x + 3) rounds up to p itself.  Coordinate 2 is
+    linear.
     """
     base = np.array([0.0, -0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25, 0.75, 0.125])
-    # 1.5 + (1 - 2^-53) would round to 2.5 and widen the slice to exactly p
+    # the base slice lifted by 1.5p, with 1 - 2^-51 where 1.5 + (1 - 2^-53) would round to 2.5
     high = 1.5 + np.array([0.0, 0.5, 1.0 - 2.0**-51, 0.25, 0.75, 0.125, 2.0**-51, 0.375])
-    c0 = np.stack([base, high, base - 1.5, np.array([0.0, 1.0] * 4), base * 0.999])
+    full = np.array([0.0, 0.5, 0.25, -2.0**-60, 0.75, 1.0 - 2.0**-53, 2.0**-53, 0.125])
+    c0 = np.stack([base, high, base - 1.5, full, base * 0.999])
     c1 = np.stack([np.array([0.0, 1.5 + 2.0**-52] * 4)] * 5)
     c1[1] = [0.0, 1.5, 3.0 - 2.0**-51, 2.9, -0.0, 1e-300, 1.5 - 2.0**-52, 0.1]
     c2 = np.stack([np.linspace(-1.0, 1.0, 8)] * 5)
     return np.stack([c0.T, c1.T, c2.T], axis=-1), [1.0, 3.0, None]
 
 
-def _block_sizes():
-    """1, 7, one full row block, one block plus a tail, a one-row tail, an uneven tail."""
-    budget = analysis._BLOCK_ENTRIES
-    one = math.isqrt(budget)  # largest cloud whose rows fit in one block
-    one_row_tail = next(n for n in range(one + 1, 4 * one) if n % (budget // n) == 1)
-    uneven = next(n for n in range(one_row_tail + 1, 4 * one) if n % (budget // n) > 1)
-    return [1, 7, one, one + 1, one_row_tail, uneven]
+# cloud sizes for the all-rows kernel at T = 3: a tile holds all 4 slices of
+# _BLOCK_ENTRIES // (4 N) rows, so 1 and 7 fit one tile, 181 = 4 * 45 + 1 and
+# 313 = 12 * 26 + 1 end in a one-row tile, 182 and 314 in a two-row tile
+_BLOCK_SIZES = [1, 7, 181, 182, 313, 314]
 
 
 class TestDistanceKernel:
-    @pytest.mark.parametrize("n", _block_sizes())
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
     def test_blocks_match_reference_bitwise(self, rng, n):
         segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (n, 2)), 3)
         got = pairwise_orbit_distance(segs, 3, wrapped_metric([1.0, 1.0]))
@@ -304,10 +319,12 @@ class TestDistanceKernel:
     def test_wrap_edges_match_reference_bitwise(self):
         segs, periods = _edge_cloud()
         metric = wrapped_metric(periods)
+        reduced = _reduced(segs, periods)
         got = pairwise_orbit_distance(segs, 4, metric)
-        assert np.array_equal(got.view(np.int64), _reference_pairwise(segs, 4, periods).view(np.int64))
-        spans = np.ptp(segs, axis=0)
+        assert np.array_equal(got.view(np.int64), _reference_pairwise(reduced, 4, periods).view(np.int64))
+        spans = np.ptp(reduced, axis=0)
         assert np.all(spans[[0, 1, 2, 4], 0] < 1.0) and spans[3, 0] == 1.0 and spans[0, 1] < 3.0
+        assert reduced[3, 3, 0] == 1.0  # np.mod(-tiny, p) is p itself
         # the called metric is the same formula
         pts = segs[:, 1, :]
         assert metric(pts[:, None], pts[None]).tobytes() == _reference_pairwise(segs[:, 1:2], 0, periods).tobytes()
@@ -315,21 +332,24 @@ class TestDistanceKernel:
     def test_wide_and_linear_coordinates_match_reference_bitwise(self, rng):
         period = 2.0 * math.pi * 0.9
         segs = _flow_like_cloud(rng, 300, 12, period)
-        assert np.ptp(segs[:, -1, 0]) > TWO_PI  # lifted x1 takes the remainder route
+        assert np.ptp(segs[:, -1, 0]) > TWO_PI  # lifted x1, reduced once by the kernel
         periods = [TWO_PI, period, None, None]
         got = pairwise_orbit_distance(segs, 12, wrapped_metric(periods))
-        assert np.array_equal(got.view(np.int64), _reference_pairwise(segs, 12, periods).view(np.int64))
+        want = _reference_pairwise(_reduced(segs, periods), 12, periods)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
         with pytest.raises(ValueError):
             pairwise_orbit_distance(segs, 13, wrapped_metric(periods))
 
     def test_incremental_windows_match_reference_bitwise(self, rng):
         segs = _flow_like_cloud(rng, 250, 9, 4.0)
         periods = [TWO_PI, 4.0, None, None]
+        reduced = _reduced(segs, periods)
+        dist = analysis._OrbitDistances(segs, 9, periods)
         dmat = np.zeros((250, 250))
         for t_lo, t_hi in [(0, 0), (1, 3), (4, 3), (4, 9)]:
-            analysis._raise_orbit_distance(dmat, segs, t_lo, t_hi, periods)
+            dist.raise_rows(dmat, np.arange(250), t_lo, t_hi)
             if t_hi >= t_lo:
-                want = _reference_pairwise(segs, t_hi, periods)
+                want = _reference_pairwise(reduced, t_hi, periods)
                 assert np.array_equal(dmat.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("cloud", ["cat", "doubling", "flow"])
@@ -352,6 +372,64 @@ class TestDistanceKernel:
             for eps in sorted(eps_list, reverse=True):
                 running = max(running, len(ref[(T, eps)]))
                 assert est.s_of(T, eps) == running
+
+    def test_lifted_input_moves_distances_by_a_few_ulp(self, rng):
+        # the reduction replaces fl(a - b) of two lifts by the difference of
+        # their reductions: each wrapped difference moves by at most about
+        # 7 ulp(L), L the largest lift, so the distance by at most about
+        # 12 ulp(L) with squares, sum and sqrt; this cloud (lifts to ~45 over
+        # 41 slices) moves about a quarter of its entries, by at most 1.4 ulp(L)
+        period = 2.0 * math.pi * 0.9
+        segs = _flow_like_cloud(rng, 300, 40, period)
+        periods = [TWO_PI, period, None, None]
+        lift = float(np.max(np.abs(segs[..., :2])))
+        assert lift > 4.0 * TWO_PI
+        got = pairwise_orbit_distance(segs, 40, wrapped_metric(periods))
+        old = _reference_pairwise(segs, 40, periods)
+        assert np.max(np.abs(got - old)) <= 4.0 * np.spacing(lift)
+
+    def test_rows_on_demand_read_the_same_rows(self, rng):
+        cat = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (1500, 2)), 4)
+        ident = iterate_map_segments(lambda p: p, rng.uniform(0.0, 1.0, (1000, 1)), 6)
+        for segs, periods, T_list, eps_list in [
+            (cat, [1.0, 1.0], [1, 2, 3, 4], [0.35, 0.3]),
+            (ident, [1.0], list(range(7)), [1 / 16, 1 / 32]),
+        ]:
+            est = entropy_separated_sets(segs, T_list, eps_list, wrapped_metric(periods))
+            ref = _reference_sets(segs, T_list, eps_list, periods)
+            assert est.sets.keys() == ref.keys()
+            assert all(np.array_equal(est.sets[k], ref[k]) for k in ref)
+        # a row read late is computed over every slice so far
+        dist = analysis._OrbitDistances(cat, 4, [1.0, 1.0])
+        dist.advance(2)
+        early = dist[5].copy()
+        dist.advance(4)
+        want = _reference_pairwise(cat, 4, [1.0, 1.0])
+        assert np.array_equal(dist[5], want[5]) and np.array_equal(dist[700], want[700])
+        assert np.array_equal(early, _reference_pairwise(cat, 2, [1.0, 1.0])[5])
+
+    def test_rows_split_across_slice_tiles(self, rng):
+        # a row of N points over more than _BLOCK_ENTRIES // N slices is tiled along time
+        n = analysis._BLOCK_ENTRIES // 4 + 3
+        segs = _flow_like_cloud(rng, n, 9, 4.0)
+        periods = [TWO_PI, 4.0, None, None]
+        dist = analysis._OrbitDistances(segs, 9, periods)
+        dist.advance(9)
+        pick = [0, 17, n - 1]
+        reduced = _reduced(segs, periods)
+        for i in pick:
+            want = _reference_pairwise_rows(reduced, 9, periods, [i])[0]
+            assert np.array_equal(dist[i].view(np.int64), want.view(np.int64))
+
+    def test_entropy_peak_memory_below_one_matrix(self, rng):
+        segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (2000, 2)), 4)
+        tracemalloc.start()
+        try:
+            entropy_separated_sets(segs, [1, 2, 3, 4], [0.35, 0.3], wrapped_metric([1.0, 1.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8
 
     def test_peak_memory_stays_near_output(self, rng):
         segs = iterate_map_segments(cat_map, rng.uniform(0.0, 1.0, (1500, 2)), 3)

@@ -351,6 +351,39 @@ def _reference_ensemble_step(H, spec, states, config, chart):
     return _hermite_returns(H, spec, chart, states, ts, sol.y.T.reshape(m, n, 4)), sol.nfev
 
 
+def _reference_iterate(H, spec, point, n, config, window):
+    """iterate_section_map from dense solve_ivp windows, each solved to its end."""
+    chart = AnnulusChart(H, spec)
+    y = chart.point_to_state(*point)
+    points, lift, times = [chart.state_to_point(y)], [chart.lift_s(y)], [0.0]
+    t_base = 0.0
+    while len(times) <= n:
+        sol = solve_ivp(
+            H.scalar_rhs(), (0.0, window), y, method=config.method, rtol=config.rel_tol,
+            atol=config.abs_tol, max_step=config.max_step, dense_output=True,
+            events=pole_cap_event(H, config),
+        )
+        assert sol.status == 0
+        ts = np.append(np.arange(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt), window)
+        up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
+        hits = np.flatnonzero(up)
+        t_events = _refine_roots(
+            lambda t: chart.coordinate(sol.sol(t).T) - levels[hits], ts[hits], ts[hits + 1]
+        )
+        states = sol.sol(t_events).T
+        speeds = chart.transverse_velocity(states)
+        pts = chart.points_of_states(states)
+        prev_t = times[-1] - t_base
+        for j in range(len(t_events)):
+            if len(times) <= n and t_events[j] > prev_t and not speeds[j] < spec.transversality_tol:
+                points.append((float(pts[j, 0]), float(pts[j, 1])))
+                lift.append(chart.lift_s(states[j]))
+                times.append(t_base + float(t_events[j]))
+        y = sol.y[:, -1].copy()
+        t_base += window
+    return np.array(points), np.array(lift), np.array(times)
+
+
 class _CountingMetric:
     """A metric whose vector_field calls are counted."""
 
@@ -384,6 +417,23 @@ class TestMarchAgainstFullSolve:
             assert np.float64(got.transverse_speed).tobytes() == speed.tobytes()
             assert got.skipped_tangencies == skipped
         assert got.skipped_tangencies == 1
+
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
+    def test_iterate_section_map_bitwise(self, katok_sphere, h0_torus, method, tol):
+        # the march stops after the n-th return; the windows before it run to their end
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        meridian = SectionSpec(kind="meridian", max_return_time=40.0)
+        cases = [
+            (katok_sphere, SPHERE_SPEC, (1.0, 0.9), 3, 128.0),
+            (katok_sphere, SPHERE_SPEC, (0.7, 0.6), 9, 20.0),
+            (h0_torus, meridian, (0.3, 0.3), 2, 100.0),  # both returns by t = 13.4
+        ]
+        for H, spec, point, n, window in cases:
+            got = iterate_section_map(H, spec, point, n, config, window=window)
+            want = _reference_iterate(H, spec, point, n, config, window)
+            assert got.points.tobytes() == want[0].tobytes()
+            assert got.lift_s.tobytes() == want[1].tobytes()
+            assert got.times.tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("max_return_time", [8.0, 6.35])
     def test_ensemble_step_bitwise(self, katok_sphere, max_return_time):
