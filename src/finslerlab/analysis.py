@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import EmptySample, FinslerLabError, InsufficientCloud, MapFailure, NotConverged
 from .flow import TWO_PI, ENSEMBLE_CONFIG, IntegratorConfig, OrbitTrace, integrate_ensemble, integrate_orbit, metric_x2_period, phase_space_distance
 from .metrics import DualMetric
 from .profiles import RotationalProfile
+from .solvers import brent_root
 
 __all__ = [
     "RotationEstimate",
@@ -720,4 +720,4 @@ def turning_point_bisect(profile: RotationalProfile, c: float, x_hi: float = 40.
     f = profile.f
     if not (float(f(0.0)) > c > float(f(x_hi))):
         raise ValueError(f"no turning point: need f(0) > {c!r} > f({x_hi!r})")
-    return float(brentq(lambda x: float(f(x)) - c, 0.0, x_hi, xtol=1e-14))
+    return brent_root(lambda x: float(f(x)) - c, 0.0, x_hi, xtol=1e-14)

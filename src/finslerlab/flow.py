@@ -13,8 +13,9 @@ output.
 
 Every solve in the lab -- single orbits, stacked ensembles and the section
 paths in :mod:`~finslerlab.sections` -- steps one loop, :class:`_March`: the
-scipy Runge-Kutta class a one-shot scipy solve would build, advanced by hand
-with that solve's checkpoint sampling and pole-cap rule.
+lab's RK45 or DOP853 stepper (:mod:`~finslerlab.solvers`, scipy's classes
+ported bit for bit), advanced by hand with a one-shot scipy solve's
+checkpoint sampling and pole-cap rule.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution
-from scipy.optimize import brentq
 
 from .errors import (
     ConeViolation,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .metrics import CotangentPoint, DualMetric, RotationalDualMetric, cone_membership
 from .profiles import RotationalProfile
+from .solvers import DOP853, EPS, RK45, DenseSolution, brent_root
 
 __all__ = [
     "IntegratorConfig",
@@ -67,7 +67,6 @@ class IntegratorConfig:
     method: str = "DOP853"
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     invariant_drift_tol: float = 1e-8
     checkpoint_dt: float = 0.1
     x2_cap: float | None = 30.0
@@ -77,8 +76,8 @@ class IntegratorConfig:
             raise ValueError(f"method must be RK45 or DOP853, not {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0 or self.checkpoint_dt <= 0:
-            raise ValueError("max_step and checkpoint_dt must be positive")
+        if self.checkpoint_dt <= 0:
+            raise ValueError("checkpoint_dt must be positive")
 
     def with_(self, **kw) -> "IntegratorConfig":
         from dataclasses import replace
@@ -206,10 +205,10 @@ def pole_cap_event(H: DualMetric, config: IntegratorConfig):
 class _March:
     """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
 
-    The one stepping loop of the lab.  The solver is the scipy class a
-    one-shot scipy solve would build for ``config`` (same ``rtol``, ``atol``
-    and ``max_step``), and each step is handled the way that solve handles it,
-    so the numbers are the same:
+    The one stepping loop of the lab.  The solver is the lab's port of the
+    class a one-shot scipy solve would build for ``config`` (same ``rtol``
+    and ``atol``; see :mod:`~finslerlab.solvers`), and each step is handled
+    the way that solve handles it, so the numbers are the same:
 
     * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
       are taken from its dense output in one call (as ``t_eval`` is, by
@@ -220,13 +219,14 @@ class _March:
       (time, state) there;
     * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
 
-    Callers step it to ``t_end``, or stop once they have what they need.
+    Callers step it to ``t_end``, or stop once they have what they need; the
+    solver's ``t`` and ``y`` are where the march stands.  A step size that
+    underflows raises StepFailure with the solver's message.
     """
 
     def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
         self.solver = _SOLVERS[config.method](
-            fun, 0.0, y0, t_end,
-            rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
+            fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol
         )
         self.ts = np.asarray(ts, dtype=float)
         self._dts = self.solver.direction * self.ts
@@ -254,9 +254,7 @@ class _March:
             if self._g >= 0.0 and g <= 0.0:
                 if sol is None:
                     sol = solver.dense_output()
-                eps = np.finfo(float).eps
-                t = brentq(lambda s: self._cap(s, sol(s)), solver.t_old, t,
-                           xtol=4 * eps, rtol=4 * eps)
+                t = brent_root(lambda s: self._cap(s, sol(s)), solver.t_old, t, xtol=4 * EPS)
                 self.capped = (t, sol(t))
             self._g = g
         hi = int(np.searchsorted(self._dts, solver.direction * t, side="right"))
@@ -270,9 +268,9 @@ class _March:
             self._interpolants.append(sol)
         return True
 
-    def solution(self) -> OdeSolution:
+    def solution(self) -> DenseSolution:
         """Dense solution over the steps taken so far."""
-        return OdeSolution(self._t, self._interpolants)
+        return DenseSolution(self._t, self._interpolants)
 
 
 def integrate_orbit(

@@ -180,7 +180,7 @@ class RotationalDualMetric(DualMetric):
         f_fp = self.profile.f_fp_scalar
 
         def rhs(t, y):
-            x2, xi1, xi2 = y[1], y[2], y[3]
+            _, x2, xi1, xi2 = map(float, y)
             f, fp = f_fp(x2)
             R = math.hypot(xi1, xi2)
             inv = 1.0 / (f * R)
@@ -277,7 +277,7 @@ class KatokDualMetric(DualMetric):
         alpha = self.alpha
 
         def rhs(t, y):
-            x2, xi1, xi2 = y[1], y[2], y[3]
+            _, x2, xi1, xi2 = map(float, y)
             f, fp = f_fp(x2)
             R = math.hypot(xi1, xi2)
             inv = 1.0 / (f * R)
@@ -349,7 +349,7 @@ class ReversibilizedDualMetric(DualMetric):
         def rhs(t, y):
             if y[2] >= 0.0:
                 return inner_rhs(t, y)
-            g = inner_rhs(t, [y[0], y[1], -y[2], -y[3]])
+            g = inner_rhs(t, (y[0], y[1], -y[2], -y[3]))
             return [-g[0], -g[1], g[2], g[3]]
 
         return rhs

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .flow import TWO_PI
 from .metrics import DualMetric, cone_membership
 from .profiles import RotationalProfile, eval_f0
+from .solvers import brent_root
 
 __all__ = [
     "sample_covectors",
@@ -105,7 +105,7 @@ def solve_xi2_on_level(H: DualMetric, x1: float, x2: float, xi1: float, *, xi2_h
         return None
     if g(xi2_hi) < 0.0:
         return None
-    return float(brentq(g, 1e-12, xi2_hi, xtol=1e-14))
+    return brent_root(g, 1e-12, xi2_hi, xtol=1e-14)
 
 
 def sample_tube_states(

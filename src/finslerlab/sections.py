@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BranchMismatch,
@@ -36,6 +35,7 @@ from .errors import (
 from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, _March, pole_cap_event, stacked_rhs
 from .metrics import DualMetric
 from .profiles import RotationalProfile
+from .solvers import brent_root
 
 __all__ = [
     "SectionSpec",
@@ -219,7 +219,7 @@ class AnnulusChart:
             return hi
         if flo * fhi > 0.0:
             raise ValueError("could not bracket the covector direction")
-        return brentq(mismatch, lo, hi, xtol=1e-14)
+        return brent_root(mismatch, lo, hi, xtol=1e-14)
 
     def symplectic_coords(self, state) -> tuple[float, float]:
         """Coordinates (position lift, conjugate momentum) of the flux area form."""
@@ -252,7 +252,7 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     ``g`` maps an array of times to the array of values, entry by entry.  The
     iteration is Illinois (modified regula falsi), with a bisection step
     wherever three steps have not halved the bracket.  Each bracket is refined
-    until it is narrower than brentq's tolerance ``xtol + 4 eps |t|``; the
+    until it is narrower than Brent's tolerance ``xtol + 4 eps |t|``; the
     midpoint of the final bracket is returned.
     """
     a = np.array(lo, dtype=float)

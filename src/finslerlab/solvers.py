@@ -1,0 +1,455 @@
+"""The lab's own explicit Runge-Kutta steppers and Brent root, in plain numpy.
+
+Both are ports of scipy's code (SciPy 1.17, BSD-3-Clause) that keep its
+arithmetic operation for operation, so they return the same bits:
+
+* :class:`RK45` and :class:`DOP853` are ``scipy.integrate``'s classes of the
+  same names (``_ivp/rk.py``, with the ``OdeSolver`` step bookkeeping of
+  ``_ivp/base.py`` and ``select_initial_step`` of ``_ivp/common.py``): the
+  Dormand-Prince 5(4) pair with Shampine's quartic dense output, and Hairer's
+  DOP853 8(5,3) pair (:mod:`~finslerlab.dop853_coefficients`) with its
+  7th-degree dense output; Hairer, Norsett and Wanner, *Solving Ordinary
+  Differential Equations I*, Sec. II.4-II.6.  There is no ``max_step``: the
+  step is bounded by the interval only.
+* :class:`DenseSolution` is ``OdeSolution``: the step interpolants joined,
+  each time evaluated on the step scipy would pick.
+* :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
+  Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
+
+Bit equality rests on details kept on purpose: the stage sums
+``np.dot(K[:s].T, a[:s]) * h`` on a C-order ``K``, and an interpolant called
+at one time (a matrix-vector product) is a different path from one called at
+an array of times (matrix-matrix), whose bits can differ in the last place.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from itertools import groupby
+
+import numpy as np
+
+from . import dop853_coefficients as _dop853
+
+__all__ = ["RK45", "DOP853", "DenseSolution", "brent_root"]
+
+EPS = float(np.finfo(float).eps)
+
+# step-size controller
+SAFETY = 0.9  # multiplies the asymptotically optimal step factor
+MIN_FACTOR = 0.2  # smallest step decrease
+MAX_FACTOR = 10  # largest step increase
+
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# brent_root: scipy's brentq defaults, the only values the lab uses
+RTOL = 4 * EPS  # relative part of the bracket width at which it stops
+MAXITER = 100
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _RungeKutta:
+    """An embedded explicit Runge-Kutta pair stepped from ``t0`` toward ``t_bound``.
+
+    Attributes as scipy's solvers: ``t``, ``y``, ``t_old`` (None before the
+    first step), ``direction``, ``status`` ('running', 'finished' or
+    'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
+    None, or scipy's message when the step size underflows.
+    """
+
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    error_estimator_order: int
+    n_stages: int
+
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
+        y0 = np.asarray(y0).astype(float, copy=False)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        self._rhs = fun
+        self.t_old = None
+        self.t = t0
+        self.y = y0
+        self.t_bound = t_bound
+        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.n = y0.size
+        self.status = "running"
+        self.nfev = 0
+        self.y_old = None
+        if np.any(rtol < 100 * EPS):
+            warnings.warn(
+                "At least one element of `rtol` is too small. "
+                f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                stacklevel=3,
+            )
+            rtol = np.maximum(rtol, 100 * EPS)
+        self.rtol, self.atol = rtol, np.asarray(atol)
+        self.f = self.fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((self.n_stages + 1, self.n))
+        self.error_exponent = -1 / (self.error_estimator_order + 1)
+        self.h_previous = None
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return np.asarray(self._rhs(t, y), dtype=float)
+
+    def _initial_step(self):
+        """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner, Sec. II.4)."""
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        if y0.size == 0:
+            return np.inf
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        f1 = self.fun(t0 + h0 * direction, y1)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+        return min(100 * h0, h1, interval_length)
+
+    def step(self):
+        """Advance one accepted step (scipy's ``OdeSolver.step``)."""
+        if self.n == 0 or self.t == self.t_bound:
+            self.t_old = self.t
+            self.t = self.t_bound
+            self.status = "finished"
+            return None
+        t = self.t
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+    def _rk_step(self, t, y, f, h):
+        """scipy's ``rk_step``: the stages into ``K``; returns (y_new, f_new)."""
+        K = self.K
+        K[0] = f
+        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = self._rk_step(t, y, self.f, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._error_norm(h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return None
+
+    def dense_output(self):
+        """Interpolant over the last step (constant over a step of length 0)."""
+        if self.n == 0 or self.t == self.t_old:
+            return _ConstantDense(self.y)
+        return self._dense_output_impl()
+
+
+class RK45(_RungeKutta):
+    """Dormand-Prince 5(4) with Shampine's quartic dense output (scipy's ``RK45``)."""
+
+    error_estimator_order = 4
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    # the optimum c_6 of Shampine, Math. Comp. 46 (1986) 135-150
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+    def _error_norm(self, h, scale):
+        return _rms(np.dot(self.K.T, self.E) * h / scale)
+
+    def _dense_output_impl(self):
+        return _RkDense(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
+
+
+class DOP853(_RungeKutta):
+    """Hairer's DOP853 8(5,3) pair with its 7th-degree dense output (scipy's ``DOP853``)."""
+
+    error_estimator_order = 7
+    n_stages = _dop853.N_STAGES
+    A = _dop853.A[:n_stages, :n_stages]
+    B = _dop853.B
+    C = _dop853.C[:n_stages]
+    E3 = _dop853.E3
+    E5 = _dop853.E5
+    D = _dop853.D
+    A_EXTRA = _dop853.A[n_stages + 1:]
+    C_EXTRA = _dop853.C[n_stages + 1:]
+
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
+        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol)
+        self.K_extended = np.empty((_dop853.N_STAGES_EXTENDED, self.n))
+        self.K = self.K_extended[: self.n_stages + 1]
+
+    def _error_norm(self, h, scale):
+        K = self.K
+        err5 = np.dot(K.T, self.E5) / scale
+        err3 = np.dot(K.T, self.E3) / scale
+        err5_norm_2 = np.linalg.norm(err5) ** 2
+        err3_norm_2 = np.linalg.norm(err3) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def _dense_output_impl(self):
+        K = self.K_extended
+        h = self.h_previous
+        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
+
+        F = np.empty((_dop853.INTERPOLATOR_POWER, self.n))
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return _Dop853Dense(self.t_old, self.t, self.y_old, F)
+
+
+class _Dense:
+    """Interpolant over one step: ``sol(t)`` is (n,) at a scalar t, (n, m) at m times."""
+
+    def __call__(self, t):
+        return self._call_impl(np.asarray(t))
+
+
+class _RkDense(_Dense):
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.Q = Q
+        self.order = Q.shape[1] - 1
+        self.y_old = y_old
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            p = np.cumprod(np.tile(x, self.order + 1))
+        else:
+            p = np.cumprod(np.tile(x, (self.order + 1, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        if y.ndim == 2:
+            y += self.y_old[:, None]
+        else:
+            y += self.y_old
+        return y
+
+
+class _Dop853Dense(_Dense):
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
+class _ConstantDense(_Dense):
+    def __init__(self, value):
+        self.value = value
+
+    def _call_impl(self, t):
+        if t.ndim == 0:
+            return self.value
+        ret = np.empty((self.value.shape[0], t.shape[0]))
+        ret[:] = self.value[:, None]
+        return ret
+
+
+class DenseSolution:
+    """Step interpolants joined over the step ends ``ts`` (scipy's ``OdeSolution``).
+
+    A time on a step end takes the step that ends there (the lower-index
+    step, as ``OdeSolution`` with ``alt_segment=False``), a time outside the
+    run the nearest end step; an array of times is sorted and each step's
+    times are evaluated together, as one array.
+    """
+
+    def __init__(self, ts, interpolants):
+        ts = np.asarray(ts)
+        self.n_segments = len(interpolants)
+        self.interpolants = interpolants
+        self.ascending = bool(ts[-1] >= ts[0])
+        self.side = "left" if self.ascending else "right"
+        self.ts_sorted = ts if self.ascending else ts[::-1]
+
+    def _segment(self, ind):
+        segment = min(max(ind - 1, 0), self.n_segments - 1)
+        return segment if self.ascending else self.n_segments - 1 - segment
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
+            return self.interpolants[self._segment(ind)](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1
+        segments = np.clip(segments, 0, self.n_segments - 1)
+        if not self.ascending:
+            segments = self.n_segments - 1 - segments
+        ys = []
+        start = 0
+        for segment, group in groupby(segments):
+            end = start + len(list(group))
+            ys.append(self.interpolants[segment](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+def brent_root(f, a: float, b: float, *, xtol: float) -> float:
+    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign (scipy's ``brentq``).
+
+    Brent's method: inverse quadratic interpolation or secant steps where
+    they shrink the bracket fast enough, bisection otherwise, until the
+    bracket is narrower than ``xtol + RTOL |x|``.  Returns an end where ``f``
+    is exactly 0.  Raises ValueError when f(a) and f(b) have the same sign
+    or ``f`` returns NaN, RuntimeError after ``MAXITER`` iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflowed difference: C's inf or nan bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +265,7 @@ def _reference_orbit(H, y0, T, config):
     """integrate_orbit as one solve_ivp call: checkpoints as t_eval, the pole cap as event."""
     return solve_ivp(
         H.scalar_rhs(), (0.0, T), y0, method=config.method, rtol=config.rel_tol,
-        atol=config.abs_tol, max_step=config.max_step, t_eval=_checkpoints(T, config),
+        atol=config.abs_tol, t_eval=_checkpoints(T, config),
         events=pole_cap_event(H, config),
     )
 
@@ -309,10 +312,36 @@ class TestFlowAgainstFullSolve:
         assert ens.states.tobytes() == sol.y.T.reshape(len(grid), 12, 4).tobytes()
 
 
+def _is_scipy(name) -> bool:
+    return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
+
+
 def test_no_library_module_imports_solve_ivp():
-    # every solve steps flow._March; a second stepping loop must not creep back
+    # every solve steps flow._March on the lab's own stepper, and no module
+    # imports scipy in any form: statement, deferred or by name
     for path in sorted(Path(finslerlab.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert "solve_ivp" not in names, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(_is_scipy(a.name) for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert not _is_scipy(node.module), path.name
+            elif isinstance(node, ast.Call):
+                args = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                assert not any(_is_scipy(a) for a in args), path.name
+
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, finslerlab, finslerlab.cli; "
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))"
+    )
+    src = str(Path(finslerlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120
+    )
+    assert out.stdout.strip() == "[]"

@@ -322,7 +322,7 @@ def _reference_detect(H, y0, spec, config, t_skip):
     t_max = spec.max_return_time
     sol = solve_ivp(
         H.scalar_rhs(), (0.0, t_max), y0, method=config.method, rtol=config.rel_tol,
-        atol=config.abs_tol, max_step=config.max_step, dense_output=True,
+        atol=config.abs_tol, dense_output=True,
         events=pole_cap_event(H, config),
     )
     assert sol.status == 0
@@ -360,7 +360,7 @@ def _reference_iterate(H, spec, point, n, config, window):
     while len(times) <= n:
         sol = solve_ivp(
             H.scalar_rhs(), (0.0, window), y, method=config.method, rtol=config.rel_tol,
-            atol=config.abs_tol, max_step=config.max_step, dense_output=True,
+            atol=config.abs_tol, dense_output=True,
             events=pole_cap_event(H, config),
         )
         assert sol.status == 0
