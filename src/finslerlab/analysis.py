@@ -660,12 +660,12 @@ def tube_diagnostics(
     Each ensemble orbit's minimal xi1-distance to the tube boundary levels is
     tracked along its run (xi1 is conserved, so the distance essentially
     equals the initial gap); boundary_fraction(eps) is the fraction of orbits
-    that come within eps of the boundary.  If the stacked batch fails, each
-    orbit is retried alone and the ones that fail again are counted in
-    n_failed.  One long orbit, from the first state, is run on the scalar
-    path (:func:`integrate_orbit`, same config and checkpoint grid) against
-    the witness balls: a ball whose xi1-range avoids the orbit's conserved
-    level must keep a positive distance, the numerical shadow of non-density.
+    that come within eps of the boundary.  Orbits the ensemble reports failed
+    are left out of both and counted in n_failed.  One long orbit, from the
+    first state, is run on the scalar path (:func:`integrate_orbit`, same
+    config and checkpoint grid) against the witness balls: a ball whose
+    xi1-range avoids the orbit's conserved level must keep a positive
+    distance, the numerical shadow of non-density.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:
@@ -673,20 +673,9 @@ def tube_diagnostics(
     eps_grid = np.asarray(sorted(float(e) for e in eps_grid))
     x2_period = metric_x2_period(H)
 
-    n_failed = 0
-    try:
-        ens = integrate_ensemble(H, states, ensemble_time, config)
-        xi1_paths = ens.states[:, :, 2]  # (m, N)
-        min_dists = np.min(tube.gap(xi1_paths), axis=0)
-    except FinslerLabError:  # batch integration failed; fall back orbit by orbit
-        dists = []
-        for y0 in states:
-            try:
-                tr = integrate_orbit(H, y0, ensemble_time, config, enforce_drift=False)
-                dists.append(float(np.min(tube.gap(tr.h1_values))))
-            except FinslerLabError:
-                n_failed += 1
-        min_dists = np.array(dists)
+    ens = integrate_ensemble(H, states, ensemble_time, config)
+    failed = ens.failed
+    min_dists = np.min(tube.gap(ens.states[:, ~failed, 2]), axis=0)
 
     fractions = np.array([float(np.mean(min_dists < eps)) for eps in eps_grid])
     gaps = tube.gap(states[:, 2])
@@ -704,7 +693,7 @@ def tube_diagnostics(
         min_boundary_dists=min_dists,
         initial_gaps=gaps,
         witness_distances=witness_distances,
-        n_failed=n_failed,
+        n_failed=int(np.count_nonzero(failed)),
     )
 
 

@@ -11,44 +11,39 @@ drift tolerance; drift is the audited quantity instead of a symplectic scheme,
 because the Hamiltonians are piecewise-defined and event location needs dense
 output.
 
-Every solve in the lab -- single orbits, stacked ensembles and the section
-paths in :mod:`~finslerlab.sections` -- steps one loop, :class:`_March`: the
-lab's RK45 or DOP853 stepper (:mod:`~finslerlab.solvers`, scipy's classes
-ported bit for bit), advanced by hand with a one-shot scipy solve's
-checkpoint sampling and pole-cap rule.
+Single orbits and the section paths in :mod:`~finslerlab.sections` step one
+loop, :class:`_March`: the lab's RK45 or DOP853 stepper
+(:mod:`~finslerlab.solvers`, scipy's classes ported bit for bit), advanced by
+hand with a one-shot scipy solve's checkpoint sampling and pole-cap rule.
+Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
+step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
+longer sets the step of the rest.  The stacked return steps of
+:func:`~finslerlab.sections.ensemble_return_step` keep one shared step: on
+the Katok sphere the orbit nearest the pole needs more attempts alone than
+the shared step takes, and a batched field call costs the same for few
+orbits as for many.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConeViolation,
-    InvariantDrift,
-    LiftAmbiguity,
-    PoleProximity,
-    StepFailure,
-    ZeroCovector,
-)
-from .metrics import CotangentPoint, DualMetric, RotationalDualMetric, cone_membership
-from .profiles import RotationalProfile
-from .solvers import DOP853, EPS, RK45, DenseSolution, brent_root
+from .errors import InvariantDrift, PoleProximity, StepFailure, ZeroCovector
+from .metrics import CotangentPoint, DualMetric
+from .solvers import DOP853, EPS, RK45, DenseSolution, brent_root, march_rows
 
 __all__ = [
     "IntegratorConfig",
     "OrbitTrace",
     "EnsembleTrace",
-    "hamiltonian_vector_field",
     "stacked_rhs",
     "integrate_orbit",
     "integrate_ensemble",
-    "compose_commuting_flows",
     "check_periodicity",
     "PeriodicityReport",
-    "lift_to_cover",
     "phase_space_distance",
     "circle_difference",
     "metric_x2_period",
@@ -100,12 +95,6 @@ def metric_x2_period(H: DualMetric) -> float | None:
     return getattr(profile, "period", None)
 
 
-def hamiltonian_vector_field(H: DualMetric, p) -> np.ndarray:
-    """(dH/dxi, -dH/dx) at one state or a batch of states."""
-    y = p.array if isinstance(p, CotangentPoint) else np.asarray(p, dtype=float)
-    return H.vector_field(y)
-
-
 def stacked_rhs(H: DualMetric, n: int):
     """rhs(t, flat) for n orbits stacked into one (4n,) system.
 
@@ -145,23 +134,12 @@ class OrbitTrace:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at(self, i: int) -> CotangentPoint:
-        return CotangentPoint.from_array(self.states[i])
-
     def h_drift(self) -> float:
         return float(np.max(np.abs(self.h_values - self.h_values[0])) / abs(self.h_values[0]))
 
     def h1_drift(self) -> float:
         scale = max(abs(self.h1_values[0]), abs(self.h_values[0]))
         return float(np.max(np.abs(self.h1_values - self.h1_values[0])) / scale)
-
-    def lift_steps_ok(self) -> bool:
-        """Consecutive lifted base points move less than half a period."""
-        d = np.abs(np.diff(self.lifted_base, axis=0))
-        ok = bool(np.all(d[:, 0] < math.pi))
-        if self.x2_period:
-            ok = ok and bool(np.all(d[:, 1] < self.x2_period / 2.0))
-        return ok
 
     def to_csv(self, path) -> None:
         base = self.base_points
@@ -205,10 +183,11 @@ def pole_cap_event(H: DualMetric, config: IntegratorConfig):
 class _March:
     """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
 
-    The one stepping loop of the lab.  The solver is the lab's port of the
-    class a one-shot scipy solve would build for ``config`` (same ``rtol``
-    and ``atol``; see :mod:`~finslerlab.solvers`), and each step is handled
-    the way that solve handles it, so the numbers are the same:
+    The stepping loop of single orbits and section solves.  The solver is
+    the lab's port of the class a one-shot scipy solve would build for
+    ``config`` (same ``rtol`` and ``atol``; see :mod:`~finslerlab.solvers`),
+    and each step is handled the way that solve handles it, so the numbers
+    are the same:
 
     * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
       are taken from its dense output in one call (as ``t_eval`` is, by
@@ -318,15 +297,28 @@ def integrate_orbit(
 
 @dataclass(frozen=True)
 class EnsembleTrace:
-    """Checkpointed states of a whole orbit ensemble: shape (n_times, N, 4)."""
+    """Sampled states of an orbit ensemble, shape (n_times, N, 4), with its failures and work.
+
+    ``errors`` maps each failed orbit to the error class that stopped it:
+    ZeroCovector for a start at xi = 0, StepFailure for a step size that
+    underflowed.  A failed orbit's samples from its failure on are NaN.
+    ``iterations`` counts the lockstep iterations and ``orbit_attempts`` the
+    step attempts of all orbits together.
+    """
 
     times: np.ndarray
     states: np.ndarray
     x2_period: float | None = None
+    errors: dict = field(default_factory=dict)
+    iterations: int = 0
+    orbit_attempts: int = 0
 
-    def max_h_drift(self, H: DualMetric) -> float:
-        h = np.asarray(H.value(self.states))
-        return float(np.max(np.abs(h - h[0]) / np.abs(h[0])))
+    @property
+    def failed(self) -> np.ndarray:
+        """(N,) mask of the orbits in ``errors``."""
+        mask = np.zeros(self.states.shape[1], dtype=bool)
+        mask[list(self.errors)] = True
+        return mask
 
 
 def integrate_ensemble(
@@ -337,14 +329,18 @@ def integrate_ensemble(
     *,
     t_eval=None,
 ) -> EnsembleTrace:
-    """Integrate N orbits as one stacked system (shared adaptive step).
+    """Integrate N orbits, each under its own step control, sampled at ``t_eval``.
 
-    The right-hand side is :func:`stacked_rhs`, one batched
-    ``H.vector_field`` call per evaluation, stepped by :class:`_March` to the
-    end of the sample grid ``t_eval`` (default: the checkpoint grid of
-    ``[0, T]``), which must start at 0 and run toward its end.  Meant for
-    orbit statistics (entropy clouds, tube ensembles); acceptance grade
-    per-orbit runs should use :func:`integrate_orbit`.
+    :func:`~finslerlab.solvers.march_rows` steps every orbit as the
+    configured method would step it alone -- its own t, step size and error
+    norm -- with one batched ``H.vector_field`` call per stage for the
+    orbits still running, to the end of the sample grid ``t_eval`` (default:
+    the checkpoint grid of ``[0, T]``), which must start at 0 and run toward
+    its end.  An orbit's samples are therefore the same bits in any
+    ensemble.  An orbit that starts at xi = 0 or whose step size underflows
+    is recorded in ``errors`` and the others run on.  Meant for orbit
+    statistics (entropy clouds, tube ensembles); acceptance grade per-orbit
+    runs should use :func:`integrate_orbit`.
     """
     states0 = np.atleast_2d(np.asarray(states0, dtype=float))
     n = states0.shape[0]
@@ -355,39 +351,19 @@ def integrate_ensemble(
     if t_eval[0] != 0.0 or np.any(d * np.diff(t_eval) < 0.0):
         raise ValueError("t_eval must start at 0 and be ordered toward its end")
 
-    march = _March(stacked_rhs(H, n), states0.reshape(-1), float(t_eval[-1]), config, t_eval)
-    while march.step():
-        pass
-    states = march.path.reshape(len(t_eval), n, 4)
-    return EnsembleTrace(times=t_eval, states=states, x2_period=metric_x2_period(H))
-
-
-def compose_commuting_flows(
-    profile: RotationalProfile,
-    alpha: float,
-    p0,
-    t: float,
-    *,
-    cone_a: float,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-) -> CotangentPoint:
-    """Flow of H0 + alpha*H1 realized as (H0-flow) o (rigid x1-shift by alpha*t).
-
-    Valid exactly on the invariant cone U_a where the perturbed metric equals
-    H0 + alpha*H1; serves as an independent oracle for direct integration of
-    the perturbed family there.
-    """
-    y0 = p0.array if isinstance(p0, CotangentPoint) else np.array(p0, dtype=float)
-    if not cone_membership(profile, cone_a, y0):
-        raise ConeViolation(f"start state outside U_{cone_a}")
-    trace = integrate_orbit(RotationalDualMetric(profile), y0, t, config)
-    slack = 1e-9
-    inside = cone_membership(profile, cone_a + slack, trace.states)
-    if not np.all(inside):
-        raise ConeViolation(f"orbit left U_{cone_a} during composition")
-    y = trace.final_state.copy()
-    y[0] += alpha * t
-    return CotangentPoint.from_array(y)
+    zero = np.hypot(states0[:, 2], states0[:, 3]) == 0.0
+    run = march_rows(
+        _SOLVERS[config.method], H.vector_field, states0[~zero], float(t_eval[-1]), t_eval,
+        rtol=config.rel_tol, atol=config.abs_tol,
+    )
+    states = np.full((len(t_eval), n, 4), np.nan)
+    states[:, ~zero] = run.path
+    errors = dict.fromkeys(np.flatnonzero(zero).tolist(), ZeroCovector)
+    errors.update(dict.fromkeys(np.flatnonzero(~zero)[run.failed].tolist(), StepFailure))
+    return EnsembleTrace(
+        times=t_eval, states=states, x2_period=metric_x2_period(H), errors=errors,
+        iterations=run.iterations, orbit_attempts=run.attempts,
+    )
 
 
 def circle_difference(d, period: float):
@@ -434,38 +410,3 @@ def check_periodicity(
         trace = integrate_orbit(H, y0, T, config)
         dists[i] = phase_space_distance(trace.final_state, y0, x2_period)
     return PeriodicityReport(period=T, distances=dists)
-
-
-def lift_to_cover(
-    trace_or_base,
-    x1_period: float = TWO_PI,
-    x2_period: float | None = None,
-    *,
-    ambiguity_fraction: float = 0.499,
-) -> np.ndarray:
-    """Continuously unwrap reduced base points across fundamental domains.
-
-    Accepts an OrbitTrace (whose reduced base points are re-lifted, an
-    independent route to the stored lift) or a raw (n, 2) array of reduced
-    points.  Raises LiftAmbiguity when one step moves at least half a period.
-    """
-    if isinstance(trace_or_base, OrbitTrace):
-        base = trace_or_base.base_points
-        if x2_period is None:
-            x2_period = trace_or_base.x2_period
-    else:
-        base = np.asarray(trace_or_base, dtype=float)
-    out = np.empty_like(base)
-    out[0] = base[0]
-    d1 = circle_difference(np.diff(base[:, 0]), x1_period)
-    if np.any(np.abs(d1) >= ambiguity_fraction * x1_period):
-        raise LiftAmbiguity("x1 step of at least half a period")
-    out[1:, 0] = base[0, 0] + np.cumsum(d1)
-    if x2_period:
-        d2 = circle_difference(np.diff(base[:, 1]), x2_period)
-        if np.any(np.abs(d2) >= ambiguity_fraction * x2_period):
-            raise LiftAmbiguity("x2 step of at least half a period")
-        out[1:, 1] = base[0, 1] + np.cumsum(d2)
-    else:
-        out[:, 1] = base[:, 1]
-    return out

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .benchmarks import CAT_ENTROPY, cat_map, doubling_map, iterate_map_segments, rigid_rotation, twist_map
 from .config import build_config, default_config, integrator_from_config, section_from_config
-from .errors import NotVanishing, PoleProximity, UnknownScenario
+from .errors import NotVanishing, PoleProximity, StepFailure, UnknownScenario
 from .flow import (
     TWO_PI,
     IntegratorConfig,
@@ -157,6 +157,8 @@ def flow_entropy(H, period: float, ent_cfg: dict, rng):
     cloud = sample_unit_level(H, rng, int(ent_cfg.get("cloud", 2000)), x2_range=(0.0, period))
     ens_cfg = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
     trace = integrate_ensemble(H, cloud, float(horizon), ens_cfg, t_eval=np.arange(horizon + 1.0))
+    if trace.errors:
+        raise StepFailure(f"{len(trace.errors)} of {len(cloud)} entropy-cloud orbits failed")
     return entropy_separated_sets(
         np.swapaxes(trace.states, 0, 1),  # (N, horizon+1, 4)
         T_list=ent_cfg.get("T_list", [0, 10, 20, 40, 60]),

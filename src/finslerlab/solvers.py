@@ -16,6 +16,12 @@ arithmetic operation for operation, so they return the same bits:
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 
+:func:`march_rows` steps many independent systems at once with the same
+tableaux, initial step, controller and dense outputs applied to each row on
+its own: every row has its own t, h and error norm (Hairer, Norsett and
+Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
+Its sums run term by term, so a row's numbers do not depend on the other rows.
+
 Bit equality rests on details kept on purpose: the stage sums
 ``np.dot(K[:s].T, a[:s]) * h`` on a C-order ``K``, and an interpolant called
 at one time (a matrix-vector product) is a different path from one called at
@@ -27,12 +33,13 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dop853_coefficients as _dop853
 
-__all__ = ["RK45", "DOP853", "DenseSolution", "brent_root"]
+__all__ = ["RK45", "DOP853", "DenseSolution", "RowRun", "march_rows", "brent_root"]
 
 EPS = float(np.finfo(float).eps)
 
@@ -390,6 +397,224 @@ class DenseSolution:
             ys.append(self.interpolants[segment](t_sorted[start:end]))
             start = end
         return np.hstack(ys)[:, reverse]
+
+
+def _stage_sum(coefficients, K):
+    """sum_s coefficients[s] * K[s] over the nonzero coefficients, in stage order.
+
+    Elementwise, so each row of K sums to the same bits however many rows K has.
+    """
+    total = None
+    for c, k in zip(coefficients, K):
+        if c != 0:
+            if total is None:
+                total = k * c
+            else:
+                total += k * c
+    return total
+
+
+def _row_sum_squares(x):
+    total = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        total += x[:, j] * x[:, j]
+    return total
+
+
+def _row_rms(x):
+    return np.sqrt(_row_sum_squares(x)) / x.shape[1] ** 0.5
+
+
+class RowRun(NamedTuple):
+    """Result of :func:`march_rows`."""
+
+    path: np.ndarray  # (len(ts), N, n); NaN at samples a failed row never reached
+    failed: np.ndarray  # (N,) bool: the row's step size underflowed
+    iterations: int  # lockstep iterations, each one attempt of every active row
+    attempts: int  # step attempts of all rows together
+
+
+class _RowStepper:
+    """The controller of :class:`_RungeKutta` applied to each row of an (N, n) state.
+
+    ``method`` is :class:`RK45` or :class:`DOP853`, whose tableau is used;
+    ``fun(y)`` maps an (m, n) batch of states to their derivatives (the
+    systems are autonomous).  Subclasses give the error norm and the dense
+    output of their pair: ``sample(K, h, y_old, y, which, x)`` evaluates the
+    interpolant of the step of row ``which[k]`` at the fraction ``x[k]``.
+    """
+
+    method: type
+
+    def __init__(self, fun, rtol, atol):
+        if np.any(rtol < 100 * EPS):
+            warnings.warn(
+                "At least one element of `rtol` is too small. "
+                f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                stacklevel=3,
+            )
+            rtol = np.maximum(rtol, 100 * EPS)
+        self.fun, self.rtol, self.atol = fun, rtol, atol
+        self.error_exponent = -1 / (self.method.error_estimator_order + 1)
+
+    def initial_step(self, y0, f0, interval_length, direction):
+        """``select_initial_step`` for each row."""
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _row_rms(y0 / scale)
+        d1 = _row_rms(f0 / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+            h0 = np.minimum(h0, interval_length)
+            y1 = y0 + (h0 * direction)[:, None] * f0
+            d2 = _row_rms((self.fun(y1) - f0) / scale) / h0
+            h1 = np.where(
+                (d1 <= 1e-15) & (d2 <= 1e-15),
+                np.maximum(1e-6, h0 * 1e-3),
+                (0.01 / np.maximum(d1, d2)) ** (1 / (self.method.error_estimator_order + 1)),
+            )
+        return np.minimum(np.minimum(100 * h0, h1), interval_length)
+
+    def attempt(self, y, f, h):
+        """The stages of one attempt of each row; returns (y_new, K)."""
+        m = self.method
+        K = np.empty((self.n_stages_stored, *y.shape))
+        K[0] = f
+        hc = h[:, None]
+        for s in range(1, m.n_stages):
+            K[s] = self.fun(y + _stage_sum(m.A[s, :s], K[:s]) * hc)
+        y_new = y + hc * _stage_sum(m.B, K[: m.n_stages])
+        K[m.n_stages] = self.fun(y_new)
+        return y_new, K
+
+
+class _RowsRK45(_RowStepper):
+    method = RK45
+    n_stages_stored = RK45.n_stages + 1
+
+    def error_norm(self, K, h, scale):
+        return _row_rms(_stage_sum(RK45.E, K) * h[:, None] / scale)
+
+    def sample(self, K, h, y_old, y, which, x):
+        Q = [_stage_sum(q, K)[which] for q in RK45.P.T]
+        p = x[:, None]
+        acc = Q[0] * p
+        for q in Q[1:]:
+            p = p * x[:, None]
+            acc += q * p
+        return h[which, None] * acc + y_old[which]
+
+
+class _RowsDOP853(_RowStepper):
+    method = DOP853
+    n_stages_stored = _dop853.N_STAGES_EXTENDED
+
+    def error_norm(self, K, h, scale):
+        K = K[: DOP853.n_stages + 1]
+        err5 = _row_sum_squares(_stage_sum(DOP853.E5, K) / scale)
+        err3 = _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.shape[1])
+        return np.where((err5 == 0) & (err3 == 0), 0.0, norm)
+
+    def sample(self, K, h, y_old, y, which, x):
+        hc = h[:, None]
+        for s, a in enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1):
+            K[s] = self.fun(y_old + _stage_sum(a[:s], K[:s]) * hc)
+        delta_y = y - y_old
+        F = [delta_y, hc * K[0] - delta_y, 2 * delta_y - hc * (K[DOP853.n_stages] + K[0])]
+        F += [hc * _stage_sum(d, K) for d in DOP853.D]
+        x = x[:, None]
+        out = np.zeros((x.shape[0], y.shape[1]))
+        for i, f in enumerate(reversed(F)):
+            out += f[which]
+            out *= x if i % 2 == 0 else 1 - x
+        return out + y_old[which]
+
+
+_ROW_STEPPERS = {RK45: _RowsRK45, DOP853: _RowsDOP853}
+
+
+def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
+    """Step each row of ``y0`` (N, n) from t = 0 to ``t_bound`` under its own step control.
+
+    ``method`` is :class:`RK45` or :class:`DOP853` and ``fun(y)`` the
+    derivative of an (m, n) batch of states.  Each row is the system
+    ``method`` would step alone: its own initial step, t, h, rejection flag
+    and RMS error norm over its n components, and its samples at the times
+    ``ts`` (ordered from 0 toward ``t_bound``) taken from its own step
+    interpolants.  Every iteration makes one attempt for each row still
+    running, with one ``fun`` call per stage on all of them; a row stops at
+    ``t_bound``, or fails when its step size underflows, and then leaves the
+    batch.  The sums run term by term, so a row's bits do not depend on the
+    other rows.
+    """
+    stepper = _ROW_STEPPERS[method](fun, rtol, atol)
+    y = np.asarray(y0, dtype=float)
+    N, n = y.shape
+    ts = np.asarray(ts, dtype=float)
+    path = np.full((len(ts), N, n), np.nan)
+    failed = np.zeros(N, dtype=bool)
+    if N == 0 or t_bound == 0.0:
+        path[:] = y
+        return RowRun(path, failed, 0, 0)
+    d = 1.0 if t_bound > 0 else -1.0
+    dts = d * ts
+    rows = np.arange(N)
+    t = np.zeros(N)
+    f = fun(y)
+    h_abs = stepper.initial_step(y, f, abs(t_bound), d)
+    rejected = np.zeros(N, dtype=bool)
+    done = np.zeros(N, dtype=np.int64)  # samples taken
+    iterations = attempts = 0
+    while rows.size:
+        min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
+        h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
+        keep = h_abs >= min_step  # False for an underflowed step, or a NaN one
+        if not keep.all():
+            failed[rows[~keep]] = True
+            rows, t, y, f, h_abs, rejected, done = (
+                a[keep] for a in (rows, t, y, f, h_abs, rejected, done)
+            )
+            if not rows.size:
+                break
+        iterations += 1
+        attempts += rows.size
+        t_new = t + h_abs * d
+        t_new = np.where(d * (t_new - t_bound) > 0, t_bound, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        y_new, K = stepper.attempt(y, f, h)
+        scale = stepper.atol + np.maximum(np.abs(y), np.abs(y_new)) * stepper.rtol
+        error_norm = stepper.error_norm(K, h, scale)
+        with np.errstate(divide="ignore"):
+            factor = SAFETY * error_norm ** stepper.error_exponent
+        accept = error_norm < 1
+        grow = np.where(error_norm == 0, MAX_FACTOR, np.where(factor < MAX_FACTOR, factor, MAX_FACTOR))
+        grow = np.where(rejected & (grow > 1), 1, grow)
+        shrink = np.where(factor > MIN_FACTOR, factor, MIN_FACTOR)  # NaN shrinks by MIN_FACTOR
+        h_abs = h_abs * np.where(accept, grow, shrink)
+        rejected = ~accept
+
+        hi = np.where(accept, np.searchsorted(dts, d * t_new, side="right"), done)
+        cover = np.flatnonzero(hi > done)
+        if cover.size:
+            count = hi[cover] - done[cover]
+            which = np.repeat(np.arange(cover.size), count)
+            k = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count) + done[cover][which]
+            step = h[cover]
+            x = (ts[k] - t[cover][which]) / step[which]
+            path[k, rows[cover][which]] = stepper.sample(K[:, cover], step, y[cover], y_new[cover], which, x)
+            done[cover] = hi[cover]
+        t = np.where(accept, t_new, t)
+        y = np.where(accept[:, None], y_new, y)
+        f = np.where(accept[:, None], K[method.n_stages], f)
+
+        running = ~accept | (d * (t - t_bound) < 0)
+        if not running.all():
+            rows, t, y, f, h_abs, rejected, done = (
+                a[running] for a in (rows, t, y, f, h_abs, rejected, done)
+            )
+    return RowRun(path, failed, iterations, attempts)
 
 
 def brent_root(f, a: float, b: float, *, xtol: float) -> float:

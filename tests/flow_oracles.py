@@ -1,0 +1,83 @@
+"""Independent routes to flow results, kept beside the tests that use them.
+
+``compose_commuting_flows`` gives the Katok flow on its invariant cone from
+the rotational flow and a rigid shift; ``lift_to_cover`` re-lifts reduced base
+points, a second route to the lift an orbit trace stores.
+"""
+
+import numpy as np
+
+from finslerlab.errors import ConeViolation, LiftAmbiguity
+from finslerlab.flow import (
+    DEFAULT_CONFIG,
+    TWO_PI,
+    IntegratorConfig,
+    OrbitTrace,
+    circle_difference,
+    integrate_orbit,
+)
+from finslerlab.metrics import CotangentPoint, RotationalDualMetric, cone_membership
+from finslerlab.profiles import RotationalProfile
+
+
+def compose_commuting_flows(
+    profile: RotationalProfile,
+    alpha: float,
+    p0,
+    t: float,
+    *,
+    cone_a: float,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+) -> CotangentPoint:
+    """Flow of H0 + alpha*H1 realized as (H0-flow) o (rigid x1-shift by alpha*t).
+
+    Valid exactly on the invariant cone U_a where the perturbed metric equals
+    H0 + alpha*H1; serves as an independent oracle for direct integration of
+    the perturbed family there.
+    """
+    y0 = p0.array if isinstance(p0, CotangentPoint) else np.array(p0, dtype=float)
+    if not cone_membership(profile, cone_a, y0):
+        raise ConeViolation(f"start state outside U_{cone_a}")
+    trace = integrate_orbit(RotationalDualMetric(profile), y0, t, config)
+    slack = 1e-9
+    inside = cone_membership(profile, cone_a + slack, trace.states)
+    if not np.all(inside):
+        raise ConeViolation(f"orbit left U_{cone_a} during composition")
+    y = trace.final_state.copy()
+    y[0] += alpha * t
+    return CotangentPoint.from_array(y)
+
+
+def lift_to_cover(
+    trace_or_base,
+    x1_period: float = TWO_PI,
+    x2_period: float | None = None,
+    *,
+    ambiguity_fraction: float = 0.499,
+) -> np.ndarray:
+    """Continuously unwrap reduced base points across fundamental domains.
+
+    Accepts an OrbitTrace (whose reduced base points are re-lifted, an
+    independent route to the stored lift) or a raw (n, 2) array of reduced
+    points.  Raises LiftAmbiguity when one step moves at least half a period.
+    """
+    if isinstance(trace_or_base, OrbitTrace):
+        base = trace_or_base.base_points
+        if x2_period is None:
+            x2_period = trace_or_base.x2_period
+    else:
+        base = np.asarray(trace_or_base, dtype=float)
+    out = np.empty_like(base)
+    out[0] = base[0]
+    d1 = circle_difference(np.diff(base[:, 0]), x1_period)
+    if np.any(np.abs(d1) >= ambiguity_fraction * x1_period):
+        raise LiftAmbiguity("x1 step of at least half a period")
+    out[1:, 0] = base[0, 0] + np.cumsum(d1)
+    if x2_period:
+        d2 = circle_difference(np.diff(base[:, 1]), x2_period)
+        if np.any(np.abs(d2) >= ambiguity_fraction * x2_period):
+            raise LiftAmbiguity("x2 step of at least half a period")
+        out[1:, 1] = base[0, 1] + np.cumsum(d2)
+    else:
+        out[:, 1] = base[:, 1]
+    return out

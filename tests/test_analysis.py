@@ -518,24 +518,22 @@ class TestTubeDiagnostics:
         (c1, r1, d1), (c2, r2, d2) = report.witness_distances
         assert d1 >= 0.1 - r1 - 1e-6
         assert d2 >= 0.2 - r2 - 1e-6
-        # independent route: the same start as a 1-row stacked system
+        # independent route: the same start as a 1-orbit ensemble
         stacked = integrate_ensemble(katok_torus_reversible, y0[None, :], 60.0).states[:, 0, :]
         for (_, _, d), ball in zip(report.witness_distances, balls):
             ref = np.min(phase_space_distance(stacked, ball.center, 4.0)) - ball.radius
             assert d == pytest.approx(ref, abs=1e-6)
 
-    def test_failed_batch_falls_back_orbit_by_orbit(self, katok_torus_reversible, rng, monkeypatch):
-        def failing_batch(*args, **kwargs):
-            raise StepFailure("stacked step size underflow")
-
-        monkeypatch.setattr(analysis, "integrate_ensemble", failing_batch)
+    def test_failed_orbit_is_counted_and_left_out(self, katok_torus_reversible, rng):
         tube = TubeSpec(c_lo=0.3, c_hi=0.9)
         good = sample_tube_states(katok_torus_reversible, rng, 3, (0.35, 0.85), x2_period=4.0)
-        states = np.vstack([good, [0.0, 0.0, 0.0, 0.0]])  # xi = 0 fails alone too
+        states = np.insert(good, 1, [0.0, 0.0, 0.0, 0.0], axis=0)  # xi = 0 cannot start
         report = tube_diagnostics(katok_torus_reversible, tube, states, [0.1], [], ensemble_time=2.0)
-        assert report.n_failed == 1
-        assert len(report.min_boundary_dists) == 3
-        assert np.all(report.min_boundary_dists >= report.initial_gaps[:3] - 1e-6)
+        alone = tube_diagnostics(katok_torus_reversible, tube, good, [0.1], [], ensemble_time=2.0)
+        assert report.n_failed == 1 and alone.n_failed == 0
+        assert report.min_boundary_dists.tobytes() == alone.min_boundary_dists.tobytes()
+        assert report.boundary_fraction.tobytes() == alone.boundary_fraction.tobytes()
+        assert report.initial_gaps[[0, 2, 3]].tobytes() == alone.initial_gaps.tobytes()
 
     def test_programming_error_in_batch_propagates(self, katok_torus_reversible, rng, monkeypatch):
         def broken_batch(*args, **kwargs):

@@ -160,12 +160,10 @@ class TestKatokFamily:
         _assert_gradients_match(katok_sphere, np.array(states), tol=1e-6)
 
     def test_scalar_rhs_matches_vector_field(self, katok_sphere, rng):
-        from finslerlab.flow import hamiltonian_vector_field
-
         rhs = katok_sphere.scalar_rhs()
         states = sample_covectors(rng, 100, x2_range=(-2.0, 2.0))
         for y in states:
-            expected = hamiltonian_vector_field(katok_sphere, y)
+            expected = katok_sphere.vector_field(y)
             got = rhs(0.0, list(y))
             assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-14
 
@@ -224,8 +222,6 @@ class TestReversibilization:
         _assert_gradients_match(rev, states, tol=1e-6)
 
     def test_scalar_rhs_matches_vector_field(self, katok_sphere, katok_torus_reversible, rng):
-        from finslerlab.flow import hamiltonian_vector_field
-
         # the torus states reach across the splice bridge |x2| in [1.75, 2.25]
         cases = [
             (reversibilize(katok_sphere), sample_covectors(rng, 100)),
@@ -234,7 +230,7 @@ class TestReversibilization:
         for rev, states in cases:
             rhs = rev.scalar_rhs()
             for y in states:
-                expected = hamiltonian_vector_field(rev, y)
+                expected = rev.vector_field(y)
                 got = rhs(0.0, list(y))
                 assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-14
 
@@ -355,14 +351,11 @@ class TestVectorField:
 
     @pytest.mark.parametrize("name", FIELD_KINDS)
     def test_gradients_are_slices(self, request, name, rng, cutoffs, spliced_profile):
-        from finslerlab.flow import hamiltonian_vector_field
-
         H = _field_metric(request, name)
         states = _field_states(rng, cutoffs, spliced_profile)
         vf = H.vector_field(states)
         assert np.array_equal(H.grad_xi(states), vf[:, :2])
         assert np.array_equal(H.grad_x(states), -vf[:, 2:])
-        assert hamiltonian_vector_field(H, states).tobytes() == vf.tobytes()
         # xi1 is conserved exactly: every kind is x1-invariant
         assert np.all(vf[:, 2] == 0.0)
 

@@ -36,6 +36,7 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
+from flow_oracles import compose_commuting_flows
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
 
@@ -187,8 +188,6 @@ class TestFirstReturn:
     def test_cone_point_shift_matches_composed_flow(
         self, sphere_profile, cutoffs, katok_sphere, tight_config
     ):
-        from finslerlab.flow import compose_commuting_flows
-
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         s0, u0 = 1.0, 0.25  # ratio cos(0.25) = 0.969 >= f0(a0) = 0.957
         y0 = chart.point_to_state(s0, u0)
