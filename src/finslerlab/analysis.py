@@ -29,7 +29,6 @@ __all__ = [
     "bounded_deviation",
     "EntropyEstimate",
     "entropy_separated_sets",
-    "greedy_separated_set",
     "exact_separated_cardinality",
     "wrapped_metric",
     "WrappedMetric",
@@ -113,24 +112,21 @@ def _lift_and_times(trace_or_path, times=None):
     return path, np.asarray(times, dtype=float)
 
 
-def asymptotic_direction(
-    trace_or_path,
-    times=None,
-    *,
-    residual_tol: float | None = 1e-2,
-    n_windows: int = 3,
-) -> DirectionEstimate:
+_DIRECTION_WINDOWS = 3  # chords at T, T/2, T/4
+
+
+def asymptotic_direction(trace_or_path, times=None) -> DirectionEstimate:
     """Unit chord direction of the lifted path, with a dyadic-window residual.
 
     The residual is the largest pairwise angle between the chords measured at
-    the final time T and at T/2, T/4, ...; it raises NotConverged when it
-    exceeds ``residual_tol`` (pass None to only report).
+    the final time T and at T/2, T/4; it is reported, not judged.  A zero
+    chord raises NotConverged.
     """
     path, ts = _lift_and_times(trace_or_path, times)
     T = ts[-1] - ts[0]
     dirs = []
     lengths = []
-    for j in range(n_windows):
+    for j in range(_DIRECTION_WINDOWS):
         t_j = ts[0] + T / 2.0**j
         idx = int(np.searchsorted(ts, t_j))
         idx = min(idx, len(ts) - 1)
@@ -144,8 +140,6 @@ def asymptotic_direction(
     residual = max(
         abs((a - b + math.pi) % TWO_PI - math.pi) for a in angles for b in angles
     )
-    if residual_tol is not None and residual > residual_tol:
-        raise NotConverged(f"direction residual {residual:.3e} > {residual_tol:.1e}")
     return DirectionEstimate(
         direction=dirs[0], residual=float(residual), chord_lengths=np.array(lengths)
     )
@@ -358,19 +352,6 @@ def _farthest_first_set(rows, n: int, eps: float, seed=()) -> np.ndarray:
     return np.array(selected, dtype=int)
 
 
-def greedy_separated_set(segments, T: int, eps: float, metric: WrappedMetric, seed=()) -> np.ndarray:
-    """Maximal (T, eps)-separated subset of an orbit-segment cloud.
-
-    ``segments`` has shape (N, M, d) with the orbit of point i sampled at
-    iterate times 0..M-1; two points are separated when some t <= T has
-    d(orbit_i(t), orbit_j(t)) > eps.  A seed of already-separated indices is
-    kept and extended, which makes sets nested along increasing T.
-    """
-    dist = _OrbitDistances(segments, T, metric.periods)
-    dist.advance(T)
-    return _farthest_first_set(dist, dist.n, eps, seed)
-
-
 def exact_separated_cardinality(segments, T: int, eps: float, metric: WrappedMetric) -> int:
     """Exact maximal (T, eps)-separated cardinality by subset enumeration.
 
@@ -413,12 +394,6 @@ class EntropyEstimate:
     value_eps: float
     sets: dict[tuple[int, float], np.ndarray] = field(default_factory=dict, repr=False)
 
-    def s_of(self, T: int, eps: float) -> int:
-        for row in self.table:
-            if row[0] == T and row[1] == eps:
-                return row[2]
-        raise KeyError((T, eps))
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("T,eps,s,slope\n")
@@ -426,16 +401,12 @@ class EntropyEstimate:
                 fh.write(f"{T!r},{eps!r},{s!r},{self.slopes[eps]!r}\n")
 
 
-def entropy_separated_sets(
-    segments,
-    T_list,
-    eps_list,
-    metric: WrappedMetric,
-    *,
-    saturation_fraction: float = 0.4,
-    stability_tol: float = 0.1,
-    insufficient_fraction: float = 0.9,
-) -> EntropyEstimate:
+_SATURATION_FRACTION = 0.4  # counts above this share of the cloud leave the slope fit
+_STABILITY_TOL = 0.1  # RMS log-count residual of a fit that counts as stable
+_INSUFFICIENT_FRACTION = 0.9  # a first count above this share of the cloud raises InsufficientCloud
+
+
+def entropy_separated_sets(segments, T_list, eps_list, metric: WrappedMetric) -> EntropyEstimate:
     """Greedy separated-set entropy estimate from precomputed orbit segments.
 
     For each scale eps the greedy sets are grown along increasing T (nested,
@@ -475,7 +446,7 @@ def entropy_separated_sets(
             sets[(T, eps)] = sel
             counts[(T, eps)] = len(sel)
             seeds[eps] = tuple(sel)
-    if counts[(T_list[0], eps_desc[-1])] >= insufficient_fraction * n:
+    if counts[(T_list[0], eps_desc[-1])] >= _INSUFFICIENT_FRACTION * n:
         raise InsufficientCloud(
             f"cloud of {n} saturates already at T={T_list[0]}, eps={eps_desc[-1]}"
         )
@@ -493,7 +464,7 @@ def entropy_separated_sets(
     for eps in eps_desc:
         ts = np.array(T_list, dtype=float)
         ss = np.array([counts[(T, eps)] for T in T_list], dtype=float)
-        keep = ss <= saturation_fraction * n
+        keep = ss <= _SATURATION_FRACTION * n
         if np.count_nonzero(keep) < 3:
             keep = np.ones_like(keep, dtype=bool)
         x, y = ts[keep], np.log(ss[keep])
@@ -505,7 +476,7 @@ def entropy_separated_sets(
     value = math.nan
     value_eps = math.nan
     for eps in sorted(eps_desc):  # ascending: smallest eps first
-        if residuals[eps] <= stability_tol:
+        if residuals[eps] <= _STABILITY_TOL:
             value, value_eps = slopes[eps], eps
             break
     if math.isnan(value):

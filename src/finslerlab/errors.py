@@ -94,7 +94,7 @@ class BranchMismatch(FinslerLabError):
 
 
 class ExtrapolationUnstable(FinslerLabError):
-    """Boundary extrapolation residual exceeded tolerance."""
+    """Boundary extrapolation has no usable approach sequence or no boundary root."""
 
 
 # --- analysis ---------------------------------------------------------------
@@ -109,7 +109,7 @@ class MapFailure(FinslerLabError):
 
 
 class NotConverged(FinslerLabError):
-    """Asymptotic-direction residual exceeded tolerance."""
+    """Asymptotic-direction chord has zero length (trace too short)."""
 
 
 class EmptySample(FinslerLabError):

@@ -55,7 +55,6 @@ __all__ = [
     "reversibilize",
     "cone_membership",
     "cone_ratio",
-    "legendre_velocity",
     "fiber_convexity_check",
     "ConvexityReport",
     "critical_alpha_scan",
@@ -80,11 +79,6 @@ class CotangentPoint:
     @property
     def array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.xi1, self.xi2], dtype=float)
-
-    @staticmethod
-    def from_array(y) -> "CotangentPoint":
-        y = np.asarray(y, dtype=float)
-        return CotangentPoint(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
     def reduced(self, x2_period: float | None = None) -> tuple[float, float]:
         """Base coordinates reduced mod (2pi, x2_period)."""
@@ -383,11 +377,6 @@ def cone_membership(profile: RotationalProfile, a: float, p) -> bool | np.ndarra
 
 # --- operations -------------------------------------------------------------
 
-def legendre_velocity(H: DualMetric, p) -> np.ndarray:
-    """Velocity of the flow state p: the fiber gradient of H (F-unit speed)."""
-    return H.grad_xi(_as_state_array(p))
-
-
 def unit_covector(H: DualMetric, x1: float, x2: float, theta: float) -> np.ndarray:
     """State on {H = 1} over (x1, x2) with covector direction angle theta."""
     u = np.array([x1, x2, math.cos(theta), math.sin(theta)])
@@ -407,7 +396,10 @@ class ConvexityReport:
         return self.min_eigenvalue > 0.0
 
 
-def fiber_hessian_fd(H: DualMetric, y, step: float = 1e-4) -> np.ndarray:
+_FD_STEP = 1e-4  # fiber Hessian stencil step, relative to max(|xi|, 1)
+
+
+def fiber_hessian_fd(H: DualMetric, y) -> np.ndarray:
     """Central-difference fiber Hessian of H^2/2, shape (..., 2, 2)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
 
@@ -415,7 +407,7 @@ def fiber_hessian_fd(H: DualMetric, y, step: float = 1e-4) -> np.ndarray:
         return 0.5 * np.asarray(H.value(states)) ** 2
 
     R = np.hypot(y[..., 2], y[..., 3])
-    h = step * np.maximum(R, 1.0)
+    h = _FD_STEP * np.maximum(R, 1.0)
 
     def shifted(d1, d2):
         s = np.array(y, copy=True)
@@ -437,10 +429,10 @@ def fiber_hessian_fd(H: DualMetric, y, step: float = 1e-4) -> np.ndarray:
     return out
 
 
-def fiber_convexity_check(H: DualMetric, states, step: float = 1e-4) -> ConvexityReport:
+def fiber_convexity_check(H: DualMetric, states) -> ConvexityReport:
     """Scan the sampled fiber Hessian of H^2/2 and report the worst eigenvalue."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    hess = fiber_hessian_fd(H, states, step=step)
+    hess = fiber_hessian_fd(H, states)
     a, b, c = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
     eigmin = 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b**2)
     idx = int(np.argmin(eigmin))

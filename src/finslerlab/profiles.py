@@ -202,6 +202,9 @@ def make_cutoffs(a0: float, a1: float, b: float) -> CutoffPair:
 
 # --- profiles ---------------------------------------------------------------
 
+_MIN_VALUE_GRID = 8192  # grid points of RotationalProfile.min_value
+
+
 class RotationalProfile:
     """Base class: positive profile f(x2) with derivative, optionally periodic."""
 
@@ -222,12 +225,12 @@ class RotationalProfile:
         """Scalar fast path for integration inner loops."""
         return float(self.f(x2)), float(self.fp(x2))
 
-    def min_value(self, n_grid: int = 8192) -> float:
+    def min_value(self) -> float:
         """Dense-grid minimum of f over one period (or a wide window)."""
         if self.period is not None:
-            grid = np.linspace(-self.period / 2.0, self.period / 2.0, n_grid)
+            grid = np.linspace(-self.period / 2.0, self.period / 2.0, _MIN_VALUE_GRID)
         else:
-            grid = np.linspace(-30.0, 30.0, n_grid)
+            grid = np.linspace(-30.0, 30.0, _MIN_VALUE_GRID)
         return float(np.min(self.f(grid)))
 
     def to_spec(self) -> dict:

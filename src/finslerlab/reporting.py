@@ -7,6 +7,7 @@ Wall-clock timings never enter report.json; they go to a sidecar.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +19,9 @@ from .errors import EmptyInput, IoFailure
 
 __all__ = [
     "Check",
+    "at_most",
+    "at_least",
+    "holds",
     "RunReport",
     "jsonify",
     "dump_json",
@@ -33,6 +37,21 @@ class Check:
     value: float
     tolerance: float | None = None
     detail: str = ""
+
+
+def at_most(name: str, value: float, bound: float, detail: str = "") -> Check:
+    """Passes iff value <= bound (so a NaN value fails)."""
+    return Check(name, value <= bound, value, bound, detail)
+
+
+def at_least(name: str, value: float, bound: float, detail: str = "") -> Check:
+    """Passes iff value >= bound (so a NaN value fails)."""
+    return Check(name, value >= bound, value, bound, detail)
+
+
+def holds(name: str, passed: bool, value: float, tolerance: float | None = None, detail: str = "") -> Check:
+    """A verdict that is not the reported value compared with the reported tolerance."""
+    return Check(name, passed, value, tolerance, detail)
 
 
 @dataclass
@@ -110,11 +129,12 @@ def export_report(report: RunReport, path, fmt: str = "json") -> Path:
         if fmt == "json":
             dump_json(report.to_dict(), path)
         elif fmt == "csv-summary":
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write("name,passed,value,tolerance,detail\n")
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["name", "passed", "value", "tolerance", "detail"])
                 for c in report.checks:
                     tol = "" if c.tolerance is None else repr(float(c.tolerance))
-                    fh.write(f"{c.name},{c.passed},{float(c.value)!r},{tol},{c.detail}\n")
+                    writer.writerow([c.name, c.passed, repr(float(c.value)), tol, c.detail])
         else:
             raise IoFailure(f"unknown report format {fmt!r}")
     except OSError as err:

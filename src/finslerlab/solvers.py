@@ -55,6 +55,18 @@ RTOL = 4 * EPS  # relative part of the bracket width at which it stops
 MAXITER = 100
 
 
+def _clamp_rtol(rtol):
+    """scipy's floor of 100 eps on ``rtol``; the warning names the frame two above the stepper's ``__init__``."""
+    if np.any(rtol < 100 * EPS):
+        warnings.warn(
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+            stacklevel=4,
+        )
+        rtol = np.maximum(rtol, 100 * EPS)
+    return rtol
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -88,14 +100,7 @@ class _RungeKutta:
         self.status = "running"
         self.nfev = 0
         self.y_old = None
-        if np.any(rtol < 100 * EPS):
-            warnings.warn(
-                "At least one element of `rtol` is too small. "
-                f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                stacklevel=3,
-            )
-            rtol = np.maximum(rtol, 100 * EPS)
-        self.rtol, self.atol = rtol, np.asarray(atol)
+        self.rtol, self.atol = _clamp_rtol(rtol), np.asarray(atol)
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.K = np.empty((self.n_stages + 1, self.n))
@@ -447,14 +452,7 @@ class _RowStepper:
     method: type
 
     def __init__(self, fun, rtol, atol):
-        if np.any(rtol < 100 * EPS):
-            warnings.warn(
-                "At least one element of `rtol` is too small. "
-                f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                stacklevel=3,
-            )
-            rtol = np.maximum(rtol, 100 * EPS)
-        self.fun, self.rtol, self.atol = fun, rtol, atol
+        self.fun, self.rtol, self.atol = fun, _clamp_rtol(rtol), atol
         self.error_exponent = -1 / (self.method.error_estimator_order + 1)
 
     def initial_step(self, y0, f0, interval_length, direction):

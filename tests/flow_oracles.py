@@ -45,7 +45,7 @@ def compose_commuting_flows(
         raise ConeViolation(f"orbit left U_{cone_a} during composition")
     y = trace.final_state.copy()
     y[0] += alpha * t
-    return CotangentPoint.from_array(y)
+    return CotangentPoint(*y.tolist())
 
 
 def lift_to_cover(

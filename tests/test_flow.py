@@ -1,4 +1,5 @@
 import ast
+import linecache
 import math
 import os
 import subprocess
@@ -33,6 +34,7 @@ from finslerlab.flow import (
 from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
+from finslerlab.solvers import EPS, RK45, march_rows
 from flow_oracles import compose_commuting_flows, lift_to_cover
 
 
@@ -82,7 +84,7 @@ class TestIntegrateOrbit:
         final = trace.final_state
         assert abs(final[0] - 10.0) <= 1e-8
         assert abs(final[1]) <= 1e-12 and abs(final[3]) <= 1e-12
-        b1, _ = CotangentPoint.from_array(trace.final_state).reduced()
+        b1, _ = CotangentPoint(*trace.final_state.tolist()).reduced()
         assert b1 == pytest.approx(10.0 % TWO_PI, abs=1e-8)
 
     def test_conservation_over_long_run(self, katok_sphere, tight_config):
@@ -242,6 +244,31 @@ class TestCommutingFlows:
         y0 = np.array([0.0, 0.0, 0.0, 1.0])  # vertical covector, ratio 0
         with pytest.raises(ConeViolation):
             compose_commuting_flows(sphere_profile, 0.03, y0, 1.0, cone_a=0.3, config=tight_config)
+
+
+class TestRtolFloor:
+    """Both steppers floor rtol at 100 eps with scipy's warning, naming the same frame."""
+
+    @staticmethod
+    def _flat(rtol):
+        return RK45(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=rtol, atol=1e-12)
+
+    @staticmethod
+    def _warned_line(record) -> str:
+        assert record.filename == __file__
+        return linecache.getline(record.filename, record.lineno)
+
+    def test_flat_stepper_names_its_builders_caller(self):
+        with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
+            solver = self._flat(1e-17)
+        assert solver.rtol == 100 * EPS
+        assert "self._flat(1e-17)" in self._warned_line(rec[0])
+
+    def test_row_stepper_names_the_caller_of_march_rows(self):
+        with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
+            run = march_rows(RK45, lambda y: -y, np.ones((2, 2)), 1.0, [1.0], rtol=1e-17, atol=1e-12)
+        assert np.allclose(run.path[-1], math.exp(-1.0), rtol=1e-10)
+        assert "march_rows(" in self._warned_line(rec[0])
 
 
 class TestPeriodicity:

@@ -1,3 +1,6 @@
+import ast
+import csv
+import inspect
 import json
 import math
 
@@ -16,7 +19,17 @@ from finslerlab.config import (
     validate_config,
 )
 from finslerlab.errors import ConfigInvalid, EmptyInput, IoFailure, UnknownScenario
-from finslerlab.reporting import Check, RunReport, export_report, jsonify, render_section_plot
+from finslerlab import scenarios
+from finslerlab.reporting import (
+    Check,
+    RunReport,
+    at_least,
+    at_most,
+    export_report,
+    holds,
+    jsonify,
+    render_section_plot,
+)
 from finslerlab.scenarios import SCENARIO_NAMES, run_scenario, scenario_defaults
 
 
@@ -96,6 +109,32 @@ class TestReporting:
         assert len(lines) == 1 + len(report.checks)
         assert lines[1].startswith("a,True,0.5,1.0")
 
+    def test_csv_summary_quotes_details_with_commas(self, tmp_path):
+        details = ["bins [32, 128], verdicts [True, True]", "lipschitz ['0.1', '0.2']", 'say "x", then y', ""]
+        report = RunReport(
+            scenario="demo",
+            seed=0,
+            config={},
+            checks=[Check(f"c{i}", True, 1.0, None, d) for i, d in enumerate(details)],
+        )
+        path = export_report(report, tmp_path / "r.csv", "csv-summary")
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "passed", "value", "tolerance", "detail"]
+        assert [len(r) for r in rows] == [5] * (1 + len(details))
+        assert [r[4] for r in rows[1:]] == details
+        # a detail without a comma keeps the plain layout
+        assert path.read_text().splitlines()[-1] == "c3,True,1.0,,"
+
+    def test_scenario_checks_csv_parses_to_five_fields(self, tmp_path):
+        report = run_scenario("appendix-smooth-division", seed=0, out_root=tmp_path)
+        path = tmp_path / "appendix-smooth-division" / "latest" / "checks.csv"
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 5 for r in rows)
+        assert [r[4] for r in rows[1:]] == [c.detail for c in report.checks]
+        assert any("," in c.detail for c in report.checks)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(IoFailure):
             export_report(self._report(), tmp_path / "r.bin", "parquet")
@@ -109,6 +148,41 @@ class TestReporting:
         assert report.check("a").value == 0.5
         with pytest.raises(KeyError):
             report.check("missing")
+
+
+class TestCheckConstructors:
+    def test_bound_is_inclusive(self):
+        assert at_most("x", 1e-6, 1e-6).passed
+        assert at_least("x", 5.0, 5.0).passed
+        assert not at_most("x", np.nextafter(1e-6, 1.0), 1e-6).passed
+        assert not at_least("x", np.nextafter(5.0, 0.0), 5.0).passed
+
+    def test_nan_fails_both_ways(self):
+        assert not at_most("x", math.nan, 1.0).passed
+        assert not at_least("x", math.nan, 1.0).passed
+        assert not at_most("x", 0.0, math.nan).passed
+
+    def test_infinities(self):
+        assert not at_most("x", math.inf, math.pi).passed
+        assert at_most("x", -math.inf, 0.0).passed
+        assert at_least("x", math.inf, 5.0).passed
+        assert not at_least("x", -math.inf, 5.0).passed
+        assert at_most("x", math.inf, math.inf).passed
+
+    def test_fields_are_the_stated_ones(self):
+        assert at_most("a", 0.5, 1.0, "d") == Check("a", True, 0.5, 1.0, "d")
+        assert at_least("b", 4.0, 5.0) == Check("b", False, 4.0, 5.0, "")
+        assert holds("c", True, -0.01, 0.02) == Check("c", True, -0.01, 0.02, "")
+        assert holds("d", False, 1.0).tolerance is None
+
+    def test_scenarios_build_no_check_directly(self):
+        tree = ast.parse(inspect.getsource(scenarios))
+        direct = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Check"
+        ]
+        assert direct == []
 
 
 class TestSectionPlot:
@@ -204,6 +278,18 @@ class TestScenarioRunner:
         assert (run_dir / "report.json").exists()
         assert (run_dir / "iterates.svg").read_text().startswith("<svg")
         assert "iterates.svg" in report.artifacts
+
+    def test_conservation_battery_judges_drift_itself(self, h0_sphere):
+        # an integrator drift bound far below the checks' 1e-8 must not abort
+        # the battery: the checks state the bound and give the verdict
+        from finslerlab.flow import IntegratorConfig
+        from finslerlab.scenarios import _conservation_checks
+
+        cfg = IntegratorConfig(method="DOP853", rel_tol=1e-12, abs_tol=1e-12, invariant_drift_tol=1e-300)
+        h_check, xi1_check = _conservation_checks(h0_sphere, [np.array([0.0, 0.0, 0.6, 0.8])], cfg, T=10.0)
+        assert h_check.tolerance == xi1_check.tolerance == 1e-8
+        assert 0.0 < h_check.value <= 1e-8 and h_check.passed
+        assert xi1_check.passed
 
     def test_determinism_two_runs_byte_identical(self, tmp_path):
         a = run_scenario("appendix-smooth-division", seed=11, out_root=tmp_path / "a")

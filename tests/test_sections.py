@@ -539,6 +539,26 @@ class TestBoundaryExtension:
         assert report.residual <= 1e-4
         assert report.branch_gap <= 1e-4
 
+    def test_large_residual_is_reported_not_raised(self, h0_sphere, tight_config, monkeypatch):
+        # The polynomial residual is the scenario check's to judge. No lab
+        # metric yields a cubic residual above 1e-4 while the smooth
+        # quotient's branch check (1e-8) still passes -- the quotient sees
+        # the same orbits -- so one sampled return time is moved by 1e-3
+        # instead. The quotient route never reads the samples' times.
+        from finslerlab import sections
+
+        angles = 2.0 ** -np.arange(3, 11)
+        exact = sections.first_return
+
+        def bumped(H, spec, point, config, *, chart=None):
+            sample = exact(H, spec, point, config, chart=chart)
+            return replace(sample, tau=sample.tau + (1e-3 if point[1] == angles[4] else 0.0))
+
+        monkeypatch.setattr(sections, "first_return", bumped)
+        report = return_time_boundary_extension(h0_sphere, SPHERE_SPEC, tight_config, angles=angles)
+        assert report.residual > 1e-4
+        assert report.tau_boundary == pytest.approx(TWO_PI, abs=1e-5)
+
     def test_non_geometric_samples_rejected(self, h0_sphere, tight_config):
         with pytest.raises(ExtrapolationUnstable):
             return_time_boundary_extension(
