@@ -40,7 +40,7 @@ def main() -> None:
         rep = fiber_convexity_check(KatokDualMetric(profile, cutoffs, alpha), states)
         print(f"  alpha={alpha:6.3f}: min Hessian eigenvalue {rep.min_eigenvalue:+.4f}")
 
-    lo, hi = critical_alpha_scan(profile, cutoffs, alpha_hi=2.0, tol=1e-3, states=states)
+    lo, hi = critical_alpha_scan(profile, cutoffs, tol=1e-3, states=states)
     print(f"critical strength bracket: ({lo:.4f}, {hi:.4f})")
 
 

@@ -100,7 +100,6 @@ def rotation_number(map_fn, x0, n: int) -> RotationEstimate:
 class DirectionEstimate:
     direction: np.ndarray
     residual: float
-    chord_lengths: np.ndarray
 
 
 def _lift_and_times(trace_or_path, times=None):
@@ -125,7 +124,6 @@ def asymptotic_direction(trace_or_path, times=None) -> DirectionEstimate:
     path, ts = _lift_and_times(trace_or_path, times)
     T = ts[-1] - ts[0]
     dirs = []
-    lengths = []
     for j in range(_DIRECTION_WINDOWS):
         t_j = ts[0] + T / 2.0**j
         idx = int(np.searchsorted(ts, t_j))
@@ -135,20 +133,16 @@ def asymptotic_direction(trace_or_path, times=None) -> DirectionEstimate:
         if norm == 0.0:
             raise NotConverged("zero chord length; trace too short")
         dirs.append(chord / norm)
-        lengths.append(norm)
     angles = [math.atan2(d[1], d[0]) for d in dirs]
     residual = max(
         abs((a - b + math.pi) % TWO_PI - math.pi) for a in angles for b in angles
     )
-    return DirectionEstimate(
-        direction=dirs[0], residual=float(residual), chord_lengths=np.array(lengths)
-    )
+    return DirectionEstimate(direction=dirs[0], residual=float(residual))
 
 
 @dataclass(frozen=True)
 class DeviationReport:
     sup_distance: float
-    argmax_index: int
 
 
 def bounded_deviation(trace_or_path, rho, times=None) -> DeviationReport:
@@ -158,8 +152,7 @@ def bounded_deviation(trace_or_path, rho, times=None) -> DeviationReport:
     rho = rho / np.hypot(rho[0], rho[1])
     rel = path - path[0]
     dist = np.abs(rel[:, 0] * rho[1] - rel[:, 1] * rho[0])
-    idx = int(np.argmax(dist))
-    return DeviationReport(sup_distance=float(dist[idx]), argmax_index=idx)
+    return DeviationReport(sup_distance=float(np.max(dist)))
 
 
 # --- separated-set entropy -----------------------------------------------------
@@ -431,6 +424,8 @@ def entropy_separated_sets(segments, T_list, eps_list, metric: WrappedMetric) ->
     if n == 0:
         raise EmptySample("empty point cloud")
     T_list = sorted(int(t) for t in T_list)
+    if len(set(T_list)) < 2:
+        raise ValueError(f"the log-count slope needs at least two distinct T values, got {T_list}")
     eps_desc = sorted((float(e) for e in eps_list), reverse=True)
     if segments.shape[1] < T_list[-1] + 1:
         raise ValueError("segments shorter than max requested T")
@@ -500,7 +495,6 @@ class GraphReport:
     is_graph: bool
     max_fiber_gap: float
     lipschitz_estimate: float
-    deviation_d: float
     bins: tuple[int, int]
     occupied_fraction: float
 
@@ -513,23 +507,22 @@ def _circular_diameter(angles: np.ndarray) -> float:
     return float(TWO_PI - np.max(gaps))
 
 
+_FIBER_TOL = 0.35  # largest circular diameter of one bin's covector angles on a graph
+
+
 def invariant_graph_test(
     states,
     x2_period: float,
     *,
     bins: tuple[int, int] = (32, 32),
-    fiber_tol: float = 0.35,
-    representative: tuple | None = None,
 ) -> GraphReport:
     """Check whether a state sample is a graph over the torus base.
 
     Samples are binned by base point; the fiber value is the covector angle.
     The sample passes when every occupied bin's fiber values cluster within
-    ``fiber_tol`` (circular diameter).  The Lipschitz estimate is the largest
+    ``_FIBER_TOL`` (circular diameter).  The Lipschitz estimate is the largest
     mean-angle difference between neighboring occupied bins divided by the
-    base distance of their centers.  ``representative`` is an optional
-    (lifted_path, direction) pair whose bounded deviation is reported as
-    deviation_d.
+    base distance of their centers.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:
@@ -570,15 +563,10 @@ def invariant_graph_test(
         if np.any(valid):
             lip = max(lip, float(np.nanmax(diff[valid])) / width)
 
-    dev = math.nan
-    if representative is not None:
-        path, rho = representative
-        dev = bounded_deviation(path, rho).sup_distance
     return GraphReport(
-        is_graph=bool(max_gap <= fiber_tol),
+        is_graph=bool(max_gap <= _FIBER_TOL),
         max_fiber_gap=float(max_gap),
         lipschitz_estimate=float(lip),
-        deviation_d=dev,
         bins=(n1, n2),
         occupied_fraction=occupied / (n1 * n2),
     )

@@ -17,11 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import TubeSpec, rotation_number_from_displacements
-from .config import build_config, default_config, integrator_from_config, parse_set_option, section_from_config
+from .config import (
+    build_config,
+    default_config,
+    integrator_from_config,
+    metric_from_config,
+    parse_set_option,
+    profile_from_config,
+    section_from_config,
+)
 from .errors import FinslerLabError
-from .flow import ENSEMBLE_CONFIG, IntegratorConfig, integrate_orbit
-from .metrics import metric_from_spec
-from .profiles import profile_from_spec
+from .flow import ENSEMBLE_CONFIG, integrate_orbit
 from .reporting import dump_json, render_section_plot
 from .sampling import sample_covectors, solve_xi2_on_level
 from .scenarios import (
@@ -35,13 +41,6 @@ from .scenarios import (
     tube_run,
 )
 from .sections import AnnulusChart, build_return_map_grid, iterate_section_map
-
-
-def _metric_from_config(cfg: dict):
-    spec = dict(cfg.get("metric", {}))
-    spec.setdefault("kind", "rotational")
-    spec["profile"] = cfg.get("profile", {"kind": "round_sphere"})
-    return metric_from_spec(spec)
 
 
 def _overrides(args) -> list:
@@ -67,7 +66,7 @@ def _out_dir(args, command: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
+    metric = metric_from_config(cfg)
     integ = integrator_from_config(cfg)
     sim = cfg["analysis"].get("simulate", {})
     x1, x2 = float(sim.get("x1", 0.0)), float(sim.get("x2", 0.0))
@@ -97,7 +96,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_section(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
+    metric = metric_from_config(cfg)
     integ = integrator_from_config(cfg)
     spec = section_from_config(cfg)
     sec = cfg["analysis"].get("section", {})
@@ -123,14 +122,14 @@ def _cmd_section(args) -> int:
 
 def _cmd_rotation(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
+    metric = metric_from_config(cfg)
     integ = integrator_from_config(cfg)
     spec = section_from_config(cfg)
     rot = cfg["analysis"].get("rotation", {})
     s0 = float(rot.get("s", 1.0))
     u0 = float(rot.get("u", 0.25))
     n = int(rot.get("n", 100))
-    fast = IntegratorConfig(method=integ.method, rel_tol=max(integ.rel_tol, 1e-10), abs_tol=max(integ.abs_tol, 1e-10))
+    fast = integ.with_(rel_tol=max(integ.rel_tol, 1e-10), abs_tol=max(integ.abs_tol, 1e-10))
     orbit = iterate_section_map(metric, spec, (s0, u0), n, fast)
     est = rotation_number_from_displacements(orbit.displacements)
     out = _out_dir(args, "rotation")
@@ -152,12 +151,12 @@ def _cmd_entropy(args) -> int:
     cfg = _build_config(args)
     ent = cfg["analysis"].get("entropy", {})
     system = ent.get("system", "doubling")
-    rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
+    rng = np.random.default_rng(cfg["scenario"]["seed"])
     if system in MAP_SYSTEMS:
         maps = MAP_SYSTEMS[system]
         est = maps.entropy(rng.uniform(0, 1, (int(ent.get("cloud", 2000)), maps.dim)), maps.T_list, maps.eps)
     elif system == "flow":
-        est = flow_entropy(_metric_from_config(cfg), _torus_period(cfg, "flow entropy needs"), ent, rng)
+        est = flow_entropy(metric_from_config(cfg), _torus_period(cfg, "flow entropy needs"), ent, rng)
     else:
         raise FinslerLabError(f"unknown entropy system {system!r}")
     out = _out_dir(args, "entropy")
@@ -172,7 +171,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_graphs(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
+    metric = metric_from_config(cfg)
     period = _torus_period(cfg, "graph tests need")
     g = cfg["analysis"].get("graphs", {})
     c = float(g.get("c", 0.2))
@@ -199,12 +198,12 @@ def _cmd_graphs(args) -> int:
 
 def _cmd_tube(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
+    metric = metric_from_config(cfg)
     period = _torus_period(cfg, "tube diagnostics need")
     t = cfg["analysis"].get("tube", {})
-    c_lo = float(t.get("c_lo", profile_from_spec(cfg["profile"]).min_value()))
+    c_lo = float(t.get("c_lo", profile_from_config(cfg).min_value()))
     c_hi = float(t.get("c_hi", 0.95))
-    rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
+    rng = np.random.default_rng(cfg["scenario"]["seed"])
     report = tube_run(
         metric, TubeSpec(c_lo=c_lo, c_hi=c_hi), period, t, rng, 0.5 * (c_lo + c_hi), [],
         float(t.get("ensemble_time", 30.0)), float(t.get("long_time", 1000.0)), ENSEMBLE_CONFIG,
@@ -236,9 +235,9 @@ _VALIDATE_KEYS = {
 
 def _cmd_validate(args) -> int:
     cfg = _build_config(args)
-    metric = _metric_from_config(cfg)
-    rng = np.random.default_rng(int(cfg["scenario"].get("seed", 0)))
-    x2_range = (0.0, float(cfg["profile"]["L"])) if cfg["profile"].get("kind") == "spliced" else (-2.0, 2.0)
+    metric = metric_from_config(cfg)
+    rng = np.random.default_rng(cfg["scenario"]["seed"])
+    x2_range = (0.0, float(cfg["profile"]["L"])) if cfg["profile"]["kind"] == "spliced" else (-2.0, 2.0)
     states = sample_covectors(rng, 1000, x2_range=x2_range)
     checks = axiom_checks(metric, states, rng)
     if metric.reversible:

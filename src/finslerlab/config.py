@@ -1,6 +1,9 @@
 """Configuration schema, defaults, merging and dotted-path overrides.
 
 Top-level keys: profile, metric, integrator, section, analysis, scenario.
+The integrator and section blocks are the fields of ``IntegratorConfig`` and
+``SectionSpec`` and take their defaults from them; the profile, metric,
+integrator and section blocks are validated by building their objects.
 Command-specific estimator parameters live under ``analysis.<command>``.
 """
 
@@ -8,11 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvalidField
 from .flow import IntegratorConfig
-from .metrics import ALPHA_GOLDEN
+from .metrics import ALPHA_GOLDEN, metric_from_spec
+from .profiles import RoundSphereProfile, profile_from_spec
 from .sections import SectionSpec
 
 __all__ = [
@@ -22,17 +27,21 @@ __all__ = [
     "apply_override",
     "parse_set_option",
     "validate_config",
+    "require_keys",
     "build_config",
+    "profile_from_config",
+    "metric_from_config",
     "integrator_from_config",
     "section_from_config",
 ]
 
 TOP_LEVEL_KEYS = ("profile", "metric", "integrator", "section", "analysis", "scenario")
+PROFILE_KEYS = ("kind", "L", "eps")  # the keys of the round-sphere and spliced profile specs
 
 
 def default_config() -> dict:
     return {
-        "profile": {"kind": "round_sphere"},
+        "profile": RoundSphereProfile().to_spec(),
         "metric": {
             "kind": "rotational",
             "a0": 0.3,
@@ -41,21 +50,8 @@ def default_config() -> dict:
             "alpha": ALPHA_GOLDEN,
             "reversible": False,
         },
-        "integrator": {
-            "method": "DOP853",
-            "rel_tol": 1e-12,
-            "abs_tol": 1e-12,
-            "checkpoint_dt": 0.1,
-            "invariant_drift_tol": 1e-8,
-            "x2_cap": 30.0,
-        },
-        "section": {
-            "kind": "equator_birkhoff",
-            "x2_star": 0.0,
-            "x1_star": 0.0,
-            "transversality_tol": 1e-6,
-            "max_return_time": 8.0,
-        },
+        "integrator": asdict(IntegratorConfig()),
+        "section": SectionSpec().to_spec(),
         "analysis": {},
         "scenario": {"name": "", "seed": 0},
     }
@@ -110,57 +106,41 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    """Schema check; raises ConfigInvalid with the dotted path of the offender."""
+    """Schema check; raises ConfigInvalid with the dotted path of the offender.
+
+    Every block but ``analysis`` accepts only its own keys; the values of the
+    profile, metric, integrator and section blocks are checked by building
+    their objects, so each rule lives in the constructor that needs it.
+    """
+    allowed = default_config()
+    allowed["profile"] = dict.fromkeys(PROFILE_KEYS)
     for key in cfg:
         _require(key in TOP_LEVEL_KEYS, key, f"unknown top-level key (allowed: {TOP_LEVEL_KEYS})")
-    profile = cfg.get("profile", {})
-    _require(isinstance(profile, dict), "profile", "must be an object")
-    kind = profile.get("kind", "round_sphere")
-    _require(kind in ("round_sphere", "spliced"), "profile.kind", f"unknown kind {kind!r}")
-    if kind == "spliced":
-        _require(float(profile.get("L", 0)) > 0, "profile.L", "must be positive")
-        _require(
-            0 < float(profile.get("eps", 0)) < float(profile["L"]) / 4,
-            "profile.eps",
-            "must satisfy 0 < eps < L/4",
-        )
-    metric = cfg.get("metric", {})
-    mkind = metric.get("kind", "rotational")
-    _require(
-        mkind in ("rotational", "angular", "katok"),
-        "metric.kind",
-        f"unknown kind {mkind!r}",
-    )
-    if mkind == "katok":
-        a0, a1, b = (float(metric.get(k, 0)) for k in ("a0", "a1", "b"))
-        _require(0 < a0 < a1 < b, "metric.a0", "need 0 < a0 < a1 < b")
-    integ = cfg.get("integrator", {})
-    for key in ("rel_tol", "abs_tol", "checkpoint_dt", "invariant_drift_tol"):
-        if key in integ:
-            _require(float(integ[key]) > 0, f"integrator.{key}", "must be positive")
-    if integ.get("method") is not None:
-        _require(
-            integ["method"] in ("RK45", "DOP853"),
-            "integrator.method",
-            "must be RK45 or DOP853 (adaptive, order >= 5, dense output)",
-        )
-    section = cfg.get("section", {})
-    if section.get("kind") is not None:
-        _require(
-            section["kind"] in ("equator_birkhoff", "meridian"),
-            "section.kind",
-            f"unknown kind {section.get('kind')!r}",
-        )
-    for key in ("transversality_tol", "max_return_time"):
-        if key in section:
-            _require(float(section[key]) > 0, f"section.{key}", "must be positive")
-    scenario = cfg.get("scenario", {})
-    if "seed" in scenario:
-        _require(
-            isinstance(scenario["seed"], int) and scenario["seed"] >= 0,
-            "scenario.seed",
-            "must be a nonnegative integer",
-        )
+    for block, known in allowed.items():
+        _require(isinstance(cfg.get(block), dict), block, "must be an object")
+        if block != "analysis":
+            for key in cfg[block]:
+                _require(key in known, f"{block}.{key}", f"unknown key (allowed: {tuple(known)})")
+    seed = cfg["scenario"].get("seed")
+    _require(isinstance(seed, int) and seed >= 0, "scenario.seed", "must be a nonnegative integer")
+    for build in (profile_from_config, metric_from_config, integrator_from_config, section_from_config):
+        build(cfg)
+
+
+def require_keys(cfg: dict, defaults: dict) -> None:
+    """Raise ConfigInvalid at the first key of ``defaults`` (at any depth) missing from ``cfg``.
+
+    Scenario runners read their settings without fallbacks; a key goes
+    missing when an override replaces a whole block.
+    """
+
+    def walk(node, spec: dict, path: str) -> None:
+        for key, value in spec.items():
+            _require(isinstance(node, dict) and key in node, path + key, "missing (an override replaced its block)")
+            if isinstance(value, dict):
+                walk(node[key], value, f"{path}{key}.")
+
+    walk(cfg, defaults, "")
 
 
 def build_config(base: dict, config_file, overrides, seed) -> dict:
@@ -176,24 +156,30 @@ def build_config(base: dict, config_file, overrides, seed) -> dict:
     return cfg
 
 
+def _build(cfg: dict, block: str, make):
+    """``make(cfg[block])``, with a constructor's error as ConfigInvalid at its field's dotted path."""
+    spec = cfg[block]
+    try:
+        return make(spec)
+    except KeyError as err:
+        raise ConfigInvalid(f"{block}.{err.args[0]}", "missing") from err
+    except InvalidField as err:
+        raise ConfigInvalid(f"{block}.{err.field}", err.reason) from err
+    except (TypeError, ValueError) as err:
+        raise ConfigInvalid(block, str(err)) from err
+
+
+def profile_from_config(cfg: dict):
+    return _build(cfg, "profile", profile_from_spec)
+
+
+def metric_from_config(cfg: dict):
+    return _build(cfg, "metric", lambda spec: metric_from_spec({**spec, "profile": cfg["profile"]}))
+
+
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
-    integ = cfg.get("integrator", {})
-    return IntegratorConfig(
-        method=integ.get("method", "DOP853"),
-        rel_tol=float(integ.get("rel_tol", 1e-12)),
-        abs_tol=float(integ.get("abs_tol", 1e-12)),
-        checkpoint_dt=float(integ.get("checkpoint_dt", 0.1)),
-        invariant_drift_tol=float(integ.get("invariant_drift_tol", 1e-8)),
-        x2_cap=integ.get("x2_cap", 30.0),
-    )
+    return _build(cfg, "integrator", lambda spec: IntegratorConfig(**spec))
 
 
 def section_from_config(cfg: dict) -> SectionSpec:
-    sec = cfg.get("section", {})
-    return SectionSpec(
-        kind=sec.get("kind", "equator_birkhoff"),
-        x2_star=float(sec.get("x2_star", 0.0)),
-        x1_star=float(sec.get("x1_star", 0.0)),
-        transversality_tol=float(sec.get("transversality_tol", 1e-6)),
-        max_return_time=float(sec.get("max_return_time", 8.0)),
-    )
+    return _build(cfg, "section", lambda spec: SectionSpec(**spec))

@@ -10,13 +10,38 @@ class FinslerLabError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidField(FinslerLabError, ValueError):
+    """A constructor argument is out of range or of the wrong type.
+
+    ``field`` names the argument, so the config layer can report it under
+    its dotted path; ``reason`` is the message without the name.
+    """
+
+    def __init__(self, field, reason):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+def require_positive(obj, *names) -> None:
+    """Raise InvalidField for the first named attribute of ``obj`` that is not a number > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            ok = value > 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidField(name, f"must be a positive number, got {value!r}")
+
+
 # --- profiles ---------------------------------------------------------------
 
-class InvalidSplice(FinslerLabError):
+class InvalidSplice(InvalidField):
     """Splice half-width out of range or the bridge lost positivity."""
 
 
-class InvalidBand(FinslerLabError):
+class InvalidBand(InvalidField):
     """Cutoff band endpoints are not ordered 0 < a0 < a1."""
 
 
@@ -65,14 +90,6 @@ class InvariantDrift(FinslerLabError):
 
 class StepFailure(FinslerLabError):
     """The adaptive integrator could not complete a step."""
-
-
-class ConeViolation(FinslerLabError):
-    """Composed-flow shortcut used outside the invariant cone."""
-
-
-class LiftAmbiguity(FinslerLabError):
-    """A single trace step moved more than half a period; lift is not unique."""
 
 
 # --- sections ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantDrift, PoleProximity, StepFailure, ZeroCovector
+from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
 from .solvers import DOP853, EPS, RK45, DenseSolution, brent_root, march_rows
 
@@ -68,11 +68,10 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in _SOLVERS:
-            raise ValueError(f"method must be RK45 or DOP853, not {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.checkpoint_dt <= 0:
-            raise ValueError("checkpoint_dt must be positive")
+            raise InvalidField("method", f"must be RK45 or DOP853, not {self.method!r}")
+        require_positive(self, "rel_tol", "abs_tol", "invariant_drift_tol", "checkpoint_dt")
+        if self.x2_cap is not None:
+            require_positive(self, "x2_cap")
 
     def with_(self, **kw) -> "IntegratorConfig":
         from dataclasses import replace

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityLost, SeamMismatch, ZeroCovector
+from .errors import ConvexityLost, InvalidField, SeamMismatch, ZeroCovector
 from .profiles import (
     CutoffPair,
     RotationalProfile,
@@ -448,7 +448,6 @@ def build_katok_family(
     cutoffs: CutoffPair,
     alpha: float,
     *,
-    convexity_states=None,
     check_convexity: bool = True,
 ) -> KatokDualMetric:
     """Gated constructor for the perturbed family.
@@ -459,14 +458,10 @@ def build_katok_family(
     """
     grid = np.linspace(-cutoffs.b, cutoffs.b, 257)
     if float(np.max(np.abs(profile.f(grid) - eval_f0(grid)))) > 1e-12:
-        raise ValueError(
-            f"profile must equal the sphere profile on [-{cutoffs.b}, {cutoffs.b}]"
-        )
+        raise InvalidField("b", f"profile must equal the sphere profile on [-{cutoffs.b}, {cutoffs.b}]")
     metric = KatokDualMetric(profile, cutoffs, alpha)
     if check_convexity:
-        if convexity_states is None:
-            convexity_states = _default_convexity_states(profile, cutoffs)
-        report = fiber_convexity_check(metric, convexity_states)
+        report = fiber_convexity_check(metric, _default_convexity_states(profile, cutoffs))
         if not report.passed:
             raise ConvexityLost(alpha, report.min_eigenvalue)
     return metric
@@ -485,15 +480,17 @@ def _default_convexity_states(profile, cutoffs, n: int = 400) -> np.ndarray:
     return out
 
 
+_ALPHA_SCAN_HI = 2.0  # upper end of the critical-alpha bisection
+
+
 def critical_alpha_scan(
     profile: RotationalProfile,
     cutoffs: CutoffPair,
     *,
-    alpha_hi: float = 2.0,
     tol: float = 1e-3,
     states=None,
 ) -> tuple[float, float]:
-    """Bisect for the largest alpha whose convexity scan still passes.
+    """Bisect in [0, 2] for the largest alpha whose convexity scan still passes.
 
     Returns the bracket (alpha_pass, alpha_fail); reported, never asserted,
     because the scan is sampled rather than proven.
@@ -504,7 +501,7 @@ def critical_alpha_scan(
     def passes(alpha):
         return fiber_convexity_check(KatokDualMetric(profile, cutoffs, alpha), states).passed
 
-    lo, hi = 0.0, float(alpha_hi)
+    lo, hi = 0.0, _ALPHA_SCAN_HI
     if passes(hi):
         return hi, math.inf
     while hi - lo > tol:
@@ -516,7 +513,10 @@ def critical_alpha_scan(
     return lo, hi
 
 
-def reversibilize(H: DualMetric, *, seam_tol: float = 1e-10) -> ReversibilizedDualMetric:
+_SEAM_TOL = 1e-10  # |H(xi) - H(-xi)| on {xi1 = 0} above this raises SeamMismatch
+
+
+def reversibilize(H: DualMetric) -> ReversibilizedDualMetric:
     """Even-symmetrize H across {xi1 = 0}.
 
     Requires H itself to already be even on the seam (true for the perturbed
@@ -532,7 +532,7 @@ def reversibilize(H: DualMetric, *, seam_tol: float = 1e-10) -> ReversibilizedDu
     mirror = seam.copy()
     mirror[:, 2:] *= -1.0
     gap = np.max(np.abs(np.asarray(H.value(seam)) - np.asarray(H.value(mirror))))
-    if gap > seam_tol:
+    if gap > _SEAM_TOL:
         raise SeamMismatch(f"|H(xi) - H(-xi)| = {gap:.3e} on the seam {{xi1 = 0}}")
     return ReversibilizedDualMetric(H)
 
@@ -550,4 +550,4 @@ def metric_from_spec(spec: dict) -> DualMetric:
         if spec.get("reversible"):
             metric = reversibilize(metric)
         return metric
-    raise ValueError(f"unknown metric kind {kind!r}")
+    raise InvalidField("kind", f"unknown metric kind {kind!r}")

@@ -171,7 +171,7 @@ def make_eta(a0: float, a1: float) -> SmoothStep:
     Requires 0 < a0 < a1 so that f0(a1) < f0(a0).
     """
     if not (0.0 < a0 < a1):
-        raise InvalidBand(f"need 0 < a0 < a1, got a0={a0!r}, a1={a1!r}")
+        raise InvalidBand("a0", f"need 0 < a0 < a1, got a0={a0!r}, a1={a1!r}")
     return SmoothStep(lo=float(eval_f0(a1)), hi=float(eval_f0(a0)))
 
 
@@ -196,7 +196,7 @@ class CutoffPair:
 
 def make_cutoffs(a0: float, a1: float, b: float) -> CutoffPair:
     if not (0.0 < a0 < a1 < b):
-        raise InvalidBand(f"need 0 < a0 < a1 < b, got ({a0!r}, {a1!r}, {b!r})")
+        raise InvalidBand("a0", f"need 0 < a0 < a1 < b, got ({a0!r}, {a1!r}, {b!r})")
     return CutoffPair(a0=float(a0), a1=float(a1), b=float(b), eta=make_eta(a0, a1))
 
 
@@ -277,7 +277,7 @@ class SplicedTorusProfile(RotationalProfile):
     def __init__(self, length: float, eps_splice: float):
         if not (0.0 < eps_splice < length / 4.0):
             raise InvalidSplice(
-                f"need 0 < eps_splice < L/4, got L={length!r}, eps={eps_splice!r}"
+                "eps" if length > 0 else "L", f"need 0 < eps_splice < L/4, got L={length!r}, eps={eps_splice!r}"
             )
         self.period = float(length)
         self.eps_splice = float(eps_splice)
@@ -285,7 +285,7 @@ class SplicedTorusProfile(RotationalProfile):
         grid = np.linspace(-self.period / 2.0, self.period / 2.0, 4096)
         fmin = float(np.min(self.f(grid)))
         if fmin <= 0.0:
-            raise InvalidSplice(f"bridge lost positivity (min f = {fmin:.3e})")
+            raise InvalidSplice("eps", f"bridge lost positivity (min f = {fmin:.3e})")
 
     def _reduce(self, x2):
         L = self.period
@@ -346,4 +346,4 @@ def profile_from_spec(spec: dict) -> RotationalProfile:
         return RoundSphereProfile()
     if kind == "spliced":
         return SplicedTorusProfile(spec["L"], spec["eps"])
-    raise InvalidSplice(f"unknown profile kind {kind!r}")
+    raise InvalidSplice("kind", f"unknown profile kind {kind!r}")

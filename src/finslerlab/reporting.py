@@ -143,29 +143,24 @@ def export_report(report: RunReport, path, fmt: str = "json") -> Path:
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
+_PLOT_WIDTH, _PLOT_HEIGHT = 640, 400  # SVG size in pixels
+_POINT_RADIUS = 1.4
 
 
-def render_section_plot(
-    point_groups,
-    *,
-    s_range=(0.0, 2.0 * math.pi),
-    u_range=(0.0, math.pi),
-    width: int = 640,
-    height: int = 400,
-    radius: float = 1.4,
-    title: str = "",
-) -> str:
+def render_section_plot(point_groups, *, s_range=(0.0, 2.0 * math.pi), title: str = "") -> str:
     """Deterministic SVG scatter of annulus points, one color per group.
 
-    Input is a list of (k_i, 2) arrays of (s, u) points; identical input
-    yields a byte-identical document (fixed precision, fixed ordering).
+    Input is a list of (k_i, 2) arrays of (s, u) points, u in [0, pi];
+    identical input yields a byte-identical document (fixed precision, fixed
+    ordering).
     """
     groups = [np.atleast_2d(np.asarray(g, dtype=float)) for g in point_groups]
     if not groups or all(g.size == 0 for g in groups):
         raise EmptyInput("no points to plot")
     pad = 30.0
     s_lo, s_hi = s_range
-    u_lo, u_hi = u_range
+    u_lo, u_hi = 0.0, math.pi
+    width, height = _PLOT_WIDTH, _PLOT_HEIGHT
 
     def to_xy(s, u):
         x = pad + (s - s_lo) / (s_hi - s_lo) * (width - 2 * pad)
@@ -188,6 +183,6 @@ def render_section_plot(
         color = _PALETTE[gi % len(_PALETTE)]
         for row in g:
             x, y = to_xy(float(row[0]), float(row[1]))
-            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius}" fill="{color}"/>')
+            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{_POINT_RADIUS}" fill="{color}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

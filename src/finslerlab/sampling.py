@@ -35,6 +35,9 @@ def sample_covectors(rng, n: int, *, x2_range=(-2.0, 2.0), scale_range=(0.5, 2.0
     return np.stack([x1, x2, rho * np.cos(theta), rho * np.sin(theta)], axis=1)
 
 
+_CONE_MARGIN = 1e-6  # keeps cone samples off the cone boundary
+
+
 def sample_cone_states(
     rng,
     profile: RotationalProfile,
@@ -42,19 +45,18 @@ def sample_cone_states(
     n: int,
     *,
     scale_range=(0.5, 2.0),
-    margin: float = 1e-6,
 ) -> np.ndarray:
     """States strictly inside the cone U_a (ratio >= f0(a), |x2| <= a)."""
     out = np.empty((n, 4))
     floor_ratio = float(eval_f0(a))
     for i in range(n):
         while True:
-            x2 = rng.uniform(-a + margin, a - margin)
+            x2 = rng.uniform(-a + _CONE_MARGIN, a - _CONE_MARGIN)
             fx = float(profile.f(x2))
             cos_min = floor_ratio / fx
-            if cos_min >= 1.0 - margin:
+            if cos_min >= 1.0 - _CONE_MARGIN:
                 continue
-            theta_max = math.acos(cos_min) * (1.0 - margin)
+            theta_max = math.acos(cos_min) * (1.0 - _CONE_MARGIN)
             theta = rng.uniform(-theta_max, theta_max)
             rho = rng.uniform(*scale_range)
             y = np.array([rng.uniform(0.0, TWO_PI), x2, rho * math.cos(theta), rho * math.sin(theta)])
@@ -94,7 +96,10 @@ def sample_unit_level(H: DualMetric, rng, n: int, *, x2_range=(-2.0, 2.0)) -> np
     return y
 
 
-def solve_xi2_on_level(H: DualMetric, x1: float, x2: float, xi1: float, *, xi2_hi: float = 10.0) -> float | None:
+_XI2_HI = 10.0  # upper end of the xi2 bracket of solve_xi2_on_level
+
+
+def solve_xi2_on_level(H: DualMetric, x1: float, x2: float, xi1: float) -> float | None:
     """Nonnegative xi2 with H(x, (xi1, xi2)) = 1, or None when infeasible."""
 
     def g(s):
@@ -103,9 +108,9 @@ def solve_xi2_on_level(H: DualMetric, x1: float, x2: float, xi1: float, *, xi2_h
     g0 = g(1e-12)
     if g0 > 0.0:
         return None
-    if g(xi2_hi) < 0.0:
+    if g(_XI2_HI) < 0.0:
         return None
-    return brent_root(g, 1e-12, xi2_hi, xtol=1e-14)
+    return brent_root(g, 1e-12, _XI2_HI, xtol=1e-14)
 
 
 def sample_tube_states(
@@ -115,9 +120,8 @@ def sample_tube_states(
     c_range: tuple[float, float],
     *,
     x2_period: float,
-    random_sign: bool = True,
 ) -> np.ndarray:
-    """Unit-level states with conserved xi1 drawn uniformly from c_range.
+    """Unit-level states with conserved xi1 drawn uniformly from c_range, xi2 of random sign.
 
     Chart-uniform (x1, x2, xi1) sampling with rejection where the level set is
     empty; explicitly a non-invariant reference measure.
@@ -131,7 +135,7 @@ def sample_tube_states(
         xi2 = solve_xi2_on_level(H, x1, x2, c)
         if xi2 is None:
             continue
-        if random_sign and rng.uniform() < 0.5:
+        if rng.uniform() < 0.5:
             xi2 = -xi2
         out[count] = (x1, x2, c, xi2)
         count += 1

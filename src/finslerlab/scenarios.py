@@ -8,6 +8,7 @@ report payloads; wall-clock timings are kept out of the report body.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from contextlib import contextmanager
@@ -30,9 +31,10 @@ from .analysis import (
     wrapped_metric,
 )
 from .benchmarks import CAT_ENTROPY, cat_map, doubling_map, iterate_map_segments, rigid_rotation, twist_map
-from .config import build_config, default_config, integrator_from_config, section_from_config
+from .config import build_config, default_config, integrator_from_config, require_keys, section_from_config
 from .errors import NotVanishing, PoleProximity, StepFailure, UnknownScenario
 from .flow import (
+    ENSEMBLE_CONFIG,
     TWO_PI,
     IntegratorConfig,
     check_periodicity,
@@ -41,7 +43,6 @@ from .flow import (
     phase_space_distance,
 )
 from .metrics import (
-    ALPHA_GOLDEN,
     RotationalDualMetric,
     build_katok_family,
     critical_alpha_scan,
@@ -151,18 +152,29 @@ MAP_SYSTEMS = {
 }
 
 
+# RK45 1e-8 for the entropy clouds and the iterate plot (statistics, not acceptance)
+CLOUD_CONFIG = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
+
+# settings of the two batteries shared with the CLI; katok-torus runs them as is
+FLOW_ENTROPY_DEFAULTS = {"cloud": 2000, "horizon": 60, "T_list": [0, 10, 20, 40, 60], "eps": [0.5, 0.3]}
+TUBE_DEFAULTS = {"orbits": 32, "eps_grid": [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]}
+
+
 def flow_entropy(H, period: float, ent_cfg: dict, rng):
-    """Separated-set entropy of the time-1 flow on a unit-level cloud over one x2-period."""
-    horizon = int(ent_cfg.get("horizon", 60))
-    cloud = sample_unit_level(H, rng, int(ent_cfg.get("cloud", 2000)), x2_range=(0.0, period))
-    ens_cfg = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
-    trace = integrate_ensemble(H, cloud, float(horizon), ens_cfg, t_eval=np.arange(horizon + 1.0))
+    """Separated-set entropy of the time-1 flow on a unit-level cloud over one x2-period.
+
+    ``ent_cfg`` overrides any of ``FLOW_ENTROPY_DEFAULTS``.
+    """
+    ent = {**FLOW_ENTROPY_DEFAULTS, **ent_cfg}
+    horizon = int(ent["horizon"])
+    cloud = sample_unit_level(H, rng, int(ent["cloud"]), x2_range=(0.0, period))
+    trace = integrate_ensemble(H, cloud, float(horizon), CLOUD_CONFIG, t_eval=np.arange(horizon + 1.0))
     if trace.errors:
         raise StepFailure(f"{len(trace.errors)} of {len(cloud)} entropy-cloud orbits failed")
     return entropy_separated_sets(
         np.swapaxes(trace.states, 0, 1),  # (N, horizon+1, 4)
-        T_list=ent_cfg.get("T_list", [0, 10, 20, 40, 60]),
-        eps_list=ent_cfg.get("eps", [0.5, 0.3]),
+        T_list=ent["T_list"],
+        eps_list=ent["eps"],
         metric=wrapped_metric([TWO_PI, period, None, None]),
     )
 
@@ -187,12 +199,13 @@ def tube_run(
     """Tube diagnostics of a random tube ensemble placed after ``witness_rows``.
 
     The long witness orbit starts from the first row; the witness balls sit
-    around the level xi1 = witness_c. ``tube_cfg`` sizes the ensemble
-    (``orbits``) and the eps grid; the horizons and the integrator are the
-    caller's.
+    around the level xi1 = witness_c. ``tube_cfg`` overrides any of
+    ``TUBE_DEFAULTS``, which size the ensemble (``orbits``) and the eps grid;
+    the horizons and the integrator are the caller's.
     """
+    tube_cfg = {**TUBE_DEFAULTS, **tube_cfg}
     ens = sample_tube_states(
-        H, rng, int(tube_cfg.get("orbits", 32)), (tube.c_lo + 0.02, tube.c_hi - 0.02), x2_period=period
+        H, rng, int(tube_cfg["orbits"]), (tube.c_lo + 0.02, tube.c_hi - 0.02), x2_period=period
     )
     balls = [
         WitnessBall(center=np.array([math.pi, 0.3, witness_c + off, 0.5]), radius=0.05)
@@ -202,7 +215,7 @@ def tube_run(
         H,
         tube,
         np.vstack([*witness_rows, ens]),
-        tube_cfg.get("eps_grid", [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]),
+        tube_cfg["eps_grid"],
         balls,
         ensemble_time=ensemble_time,
         long_time=long_time,
@@ -210,14 +223,14 @@ def tube_run(
     )
 
 
-def _commuting_check(profile, alpha, cutoffs, samples, config, t_final=TWO_PI) -> Check:
-    """Direct perturbed-family orbits against the composed-flow oracle."""
+def _commuting_check(profile, alpha, cutoffs, samples, config) -> Check:
+    """Direct perturbed-family orbits against the composed-flow oracle over one period 2 pi."""
     metric = build_katok_family(profile, cutoffs, alpha, check_convexity=False)
     h0 = RotationalDualMetric(profile)
     worst = 0.0
     for y0 in np.atleast_2d(samples):
-        direct = integrate_orbit(metric, y0, t_final, config)
-        base = integrate_orbit(h0, y0, t_final, config)
+        direct = integrate_orbit(metric, y0, TWO_PI, config)
+        base = integrate_orbit(h0, y0, TWO_PI, config)
         shifted = base.states.copy()
         shifted[:, 0] += alpha * base.times
         d = phase_space_distance(direct.states, shifted, None)
@@ -263,12 +276,15 @@ def _jet_gap_across_seam(H, seam_states, h: float = 1e-3) -> float:
     return worst
 
 
-def _conservation_checks(H, starts, config, T: float = 100.0) -> list[Check]:
+_CONSERVATION_T = 100.0  # flow time of each conservation orbit
+
+
+def _conservation_checks(H, starts, config) -> list[Check]:
     h_worst = 0.0
     xi1_worst = 0.0
     for y0 in np.atleast_2d(starts):
         # the drift bounds are the checks' own, so the integrator only reports
-        trace = integrate_orbit(H, y0, T, config, enforce_drift=False)
+        trace = integrate_orbit(H, y0, _CONSERVATION_T, config, enforce_drift=False)
         h_worst = max(h_worst, trace.h_drift())
         xi1_worst = max(xi1_worst, trace.h1_drift())
     return [
@@ -277,7 +293,10 @@ def _conservation_checks(H, starts, config, T: float = 100.0) -> list[Check]:
     ]
 
 
-def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config, scan_dt=0.04) -> tuple:
+_RETURN_ENTROPY_SCAN_DT = 0.04  # crossing-scan step of the return-map entropy cloud
+
+
+def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config) -> tuple:
     """Separated-set entropy of the section return map on a random cloud.
 
     The fit window (T_list) should sit in the tail of the iterate range: a
@@ -286,7 +305,7 @@ def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config, scan
     """
     from dataclasses import replace
 
-    spec = replace(spec, scan_dt=scan_dt)
+    spec = replace(spec, scan_dt=_RETURN_ENTROPY_SCAN_DT)
     chart = AnnulusChart(H, spec)
     n_iter = max(T_list)
     s = rng.uniform(0.0, chart.circumference, n_cloud)
@@ -341,14 +360,7 @@ def scenario_defaults(name: str) -> dict:
     if name == "round-sphere-baseline":
         cfg["analysis"] = {"periodicity_samples": 50, "grid": 8}
     elif name == "katok-sphere":
-        cfg["metric"] = {
-            "kind": "katok",
-            "a0": 0.3,
-            "a1": 1.3,
-            "b": 1.6,
-            "alpha": ALPHA_GOLDEN,
-            "reversible": False,
-        }
+        cfg["metric"]["kind"] = "katok"
         cfg["analysis"] = {
             "axiom_samples": 1000,
             "entropy": {"cloud": 2000, "T_list": [8, 12, 16, 20, 24], "eps": [0.5, 0.25]},
@@ -356,24 +368,11 @@ def scenario_defaults(name: str) -> dict:
         }
     elif name == "katok-torus":
         cfg["profile"] = {"kind": "spliced", "L": 4.0, "eps": 0.25}
-        cfg["metric"] = {
-            "kind": "katok",
-            "a0": 0.3,
-            "a1": 1.3,
-            "b": 1.6,
-            "alpha": ALPHA_GOLDEN,
-            "reversible": True,
-        }
-        cfg["section"] = {
-            "kind": "meridian",
-            "x2_star": 0.0,
-            "x1_star": 0.0,
-            "transversality_tol": 1e-6,
-            "max_return_time": 40.0,
-        }
+        cfg["metric"].update(kind="katok", reversible=True)
+        cfg["section"].update(kind="meridian", max_return_time=40.0)
         cfg["analysis"] = {
-            "entropy": {"cloud": 2000, "horizon": 60, "T_list": [0, 10, 20, 40, 60], "eps": [0.5, 0.3]},
-            "tube": {"orbits": 32, "eps_grid": [0.02, 0.04, 0.08, 0.12, 0.2, 0.3]},
+            "entropy": copy.deepcopy(FLOW_ENTROPY_DEFAULTS),
+            "tube": copy.deepcopy(TUBE_DEFAULTS),
             "graph_bins": [32, 128],
         }
     elif name == "benchmark-maps":
@@ -404,13 +403,13 @@ def _run_round_sphere(cfg, rng, artifact, stage) -> list[Check]:
         checks += axiom_checks(h0, states, rng)
 
     with stage("periodicity"):
-        n_samp = int(cfg["analysis"].get("periodicity_samples", 50))
+        n_samp = int(cfg["analysis"]["periodicity_samples"])
         cone_states = sample_cone_states(rng, profile, 0.5, n_samp)
         worst = check_periodicity(h0, cone_states, TWO_PI, config).max_distance
         checks.append(at_most("periodicity.max_distance", worst, 1e-6))
 
     with stage("return_grid"):
-        n_grid = int(cfg["analysis"].get("grid", 8))
+        n_grid = int(cfg["analysis"]["grid"])
         s_vals = np.linspace(0.2, TWO_PI - 0.2, n_grid)
         # asymmetric angle grid: the exact polar direction u = pi/2 leaves the
         # sphere chart through a pole and never returns in-chart
@@ -470,7 +469,7 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
     config = integrator_from_config(cfg)
     spec = section_from_config(cfg)
     checks: list[Check] = []
-    n_ax = int(cfg["analysis"].get("axiom_samples", 1000))
+    n_ax = int(cfg["analysis"]["axiom_samples"])
 
     with stage("axioms"):
         states = sample_covectors(rng, n_ax, x2_range=(-1.5, 1.5))
@@ -526,16 +525,15 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
         checks.append(at_most("boundary.poly_residual", ext.residual, 1e-4))
 
     with stage("entropy"):
-        ent_cfg = cfg["analysis"].get("entropy", {})
-        fast = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
+        ent_cfg = cfg["analysis"]["entropy"]
         est, n_failed = _return_map_entropy(
             metric,
             spec,
             rng,
-            n_cloud=int(ent_cfg.get("cloud", 2000)),
-            T_list=[int(t) for t in ent_cfg.get("T_list", [8, 12, 16, 20, 24])],
-            eps_list=list(ent_cfg.get("eps", [0.5, 0.25])),
-            config=fast,
+            n_cloud=int(ent_cfg["cloud"]),
+            T_list=[int(t) for t in ent_cfg["T_list"]],
+            eps_list=list(ent_cfg["eps"]),
+            config=CLOUD_CONFIG,
         )
         checks.append(at_most("entropy.return_map", est.value, 0.05))
         checks.append(at_most("entropy.return_map_failures", float(n_failed), 0.0))
@@ -549,7 +547,7 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
         ]
         checks += _conservation_checks(metric, starts, config)
 
-    lo, hi = critical_alpha_scan(profile, cutoffs, alpha_hi=2.0, tol=1e-2)
+    lo, hi = critical_alpha_scan(profile, cutoffs, tol=1e-2)
     checks.append(holds("convexity.critical_alpha", True, lo, detail=f"sampled bracket ({lo:.4f}, {hi:.4f})"))
 
     path = artifact("entropy.csv")
@@ -557,13 +555,11 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
         est.to_csv(path)
     path = artifact("iterates.svg")
     if path:
-        plot_cfg = cfg["analysis"].get("iterate_plot", {})
+        plot_cfg = cfg["analysis"]["iterate_plot"]
         groups = []
         # u = pi/2 is the polar direction, which leaves the chart strip
-        for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg.get("seeds", 5)), endpoint=False):
-            so = iterate_section_map(
-                metric, spec, (1.0, float(u_seed)), int(plot_cfg.get("iterates", 200)), fast
-            )
+        for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg["seeds"]), endpoint=False):
+            so = iterate_section_map(metric, spec, (1.0, float(u_seed)), int(plot_cfg["iterates"]), CLOUD_CONFIG)
             groups.append(so.points)
         Path(path).write_text(
             render_section_plot(groups, title="perturbed sphere section iterates"), encoding="utf-8"
@@ -580,7 +576,6 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     metric = reversibilize(build_katok_family(profile, cutoffs, alpha))
     h0 = RotationalDualMetric(profile)
     config = integrator_from_config(cfg)
-    fast = IntegratorConfig(method="DOP853", rel_tol=1e-9, abs_tol=1e-9)
     checks: list[Check] = []
 
     with stage("axioms"):
@@ -590,7 +585,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     # invariant level-set graphs, closed form, two bin resolutions
     with stage("graphs_level"):
         c_rot = 0.2
-        bins = cfg["analysis"].get("graph_bins", [32, 128])
+        bins = cfg["analysis"]["graph_bins"]
         level, reports = level_set_graphs(
             period, c_rot, 256, lambda x2: np.sqrt(np.asarray(profile.f(x2)) ** 2 - c_rot**2), bins
         )
@@ -610,7 +605,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     # long rotating orbit lies on the analytic graph
     with stage("graphs_orbit"):
         y_rot = np.array([0.0, 0.0, c_rot, float(np.sqrt(profile.f(0.0) ** 2 - c_rot**2))])
-        orbit_cfg = fast.with_(checkpoint_dt=0.05)
+        orbit_cfg = ENSEMBLE_CONFIG.with_(checkpoint_dt=0.05)
         tr_rot = integrate_orbit(metric, y_rot, 2000.0, orbit_cfg, enforce_drift=False)
         rep_orbit = [
             invariant_graph_test(tr_rot.states, x2_period=period, bins=(nb, nb)) for nb in (32, 128)
@@ -640,7 +635,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     with stage("trapped"):
         c_trap = 0.6
         y_trap = np.array([0.0, 0.0, c_trap, float(np.sqrt(profile.f(0.0) ** 2 - c_trap**2))])
-        tr_trap = integrate_orbit(metric, y_trap, 300.0, fast, enforce_drift=False)
+        tr_trap = integrate_orbit(metric, y_trap, 300.0, ENSEMBLE_CONFIG, enforce_drift=False)
         x_star = turning_point_bisect(profile, c_trap, x_hi=period / 2.0 - float(cfg["profile"]["eps"]))
         sup_x2 = float(np.max(np.abs(tr_trap.states[:, 1])))
         checks.append(at_most("trapped.sup_x2_bound", sup_x2, x_star + 1e-4))
@@ -651,7 +646,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
         y_wit = np.array([0.0, 0.0, witness_c, solve_xi2_on_level(metric, 0.0, 0.0, witness_c)])
         tube = TubeSpec(c_lo=profile.min_value(), c_hi=1.0 / (1.0 + alpha))
         report = tube_run(
-            metric, tube, period, cfg["analysis"].get("tube", {}), rng, witness_c, [y_wit], 30.0, 1000.0, fast
+            metric, tube, period, cfg["analysis"]["tube"], rng, witness_c, [y_wit], 30.0, 1000.0, ENSEMBLE_CONFIG
         )
         gap_violation = float(np.max(report.initial_gaps - report.min_boundary_dists))
         checks.append(at_most("tube.gap_bound", gap_violation, 1e-6))
@@ -662,7 +657,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
 
     # separated-set entropy of the integrable time-1 flow
     with stage("entropy"):
-        est = flow_entropy(h0, period, cfg["analysis"].get("entropy", {}), rng)
+        est = flow_entropy(h0, period, cfg["analysis"]["entropy"], rng)
         checks.append(at_most("entropy.integrable_flow", est.value, 0.05))
 
     # conservation battery (trapped, rotating, in-cone, band-crossing)
@@ -679,7 +674,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     with stage("directions"):
         c_deep = 0.96
         y_deep = np.array([0.0, 0.0, c_deep, solve_xi2_on_level(metric, 0.0, 0.0, c_deep)])
-        tr_deep = integrate_orbit(metric, y_deep, 1000.0, fast, enforce_drift=False)
+        tr_deep = integrate_orbit(metric, y_deep, 1000.0, ENSEMBLE_CONFIG, enforce_drift=False)
         dir_est = asymptotic_direction(tr_deep)
         angle = abs(math.atan2(dir_est.direction[1], dir_est.direction[0]))
         checks.append(
@@ -692,7 +687,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
             )
         )
         y_vert = np.array([1.0, 0.3, 0.0, float(profile.f(0.3))])
-        tr_vert = integrate_orbit(metric, y_vert, 50.0, fast, enforce_drift=False)
+        tr_vert = integrate_orbit(metric, y_vert, 50.0, ENSEMBLE_CONFIG, enforce_drift=False)
         dir_vert = asymptotic_direction(tr_vert)
         checks.append(at_most("directions.vertical_rotating", abs(float(dir_vert.direction[0])), 1e-9))
 
@@ -721,7 +716,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
 
 def _run_benchmark_maps(cfg, rng, artifact, stage) -> list[Check]:
     checks: list[Check] = []
-    n_cloud = int(cfg["analysis"].get("cloud", 2000))
+    n_cloud = int(cfg["analysis"]["cloud"])
     identity, rotation, doubling, cat_sys = (MAP_SYSTEMS[k] for k in ("identity", "rotation", "doubling", "cat"))
 
     with stage("entropy_zero"):
@@ -732,16 +727,15 @@ def _run_benchmark_maps(cfg, rng, artifact, stage) -> list[Check]:
         checks.append(holds("entropy.rigid_rotation", abs(rot.value) <= 0.02, rot.value, 0.02))
 
     with stage("entropy_doubling"):
-        dbl_cfg = cfg["analysis"].get("doubling", {})
-        n_dbl = int(dbl_cfg.get("iterates", max(doubling.T_list)))
-        dbl = doubling.entropy(cloud1, range(n_dbl + 1), dbl_cfg.get("eps", doubling.eps))
+        dbl_cfg = cfg["analysis"]["doubling"]
+        dbl = doubling.entropy(cloud1, range(int(dbl_cfg["iterates"]) + 1), dbl_cfg["eps"])
         rel_dbl = abs(dbl.value / math.log(2.0) - 1.0)
         checks.append(holds("entropy.doubling", rel_dbl <= 0.15, dbl.value, detail=f"rel err {rel_dbl:.3f} vs log 2"))
 
     with stage("entropy_cat"):
-        cat_cfg = cfg["analysis"].get("cat", {})
+        cat_cfg = cfg["analysis"]["cat"]
         cloud2 = rng.uniform(0.0, 1.0, (n_cloud, cat_sys.dim))
-        cat = cat_sys.entropy(cloud2, cat_cfg.get("T_list", cat_sys.T_list), cat_cfg.get("eps", cat_sys.eps))
+        cat = cat_sys.entropy(cloud2, cat_cfg["T_list"], cat_cfg["eps"])
         rel_cat = abs(cat.value / CAT_ENTROPY - 1.0)
         checks.append(
             holds(
@@ -773,7 +767,7 @@ def _run_benchmark_maps(cfg, rng, artifact, stage) -> list[Check]:
 
 def _run_smooth_division(cfg, rng, artifact, stage) -> list[Check]:
     del rng
-    xs = [float(x) for x in cfg["analysis"].get("xs", [-1.0, 0.5, 2.0])]
+    xs = [float(x) for x in cfg["analysis"]["xs"]]
     battery = [
         # name, F(x, t), exact [G, G', G''] at t = 0 as functions of x
         ("linear", lambda x, t: t, lambda x: (1.0, 0.0, 0.0)),
@@ -781,7 +775,7 @@ def _run_smooth_division(cfg, rng, artifact, stage) -> list[Check]:
         ("texp", lambda x, t: t * math.exp(x * t), lambda x: (1.0, x, x * x)),
         ("tcos", lambda x, t: t * math.cos(x * t), lambda x: (1.0, 0.0, -x * x)),
     ]
-    fd_step = float(cfg["analysis"].get("fd_step", 0.05))
+    fd_step = float(cfg["analysis"]["fd_step"])
     checks: list[Check] = []
     rows = []
     with stage("battery"):
@@ -859,7 +853,8 @@ def run_scenario(
     if name not in _RUNNERS:
         raise UnknownScenario(f"{name!r} (known: {', '.join(SCENARIO_NAMES)})")
     cfg = build_config(scenario_defaults(name), config_file, overrides, seed)
-    seed_val = int(cfg["scenario"].get("seed", 0))
+    require_keys(cfg, scenario_defaults(name))
+    seed_val = cfg["scenario"]["seed"]
     rng = np.random.default_rng(seed_val)
 
     run_dir = None

@@ -28,9 +28,11 @@ import numpy as np
 from .errors import (
     BranchMismatch,
     ExtrapolationUnstable,
+    InvalidField,
     NoCrossing,
     NonTransverse,
     NotVanishing,
+    require_positive,
 )
 from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, _March, pole_cap_event, stacked_rhs
 from .metrics import DualMetric
@@ -70,9 +72,11 @@ class SectionSpec:
 
     def __post_init__(self):
         if self.kind not in ("equator_birkhoff", "meridian"):
-            raise ValueError(f"unknown section kind {self.kind!r}")
-        if self.max_return_time <= 0 or self.transversality_tol <= 0:
-            raise ValueError("max_return_time and transversality_tol must be positive")
+            raise InvalidField("kind", f"unknown section kind {self.kind!r}")
+        for name in ("x2_star", "x1_star"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise InvalidField(name, f"must be a number, got {getattr(self, name)!r}")
+        require_positive(self, "transversality_tol", "max_return_time", "scan_dt")
 
     def to_spec(self) -> dict:
         return {
@@ -666,6 +670,10 @@ def build_return_map_grid(
 # --- smooth division ---------------------------------------------------------
 
 
+_VANISH_TOL = 1e-12  # |F(x, 0)| above this share of max |F| raises NotVanishing
+_BRANCH_TOL = 1e-8  # relative gap between the Taylor and direct branches that raises BranchMismatch
+
+
 class SmoothQuotient:
     """G(x, t) = F(x, t) / t continued smoothly through t = 0.
 
@@ -675,14 +683,11 @@ class SmoothQuotient:
     d^k G(x, 0) = d^(k+1) F(x, 0) / (k + 1).
     """
 
-    def __init__(self, F, order: int = 2, *, t_switch: float = 1e-3, t_fit: float | None = None,
-                 branch_tol: float = 1e-8, vanish_tol: float = 1e-12):
+    def __init__(self, F, order: int = 2, *, t_switch: float = 1e-3, t_fit: float | None = None):
         self.F = F
         self.order = int(order)
         self.t_switch = float(t_switch)
         self.t_fit = float(t_fit) if t_fit is not None else max(64.0 * t_switch, 0.064)
-        self.branch_tol = float(branch_tol)
-        self.vanish_tol = float(vanish_tol)
         self.degree = self.order + 4
         self._cache: dict = {}
 
@@ -694,7 +699,7 @@ class SmoothQuotient:
         vals = np.array([self.F(x, float(tau * self.t_fit)) for tau in nodes])
         scale = max(1.0, float(np.max(np.abs(vals))))
         f0 = float(self.F(x, 0.0))
-        if abs(f0) > self.vanish_tol * scale:
+        if abs(f0) > _VANISH_TOL * scale:
             raise NotVanishing(f"F(x, 0) = {f0!r} does not vanish")
         a = np.polynomial.polynomial.polyfit(nodes, vals, self.degree)
         coeffs = a / self.t_fit ** np.arange(self.degree + 1)
@@ -703,7 +708,7 @@ class SmoothQuotient:
         for sign in (1.0, -1.0):
             taylor = float(np.polynomial.polynomial.polyval(sign * t, coeffs[1:]))
             direct = float(self.F(x, sign * t)) / (sign * t)
-            if abs(taylor - direct) > self.branch_tol * max(1.0, abs(direct)):
+            if abs(taylor - direct) > _BRANCH_TOL * max(1.0, abs(direct)):
                 raise BranchMismatch(
                     f"branches differ by {abs(taylor - direct):.3e} at |t| = {t}"
                 )

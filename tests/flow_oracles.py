@@ -7,7 +7,7 @@ points, a second route to the lift an orbit trace stores.
 
 import numpy as np
 
-from finslerlab.errors import ConeViolation, LiftAmbiguity
+from finslerlab.errors import FinslerLabError
 from finslerlab.flow import (
     DEFAULT_CONFIG,
     TWO_PI,
@@ -18,6 +18,14 @@ from finslerlab.flow import (
 )
 from finslerlab.metrics import CotangentPoint, RotationalDualMetric, cone_membership
 from finslerlab.profiles import RotationalProfile
+
+
+class ConeViolation(FinslerLabError):
+    """Composed-flow shortcut used outside the invariant cone."""
+
+
+class LiftAmbiguity(FinslerLabError):
+    """A single trace step moved more than half a period; lift is not unique."""
 
 
 def compose_commuting_flows(

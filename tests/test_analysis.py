@@ -195,6 +195,14 @@ class TestSeparatedSets:
             assert all(b >= a for a, b in zip(row, row[1:]))  # nondecreasing as eps shrinks
         assert len(est.sets[(3, 0.25)]) <= by[(3, 0.25)]  # a count is the envelope over coarser eps
 
+    def test_single_time_rejected(self, rng):
+        # a log-count slope through one T value is not defined
+        cloud = rng.uniform(0.0, 1.0, (300, 1))
+        segs = iterate_map_segments(doubling_map, cloud, 4)
+        for T_list in ([3], [3, 3]):
+            with pytest.raises(ValueError, match="two distinct T"):
+                entropy_separated_sets(segs, T_list, [0.05], wrapped_metric([1.0]))
+
     def test_identity_map_estimate_zero(self, rng):
         cloud = rng.uniform(0.0, 1.0, (1200, 1))
         segs = iterate_map_segments(lambda p: p, cloud, 6)
@@ -490,14 +498,6 @@ class TestInvariantGraphs:
         # Lipschitz estimate stays of the same order under refinement
         lips = [r.lipschitz_estimate for r in reports]
         assert 0.0 < lips[1] < 5.0 * lips[0] + 1.0
-
-    def test_representative_deviation_reported(self, spliced_profile):
-        states = self._level_states(spliced_profile, 0.2)
-        path = np.stack([np.linspace(0, 10, 50), 0.05 * np.sin(np.linspace(0, 9, 50))], axis=1)
-        rep = invariant_graph_test(
-            states, x2_period=4.0, bins=(32, 32), representative=(path, (1.0, 0.0))
-        )
-        assert rep.deviation_d == pytest.approx(0.05, abs=1e-2)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

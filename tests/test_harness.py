@@ -35,10 +35,20 @@ from finslerlab.scenarios import SCENARIO_NAMES, run_scenario, scenario_defaults
 
 class TestConfig:
     def test_defaults_validate(self):
+        from dataclasses import asdict
+
+        from finslerlab.flow import IntegratorConfig
+        from finslerlab.sections import SectionSpec
+
         cfg = default_config()
         validate_config(cfg)
         assert integrator_from_config(cfg).method == "DOP853"
         assert section_from_config(cfg).kind == "equator_birkhoff"
+        # the blocks are their objects' fields and defaults
+        assert cfg["integrator"] == asdict(IntegratorConfig())
+        assert cfg["section"] == SectionSpec().to_spec()
+        assert integrator_from_config(cfg) == IntegratorConfig()
+        assert section_from_config(cfg) == SectionSpec()
 
     def test_scenario_defaults_all_validate(self):
         for name in SCENARIO_NAMES:
@@ -62,6 +72,61 @@ class TestConfig:
         with pytest.raises(ConfigInvalid) as info:
             validate_config(cfg)
         assert "metric.a0" in str(info.value)
+
+    def test_unknown_nested_key_has_dotted_path(self):
+        for block, key in [("integrator", "rel_tl"), ("section", "scan_dt"), ("metric", "alpa"),
+                           ("profile", "length"), ("scenario", "sed")]:
+            cfg = default_config()
+            cfg[block][key] = 1e-6
+            with pytest.raises(ConfigInvalid) as info:
+                validate_config(cfg)
+            assert info.value.path == f"{block}.{key}"
+        cfg = default_config()
+        cfg["analysis"]["anything"] = {"goes": 1}  # analysis blocks are per-command
+        validate_config(cfg)
+
+    def test_nonpositive_x2_cap_rejected(self):
+        for cap in (-5.0, 0.0):
+            cfg = default_config()
+            cfg["integrator"]["x2_cap"] = cap
+            with pytest.raises(ConfigInvalid) as info:
+                validate_config(cfg)
+            assert info.value.path == "integrator.x2_cap"
+        cfg = default_config()
+        cfg["integrator"]["x2_cap"] = None  # no pole cap
+        validate_config(cfg)
+        cfg["integrator"]["invariant_drift_tol"] = 0.0
+        with pytest.raises(ConfigInvalid) as info:
+            validate_config(cfg)
+        assert info.value.path == "integrator.invariant_drift_tol"
+        # programmatic misuse keeps raising ValueError
+        from finslerlab.flow import IntegratorConfig
+
+        for bad in (dict(x2_cap=-5.0), dict(invariant_drift_tol=0.0)):
+            with pytest.raises(ValueError):
+                IntegratorConfig(**bad)
+
+    def test_non_numeric_value_rejected(self):
+        for block, key in [("integrator", "rel_tol"), ("integrator", "checkpoint_dt"),
+                           ("section", "max_return_time"), ("section", "x2_star")]:
+            cfg = default_config()
+            cfg[block][key] = "abc"
+            with pytest.raises(ConfigInvalid) as info:
+                validate_config(cfg)
+            assert info.value.path == f"{block}.{key}"
+        cfg = default_config()
+        cfg["metric"] = {"kind": "katok", "a0": "abc", "a1": 1.3, "b": 1.6, "alpha": 0.01}
+        with pytest.raises(ConfigInvalid):
+            validate_config(cfg)
+
+    def test_replaced_block_reports_missing_key(self):
+        # a --set of a whole block drops the scenario's other keys of that block
+        with pytest.raises(ConfigInvalid) as info:
+            run_scenario("benchmark-maps", overrides=[("analysis.cat", {"eps": [0.3]})], write=False)
+        assert info.value.path == "analysis.cat.T_list"
+        with pytest.raises(ConfigInvalid) as info:
+            run_scenario("katok-sphere", overrides=[("metric", {"kind": "katok", "a0": 0.3})], write=False)
+        assert info.value.path == "metric.a1"
 
     def test_merge_and_override(self):
         cfg = default_config()
@@ -286,7 +351,7 @@ class TestScenarioRunner:
         from finslerlab.scenarios import _conservation_checks
 
         cfg = IntegratorConfig(method="DOP853", rel_tol=1e-12, abs_tol=1e-12, invariant_drift_tol=1e-300)
-        h_check, xi1_check = _conservation_checks(h0_sphere, [np.array([0.0, 0.0, 0.6, 0.8])], cfg, T=10.0)
+        h_check, xi1_check = _conservation_checks(h0_sphere, [np.array([0.0, 0.0, 0.6, 0.8])], cfg)
         assert h_check.tolerance == xi1_check.tolerance == 1e-8
         assert 0.0 < h_check.value <= 1e-8 and h_check.passed
         assert xi1_check.passed
@@ -404,3 +469,22 @@ class TestCli:
         assert rc == 3
         rc = cli_main(["entropy", "--out", str(tmp_path), "--set", "analysis.entropy.system=bogus"])
         assert rc == 3
+
+    def test_non_numeric_and_unknown_settings_exit_3(self, tmp_path, capsys):
+        for option, path in [("integrator.rel_tol=abc", "integrator.rel_tol"),
+                             ("integrator.rel_tl=1e-6", "integrator.rel_tl"),
+                             ("integrator.x2_cap=-5", "integrator.x2_cap")]:
+            rc = cli_main(["validate", "--out", str(tmp_path), "--set", option])
+            assert rc == 3
+            assert path in capsys.readouterr().err
+        assert not (tmp_path / "validate.json").exists()
+
+    def test_rotation_command_keeps_configured_pole_cap(self, tmp_path, capsys):
+        # a pole cap at |x2| = 0.1 leaves no room for a section return on the
+        # round sphere, so the map must fail instead of running uncapped
+        rc = cli_main(
+            ["rotation", "--out", str(tmp_path), "--set", "integrator.x2_cap=0.1",
+             "--set", "analysis.rotation.n=10"]
+        )
+        assert rc == 3
+        assert not (tmp_path / "rotation.json").exists()

@@ -252,7 +252,7 @@ class TestConvexityScan:
         assert report.n_samples == 1000
 
     def test_critical_alpha_scan_brackets_failure(self, sphere_profile, cutoffs):
-        lo, hi = critical_alpha_scan(sphere_profile, cutoffs, alpha_hi=2.0, tol=1e-2)
+        lo, hi = critical_alpha_scan(sphere_profile, cutoffs, tol=1e-2)
         assert 0.0 < lo < hi
         states = None  # default scan states
         good = KatokDualMetric(sphere_profile, cutoffs, lo)
