@@ -12,9 +12,11 @@ because the Hamiltonians are piecewise-defined and event location needs dense
 output.
 
 Single orbits and the section paths in :mod:`~finslerlab.sections` step one
-loop, :class:`_March`: the lab's RK45 or DOP853 stepper
-(:mod:`~finslerlab.solvers`, scipy's classes ported bit for bit), advanced by
-hand with a one-shot scipy solve's checkpoint sampling and pole-cap rule.
+loop, :class:`_March`: a stepper of :mod:`~finslerlab.solvers` advanced by
+hand with a one-shot scipy solve's checkpoint sampling and pole-cap rule.  A
+single orbit steps in Python floats (:data:`ORBIT_STEPPERS`); the stacked
+return steps run scipy's classes, ported to numpy bit for bit
+(:data:`STACKED_STEPPERS`).
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The stacked return steps of
@@ -27,13 +29,14 @@ orbits as for many.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
-from .solvers import DOP853, EPS, RK45, DenseSolution, brent_root, march_rows
+from .solvers import DOP853, EPS, RK45, DenseSolution, FloatDOP853, FloatRK45, brent_root, march_rows
 
 __all__ = [
     "IntegratorConfig",
@@ -52,7 +55,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_SOLVERS = {"RK45": RK45, "DOP853": DOP853}
+# the steppers of one orbit (floats) and of a stacked system (numpy arrays)
+ORBIT_STEPPERS = {"RK45": FloatRK45, "DOP853": FloatDOP853}
+STACKED_STEPPERS = {"RK45": RK45, "DOP853": DOP853}
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class IntegratorConfig:
     x2_cap: float | None = 30.0
 
     def __post_init__(self):
-        if self.method not in _SOLVERS:
+        if self.method not in ORBIT_STEPPERS:
             raise InvalidField("method", f"must be RK45 or DOP853, not {self.method!r}")
         require_positive(self, "rel_tol", "abs_tol", "invariant_drift_tol", "checkpoint_dt")
         if self.x2_cap is not None:
@@ -183,10 +188,11 @@ class _March:
     """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
 
     The stepping loop of single orbits and section solves.  The solver is
-    the lab's port of the class a one-shot scipy solve would build for
-    ``config`` (same ``rtol`` and ``atol``; see :mod:`~finslerlab.solvers`),
-    and each step is handled the way that solve handles it, so the numbers
-    are the same:
+    ``steppers[config.method]`` with the configured ``rtol`` and ``atol``:
+    the caller picks :data:`ORBIT_STEPPERS` for one orbit (a state of 4
+    floats) or :data:`STACKED_STEPPERS` for a stacked system (see
+    :mod:`~finslerlab.solvers`).  Each step is handled the way a one-shot
+    scipy solve handles it:
 
     * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
       are taken from its dense output in one call (as ``t_eval`` is, by
@@ -202,12 +208,12 @@ class _March:
     underflows raises StepFailure with the solver's message.
     """
 
-    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
-        self.solver = _SOLVERS[config.method](
+    def __init__(self, steppers, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
+        self.solver = steppers[config.method](
             fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol
         )
         self.ts = np.asarray(ts, dtype=float)
-        self._dts = self.solver.direction * self.ts
+        self._dts = (self.solver.direction * self.ts).tolist()
         self.path = np.empty((len(self.ts), len(y0)))
         self.n = 0
         self.capped = None
@@ -233,9 +239,9 @@ class _March:
                 if sol is None:
                     sol = solver.dense_output()
                 t = brent_root(lambda s: self._cap(s, sol(s)), solver.t_old, t, xtol=4 * EPS)
-                self.capped = (t, sol(t))
+                self.capped = (t, np.asarray(sol(t), dtype=float))
             self._g = g
-        hi = int(np.searchsorted(self._dts, solver.direction * t, side="right"))
+        hi = bisect_right(self._dts, solver.direction * t)
         if hi > self.n:
             if sol is None:
                 sol = solver.dense_output()
@@ -273,7 +279,7 @@ def integrate_orbit(
         raise ValueError(f"H(p0) = {h0!r} must be positive")
 
     march = _March(
-        H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt),
+        ORBIT_STEPPERS, H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt),
         cap=pole_cap_event(H, config),
     )
     while march.step():
@@ -352,7 +358,7 @@ def integrate_ensemble(
 
     zero = np.hypot(states0[:, 2], states0[:, 3]) == 0.0
     run = march_rows(
-        _SOLVERS[config.method], H.vector_field, states0[~zero], float(t_eval[-1]), t_eval,
+        STACKED_STEPPERS[config.method], H.vector_field, states0[~zero], float(t_eval[-1]), t_eval,
         rtol=config.rel_tol, atol=config.abs_tol,
     )
     states = np.full((len(t_eval), n, 4), np.nan)

@@ -174,7 +174,7 @@ class RotationalDualMetric(DualMetric):
         f_fp = self.profile.f_fp_scalar
 
         def rhs(t, y):
-            _, x2, xi1, xi2 = map(float, y)
+            _, x2, xi1, xi2 = y
             f, fp = f_fp(x2)
             R = math.hypot(xi1, xi2)
             inv = 1.0 / (f * R)
@@ -271,7 +271,7 @@ class KatokDualMetric(DualMetric):
         alpha = self.alpha
 
         def rhs(t, y):
-            _, x2, xi1, xi2 = map(float, y)
+            _, x2, xi1, xi2 = y
             f, fp = f_fp(x2)
             R = math.hypot(xi1, xi2)
             inv = 1.0 / (f * R)

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .benchmarks import CAT_ENTROPY, cat_map, doubling_map, iterate_map_segments, rigid_rotation, twist_map
 from .config import build_config, default_config, integrator_from_config, require_keys, section_from_config
-from .errors import NotVanishing, PoleProximity, StepFailure, UnknownScenario
+from .errors import ConfigInvalid, NotVanishing, PoleProximity, StepFailure, UnknownScenario
 from .flow import (
     ENSEMBLE_CONFIG,
     TWO_PI,
@@ -445,22 +445,31 @@ def _run_round_sphere(cfg, rng, artifact, stage) -> list[Check]:
     except PoleProximity as err:
         checks.append(at_most("pole.abort", err.time, math.pi / 2 + 0.01))
 
-    path = artifact("return_grid.csv")
-    if path:
-        table.to_csv(path)
-    path = artifact("section.svg")
-    if path:
-        pts = np.array([[r.s, r.u] for r in ok])
-        Path(path).write_text(render_section_plot([pts], title="round sphere return map"), encoding="utf-8")
-    path = artifact("orbit.csv")
-    if path:
-        integrate_orbit(h0, trapped, 20.0, config).to_csv(path)
+    with stage("artifacts"):
+        path = artifact("return_grid.csv")
+        if path:
+            table.to_csv(path)
+        path = artifact("section.svg")
+        if path:
+            pts = np.array([[r.s, r.u] for r in ok])
+            Path(path).write_text(render_section_plot([pts], title="round sphere return map"), encoding="utf-8")
+        path = artifact("orbit.csv")
+        if path:
+            integrate_orbit(h0, trapped, 20.0, config).to_csv(path)
     return checks
+
+
+def _require_metric(m: dict, **fixed) -> None:
+    """Reject a metric block that names another metric than the one the runner builds."""
+    for key, value in fixed.items():
+        if m[key] != value:
+            raise ConfigInvalid(f"metric.{key}", f"this scenario runs {key} = {value!r}, not {m[key]!r}")
 
 
 def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
     profile = profile_from_spec(cfg["profile"])
     m = cfg["metric"]
+    _require_metric(m, kind="katok", reversible=False)
     cutoffs = make_cutoffs(m["a0"], m["a1"], m["b"])
     alpha = float(m["alpha"])
     metric = build_katok_family(profile, cutoffs, alpha)
@@ -550,20 +559,21 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
     lo, hi = critical_alpha_scan(profile, cutoffs, tol=1e-2)
     checks.append(holds("convexity.critical_alpha", True, lo, detail=f"sampled bracket ({lo:.4f}, {hi:.4f})"))
 
-    path = artifact("entropy.csv")
-    if path:
-        est.to_csv(path)
-    path = artifact("iterates.svg")
-    if path:
-        plot_cfg = cfg["analysis"]["iterate_plot"]
-        groups = []
-        # u = pi/2 is the polar direction, which leaves the chart strip
-        for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg["seeds"]), endpoint=False):
-            so = iterate_section_map(metric, spec, (1.0, float(u_seed)), int(plot_cfg["iterates"]), CLOUD_CONFIG)
-            groups.append(so.points)
-        Path(path).write_text(
-            render_section_plot(groups, title="perturbed sphere section iterates"), encoding="utf-8"
-        )
+    with stage("artifacts"):
+        path = artifact("entropy.csv")
+        if path:
+            est.to_csv(path)
+        path = artifact("iterates.svg")
+        if path:
+            plot_cfg = cfg["analysis"]["iterate_plot"]
+            groups = []
+            # u = pi/2 is the polar direction, which leaves the chart strip
+            for u_seed in np.linspace(0.25, math.pi / 2, int(plot_cfg["seeds"]), endpoint=False):
+                so = iterate_section_map(metric, spec, (1.0, float(u_seed)), int(plot_cfg["iterates"]), CLOUD_CONFIG)
+                groups.append(so.points)
+            Path(path).write_text(
+                render_section_plot(groups, title="perturbed sphere section iterates"), encoding="utf-8"
+            )
     return checks
 
 
@@ -571,6 +581,7 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
     profile = profile_from_spec(cfg["profile"])
     period = profile.period
     m = cfg["metric"]
+    _require_metric(m, kind="katok", reversible=True)
     cutoffs = make_cutoffs(m["a0"], m["a1"], m["b"])
     alpha = float(m["alpha"])
     metric = reversibilize(build_katok_family(profile, cutoffs, alpha))
@@ -695,22 +706,23 @@ def _run_katok_torus(cfg, rng, artifact, stage) -> list[Check]:
         cone_samples = sample_cone_states(rng, profile, m["a0"], 4, scale_range=(1.0, 1.0))
         checks.append(_commuting_check(profile, alpha, cutoffs, cone_samples, config))
 
-    path = artifact("entropy.csv")
-    if path:
-        est.to_csv(path)
-    path = artifact("tube.json")
-    if path:
-        dump_json(
-            {
-                "eps_grid": report.eps_grid,
-                "boundary_fraction": report.boundary_fraction,
-                "witness_distances": [[c.tolist(), r, d] for (c, r, d) in report.witness_distances],
-            },
-            path,
-        )
-    path = artifact("rotating_orbit.csv")
-    if path:
-        tr_trap.to_csv(path)
+    with stage("artifacts"):
+        path = artifact("entropy.csv")
+        if path:
+            est.to_csv(path)
+        path = artifact("tube.json")
+        if path:
+            dump_json(
+                {
+                    "eps_grid": report.eps_grid,
+                    "boundary_fraction": report.boundary_fraction,
+                    "witness_distances": [[c.tolist(), r, d] for (c, r, d) in report.witness_distances],
+                },
+                path,
+            )
+        path = artifact("rotating_orbit.csv")
+        if path:
+            tr_trap.to_csv(path)
     return checks
 
 
@@ -758,10 +770,11 @@ def _run_benchmark_maps(cfg, rng, artifact, stage) -> list[Check]:
     est3 = rotation_number(shifted_lift, 0.1, 100)
     checks.append(at_most("rotation.lift_invariance", abs(est3.reduction - est.reduction), 1e-12))
 
-    for name, est_obj in (("identity", ident), ("doubling", dbl), ("cat", cat)):
-        path = artifact(f"entropy_{name}.csv")
-        if path:
-            est_obj.to_csv(path)
+    with stage("artifacts"):
+        for name, est_obj in (("identity", ident), ("doubling", dbl), ("cat", cat)):
+            path = artifact(f"entropy_{name}.csv")
+            if path:
+                est_obj.to_csv(path)
     return checks
 
 
@@ -817,12 +830,13 @@ def _run_smooth_division(cfg, rng, artifact, stage) -> list[Check]:
     gap = abs(q(1.3, t_switch * 1.0000001) - q(1.3, t_switch * 0.9999999))
     checks.append(at_most("smooth_divide.branch_agreement", gap, 1e-8))
 
-    path = artifact("battery.csv")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("case,x,k,value,exact\n")
-            for name, x, k, got, val in rows:
-                fh.write(f"{name},{x!r},{k},{got!r},{val!r}\n")
+    with stage("artifacts"):
+        path = artifact("battery.csv")
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("case,x,k,value,exact\n")
+                for name, x, k, got, val in rows:
+                    fh.write(f"{name},{x!r},{k},{got!r},{val!r}\n")
     return checks
 
 
@@ -874,10 +888,10 @@ def run_scenario(
 
     @contextmanager
     def stage(key: str):
-        """Record the wall time of the block under ``key`` (sidecar only)."""
+        """Add the wall time of the block to ``key`` (sidecar only)."""
         t0 = time.perf_counter()
         yield
-        timings[key] = time.perf_counter() - t0
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
     with stage("total"):
         checks = _RUNNERS[name](cfg, rng, artifact, stage)

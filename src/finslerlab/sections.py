@@ -34,7 +34,9 @@ from .errors import (
     NotVanishing,
     require_positive,
 )
-from .flow import TWO_PI, DEFAULT_CONFIG, IntegratorConfig, _March, pole_cap_event, stacked_rhs
+from .flow import (
+    DEFAULT_CONFIG, ORBIT_STEPPERS, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, pole_cap_event, stacked_rhs,
+)
 from .metrics import DualMetric
 from .profiles import RotationalProfile
 from .solvers import brent_root
@@ -295,8 +297,7 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
 def _orbit_march(H, y0, t_end, config, ts=()) -> _March:
     """A dense march of one orbit, with the sphere chart's pole cap."""
     return _March(
-        H.scalar_rhs(), np.asarray(y0, dtype=float), t_end, config, ts,
-        cap=pole_cap_event(H, config), dense=True,
+        ORBIT_STEPPERS, H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap_event(H, config), dense=True
     )
 
 
@@ -425,34 +426,28 @@ def _window_crossings(march: _March, chart: AnnulusChart, spec: SectionSpec, pre
     holds at most one, so counting waits until it could reach the count
     wanted).  With enough brackets, all brackets so far are refined in one
     batch, and the march stops once that batch holds ``need`` transverse
-    crossings after ``prev_t`` and the scan has sampled past the end of the
-    step in which the last of them closed.  Every bracket that can share a
-    step interpolant with them is then in the batch, so they come out bit
-    for bit as from a batch over the whole window (the RK45 interpolant is a
-    matrix product whose bits depend on how many points it takes at once).
-    Otherwise the window is marched to its end; the pole cap raises
-    NoCrossing.
+    crossings after ``prev_t``.  A bracket is refined on the interpolants of
+    its own steps, one time at a time, so its crossing comes out bit for bit
+    as from a march over the whole window.  Otherwise the window is marched
+    to its end; the pole cap raises NoCrossing.
     """
-    closed = []  # for each upward bracket, a step end at or after the one it closed in
-    lo, want, wait = 0, need, -math.inf
+    brackets = lo = 0
+    want = need
     while march.step():
         if march.capped:
             continue
-        if len(closed) + march.n - 1 - lo >= want:
+        if brackets + march.n - 1 - lo >= want:
             up, _ = _upward_brackets(chart.coordinate(march.path[lo : march.n]), chart.periodic_levels)
             lo = march.n - 1
-            closed += [march.solver.t] * int(np.count_nonzero(up))
-        if len(closed) < want or march.ts[march.n - 1] <= wait:
+            brackets += int(np.count_nonzero(up))
+        if brackets < want:
             continue
         crossings = _march_crossings(march, chart)
         t_events, _, speeds = crossings
-        kept = np.flatnonzero((t_events > prev_t) & ~(speeds < spec.transversality_tol))
-        if len(kept) < need:
-            want = len(closed) + need - len(kept)
-            continue
-        wait = closed[kept[need - 1]]
-        if march.ts[march.n - 1] > wait:
+        kept = int(np.count_nonzero((t_events > prev_t) & ~(speeds < spec.transversality_tol)))
+        if kept >= need:
             return crossings
+        want = brackets + need - kept
     if march.capped:
         raise NoCrossing("orbit left the chart strip during return-map iteration")
     return _march_crossings(march, chart)
@@ -473,7 +468,7 @@ def iterate_section_map(
     crossings inside a window are bracketed on the ``scan_dt`` grid
     (:func:`_upward_brackets`), refined together (:func:`_refine_roots`), and
     the transverse ones kept.  A window is marched to its end unless it holds
-    the n-th return, where the march stops soon after it
+    the n-th return, where the march stops at the step that brackets it
     (:func:`_window_crossings`).  This keeps the per-iterate cost near one
     flow period even for thousands of iterates.
     """
@@ -506,7 +501,7 @@ def iterate_section_map(
             points.append((float(pts[j, 0]), float(pts[j, 1])))
             lift.append(chart.lift_s(states_ev[j]))
             times.append(t_base + float(t_events[j]))
-        y = march.solver.y.copy()
+        y = march.solver.y
         t_base += window
     return SectionOrbit(
         points=np.array(points[: n + 1]),
@@ -545,7 +540,7 @@ def ensemble_return_step(
     m = int(spec.max_return_time / spec.scan_dt) + 1
     ts = np.linspace(0.0, spec.max_return_time, m)
 
-    march = _March(stacked_rhs(H, n), states.reshape(-1), float(ts[-1]), config, ts)
+    march = _March(STACKED_STEPPERS, stacked_rhs(H, n), states.reshape(-1), float(ts[-1]), config, ts)
     # brackets count from row 1 on, as in _hermite_returns
     pending = np.ones(n, dtype=bool)
     lo = 1

@@ -1,31 +1,37 @@
-"""The lab's own explicit Runge-Kutta steppers and Brent root, in plain numpy.
+"""The lab's own explicit Runge-Kutta steppers and Brent root.
 
-Both are ports of scipy's code (SciPy 1.17, BSD-3-Clause) that keep its
-arithmetic operation for operation, so they return the same bits:
+The pairs are scipy's (SciPy 1.17, BSD-3-Clause; ``_ivp/rk.py``, with the
+``OdeSolver`` step bookkeeping of ``_ivp/base.py`` and ``select_initial_step``
+of ``_ivp/common.py``): the Dormand-Prince 5(4) pair with Shampine's quartic
+dense output, and Hairer's DOP853 8(5,3) pair
+(:mod:`~finslerlab.dop853_coefficients`) with its 7th-degree dense output;
+Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
+Sec. II.4-II.6.  There is no ``max_step``: the step is bounded by the
+interval only.  One controller loop, :meth:`_RungeKutta._step_impl`, steps
+both flat families below; they differ in the state and in one attempt.
 
 * :class:`RK45` and :class:`DOP853` are ``scipy.integrate``'s classes of the
-  same names (``_ivp/rk.py``, with the ``OdeSolver`` step bookkeeping of
-  ``_ivp/base.py`` and ``select_initial_step`` of ``_ivp/common.py``): the
-  Dormand-Prince 5(4) pair with Shampine's quartic dense output, and Hairer's
-  DOP853 8(5,3) pair (:mod:`~finslerlab.dop853_coefficients`) with its
-  7th-degree dense output; Hairer, Norsett and Wanner, *Solving Ordinary
-  Differential Equations I*, Sec. II.4-II.6.  There is no ``max_step``: the
-  step is bounded by the interval only.
+  same names on an (n,) numpy state, ported operation for operation, so they
+  return scipy's bits: the stage sums are ``np.dot(K[:s].T, a[:s]) * h`` on a
+  C-order ``K``, and an interpolant called at one time (a matrix-vector
+  product) is a different path from one called at an array of times
+  (matrix-matrix), whose bits can differ in the last place.  They step the
+  stacked systems.
+* :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
+  Python floats, with the arithmetic of :func:`march_rows`: every sum runs
+  term by term in stage order over the nonzero tableau entries, so one
+  attempt is :func:`march_rows`' attempt on a one-row batch, bit for bit,
+  and no number depends on a BLAS kernel or on numpy's per-call overhead.
 * :class:`DenseSolution` is ``OdeSolution``: the step interpolants joined,
   each time evaluated on the step scipy would pick.
+* :func:`march_rows` steps many independent systems at once with the same
+  tableaux, initial step, controller and dense outputs applied to each row on
+  its own: every row has its own t, h and error norm (Hairer, Norsett and
+  Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
+  Its sums run term by term, so a row's numbers do not depend on the other
+  rows.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
-
-:func:`march_rows` steps many independent systems at once with the same
-tableaux, initial step, controller and dense outputs applied to each row on
-its own: every row has its own t, h and error norm (Hairer, Norsett and
-Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
-Its sums run term by term, so a row's numbers do not depend on the other rows.
-
-Bit equality rests on details kept on purpose: the stage sums
-``np.dot(K[:s].T, a[:s]) * h`` on a C-order ``K``, and an interpolant called
-at one time (a matrix-vector product) is a different path from one called at
-an array of times (matrix-matrix), whose bits can differ in the last place.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 
 from . import dop853_coefficients as _dop853
 
-__all__ = ["RK45", "DOP853", "DenseSolution", "RowRun", "march_rows", "brent_root"]
+__all__ = ["RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "brent_root"]
 
 EPS = float(np.finfo(float).eps)
 
@@ -57,13 +63,13 @@ MAXITER = 100
 
 def _clamp_rtol(rtol):
     """scipy's floor of 100 eps on ``rtol``; the warning names the frame two above the stepper's ``__init__``."""
-    if np.any(rtol < 100 * EPS):
+    if rtol < 100 * EPS:
         warnings.warn(
             "At least one element of `rtol` is too small. "
             f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
             stacklevel=4,
         )
-        rtol = np.maximum(rtol, 100 * EPS)
+        rtol = 100 * EPS
     return rtol
 
 
@@ -78,63 +84,36 @@ class _RungeKutta:
     first step), ``direction``, ``status`` ('running', 'finished' or
     'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
     None, or scipy's message when the step size underflows.
+
+    The step-size controller is this class's; a subclass gives the state and
+    its stage storage (``_state``), the initial step, one attempt
+    (``_attempt``: the new state, its derivative and the error norm) and the
+    step interpolant.
     """
 
-    C: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
     error_estimator_order: int
     n_stages: int
 
     def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
-        y0 = np.asarray(y0).astype(float, copy=False)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
         self._rhs = fun
         self.t_old = None
         self.t = t0
-        self.y = y0
+        self.y = self._state(y0)
         self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-        self.n = y0.size
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.n = len(self.y)
         self.status = "running"
         self.nfev = 0
         self.y_old = None
-        self.rtol, self.atol = _clamp_rtol(rtol), np.asarray(atol)
+        self.rtol, self.atol = _clamp_rtol(rtol), atol
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step()
-        self.K = np.empty((self.n_stages + 1, self.n))
         self.error_exponent = -1 / (self.error_estimator_order + 1)
         self.h_previous = None
 
     def fun(self, t, y):
         self.nfev += 1
-        return np.asarray(self._rhs(t, y), dtype=float)
-
-    def _initial_step(self):
-        """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner, Sec. II.4)."""
-        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
-        if y0.size == 0:
-            return np.inf
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
-        f1 = self.fun(t0 + h0 * direction, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
-        return min(100 * h0, h1, interval_length)
+        return self._rhs(t, y)
 
     def step(self):
         """Advance one accepted step (scipy's ``OdeSolver.step``)."""
@@ -153,22 +132,10 @@ class _RungeKutta:
                 self.status = "finished"
         return message
 
-    def _rk_step(self, t, y, f, h):
-        """scipy's ``rk_step``: the stages into ``K``; returns (y_new, f_new)."""
-        K = self.K
-        K[0] = f
-        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
-
     def _step_impl(self):
         t = self.t
         y = self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
 
         step_rejected = False
@@ -180,11 +147,9 @@ class _RungeKutta:
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            y_new, f_new = self._rk_step(t, y, self.f, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._error_norm(h, scale)
+            y_new, f_new, error_norm = self._attempt(t, y, self.f, h)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -212,7 +177,63 @@ class _RungeKutta:
         return self._dense_output_impl()
 
 
-class RK45(_RungeKutta):
+class _ArrayRungeKutta(_RungeKutta):
+    """The state is an (n,) array, summed with scipy's ``np.dot`` (see the module docstring)."""
+
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+
+    def _state(self, y0):
+        y0 = np.asarray(y0).astype(float, copy=False)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        self.K = np.empty((self.n_stages + 1, y0.size))
+        return y0
+
+    def fun(self, t, y):
+        return np.asarray(super().fun(t, y), dtype=float)
+
+    def _initial_step(self):
+        """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner, Sec. II.4)."""
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        if y0.size == 0:
+            return np.inf
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        f1 = self.fun(t0 + h0 * direction, y1)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+        return min(100 * h0, h1, interval_length)
+
+    def _attempt(self, t, y, f, h):
+        """scipy's ``rk_step`` (the stages into ``K``) and its error norm."""
+        K = self.K
+        K[0] = f
+        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        return y_new, f_new, self._error_norm(h, scale)
+
+
+class RK45(_ArrayRungeKutta):
     """Dormand-Prince 5(4) with Shampine's quartic dense output (scipy's ``RK45``)."""
 
     error_estimator_order = 4
@@ -249,7 +270,7 @@ class RK45(_RungeKutta):
         return _RkDense(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
 
 
-class DOP853(_RungeKutta):
+class DOP853(_ArrayRungeKutta):
     """Hairer's DOP853 8(5,3) pair with its 7th-degree dense output (scipy's ``DOP853``)."""
 
     error_estimator_order = 7
@@ -263,10 +284,11 @@ class DOP853(_RungeKutta):
     A_EXTRA = _dop853.A[n_stages + 1:]
     C_EXTRA = _dop853.C[n_stages + 1:]
 
-    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
-        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol)
-        self.K_extended = np.empty((_dop853.N_STAGES_EXTENDED, self.n))
+    def _state(self, y0):
+        y0 = super()._state(y0)
+        self.K_extended = np.empty((_dop853.N_STAGES_EXTENDED, y0.size))
         self.K = self.K_extended[: self.n_stages + 1]
+        return y0
 
     def _error_norm(self, h, scale):
         K = self.K
@@ -296,14 +318,9 @@ class DOP853(_RungeKutta):
         return _Dop853Dense(self.t_old, self.t, self.y_old, F)
 
 
-class _Dense:
-    """Interpolant over one step: ``sol(t)`` is (n,) at a scalar t, (n, m) at m times."""
+class _RkDense:
+    """RK45's interpolant over one step: (n,) at a scalar t, (n, m) at m times."""
 
-    def __call__(self, t):
-        return self._call_impl(np.asarray(t))
-
-
-class _RkDense(_Dense):
     def __init__(self, t_old, t, y_old, Q):
         self.t_old = t_old
         self.h = t - t_old
@@ -311,34 +328,24 @@ class _RkDense(_Dense):
         self.order = Q.shape[1] - 1
         self.y_old = y_old
 
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            p = np.cumprod(np.tile(x, self.order + 1))
-        else:
-            p = np.cumprod(np.tile(x, (self.order + 1, 1)), axis=0)
-        y = self.h * np.dot(self.Q, p)
-        if y.ndim == 2:
-            y += self.y_old[:, None]
-        else:
-            y += self.y_old
-        return y
+    def __call__(self, t):
+        x = (np.asarray(t) - self.t_old) / self.h
+        p = np.cumprod(np.broadcast_to(x, (self.order + 1, *np.shape(x))), axis=0)
+        return (self.h * np.dot(self.Q, p).T + self.y_old).T
 
 
-class _Dop853Dense(_Dense):
+class _Dop853Dense:
+    """DOP853's interpolant over one step: (n,) at a scalar t, (n, m) at m times."""
+
     def __init__(self, t_old, t, y_old, F):
         self.t_old = t_old
         self.h = t - t_old
         self.F = F
         self.y_old = y_old
 
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
+    def __call__(self, t):
+        x = ((np.asarray(t) - self.t_old) / self.h)[..., None]
+        y = np.zeros(x.shape[:-1] + self.y_old.shape)
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:
@@ -349,16 +356,209 @@ class _Dop853Dense(_Dense):
         return y.T
 
 
-class _ConstantDense(_Dense):
-    def __init__(self, value):
-        self.value = value
+class _ConstantDense:
+    """The state of a step of length 0, at any time."""
 
-    def _call_impl(self, t):
-        if t.ndim == 0:
-            return self.value
-        ret = np.empty((self.value.shape[0], t.shape[0]))
-        ret[:] = self.value[:, None]
-        return ret
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+
+    def __call__(self, t):
+        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T
+
+
+# --- one orbit in Python floats ----------------------------------------------
+
+
+def _terms(coefficients) -> list:
+    """The nonzero (stage, coefficient) pairs of a tableau row, in stage order."""
+    return [(s, float(c)) for s, c in enumerate(coefficients) if c != 0]
+
+
+def _combine(terms, K):
+    """sum_s c * K[s] over ``terms`` for 4-component stages: :func:`_stage_sum` in floats."""
+    terms = iter(terms)
+    s, c = next(terms)
+    k0, k1, k2, k3 = K[s]
+    a0, a1, a2, a3 = k0 * c, k1 * c, k2 * c, k3 * c
+    for s, c in terms:
+        k0, k1, k2, k3 = K[s]
+        a0 += k0 * c
+        a1 += k1 * c
+        a2 += k2 * c
+        a3 += k3 * c
+    return a0, a1, a2, a3
+
+
+def _square_sum4(v):
+    """:func:`_row_sum_squares` of one 4-component row."""
+    a, b, c, d = v
+    return a * a + b * b + c * c + d * d
+
+
+def _rms4(v):
+    """:func:`_row_rms` of one 4-component row."""
+    return math.sqrt(_square_sum4(v)) / 2.0
+
+
+class _FloatRungeKutta(_RungeKutta):
+    """One orbit of 4 components, stepped in Python floats with the arithmetic of :func:`march_rows`.
+
+    The state is a tuple of 4 floats and ``fun(t, y)`` gets one.  Stage sums,
+    the new state, the error norm, the initial step and the interpolants run
+    term by term in stage order over the nonzero entries of the tableau of
+    :class:`RK45` or :class:`DOP853`, as :func:`march_rows` runs them on each
+    row, so an attempt is :func:`march_rows`' attempt on a one-row batch, bit
+    for bit, and no number depends on a BLAS kernel.
+    """
+
+    STAGES: list  # see _stage_terms
+    B: list
+
+    def _state(self, y0):
+        y0 = tuple(map(float, y0))
+        if not all(map(math.isfinite, y0)):
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        return y0
+
+    def _initial_step(self):
+        """``select_initial_step`` as :func:`march_rows` takes it for a row."""
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = [self.atol + abs(v) * self.rtol for v in y0]
+        d0 = _rms4([v / s for v, s in zip(y0, scale)])
+        d1 = _rms4([v / s for v, s in zip(f0, scale)])
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0 * direction, tuple(v + h0 * direction * f for v, f in zip(y0, f0)))
+        d2 = _rms4([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+        return min(100 * h0, h1, interval_length)
+
+    def _attempt(self, t, y, f, h):
+        y0, y1, y2, y3 = y
+        rhs = self._rhs
+        K = [f]
+        self.nfev += self.n_stages
+        try:
+            for c, terms in self.STAGES:
+                d0, d1, d2, d3 = _combine(terms, K)
+                K.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)))
+            d0, d1, d2, d3 = _combine(self.B, K)
+            y_new = (y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3)
+            f_new = rhs(t + h, y_new)
+        except ArithmeticError:
+            # a stage left the domain of the float RHS (a profile that underflows
+            # to 0 far up the sphere chart), where numpy's inf or nan would make
+            # march_rows reject the attempt: reject it too
+            return y, f, math.inf
+        K.append(f_new)
+        self.K = K
+        atol, rtol = self.atol, self.rtol
+        scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+        return y_new, f_new, self._error_norm(K, h, scale)
+
+
+def _stage_terms(method) -> list:
+    """(c, terms) of the stages 1 .. n_stages - 1 of ``method``'s tableau."""
+    return [(float(method.C[s]), _terms(method.A[s, :s])) for s in range(1, method.n_stages)]
+
+
+class FloatRK45(_FloatRungeKutta):
+    """:class:`RK45` on one orbit in floats."""
+
+    error_estimator_order = RK45.error_estimator_order
+    n_stages = RK45.n_stages
+    STAGES = _stage_terms(RK45)
+    B = _terms(RK45.B)
+    E = _terms(RK45.E)
+    P = [_terms(q) for q in RK45.P.T]
+
+    def _error_norm(self, K, h, scale):
+        return _rms4([e * h / s for e, s in zip(_combine(self.E, K), scale)])
+
+    def _dense_output_impl(self):
+        Q = [_combine(q, self.K) for q in self.P]
+        return _FloatRkDense(self.t_old, self.h_previous, list(zip(*Q, self.y_old)))
+
+
+class FloatDOP853(_FloatRungeKutta):
+    """:class:`DOP853` on one orbit in floats."""
+
+    error_estimator_order = DOP853.error_estimator_order
+    n_stages = DOP853.n_stages
+    STAGES = _stage_terms(DOP853)
+    B = _terms(DOP853.B)
+    E5 = _terms(DOP853.E5)
+    E3 = _terms(DOP853.E3)
+    EXTRA = [
+        (float(c), _terms(a[:s]))
+        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1)
+    ]
+    D = [_terms(d) for d in DOP853.D]
+
+    def _error_norm(self, K, h, scale):
+        err5 = _square_sum4([e / s for e, s in zip(_combine(self.E5, K), scale)])
+        err3 = _square_sum4([e / s for e, s in zip(_combine(self.E3, K), scale)])
+        if err5 == 0 and err3 == 0:
+            return 0.0
+        return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 4)
+
+    def _dense_output_impl(self):
+        K = list(self.K)
+        h, t_old = self.h_previous, self.t_old
+        u0, u1, u2, u3 = self.y_old
+        for c, terms in self.EXTRA:
+            d0, d1, d2, d3 = _combine(terms, K)
+            K.append(self._rhs(t_old + c * h, (u0 + d0 * h, u1 + d1 * h, u2 + d2 * h, u3 + d3 * h)))
+        self.nfev += len(self.EXTRA)
+        rows = []  # per component: F[6], ..., F[0] (the order of evaluation) and y_old
+        high = [_combine(d, K) for d in reversed(self.D)]
+        for u, v, k0, k12, *d in zip(self.y_old, self.y, K[0], K[self.n_stages], *high):
+            dy = v - u
+            rows.append((*[h * e for e in d], 2 * dy - h * (k12 + k0), h * k0 - dy, dy, u))
+        return _FloatDop853Dense(t_old, h, rows)
+
+
+class _FloatDense:
+    """Step interpolant of a float stepper: a tuple at one time, (4, m) at m times.
+
+    The times of an array are taken one by one, each as at one time.
+    """
+
+    def __init__(self, t_old, h, rows):
+        self.t_old, self.h, self.rows = t_old, h, rows
+
+    def __call__(self, t):
+        t_old, h = self.t_old, self.h
+        if np.ndim(t):
+            rows = [self._at((s - t_old) / h) for s in np.asarray(t, dtype=float).tolist()]
+            return np.array(rows).reshape(-1, 4).T
+        return self._at((float(t) - t_old) / h)
+
+
+class _FloatRkDense(_FloatDense):
+    def _at(self, x):
+        """``_RowsRK45.sample`` at one fraction ``x`` of the step."""
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        h = self.h
+        return tuple(h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4) + u for q1, q2, q3, q4, u in self.rows)
+
+
+class _FloatDop853Dense(_FloatDense):
+    def _at(self, x):
+        """``_RowsDOP853.sample`` at one fraction ``x`` of the step (which starts from zeros)."""
+        a = 1 - x
+        return tuple(
+            (((((((0.0 + f6) * x + f5) * a + f4) * x + f3) * a + f2) * x + f1) * a + f0) * x + u
+            for f6, f5, f4, f3, f2, f1, f0, u in self.rows
+        )
 
 
 class DenseSolution:

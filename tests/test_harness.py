@@ -301,7 +301,9 @@ class TestScenarioRunner:
         payload = json.loads((run_dir / "report.json").read_text())
         assert payload["config"]["analysis"]["grid"] == 3
         assert set(payload["artifacts"]) == set(report.artifacts)
-        assert (run_dir / "timings.json").exists()
+        # the artifact writes are timed as their own stage, in the sidecar only
+        assert "artifacts" in json.loads((run_dir / "timings.json").read_text())
+        assert "artifacts" in report.timings and "timings" not in payload
         assert (run_dir / "checks.csv").exists()
         for name in report.artifacts:
             assert (run_dir / name).exists()
@@ -469,6 +471,22 @@ class TestCli:
         assert rc == 3
         rc = cli_main(["entropy", "--out", str(tmp_path), "--set", "analysis.entropy.system=bogus"])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "scenario, option, path",
+        [
+            ("katok-sphere", "metric.kind=rotational", "metric.kind"),
+            ("katok-sphere", "metric.reversible=true", "metric.reversible"),
+            ("katok-torus", "metric.reversible=false", "metric.reversible"),
+        ],
+    )
+    def test_katok_runner_rejects_another_metric(self, tmp_path, capsys, scenario, option, path):
+        # these runners build their metric themselves; a block naming another
+        # one would be echoed in report.json but not run
+        rc = cli_main(["run", scenario, "--out", str(tmp_path), "--set", option])
+        assert rc == 3
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / scenario / "latest").exists()
 
     def test_non_numeric_and_unknown_settings_exit_3(self, tmp_path, capsys):
         for option, path in [("integrator.rel_tol=abc", "integrator.rel_tol"),

@@ -1,9 +1,11 @@
-"""The lab's RK45/DOP853 steppers and Brent root against scipy, bit for bit.
+"""The lab's RK45/DOP853 steppers and Brent root against scipy and march_rows.
 
-scipy is the reference here only: no library module imports it.  The port
-follows SciPy 1.17 (``select_initial_step`` with its ``t_bound`` cap and its
-early return on an empty interval, and the C ``brentq``), the floor of the
-``test`` extra.
+The array steppers and Brent root match scipy bit for bit.  scipy is the
+reference here only: no library module imports it.  The port follows SciPy
+1.17 (``select_initial_step`` with its ``t_bound`` cap and its early return on
+an empty interval, and the C ``brentq``), the floor of the ``test`` extra.
+The float steppers of one orbit match a one-row ``march_rows`` attempt bit for
+bit, and its trajectories to a stated bound.
 """
 
 import inspect
@@ -21,10 +23,12 @@ from scipy.optimize import brentq
 from finslerlab.errors import StepFailure
 from finslerlab import analysis, dop853_coefficients, sampling, sections, solvers
 from finslerlab.analysis import turning_point_bisect
-from finslerlab.flow import IntegratorConfig, _March, integrate_orbit, stacked_rhs
+from finslerlab.flow import ORBIT_STEPPERS, STACKED_STEPPERS, IntegratorConfig, _March, integrate_orbit, stacked_rhs
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
-from finslerlab.solvers import DOP853, EPS, MAXITER, RK45, RTOL, DenseSolution, TOO_SMALL_STEP, brent_root
+from finslerlab.solvers import (
+    DOP853, EPS, MAXITER, RK45, RTOL, DenseSolution, FloatDOP853, TOO_SMALL_STEP, brent_root, march_rows,
+)
 
 PAIRS = {"RK45": (RK45, ScipyRK45), "DOP853": (DOP853, ScipyDOP853)}
 
@@ -101,7 +105,8 @@ class TestStepper:
         while b.status == "running":
             message = b.step()
         assert message == TOO_SMALL_STEP
-        march = _March(blowup, np.array([1.0]), 2.0, IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8))
+        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
+        march = _March(STACKED_STEPPERS, blowup, np.array([1.0]), 2.0, config)
         with pytest.raises(StepFailure, match="^Required step size is less than spacing between numbers.$"):
             while march.step():
                 pass
@@ -113,7 +118,7 @@ class TestStepper:
     def test_dense_solution_matches_ode_solution(self, katok_sphere, method, t_end):
         config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
         y0 = np.array([0.3, 0.2, 0.7, 0.6])
-        march = _March(katok_sphere.scalar_rhs(), y0, t_end, config, dense=True)
+        march = _March(ORBIT_STEPPERS, katok_sphere.scalar_rhs(), y0, t_end, config, dense=True)
         while march.step():
             pass
         ours = march.solution()
@@ -125,8 +130,137 @@ class TestStepper:
         assert _same(ours(ts), theirs(ts))
         for t in ts[::7]:
             assert _same(ours(t), theirs(t))
+        # the float stepper sums in stage order, not with np.dot: within the run
+        # the two solutions differ by at most 2.2e-13 (measured); far outside it
+        # the last step's polynomial amplifies that rounding, so those are skipped
         sol = solve_ivp(katok_sphere.scalar_rhs(), (0.0, t_end), y0, method=method, rtol=1e-8, atol=1e-8, dense_output=True)
-        assert _same(ours(ts), sol.sol(ts))
+        assert np.max(np.abs(ours(ts[:-2]) - sol.sol(ts[:-2]))) <= 1e-12
+
+
+def _row_fun(rhs):
+    """The one-orbit derivative ``rhs`` as ``march_rows``' batched derivative."""
+    return lambda y: np.array([rhs(0.0, row) for row in y.tolist()], dtype=float)
+
+
+class TestFloatStepper:
+    """The one-orbit float steppers against ``march_rows`` on a one-row batch."""
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_attempt_is_march_rows_attempt(self, katok_sphere, katok_torus_reversible, method):
+        # 2 metrics x 2 directions x 130 random (state, h) pairs: the stages, the
+        # new state, the error norm and the dense samples agree bit for bit
+        rng = np.random.default_rng(11)
+        rows_class = solvers._ROW_STEPPERS[STACKED_STEPPERS[method]]
+        pairs = 0
+        for H in (katok_sphere, katok_torus_reversible):
+            rhs = H.scalar_rhs()
+            fun = _row_fun(rhs)
+            for sign in (1.0, -1.0):
+                for y0 in sample_covectors(rng, 130, x2_range=(-1.5, 1.5)):
+                    h = sign * rng.uniform(1e-3, 0.4)
+                    tol = 10.0 ** rng.uniform(-12.0, -7.0)
+                    ours = ORBIT_STEPPERS[method](rhs, 0.0, y0, 100.0 * sign, rtol=tol, atol=tol)
+                    y_new, f_new, error_norm = ours._attempt(0.0, ours.y, ours.f, h)
+                    rows = rows_class(fun, tol, tol)
+                    y, hs = np.array([ours.y]), np.array([h])
+                    row_new, K = rows.attempt(y, fun(y), hs)
+                    scale = rows.atol + np.maximum(np.abs(y), np.abs(row_new)) * rows.rtol
+                    assert _same(y_new, row_new[0])
+                    assert _same(ours.K, K[: len(ours.K), 0])
+                    assert _same(error_norm, rows.error_norm(K, hs, scale)[0])
+                    # the interpolant of this attempt, taken as the step
+                    ours.t_old, ours.t, ours.y_old, ours.y, ours.f, ours.h_previous = 0.0, h, ours.y, y_new, f_new, h
+                    sol = ours.dense_output()
+                    ts = h * rng.uniform(0.0, 1.0, 5)
+                    want = rows.sample(K, hs, y, row_new, np.zeros(5, dtype=int), ts / h)
+                    assert _same(sol(ts), want.T)
+                    assert _same(sol(float(ts[2])), want[2])
+                    pairs += 1
+        assert pairs == 520
+
+    @pytest.mark.parametrize("T", [30.0, -30.0])
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("DOP853", 1e-9), ("DOP853", 1e-7), ("RK45", 1e-8)])
+    def test_trajectory_follows_march_rows(self, katok_sphere, katok_torus_reversible, method, tol, T):
+        # not bit for bit: march_rows raises the error norm to its exponent with
+        # numpy's array pow, which can differ from libm's pow in the last bit;
+        # the largest gap measured on these orbits is 1.3e-13.  A torus orbit
+        # that rotates across the negatively curved splice bridge is left out:
+        # there neighbouring orbits separate fast, and a 1e-16 gap after three
+        # steps grows to 1.1e-5 by t = 30 at DOP853 1e-9
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        ts = np.linspace(0.0, T, 301)
+        cases = [
+            (katok_sphere, [0.3, 0.2, 0.7, 0.6]),
+            (katok_sphere, [1.0, -0.4, 0.95, 0.1]),  # starts in the perturbation cone
+            (katok_torus_reversible, [0.0, 0.1, -0.6, 0.8]),  # trapped, xi1 < 0
+            (katok_torus_reversible, [0.0, 0.3, 0.7, -0.5]),  # trapped, xi1 > 0
+        ]
+        for H, y0 in cases:
+            march = _March(ORBIT_STEPPERS, H.scalar_rhs(), np.array(y0), T, config, ts)
+            while march.step():
+                pass
+            rows = march_rows(
+                STACKED_STEPPERS[method], _row_fun(H.scalar_rhs()), np.array([y0]), T, ts, rtol=tol, atol=tol
+            )
+            assert np.max(np.abs(march.path - rows.path[:, 0])) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_zero_length_run(self, katok_sphere, method):
+        y0 = (0.3, 0.2, 0.7, 0.6)
+        ours = ORBIT_STEPPERS[method](katok_sphere.scalar_rhs(), 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
+        assert ours.step() is None
+        assert (ours.status, ours.nfev, ours.t, ours.t_old, ours.y) == ("finished", 1, 0.0, 0.0, y0)
+        sol = ours.dense_output()
+        assert _same(sol(0.0), y0)
+        assert _same(sol(np.zeros(3)), np.transpose([y0] * 3))
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_step_size_underflow(self, method):
+        # x' = x^2 from x(0) = 1 blows up at t = 1; march_rows fails the same row
+        def blowup(t, y):
+            return [y[0] * y[0], 0.0, 0.0, 0.0]
+
+        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
+        march = _March(ORBIT_STEPPERS, blowup, np.array([1.0, 0.0, 0.0, 0.0]), 2.0, config)
+        with pytest.raises(StepFailure, match="^Required step size is less than spacing between numbers.$"):
+            while march.step():
+                pass
+        assert march.solver.status == "failed"
+        assert abs(march.solver.t - 1.0) < 1e-6
+        rows = march_rows(
+            STACKED_STEPPERS[method], _row_fun(blowup), np.array([[1.0, 0.0, 0.0, 0.0]]), 2.0, [2.0],
+            rtol=1e-8, atol=1e-8,
+        )
+        assert rows.failed[0]
+
+    def test_stage_outside_the_rhs_domain_is_rejected(self):
+        # this RHS raises ZeroDivisionError past x2 = 5, as a profile that
+        # underflows to 0 far up the sphere chart does; an attempt with a stage
+        # there is rejected and the step shrinks, as march_rows rejects the inf
+        # or nan that numpy gives there
+        def field(t, y):
+            return [0.0, 1.0 / float(y[1] <= 5.0), 0.0, 0.0]
+
+        solver = FloatDOP853(field, 0.0, (0.0, 4.9, 0.0, 1.0), 10.0, rtol=1e-9, atol=1e-9)
+        assert solver._attempt(0.0, solver.y, solver.f, 1.0)[2] == math.inf
+        solver.h_abs = 1.0
+        assert solver.step() is None
+        assert solver.t == pytest.approx(0.04)  # 1.0 rejected, 0.2 rejected, 0.04 taken
+
+    def test_rhs_is_handed_floats(self, katok_sphere):
+        handed = set()
+        rhs = katok_sphere.scalar_rhs()
+
+        def recording(t, y):
+            handed.add(type(t))
+            handed.add(type(y))
+            handed.update(map(type, y))
+            return rhs(t, y)
+
+        march = _March(ORBIT_STEPPERS, recording, np.array([0.3, 0.2, 0.7, 0.6]), 2.0, IntegratorConfig(), [1.0, 2.0])
+        while march.step():
+            pass
+        assert handed == {float, tuple}
 
 
 def _brent_pair(f, a, b, xtol):
