@@ -13,10 +13,11 @@ output.
 
 Single orbits and the section paths in :mod:`~finslerlab.sections` step one
 loop, :class:`_March`: a stepper of :mod:`~finslerlab.solvers` advanced by
-hand with a one-shot scipy solve's checkpoint sampling and pole-cap rule.  A
-single orbit steps in Python floats (:data:`ORBIT_STEPPERS`); the stacked
-return steps run scipy's classes, ported to numpy bit for bit
-(:data:`STACKED_STEPPERS`).
+hand with a one-shot scipy solve's checkpoint sampling, and with its
+terminal-event rule applied to the pole cap, a height (:func:`pole_cap`).  A
+single orbit steps in Python floats (:data:`ORBIT_STEPPERS`), with dense
+output for the section solves; the stacked return steps run scipy's classes,
+ported to numpy bit for bit (:data:`STACKED_STEPPERS`).
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The stacked return steps of
@@ -50,7 +51,8 @@ __all__ = [
     "phase_space_distance",
     "circle_difference",
     "metric_x2_period",
-    "pole_cap_event",
+    "metric_profile",
+    "pole_cap",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -90,13 +92,15 @@ DEFAULT_CONFIG = IntegratorConfig()
 ENSEMBLE_CONFIG = IntegratorConfig(method="DOP853", rel_tol=1e-9, abs_tol=1e-9)
 
 
+def metric_profile(H: DualMetric):
+    """The rotational profile of a metric, looked up through ``inner`` (None for one without, as H1)."""
+    inner = getattr(H, "inner", None)
+    return metric_profile(inner) if inner is not None else getattr(H, "profile", None)
+
+
 def metric_x2_period(H: DualMetric) -> float | None:
     """Fundamental x2-period of the metric's base (None on the sphere chart)."""
-    inner = getattr(H, "inner", None)
-    if inner is not None:
-        return metric_x2_period(inner)
-    profile = getattr(H, "profile", None)
-    return getattr(profile, "period", None)
+    return getattr(metric_profile(H), "period", None)
 
 
 def stacked_rhs(H: DualMetric, n: int):
@@ -170,18 +174,9 @@ def _checkpoint_grid(T: float, dt: float) -> np.ndarray:
     return grid
 
 
-def pole_cap_event(H: DualMetric, config: IntegratorConfig):
-    """Terminal |x2| = cap event for sphere-chart runs (None on periodic bases)."""
-    if config.x2_cap is None or metric_x2_period(H) is not None:
-        return None
-    cap = config.x2_cap
-
-    def event(t, y):
-        return cap - abs(y[1])
-
-    event.terminal = True
-    event.direction = -1
-    return event
+def pole_cap(H: DualMetric, config: IntegratorConfig) -> float | None:
+    """The |x2| cap of sphere-chart runs (None on periodic bases, or with no cap)."""
+    return None if metric_x2_period(H) is not None else config.x2_cap
 
 
 class _March:
@@ -198,8 +193,9 @@ class _March:
       are taken from its dense output in one call (as ``t_eval`` is, by
       ``searchsorted(d * ts, d * t, side="right")`` with ``d`` the direction of
       integration) into ``path[:n]``;
-    * the terminal event ``cap`` (see :func:`pole_cap_event`) fires by scipy's
-      direction -1 rule, ends the run at its root and sets ``capped`` to the
+    * the pole cap, a height ``cap`` (see :func:`pole_cap`), ends the run
+      where ``cap - |x2|`` first falls to 0 (scipy's rule for a terminal event
+      of direction -1), at the root of that step, and sets ``capped`` to the
       (time, state) there;
     * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
 
@@ -218,7 +214,7 @@ class _March:
         self.n = 0
         self.capped = None
         self._cap = cap
-        self._g = None if cap is None else cap(0.0, y0)
+        self._g = None if cap is None else cap - abs(y0[1])
         self._dense = dense
         self._t = [0.0]
         self._interpolants = []
@@ -233,12 +229,13 @@ class _March:
             raise StepFailure(message)
         t = solver.t
         sol = solver.dense_output() if self._dense else None
-        if self._cap is not None:
-            g = self._cap(t, solver.y)
+        cap = self._cap
+        if cap is not None:
+            g = cap - abs(solver.y[1])
             if self._g >= 0.0 and g <= 0.0:
                 if sol is None:
                     sol = solver.dense_output()
-                t = brent_root(lambda s: self._cap(s, sol(s)), solver.t_old, t, xtol=4 * EPS)
+                t = brent_root(lambda s: cap - abs(sol(s)[1]), solver.t_old, t, xtol=4 * EPS)
                 self.capped = (t, np.asarray(sol(t), dtype=float))
             self._g = g
         hi = bisect_right(self._dts, solver.direction * t)
@@ -280,7 +277,7 @@ def integrate_orbit(
 
     march = _March(
         ORBIT_STEPPERS, H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt),
-        cap=pole_cap_event(H, config),
+        cap=pole_cap(H, config),
     )
     while march.step():
         pass

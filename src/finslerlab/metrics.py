@@ -102,8 +102,8 @@ class DualMetric:
     """Positively 1-homogeneous Hamiltonian H(x, xi) with its canonical equations.
 
     ``vector_field`` is the one batched definition of the equations;
-    ``grad_xi`` and ``grad_x`` are its slices.  A kind overrides either
-    ``vector_field`` or both gradients (the fallback then stacks them).
+    ``grad_xi`` and ``grad_x`` are its slices.  ``scalar_rhs`` is each kind's
+    pure-math closure of the same equations, for integrator inner loops.
     """
 
     kind: str = "abstract"
@@ -115,10 +115,7 @@ class DualMetric:
 
     def vector_field(self, y):
         """(dH/dxi, -dH/dx) at one state (4,) or a batch (..., 4)."""
-        if type(self).grad_x is DualMetric.grad_x:
-            raise NotImplementedError
-        y = np.asarray(y, dtype=float)
-        return np.concatenate([self.grad_xi(y), -self.grad_x(y)], axis=-1)
+        raise NotImplementedError
 
     def grad_x(self, y):
         return -self.vector_field(y)[..., 2:]
@@ -127,16 +124,8 @@ class DualMetric:
         return self.vector_field(y)[..., :2]
 
     def scalar_rhs(self):
-        """Return rhs(t, y) -> list for the canonical equations, scalar-fast.
-
-        The generic fallback routes through ``vector_field``; concrete kinds
-        override with pure-math closures for integrator inner loops.
-        """
-
-        def rhs(t, y):
-            return list(self.vector_field(np.asarray(y, dtype=float)))
-
-        return rhs
+        """Return rhs(t, y) -> list for the canonical equations, in Python floats."""
+        raise NotImplementedError
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -195,14 +184,11 @@ class AngularDualMetric(DualMetric):
         y = np.asarray(y, dtype=float)
         return y[..., 2] + 0.0
 
-    def grad_x(self, y):
+    def vector_field(self, y):
         y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape[:-1] + (2,))
-
-    def grad_xi(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (2,))
+        out = np.zeros(y.shape)
         out[..., 0] = 1.0
+        out[..., 2:] = -0.0  # -dH/dx of an x-invariant metric; grad_x gets +0.0
         return out
 
     def scalar_rhs(self):

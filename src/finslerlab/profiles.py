@@ -219,11 +219,11 @@ class RotationalProfile:
 
     def f_fp(self, x2):
         """(f(x2), fp(x2)) over an array, sharing the work the two have in common."""
-        return self.f(x2), self.fp(x2)
+        raise NotImplementedError
 
     def f_fp_scalar(self, x2: float) -> tuple[float, float]:
-        """Scalar fast path for integration inner loops."""
-        return float(self.f(x2)), float(self.fp(x2))
+        """(f(x2), fp(x2)) at one float, for integration inner loops."""
+        raise NotImplementedError
 
     def min_value(self) -> float:
         """Dense-grid minimum of f over one period (or a wide window)."""

@@ -862,7 +862,8 @@ def run_scenario(
 
     Output layout: <out_root>/<scenario>/<timestamp>/ with a ``latest``
     symlink; report.json carries no wall-clock data, so identical
-    (scenario, seed, config) runs are byte-identical.
+    (scenario, seed, config) runs are byte-identical.  The run directory is
+    made at the first file written, so a run that raises first leaves none.
     """
     if name not in _RUNNERS:
         raise UnknownScenario(f"{name!r} (known: {', '.join(SCENARIO_NAMES)})")
@@ -876,11 +877,11 @@ def run_scenario(
     if write:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{time.time_ns() % 10**6:06d}"
         run_dir = Path(out_root) / name / stamp
-        run_dir.mkdir(parents=True, exist_ok=True)
 
     def artifact(fname: str):
         if run_dir is None:
             return None
+        run_dir.mkdir(parents=True, exist_ok=True)
         artifacts.append(fname)
         return run_dir / fname
 
@@ -905,6 +906,7 @@ def run_scenario(
         timings=timings,
     )
     if run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
         export_report(report, run_dir / "report.json", "json")
         export_report(report, run_dir / "checks.csv", "csv-summary")
         dump_json(timings, run_dir / "timings.json")

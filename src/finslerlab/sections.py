@@ -16,6 +16,15 @@ chart angle between the crossing velocity and the base circle direction.  In
 these coordinates the canonical area form restricted to the section is
 ds_coordinate x dmomentum (x1 with xi1 on a parallel, x2 with xi2 on a
 meridian), which is exactly the flux measure the return map preserves.
+Every (s, u) comes from :meth:`AnnulusChart.points_of_states`.
+
+The crossings of one orbit come from one loop, :func:`_window_crossings`: on a
+march cut at ``max_return_time`` in :func:`detect_crossing` (behind
+:func:`first_return`, the return grid and the boundary extension), on windows
+of 16 ``max_return_time`` in :func:`iterate_section_map`.  So a first return
+is the map's first iterate bit for bit, unless the budget cuts short the step
+that brackets it.  The stacked :func:`ensemble_return_step` refines on the
+Hermite interpolant of each scan step instead.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from .errors import (
     require_positive,
 )
 from .flow import (
-    DEFAULT_CONFIG, ORBIT_STEPPERS, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, pole_cap_event, stacked_rhs,
+    DEFAULT_CONFIG, ORBIT_STEPPERS, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap,
+    stacked_rhs,
 )
 from .metrics import DualMetric
-from .profiles import RotationalProfile
 from .solvers import brent_root
 
 __all__ = [
@@ -106,23 +115,15 @@ class CrossingEvent:
     skipped_tangencies: int = 0
 
 
-def _metric_profile(H: DualMetric) -> RotationalProfile:
-    inner = getattr(H, "inner", None)
-    if inner is not None:
-        return _metric_profile(inner)
-    profile = getattr(H, "profile", None)
-    if profile is None:
-        raise ValueError("metric does not expose a rotational profile")
-    return profile
-
-
 class AnnulusChart:
     """(s, u) coordinates on one section, with state conversions."""
 
     def __init__(self, H: DualMetric, spec: SectionSpec):
         self.H = H
         self.spec = spec
-        self.profile = _metric_profile(H)
+        self.profile = metric_profile(H)
+        if self.profile is None:
+            raise ValueError("metric does not expose a rotational profile")
         if spec.kind == "equator_birkhoff":
             self._f_star = float(self.profile.f(spec.x2_star))
             self.circumference = TWO_PI * self._f_star
@@ -174,13 +175,9 @@ class AnnulusChart:
         return wraps * self.circumference + float(np.interp(rem, self._x2_grid, self._s_grid))
 
     def state_to_point(self, state) -> tuple[float, float]:
-        state = np.asarray(state, dtype=float)
-        v = self.H.grad_xi(state)
-        if self.spec.kind == "equator_birkhoff":
-            u = math.atan2(v[1], v[0])
-        else:
-            u = math.atan2(v[0], v[1])
-        return self.lift_s(state) % self.circumference, u
+        """(s, u) of one on-section state: the one-row case of :meth:`points_of_states`."""
+        s, u = self.points_of_states(state)[0].tolist()
+        return s, u
 
     def points_of_states(self, states) -> np.ndarray:
         """Vectorized (s, u) coordinates of a batch of on-section states."""
@@ -294,10 +291,10 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
-def _orbit_march(H, y0, t_end, config, ts=()) -> _March:
+def _orbit_march(H, y0, t_end, config, ts) -> _March:
     """A dense march of one orbit, with the sphere chart's pole cap."""
     return _March(
-        ORBIT_STEPPERS, H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap_event(H, config), dense=True
+        ORBIT_STEPPERS, H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap(H, config), dense=True
     )
 
 
@@ -307,25 +304,21 @@ def _scan_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     return ts if len(ts) and ts[-1] >= t_end else np.append(ts, t_end)
 
 
-def _march_crossings(march: _March, chart: AnnulusChart, lo: int = 0):
-    """Upward crossings of a dense march between the scan times ts[lo] and ts[n - 1].
+def _march_crossings(march: _March, chart: AnnulusChart):
+    """Upward crossings of a dense march over the scan times it has sampled.
 
     Bracketed on the sampled scan states and refined together on the dense
     solution so far.  Returns the crossing times (in time order), the states
     there and their transverse speeds.
     """
-    ts = march.ts[lo : march.n]
-    up, levels = _upward_brackets(
-        chart.coordinate(march.path[lo : march.n]), chart.periodic_levels
-    )
+    ts = march.ts[: march.n]
+    up, levels = _upward_brackets(chart.coordinate(march.path[: march.n]), chart.periodic_levels)
     hits = np.flatnonzero(up)
     if not len(hits):
         return np.empty(0), np.empty((0, march.path.shape[1])), np.empty(0)
     sol = march.solution()
     levels = levels[hits]
-    t_events = _refine_roots(
-        lambda t: chart.coordinate(sol(t).T) - levels, ts[hits], ts[hits + 1]
-    )
+    t_events = _refine_roots(lambda t: chart.coordinate(sol(t).T) - levels, ts[hits], ts[hits + 1])
     states = sol(t_events).T
     return t_events, states, chart.transverse_velocity(states)
 
@@ -337,47 +330,30 @@ def detect_crossing(
     config: IntegratorConfig = DEFAULT_CONFIG,
     *,
     chart: AnnulusChart | None = None,
-    t_max: float | None = None,
-    t_skip: float = 1e-9,
 ) -> CrossingEvent:
-    """First transverse upward crossing of the section after t_skip.
+    """First transverse upward crossing of the section after ``scan_dt``, within ``max_return_time``.
 
-    The orbit is marched step by step (:class:`_March`).  Crossings are
-    bracketed on the ``scan_dt`` grid as the steps sample it
-    (:func:`_upward_brackets`) and refined on the dense solution so far
-    (:func:`_refine_roots`); the solve stops at the step in which the first
-    transverse crossing is bracketed, not at ``t_max``.  Near-tangent
-    candidates (transverse speed below tolerance) are skipped and counted;
-    NoCrossing is raised when the time budget runs out, or when the orbit
-    reaches the sphere chart's pole cap before it crosses.
+    The first window of :func:`iterate_section_map`, cut at
+    ``max_return_time``: the orbit is marched (:class:`_March`) and its
+    crossings found by the same loop (:func:`_window_crossings`), which stops
+    at the step that brackets the first transverse crossing.  Up to a step the
+    budget cuts short, the march is the window's, so the crossing comes out
+    bit for bit as the first iterate of the section map.  Near-tangent
+    candidates (transverse speed below tolerance) before it are skipped and
+    counted; NoCrossing is raised when the time budget runs out, or when the
+    orbit reaches the sphere chart's pole cap before it crosses.
     """
     chart = chart or AnnulusChart(H, spec)
-    if t_max is None:
-        t_max = spec.max_return_time
-    if not t_skip < t_max:
-        raise ValueError(f"t_skip = {t_skip} must be below t_max = {t_max}")
-    ts = _scan_grid(t_skip, t_max, spec.scan_dt)
-    march = _orbit_march(H, start_state, t_max, config, ts)
-    skipped = 0
-    lo = 0
-    while march.step():
-        t_events, states, speeds = _march_crossings(march, chart, lo)
-        lo = max(march.n - 1, 0)
-        # only speeds known to be below the tolerance are skipped (NaN is kept)
-        transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
-        if len(transverse):
-            j = int(transverse[0])
-            return CrossingEvent(
-                time=float(t_events[j]),
-                state=states[j],
-                transverse_speed=float(speeds[j]),
-                skipped_tangencies=skipped + j,
-            )
-        skipped += len(t_events)
-    if march.capped:
-        raise NoCrossing("orbit left the chart strip during crossing detection")
-    raise NoCrossing(
-        f"no transverse crossing within t = {t_max} ({skipped} tangencies skipped)"
+    T = spec.max_return_time
+    march = _orbit_march(H, start_state, T, config, _scan_grid(spec.scan_dt, T, spec.scan_dt))
+    t_events, states, speeds = _window_crossings(march, chart, spec, 0.0, 1)
+    # only speeds known to be below the tolerance are skipped (NaN is kept)
+    transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
+    if not len(transverse):
+        raise NoCrossing(f"no transverse crossing within t = {T} ({len(t_events)} tangencies skipped)")
+    j = int(transverse[0])
+    return CrossingEvent(
+        time=float(t_events[j]), state=states[j], transverse_speed=float(speeds[j]), skipped_tangencies=j
     )
 
 
@@ -395,10 +371,8 @@ def first_return(
     y0 = chart.point_to_state(s, u)
     v0 = float(chart.transverse_velocity(y0))
     if v0 < spec.transversality_tol:
-        raise NonTransverse(
-            f"start point (s={s:.6f}, u={u:.6f}) has transverse speed {v0:.3e}"
-        )
-    event = detect_crossing(H, y0, spec, config, chart=chart, t_skip=spec.scan_dt)
+        raise NonTransverse(f"start point (s={s:.6f}, u={u:.6f}) has transverse speed {v0:.3e}")
+    event = detect_crossing(H, y0, spec, config, chart=chart)
     s_img, u_img = chart.state_to_point(event.state)
     lift_ds = (chart.lift_s(event.state) - chart.lift_s(y0)) / chart.circumference
     return ReturnSample(point=(s, u), image=(s_img, u_img), tau=event.time, lift_displacement=lift_ds)
@@ -420,22 +394,23 @@ class SectionOrbit:
 
 
 def _window_crossings(march: _March, chart: AnnulusChart, spec: SectionSpec, prev_t: float, need: int):
-    """Refined crossings of one return-map window, marched only as far as ``need`` returns need.
+    """Refined crossings of one dense march, marched only as far as ``need`` returns need.
 
-    Upward brackets are counted as scan samples arrive (a new scan interval
-    holds at most one, so counting waits until it could reach the count
-    wanted).  With enough brackets, all brackets so far are refined in one
-    batch, and the march stops once that batch holds ``need`` transverse
-    crossings after ``prev_t``.  A bracket is refined on the interpolants of
-    its own steps, one time at a time, so its crossing comes out bit for bit
-    as from a march over the whole window.  Otherwise the window is marched
-    to its end; the pole cap raises NoCrossing.
+    The one crossing loop of single orbits (:func:`detect_crossing` and each
+    window of :func:`iterate_section_map`).  Upward brackets are counted as
+    scan samples arrive (a new scan interval holds at most one, so counting
+    waits until it could reach the count wanted).  With enough brackets, all
+    brackets so far are refined in one batch, and the march stops once that
+    batch holds ``need`` transverse crossings after ``prev_t``.  A bracket is
+    refined on the interpolants of its own steps, one time at a time, so its
+    crossing comes out bit for bit as from a march over the whole window.
+    Otherwise the march runs to its end and all its crossings are returned.
+    A crossing bracketed before the pole cap counts; a march that reaches the
+    cap short of ``need`` returns raises NoCrossing.
     """
     brackets = lo = 0
     want = need
     while march.step():
-        if march.capped:
-            continue
         if brackets + march.n - 1 - lo >= want:
             up, _ = _upward_brackets(chart.coordinate(march.path[lo : march.n]), chart.periodic_levels)
             lo = march.n - 1
@@ -449,7 +424,7 @@ def _window_crossings(march: _March, chart: AnnulusChart, spec: SectionSpec, pre
             return crossings
         want = brackets + need - kept
     if march.capped:
-        raise NoCrossing("orbit left the chart strip during return-map iteration")
+        raise NoCrossing("orbit left the chart strip before its returns")
     return _march_crossings(march, chart)
 
 
@@ -459,25 +434,22 @@ def iterate_section_map(
     start_point: tuple[float, float],
     n: int,
     config: IntegratorConfig = DEFAULT_CONFIG,
-    *,
-    window: float | None = None,
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is marched in dense windows (:class:`_March`); the upward
-    crossings inside a window are bracketed on the ``scan_dt`` grid
-    (:func:`_upward_brackets`), refined together (:func:`_refine_roots`), and
-    the transverse ones kept.  A window is marched to its end unless it holds
-    the n-th return, where the march stops at the step that brackets it
-    (:func:`_window_crossings`).  This keeps the per-iterate cost near one
-    flow period even for thousands of iterates.
+    The orbit is marched in dense windows of 16 ``max_return_time``
+    (:class:`_March`); the upward crossings inside a window are bracketed on
+    the ``scan_dt`` grid (:func:`_upward_brackets`), refined together
+    (:func:`_refine_roots`), and the transverse ones kept.  A window is
+    marched to its end unless it holds the n-th return, where the march stops
+    at the step that brackets it (:func:`_window_crossings`).  This keeps the
+    per-iterate cost near one flow period even for thousands of iterates.
     """
     chart = AnnulusChart(H, spec)
     y = chart.point_to_state(*start_point)
     if float(chart.transverse_velocity(y)) < spec.transversality_tol:
         raise NonTransverse("start point is not transverse")
-    if window is None:
-        window = 16.0 * spec.max_return_time
+    window = 16.0 * spec.max_return_time
 
     points = [chart.state_to_point(y)]
     lift = [chart.lift_s(y)]
@@ -788,7 +760,7 @@ def return_time_boundary_extension(
     def transverse(tau: float, u: float) -> float:
         u = float(u)
         if u not in sols:
-            march = _orbit_march(H, chart.point_to_state(_BOUNDARY_S0, u), t_hi, config)
+            march = _orbit_march(H, chart.point_to_state(_BOUNDARY_S0, u), t_hi, config, ())
             while march.step():
                 pass
             if march.capped:

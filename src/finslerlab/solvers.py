@@ -23,7 +23,7 @@ both flat families below; they differ in the state and in one attempt.
   attempt is :func:`march_rows`' attempt on a one-row batch, bit for bit,
   and no number depends on a BLAS kernel or on numpy's per-call overhead.
 * :class:`DenseSolution` is ``OdeSolution``: the step interpolants joined,
-  each time evaluated on the step scipy would pick.
+  each time evaluated alone on the step scipy would pick.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import groupby
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -562,46 +562,29 @@ class _FloatDop853Dense(_FloatDense):
 
 
 class DenseSolution:
-    """Step interpolants joined over the step ends ``ts`` (scipy's ``OdeSolution``).
+    """Step interpolants joined over the step ends ``ts`` (scipy's ``OdeSolution``), one time at a time.
 
     A time on a step end takes the step that ends there (the lower-index
     step, as ``OdeSolution`` with ``alt_segment=False``), a time outside the
-    run the nearest end step; an array of times is sorted and each step's
-    times are evaluated together, as one array.
+    run the nearest end step.  An array of m times gives an (n, m) array,
+    each time evaluated alone on its step.
     """
 
     def __init__(self, ts, interpolants):
-        ts = np.asarray(ts)
-        self.n_segments = len(interpolants)
         self.interpolants = interpolants
         self.ascending = bool(ts[-1] >= ts[0])
-        self.side = "left" if self.ascending else "right"
-        self.ts_sorted = ts if self.ascending else ts[::-1]
+        self.ends = list(ts) if self.ascending else list(reversed(ts))
 
-    def _segment(self, ind):
-        segment = min(max(ind - 1, 0), self.n_segments - 1)
-        return segment if self.ascending else self.n_segments - 1 - segment
+    def _at(self, t):
+        last = len(self.interpolants) - 1
+        if self.ascending:
+            return self.interpolants[min(max(bisect_left(self.ends, t) - 1, 0), last)](t)
+        return self.interpolants[last - min(max(bisect_right(self.ends, t) - 1, 0), last)](t)
 
     def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-            return self.interpolants[self._segment(ind)](t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1
-        segments = np.clip(segments, 0, self.n_segments - 1)
-        if not self.ascending:
-            segments = self.n_segments - 1 - segments
-        ys = []
-        start = 0
-        for segment, group in groupby(segments):
-            end = start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+        if np.ndim(t):
+            return np.array([self._at(s) for s in np.asarray(t, dtype=float).tolist()]).T
+        return self._at(t)
 
 
 def _stage_sum(coefficients, K):

@@ -2,7 +2,8 @@
 
 ``compose_commuting_flows`` gives the Katok flow on its invariant cone from
 the rotational flow and a rigid shift; ``lift_to_cover`` re-lifts reduced base
-points, a second route to the lift an orbit trace stores.
+points, a second route to the lift an orbit trace stores; ``pole_cap_event``
+is the lab's pole cap as a ``solve_ivp`` event, for the scipy references.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from finslerlab.flow import (
     OrbitTrace,
     circle_difference,
     integrate_orbit,
+    pole_cap,
 )
 from finslerlab.metrics import CotangentPoint, RotationalDualMetric, cone_membership
 from finslerlab.profiles import RotationalProfile
@@ -26,6 +28,20 @@ class ConeViolation(FinslerLabError):
 
 class LiftAmbiguity(FinslerLabError):
     """A single trace step moved more than half a period; lift is not unique."""
+
+
+def pole_cap_event(H, config: IntegratorConfig):
+    """Terminal |x2| = cap event of ``solve_ivp`` for sphere-chart runs (None without a cap)."""
+    cap = pole_cap(H, config)
+    if cap is None:
+        return None
+
+    def event(t, y):
+        return cap - abs(y[1])
+
+    event.terminal = True
+    event.direction = -1
+    return event
 
 
 def compose_commuting_flows(

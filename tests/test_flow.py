@@ -26,14 +26,13 @@ from finslerlab.flow import (
     integrate_ensemble,
     integrate_orbit,
     phase_space_distance,
-    pole_cap_event,
     stacked_rhs,
 )
 from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
 from finslerlab.solvers import EPS, RK45, FloatRK45, march_rows
-from flow_oracles import ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover
+from flow_oracles import ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event
 
 
 def reduced_orbit_quadrature(profile, c, t_target, n_grid=400_001, x2_span=40.0):

@@ -308,6 +308,12 @@ class TestScenarioRunner:
         for name in report.artifacts:
             assert (run_dir / name).exists()
 
+    def test_failed_run_leaves_no_run_directory(self, tmp_path):
+        # katok-torus runs the reversibilized metric and rejects the other at once
+        with pytest.raises(ConfigInvalid):
+            run_scenario("katok-torus", overrides=[("metric.reversible", False)], out_root=tmp_path, write=True)
+        assert list(tmp_path.iterdir()) == []
+
     def test_alpha_override_rerrun_convexity_gate(self):
         from finslerlab.errors import ConvexityLost
 

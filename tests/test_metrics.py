@@ -381,10 +381,12 @@ class TestVectorField:
         assert np.max(np.abs(got - vf)) <= 1e-14
 
     def test_angular_fallback_stacks_gradients(self):
+        # the bits the stacked gradients gave: (grad_xi, -grad_x) with grad_x = +0.0
         h1 = AngularDualMetric()
         vf = h1.vector_field(np.array([[0.0, 1.0, 0.5, 0.5], [2.0, -1.0, -3.0, 0.0]]))
-        assert vf.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 2
-        # a kind that defines neither side has no equations, not a recursion
+        assert vf.tobytes() == np.array([[1.0, 0.0, -0.0, -0.0]] * 2).tobytes()
+        assert h1.grad_x(vf).tobytes() == np.zeros((2, 2)).tobytes()
+        # the base class has no equations, not a recursion
         with pytest.raises(NotImplementedError):
             DualMetric().grad_x(np.array([0.0, 1.0, 0.5, 0.5]))
 

@@ -18,7 +18,6 @@ from finslerlab.flow import (
     IntegratorConfig,
     integrate_orbit,
     phase_space_distance,
-    pole_cap_event,
     stacked_rhs,
 )
 from finslerlab.metrics import ALPHA_GOLDEN
@@ -26,6 +25,7 @@ from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
     _hermite_returns,
+    _orbit_march,
     _refine_roots,
     _upward_brackets,
     build_return_map_grid,
@@ -36,7 +36,7 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
-from flow_oracles import compose_commuting_flows
+from flow_oracles import compose_commuting_flows, pole_cap_event
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
 
@@ -110,7 +110,7 @@ class TestDetectCrossing:
         y0 = chart.point_to_state(0.3, 0.3)
         orbit = iterate_section_map(h0_torus, spec, (0.3, 0.3), 2, tight_config)
         strict = replace(spec, transversality_tol=1.8)
-        event = detect_crossing(h0_torus, y0, strict, tight_config, chart=chart, t_skip=spec.scan_dt)
+        event = detect_crossing(h0_torus, y0, strict, tight_config, chart=chart)
         assert event.skipped_tangencies == 1
         assert event.transverse_speed >= 1.8
         assert event.time == pytest.approx(orbit.times[2], abs=1e-9)
@@ -122,7 +122,7 @@ class TestDetectCrossing:
 
         spec = SectionSpec(kind="equator_birkhoff", x2_star=0.0, max_return_time=30.0)
         y0 = np.array([1.0, 0.0, 0.0, 1.0])
-        event = detect_crossing(h0_torus, y0, spec, tight_config, t_skip=0.1)
+        event = detect_crossing(h0_torus, y0, spec, tight_config)
         # reduced period quadrature: dt = f dx2 when xi1 = 0, so the return
         # time is the meridian length, one x2-period climb
         grid = np.linspace(0.0, 4.0, 400_001)
@@ -131,19 +131,12 @@ class TestDetectCrossing:
         assert event.time == pytest.approx(period, abs=1e-6)
         assert event.time <= spec.max_return_time
 
-
-    def test_skip_beyond_budget_rejected(self, h0_sphere, tight_config):
-        y0 = np.array([0.0, -0.5, 0.3, float(np.sqrt(h0_sphere.profile.f(-0.5) ** 2 - 0.09))])
-        for t_skip in (SPHERE_SPEC.max_return_time, SPHERE_SPEC.max_return_time + 1.0):
-            with pytest.raises(ValueError, match="t_skip"):
-                detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config, t_skip=t_skip)
-
     def test_pole_cap_before_crossing_raises(self, h0_sphere, tight_config):
         # this orbit meets the cap at t = 0.96 (it would climb to x2 = 1.67), long before t = 2 pi
         y0 = AnnulusChart(h0_sphere, SPHERE_SPEC).point_to_state(1.0, 1.2)
         capped = tight_config.with_(x2_cap=1.0)
         with pytest.raises(NoCrossing, match="chart strip"):
-            detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped, t_skip=SPHERE_SPEC.scan_dt)
+            detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped)
 
     def test_crossing_before_pole_cap_is_returned(self, h0_sphere, tight_config):
         # crosses the equator at t = 0.51 and meets the cap at t = 1.01 (it would climb to 1.87)
@@ -154,6 +147,19 @@ class TestDetectCrossing:
         assert event.time < 1.0
         assert event.state.tobytes() == free.state.tobytes()
         assert np.float64(event.time).tobytes() == np.float64(free.time).tobytes()
+
+
+    def test_crossing_in_the_capping_step_is_returned(self, h0_sphere, tight_config):
+        # crosses the equator at t = 0.050, inside the step [0.019, 0.202] that meets the cap |x2| = 0.03
+        y0 = np.array([0.0, -0.01, 0.98, float(np.sqrt(h0_sphere.profile.f(-0.01) ** 2 - 0.98**2))])
+        capped = tight_config.with_(x2_cap=0.03)
+        march = _orbit_march(h0_sphere, y0, SPHERE_SPEC.max_return_time, capped, ())
+        while march.step():
+            pass
+        event = detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped)
+        assert march._t[-2] < event.time < march.capped[0]
+        free = detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config)
+        assert event.state.tobytes() == free.state.tobytes()
 
 
 class TestRefineRoots:
@@ -271,6 +277,28 @@ class TestIterateSectionMap:
             assert abs(orbit.points[k][1] - sample.image[1]) <= 1e-7
             point = sample.image
 
+    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
+    def test_first_return_is_first_iterate_bitwise(self, katok_sphere, h0_torus, method, tol):
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(3)
+        cases = [
+            (katok_sphere, SPHERE_SPEC, (s, u))
+            for s, u in zip(rng.uniform(0.0, chart.circumference, 40), rng.uniform(0.2, 2.9, 40))
+        ]
+        # a meridian orbit that starts at normal speed 3.5 and whose first crossing
+        # (speed 0.41) is skipped as a tangency
+        meridian = SectionSpec(kind="meridian", max_return_time=40.0, transversality_tol=1.0)
+        y0 = AnnulusChart(h0_torus, meridian).point_to_state(1.3, 1.2)
+        assert detect_crossing(h0_torus, y0, meridian, config).skipped_tangencies == 1
+        cases.append((h0_torus, meridian, (1.3, 1.2)))
+        for H, spec, point in cases:
+            sample = first_return(H, spec, point, config)
+            orbit = iterate_section_map(H, spec, point, 1, config)
+            assert np.float64(sample.tau).tobytes() == orbit.times[1].tobytes()
+            assert np.array(sample.image).tobytes() == orbit.points[1].tobytes()
+            assert np.float64(sample.lift_displacement).tobytes() == orbit.displacements[0].tobytes()
+
     def test_ensemble_step_agrees_with_tight_returns(self, katok_sphere, fast_config, tight_config):
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         pts = [(0.3, 0.5), (2.0, 1.2), (4.0, 2.2)]
@@ -307,15 +335,14 @@ class TestIterateSectionMap:
 
 
     def test_return_at_window_end_is_kept(self, h0_sphere, tight_config):
-        # windows of 4 pi + 0.01 end just after every second return at 2 pi k
-        orbit = iterate_section_map(
-            h0_sphere, SPHERE_SPEC, (1.0, 0.8), 6, tight_config, window=4 * math.pi + 0.01
-        )
+        # windows of 16 max_return_time = 4 pi + 0.01 end just after every second return at 2 pi k
+        spec = SectionSpec(max_return_time=(4 * math.pi + 0.01) / 16)
+        orbit = iterate_section_map(h0_sphere, spec, (1.0, 0.8), 6, tight_config)
         assert np.allclose(np.diff(orbit.times), TWO_PI, atol=1e-9)
         assert np.allclose(orbit.displacements, 1.0, atol=1e-9)
 
 
-def _reference_detect(H, y0, spec, config, t_skip):
+def _reference_detect(H, y0, spec, config):
     """detect_crossing from one dense solve_ivp over the whole budget."""
     chart = AnnulusChart(H, spec)
     t_max = spec.max_return_time
@@ -325,7 +352,7 @@ def _reference_detect(H, y0, spec, config, t_skip):
         events=pole_cap_event(H, config),
     )
     assert sol.status == 0
-    ts = np.append(np.arange(t_skip, t_max, spec.scan_dt), t_max)
+    ts = np.append(np.arange(spec.scan_dt, t_max, spec.scan_dt), t_max)
     up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
     hits = np.flatnonzero(up)
     t_events = _refine_roots(
@@ -350,9 +377,10 @@ def _reference_ensemble_step(H, spec, states, config, chart):
     return _hermite_returns(H, spec, chart, states, ts, sol.y.T.reshape(m, n, 4)), sol.nfev
 
 
-def _reference_iterate(H, spec, point, n, config, window):
+def _reference_iterate(H, spec, point, n, config):
     """iterate_section_map from dense solve_ivp windows, each solved to its end."""
     chart = AnnulusChart(H, spec)
+    window = 16 * spec.max_return_time
     y = chart.point_to_state(*point)
     points, lift, times = [chart.state_to_point(y)], [chart.lift_s(y)], [0.0]
     t_base = 0.0
@@ -414,8 +442,8 @@ class TestMarchAgainstFullSolve:
         meridian = SectionSpec(kind="meridian", max_return_time=40.0, transversality_tol=1.8)
         cases.append((h0_torus, meridian, AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)))
         for H, spec, y0 in cases:
-            got = detect_crossing(H, y0, spec, config, t_skip=spec.scan_dt)
-            time, state, speed, skipped = _reference_detect(H, y0, spec, config, spec.scan_dt)
+            got = detect_crossing(H, y0, spec, config)
+            time, state, speed, skipped = _reference_detect(H, y0, spec, config)
             # largest gaps measured: 5.3e-14 (time), 2.0e-13 (state), 9.8e-13 (speed)
             assert abs(got.time - time) <= 1e-12
             assert np.max(np.abs(got.state - state)) <= 1e-12
@@ -427,15 +455,15 @@ class TestMarchAgainstFullSolve:
     def test_iterate_section_map_bitwise(self, katok_sphere, h0_torus, method, tol):
         # the march stops after the n-th return; the windows before it run to their end
         config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
-        meridian = SectionSpec(kind="meridian", max_return_time=40.0)
+        # windows of 128, 20 and 100
         cases = [
-            (katok_sphere, SPHERE_SPEC, (1.0, 0.9), 3, 128.0),
-            (katok_sphere, SPHERE_SPEC, (0.7, 0.6), 9, 20.0),
-            (h0_torus, meridian, (0.3, 0.3), 2, 100.0),  # both returns by t = 13.4
+            (katok_sphere, SPHERE_SPEC, (1.0, 0.9), 3),
+            (katok_sphere, SectionSpec(max_return_time=1.25), (0.7, 0.6), 9),
+            (h0_torus, SectionSpec(kind="meridian", max_return_time=6.25), (0.3, 0.3), 2),  # both returns by t = 13.4
         ]
-        for H, spec, point, n, window in cases:
-            got = iterate_section_map(H, spec, point, n, config, window=window)
-            want = _reference_iterate(H, spec, point, n, config, window)
+        for H, spec, point, n in cases:
+            got = iterate_section_map(H, spec, point, n, config)
+            want = _reference_iterate(H, spec, point, n, config)
             # largest gaps measured: 3.2e-13 (points), 1.8e-13 (lift), 1.3e-13 (times)
             assert np.max(np.abs(got.points - want[0])) <= 1e-12
             assert np.max(np.abs(got.lift_s - want[1])) <= 1e-12
