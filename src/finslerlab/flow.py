@@ -11,20 +11,21 @@ drift tolerance; drift is the audited quantity instead of a symplectic scheme,
 because the Hamiltonians are piecewise-defined and event location needs dense
 output.
 
-Single orbits and the section paths in :mod:`~finslerlab.sections` step one
-loop, :class:`_March`: a stepper of :mod:`~finslerlab.solvers` advanced by
-hand with a one-shot scipy solve's checkpoint sampling, and with its
-terminal-event rule applied to the pole cap, a height (:func:`pole_cap`).  A
-single orbit steps in Python floats (:data:`ORBIT_STEPPERS`), with dense
-output for the section solves; the stacked return steps run scipy's classes,
-ported to numpy bit for bit (:data:`STACKED_STEPPERS`).
+Single orbits and their section solves in :mod:`~finslerlab.sections` step
+one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
+(:data:`ORBIT_STEPPERS`) advanced by hand with a one-shot scipy solve's
+checkpoint sampling, with dense output for the section solves, and with its
+terminal-event rule applied to the pole cap, a height (:func:`pole_cap`).
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The stacked return steps of
-:func:`~finslerlab.sections.ensemble_return_step` keep one shared step: on
+:func:`~finslerlab.sections.ensemble_return_step` keep one shared step of
+scipy's classes ported to numpy bit for bit (:data:`STACKED_STEPPERS`): on
 the Katok sphere the orbit nearest the pole needs more attempts alone than
 the shared step takes, and a batched field call costs the same for few
-orbits as for many.
+orbits as for many.  Each orbit's crossing is refined on the interpolant of
+its own shared step, as :func:`~finslerlab.solvers.march_rows` would sample
+it.
 """
 
 from __future__ import annotations
@@ -180,14 +181,12 @@ def pole_cap(H: DualMetric, config: IntegratorConfig) -> float | None:
 
 
 class _March:
-    """One adaptive solve from t = 0 toward ``t_end``, advanced a step at a time.
+    """One adaptive solve of one orbit from t = 0 toward ``t_end``, advanced a step at a time.
 
-    The stepping loop of single orbits and section solves.  The solver is
-    ``steppers[config.method]`` with the configured ``rtol`` and ``atol``:
-    the caller picks :data:`ORBIT_STEPPERS` for one orbit (a state of 4
-    floats) or :data:`STACKED_STEPPERS` for a stacked system (see
-    :mod:`~finslerlab.solvers`).  Each step is handled the way a one-shot
-    scipy solve handles it:
+    The stepping loop of single orbits and their section solves.  The solver
+    is ``ORBIT_STEPPERS[config.method]`` (a state of 4 floats, see
+    :mod:`~finslerlab.solvers`) with the configured ``rtol`` and ``atol``.
+    Each step is handled the way a one-shot scipy solve handles it:
 
     * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
       are taken from its dense output in one call (as ``t_eval`` is, by
@@ -204,8 +203,8 @@ class _March:
     underflows raises StepFailure with the solver's message.
     """
 
-    def __init__(self, steppers, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
-        self.solver = steppers[config.method](
+    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
+        self.solver = ORBIT_STEPPERS[config.method](
             fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol
         )
         self.ts = np.asarray(ts, dtype=float)
@@ -276,8 +275,7 @@ def integrate_orbit(
         raise ValueError(f"H(p0) = {h0!r} must be positive")
 
     march = _March(
-        ORBIT_STEPPERS, H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt),
-        cap=pole_cap(H, config),
+        H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt), cap=pole_cap(H, config)
     )
     while march.step():
         pass

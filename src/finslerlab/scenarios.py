@@ -293,9 +293,6 @@ def _conservation_checks(H, starts, config) -> list[Check]:
     ]
 
 
-_RETURN_ENTROPY_SCAN_DT = 0.04  # crossing-scan step of the return-map entropy cloud
-
-
 def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config) -> tuple:
     """Separated-set entropy of the section return map on a random cloud.
 
@@ -303,9 +300,6 @@ def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config) -> t
     zero-entropy twist map has linear count growth, whose log-slope over an
     early window reflects the window, not the map.
     """
-    from dataclasses import replace
-
-    spec = replace(spec, scan_dt=_RETURN_ENTROPY_SCAN_DT)
     chart = AnnulusChart(H, spec)
     n_iter = max(T_list)
     s = rng.uniform(0.0, chart.circumference, n_cloud)
@@ -328,10 +322,14 @@ def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config) -> t
     return est, int(np.count_nonzero(~alive))
 
 
-def _np_shoelace(points) -> float:
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _shoelace(points) -> float:
+    """Polygon area, summed in Python floats so that no BLAS kernel sets its bits."""
+    pts = [(float(x), float(y)) for x, y in points]
+    forward = backward = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        forward += x0 * y1
+        backward += y0 * x1
+    return 0.5 * abs(forward - backward)
 
 
 def _direction_from_cycles(lifted_base: np.ndarray, period: float) -> np.ndarray:
@@ -518,7 +516,7 @@ def _run_katok_sphere(cfg, rng, artifact, stage) -> list[Check]:
             y_img = chart.point_to_state(*sample.image)
             # x1-lift of the crossing state: winding in turns times 2 pi
             after.append((y[0] + sample.lift_displacement * TWO_PI, y_img[2]))
-        a0_, a1_ = _np_shoelace(before), _np_shoelace(after)
+        a0_, a1_ = _shoelace(before), _shoelace(after)
         area_err = abs(a1_ - a0_) / a0_
         checks.append(at_most("area.quad_relative_error", area_err, 0.01))
 

@@ -23,8 +23,9 @@ march cut at ``max_return_time`` in :func:`detect_crossing` (behind
 :func:`first_return`, the return grid and the boundary extension), on windows
 of 16 ``max_return_time`` in :func:`iterate_section_map`.  So a first return
 is the map's first iterate bit for bit, unless the budget cuts short the step
-that brackets it.  The stacked :func:`ensemble_return_step` refines on the
-Hermite interpolant of each scan step instead.
+that brackets it.  The stacked :func:`ensemble_return_step` brackets each
+orbit on the ends of the shared steps instead, and refines it on the
+interpolant of its own step.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ from .errors import (
     NoCrossing,
     NonTransverse,
     NotVanishing,
+    StepFailure,
     require_positive,
 )
 from .flow import (
-    DEFAULT_CONFIG, ORBIT_STEPPERS, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap,
-    stacked_rhs,
+    DEFAULT_CONFIG, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap, stacked_rhs,
 )
 from .metrics import DualMetric
-from .solvers import brent_root
+from .solvers import RowInterpolant, brent_root, last_step_rows
 
 __all__ = [
     "SectionSpec",
@@ -293,9 +294,7 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
 
 def _orbit_march(H, y0, t_end, config, ts) -> _March:
     """A dense march of one orbit, with the sphere chart's pole cap."""
-    return _March(
-        ORBIT_STEPPERS, H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap(H, config), dense=True
-    )
+    return _March(H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap(H, config), dense=True)
 
 
 def _scan_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
@@ -493,78 +492,63 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Marches the stacked system (:class:`_March`; right-hand side
-    :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field`` call
-    per evaluation) on the shared scan grid, with no dense output.  The march
-    stops at the step in which every orbit has an upward crossing bracketed,
-    so a step's length is set by the cloud's slowest return; only a cloud with
-    an orbit that never crosses runs to ``max_return_time``.  Each orbit's
-    first upward crossing is bracketed on that grid (:func:`_upward_brackets`)
-    and refined on the cubic Hermite interpolant of its scan step
-    (:func:`_refine_roots`), whose slopes come from one more ``vector_field``
-    call at the two ends of every bracketing step.  The refined crossings are
-    checked for transversality together.  Returns (new_states, taus, ok_mask);
-    failed orbits keep their input state and tau = nan.
+    Steps the stacked system (``STACKED_STEPPERS[config.method]``; right-hand
+    side :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field``
+    call per evaluation) under one shared step.  After each accepted step but
+    the first (the start lies on the section), an orbit without a crossing yet
+    whose step ends straddle a section level upward keeps that step
+    (:func:`~finslerlab.solvers.last_step_rows`).  The run stops at the step in
+    which the last orbit crosses, so its length is set by the cloud's slowest
+    return; only a cloud with an orbit that never crosses runs to
+    ``max_return_time``.  The crossings are then refined together
+    (:func:`_refine_roots`), each on the interpolant of its own step
+    (:class:`~finslerlab.solvers.RowInterpolant`), and checked for
+    transversality together.  Brackets come from step ends, so ``scan_dt``
+    does not apply here.  Returns (new_states, taus, ok_mask); failed orbits
+    keep their input state and tau = nan.  An orbit that starts at xi = 0
+    fails alone; a step size that underflows raises StepFailure.
     """
     chart = chart or AnnulusChart(H, spec)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    n = states.shape[0]
-    m = int(spec.max_return_time / spec.scan_dt) + 1
-    ts = np.linspace(0.0, spec.max_return_time, m)
-
-    march = _March(STACKED_STEPPERS, stacked_rhs(H, n), states.reshape(-1), float(ts[-1]), config, ts)
-    # brackets count from row 1 on, as in _hermite_returns
-    pending = np.ones(n, dtype=bool)
-    lo = 1
-    while pending.any() and march.step():
-        rows = march.path[lo : march.n].reshape(-1, n, 4)
-        up, _ = _upward_brackets(chart.coordinate(rows), chart.periodic_levels)
-        pending &= ~up.any(axis=0)
-        lo = max(march.n - 1, 1)
-    return _hermite_returns(H, spec, chart, states, ts, march.path[: march.n].reshape(-1, n, 4))
-
-
-def _hermite_returns(H, spec, chart, states, ts, path):
-    """First returns of a stacked cloud from its states ``path`` at the scan times ``ts``.
-
-    See :func:`ensemble_return_step`: each orbit's first upward crossing after
-    row 0 is refined on the cubic Hermite interpolant of its scan step, then
-    checked for transversality.
-    """
-    n = states.shape[0]
-    up, levels = _upward_brackets(chart.coordinate(path), chart.periodic_levels)
-    # row 0 only ever flags the start point itself (states arrive on-section)
-    up[0] = False
-
-    first_idx = np.argmax(up, axis=0)
-    found = np.flatnonzero(up[first_idx, np.arange(n)])
-    rows = first_idx[found]
-    level = levels[rows, found]
-    t0, t1 = ts[rows], ts[rows + 1]
-    h = (t1 - t0)[:, None]
-    y0, y1 = path[rows, found], path[rows + 1, found]
-    # Hermite slopes: the vector field at both ends of each bracketing scan step
-    m0, m1 = H.vector_field(np.stack([y0, y1])) * h
-
-    def hermite(t):
-        x = (t - t0)[:, None] / h
-        return (
-            (2 * x**3 - 3 * x**2 + 1) * y0
-            + (x**3 - 2 * x**2 + x) * m0
-            + (-2 * x**3 + 3 * x**2) * y1
-            + (x**3 - x**2) * m1
-        )
-
-    tau_found = _refine_roots(lambda t: chart.coordinate(hermite(t)) - level, t0, t1)
-    y_found = hermite(tau_found)
-    # only speeds known to be below the tolerance are rejected (NaN is kept)
-    keep = ~(chart.transverse_velocity(y_found) < spec.transversality_tol)
-    accepted = found[keep]
+    states = np.asarray(states, dtype=float).reshape(-1, 4)
     new_states = states.copy()
-    new_states[accepted] = y_found[keep]
-    taus = np.full(n, np.nan)
-    taus[accepted] = tau_found[keep]
-    ok = np.zeros(n, dtype=bool)
+    taus = np.full(len(states), np.nan)
+    ok = np.zeros(len(states), dtype=bool)
+    live = np.flatnonzero(np.hypot(states[:, 2], states[:, 3]) != 0.0)
+    n = len(live)
+    method = STACKED_STEPPERS[config.method]
+    solver = method(
+        stacked_rhs(H, n), 0.0, states[live].reshape(-1), spec.max_return_time,
+        rtol=config.rel_tol, atol=config.abs_tol,
+    )
+    pending = np.ones(n, dtype=bool)
+    g = chart.coordinate(states[live])
+    found, levels, steps = [], [], []
+    while pending.any() and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(message)
+        g_old, g = g, chart.coordinate(solver.y.reshape(n, 4))
+        if solver.t_old == 0.0:  # the first step leaves the section it starts on
+            continue
+        up, level = _upward_brackets(np.stack([g_old, g]), chart.periodic_levels)
+        hits = np.flatnonzero(pending & up[0])
+        if len(hits):
+            pending[hits] = False
+            found.append(hits)
+            levels.append(level[0, hits])
+            steps.append(last_step_rows(solver, hits, 4))
+    if not found:
+        return new_states, taus, ok
+
+    sol = RowInterpolant(method, H.vector_field, steps)
+    level = np.concatenate(levels)
+    tau = _refine_roots(lambda t: chart.coordinate(sol(t)) - level, sol.t_old, sol.t)
+    y = sol(tau)
+    # only speeds known to be below the tolerance are rejected (NaN is kept)
+    keep = ~(chart.transverse_velocity(y) < spec.transversality_tol)
+    accepted = live[np.concatenate(found)[keep]]
+    new_states[accepted] = y[keep]
+    taus[accepted] = tau[keep]
     ok[accepted] = True
     return new_states, taus, ok
 

@@ -10,13 +10,14 @@ Sec. II.4-II.6.  There is no ``max_step``: the step is bounded by the
 interval only.  One controller loop, :meth:`_RungeKutta._step_impl`, steps
 both flat families below; they differ in the state and in one attempt.
 
-* :class:`RK45` and :class:`DOP853` are ``scipy.integrate``'s classes of the
-  same names on an (n,) numpy state, ported operation for operation, so they
-  return scipy's bits: the stage sums are ``np.dot(K[:s].T, a[:s]) * h`` on a
-  C-order ``K``, and an interpolant called at one time (a matrix-vector
-  product) is a different path from one called at an array of times
-  (matrix-matrix), whose bits can differ in the last place.  They step the
-  stacked systems.
+* :class:`RK45` and :class:`DOP853` are the stepping of ``scipy.integrate``'s
+  classes of the same names on an (n,) numpy state, ported operation for
+  operation, so their steps are scipy's bits (the stage sums are
+  ``np.dot(K[:s].T, a[:s]) * h`` on a C-order ``K``).  They step the stacked
+  systems and have no dense output of their own: :func:`last_step_rows`
+  reads the last step of some of the stacked systems, and
+  :class:`RowInterpolant` interpolates those steps with the dense output of
+  :func:`march_rows`.
 * :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
   Python floats, with the arithmetic of :func:`march_rows`: every sum runs
   term by term in stage order over the nonzero tableau entries, so one
@@ -45,7 +46,10 @@ import numpy as np
 
 from . import dop853_coefficients as _dop853
 
-__all__ = ["RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "brent_root"]
+__all__ = [
+    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "RowSteps", "last_step_rows",
+    "RowInterpolant", "brent_root",
+]
 
 EPS = float(np.finfo(float).eps)
 
@@ -86,9 +90,8 @@ class _RungeKutta:
     None, or scipy's message when the step size underflows.
 
     The step-size controller is this class's; a subclass gives the state and
-    its stage storage (``_state``), the initial step, one attempt
-    (``_attempt``: the new state, its derivative and the error norm) and the
-    step interpolant.
+    its stage storage (``_state``), the initial step and one attempt
+    (``_attempt``: the new state, its derivative and the error norm).
     """
 
     error_estimator_order: int
@@ -170,11 +173,6 @@ class _RungeKutta:
         self.f = f_new
         return None
 
-    def dense_output(self):
-        """Interpolant over the last step (constant over a step of length 0)."""
-        if self.n == 0 or self.t == self.t_old:
-            return _ConstantDense(self.y)
-        return self._dense_output_impl()
 
 
 class _ArrayRungeKutta(_RungeKutta):
@@ -266,9 +264,6 @@ class RK45(_ArrayRungeKutta):
     def _error_norm(self, h, scale):
         return _rms(np.dot(self.K.T, self.E) * h / scale)
 
-    def _dense_output_impl(self):
-        return _RkDense(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
-
 
 class DOP853(_ArrayRungeKutta):
     """Hairer's DOP853 8(5,3) pair with its 7th-degree dense output (scipy's ``DOP853``)."""
@@ -284,12 +279,6 @@ class DOP853(_ArrayRungeKutta):
     A_EXTRA = _dop853.A[n_stages + 1:]
     C_EXTRA = _dop853.C[n_stages + 1:]
 
-    def _state(self, y0):
-        y0 = super()._state(y0)
-        self.K_extended = np.empty((_dop853.N_STAGES_EXTENDED, y0.size))
-        self.K = self.K_extended[: self.n_stages + 1]
-        return y0
-
     def _error_norm(self, h, scale):
         K = self.K
         err5 = np.dot(K.T, self.E5) / scale
@@ -300,70 +289,6 @@ class DOP853(_ArrayRungeKutta):
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-    def _dense_output_impl(self):
-        K = self.K_extended
-        h = self.h_previous
-        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
-
-        F = np.empty((_dop853.INTERPOLATOR_POWER, self.n))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(self.D, K)
-        return _Dop853Dense(self.t_old, self.t, self.y_old, F)
-
-
-class _RkDense:
-    """RK45's interpolant over one step: (n,) at a scalar t, (n, m) at m times."""
-
-    def __init__(self, t_old, t, y_old, Q):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.Q = Q
-        self.order = Q.shape[1] - 1
-        self.y_old = y_old
-
-    def __call__(self, t):
-        x = (np.asarray(t) - self.t_old) / self.h
-        p = np.cumprod(np.broadcast_to(x, (self.order + 1, *np.shape(x))), axis=0)
-        return (self.h * np.dot(self.Q, p).T + self.y_old).T
-
-
-class _Dop853Dense:
-    """DOP853's interpolant over one step: (n,) at a scalar t, (n, m) at m times."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        x = ((np.asarray(t) - self.t_old) / self.h)[..., None]
-        y = np.zeros(x.shape[:-1] + self.y_old.shape)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
-class _ConstantDense:
-    """The state of a step of length 0, at any time."""
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=float)
-
-    def __call__(self, t):
-        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T
 
 
 # --- one orbit in Python floats ----------------------------------------------
@@ -438,6 +363,12 @@ class _FloatRungeKutta(_RungeKutta):
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
         return min(100 * h0, h1, interval_length)
+
+    def dense_output(self):
+        """Interpolant over the last step (constant over a step of length 0)."""
+        if self.t == self.t_old:
+            return _ConstantDense(self.y)
+        return self._dense_output_impl()
 
     def _attempt(self, t, y, f, h):
         y0, y1, y2, y3 = y
@@ -561,6 +492,16 @@ class _FloatDop853Dense(_FloatDense):
         )
 
 
+class _ConstantDense:
+    """The state of a step of length 0, at any time."""
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+
+    def __call__(self, t):
+        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T
+
+
 class DenseSolution:
     """Step interpolants joined over the step ends ``ts`` (scipy's ``OdeSolution``), one time at a time.
 
@@ -628,8 +569,10 @@ class _RowStepper:
     ``method`` is :class:`RK45` or :class:`DOP853`, whose tableau is used;
     ``fun(y)`` maps an (m, n) batch of states to their derivatives (the
     systems are autonomous).  Subclasses give the error norm and the dense
-    output of their pair: ``sample(K, h, y_old, y, which, x)`` evaluates the
-    interpolant of the step of row ``which[k]`` at the fraction ``x[k]``.
+    output of their pair in two parts: ``dense(fun, K, h, y_old, y)`` computes
+    the interpolant coefficients of each row's step once, and
+    ``sample(F, h, y_old, which, x)`` evaluates those of the step of row
+    ``which[k]`` at the fraction ``x[k]``.
     """
 
     method: type
@@ -658,7 +601,7 @@ class _RowStepper:
     def attempt(self, y, f, h):
         """The stages of one attempt of each row; returns (y_new, K)."""
         m = self.method
-        K = np.empty((self.n_stages_stored, *y.shape))
+        K = np.empty((m.n_stages + 1, *y.shape))
         K[0] = f
         hc = h[:, None]
         for s in range(1, m.n_stages):
@@ -670,42 +613,49 @@ class _RowStepper:
 
 class _RowsRK45(_RowStepper):
     method = RK45
-    n_stages_stored = RK45.n_stages + 1
 
     def error_norm(self, K, h, scale):
         return _row_rms(_stage_sum(RK45.E, K) * h[:, None] / scale)
 
-    def sample(self, K, h, y_old, y, which, x):
-        Q = [_stage_sum(q, K)[which] for q in RK45.P.T]
+    @staticmethod
+    def dense(fun, K, h, y_old, y):
+        return [_stage_sum(q, K) for q in RK45.P.T]
+
+    @staticmethod
+    def sample(Q, h, y_old, which, x):
         p = x[:, None]
-        acc = Q[0] * p
+        acc = Q[0][which] * p
         for q in Q[1:]:
             p = p * x[:, None]
-            acc += q * p
+            acc += q[which] * p
         return h[which, None] * acc + y_old[which]
 
 
 class _RowsDOP853(_RowStepper):
     method = DOP853
-    n_stages_stored = _dop853.N_STAGES_EXTENDED
 
     def error_norm(self, K, h, scale):
-        K = K[: DOP853.n_stages + 1]
         err5 = _row_sum_squares(_stage_sum(DOP853.E5, K) / scale)
         err3 = _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.shape[1])
         return np.where((err5 == 0) & (err3 == 0), 0.0, norm)
 
-    def sample(self, K, h, y_old, y, which, x):
+    @staticmethod
+    def dense(fun, K, h, y_old, y):
+        """The 7 coefficient rows of each step, after its 3 extra stages (``fun`` calls)."""
         hc = h[:, None]
+        K = list(K)
         for s, a in enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1):
-            K[s] = self.fun(y_old + _stage_sum(a[:s], K[:s]) * hc)
+            K.append(fun(y_old + _stage_sum(a[:s], K) * hc))
         delta_y = y - y_old
         F = [delta_y, hc * K[0] - delta_y, 2 * delta_y - hc * (K[DOP853.n_stages] + K[0])]
-        F += [hc * _stage_sum(d, K) for d in DOP853.D]
+        return F + [hc * _stage_sum(d, K) for d in DOP853.D]
+
+    @staticmethod
+    def sample(F, h, y_old, which, x):
         x = x[:, None]
-        out = np.zeros((x.shape[0], y.shape[1]))
+        out = np.zeros((x.shape[0], y_old.shape[1]))
         for i, f in enumerate(reversed(F)):
             out += f[which]
             out *= x if i % 2 == 0 else 1 - x
@@ -784,7 +734,9 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
             k = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count) + done[cover][which]
             step = h[cover]
             x = (ts[k] - t[cover][which]) / step[which]
-            path[k, rows[cover][which]] = stepper.sample(K[:, cover], step, y[cover], y_new[cover], which, x)
+            y_old = y[cover]
+            F = stepper.dense(fun, K[:, cover], step, y_old, y_new[cover])
+            path[k, rows[cover][which]] = stepper.sample(F, step, y_old, which, x)
             done[cover] = hi[cover]
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
@@ -796,6 +748,47 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
                 a[running] for a in (rows, t, y, f, h_abs, rejected, done)
             )
     return RowRun(path, failed, iterations, attempts)
+
+
+class RowSteps(NamedTuple):
+    """Accepted steps of independent n-component systems, one per row: what their interpolants need."""
+
+    t_old: np.ndarray  # (m,) the start of each step
+    t: np.ndarray  # (m,) its end
+    y_old: np.ndarray  # (m, n) the states at the starts
+    y: np.ndarray  # (m, n) and at the ends
+    K: np.ndarray  # (m, n_stages + 1, n) the stages, the last one the derivative at y
+
+
+def last_step_rows(solver, rows, n) -> RowSteps:
+    """The last step of ``solver``, an :class:`RK45` or :class:`DOP853` on a stack of n-component systems, for the systems ``rows``."""
+    k = len(rows)
+    return RowSteps(
+        np.full(k, solver.t_old), np.full(k, solver.t), solver.y_old.reshape(-1, n)[rows],
+        solver.y.reshape(-1, n)[rows], solver.K.reshape(len(solver.K), -1, n)[:, rows].swapaxes(0, 1),
+    )
+
+
+class RowInterpolant:
+    """The step interpolants of ``method`` over the :class:`RowSteps` in ``steps``, joined in order.
+
+    Called with one time per step, in ``t_old .. t``, it returns the states
+    there, each from its own step: the dense output :func:`march_rows`
+    samples, bit for bit.  The coefficients of every step are computed once,
+    here (DOP853's 3 extra stages are batched calls of ``fun``, the derivative
+    of an (m, n) batch of states).
+    """
+
+    def __init__(self, method, fun, steps):
+        t_old, t, y_old, y, K = map(np.concatenate, zip(*steps))
+        rows = _ROW_STEPPERS[method]
+        self.t_old, self.t, self.h, self.y_old = t_old, t, t - t_old, y_old
+        self._sample = rows.sample
+        self._F = rows.dense(fun, K.swapaxes(0, 1), self.h, y_old, y)
+        self._which = np.arange(len(t))
+
+    def __call__(self, t):
+        return self._sample(self._F, self.h, self.y_old, self._which, (t - self.t_old) / self.h)
 
 
 def brent_root(f, a: float, b: float, *, xtol: float) -> float:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate import RK45 as ScipyRK45
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -14,6 +16,7 @@ from finslerlab.errors import (
     NotVanishing,
 )
 from finslerlab.flow import (
+    STACKED_STEPPERS,
     TWO_PI,
     IntegratorConfig,
     integrate_orbit,
@@ -24,7 +27,6 @@ from finslerlab.metrics import ALPHA_GOLDEN
 from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
-    _hermite_returns,
     _orbit_march,
     _refine_roots,
     _upward_brackets,
@@ -36,9 +38,11 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
+from finslerlab.solvers import RowInterpolant, last_step_rows
 from flow_oracles import compose_commuting_flows, pole_cap_event
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
+SCIPY_STEPPERS = {"RK45": ScipyRK45, "DOP853": ScipyDOP853}
 
 
 class TestChart:
@@ -312,6 +316,46 @@ class TestIterateSectionMap:
             assert abs(circdiff(got[0] - sample.image[0])) <= 1e-5
             assert abs(got[1] - sample.image[1]) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "method, tol, bounds",
+        # (tau p90, tau max, u p90, u max); measured 1.8e-8, 1.1e-7, 7.8e-9, 9.9e-9
+        # at RK45 1e-8 and 3.4e-10, 7.3e-10, 3.6e-10, 6.3e-10 at DOP853 1e-9
+        [("RK45", 1e-8, (4e-8, 2e-7, 1.5e-8, 2e-8)), ("DOP853", 1e-9, (7e-10, 1.5e-9, 7e-10, 1.5e-9))],
+        ids=["RK45-1e-08", "DOP853-1e-09"],
+    )
+    def test_ensemble_step_accuracy(self, katok_sphere, method, tol, bounds):
+        # 120 equator points with u in the entropy cloud's range [0.15 pi, 0.85 pi]
+        # against DOP853 1e-13 first returns: each crossing is refined on the
+        # interpolant of its own shared step
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(23)
+        s = rng.uniform(0.0, chart.circumference, 120)
+        u = rng.uniform(0.15 * math.pi, 0.85 * math.pi, 120)
+        states = np.array([chart.point_to_state(a, b) for a, b in zip(s, u)])
+        tight = IntegratorConfig(method="DOP853", rel_tol=1e-13, abs_tol=1e-13)
+        want = [first_return(katok_sphere, SPHERE_SPEC, point, tight, chart=chart) for point in zip(s, u)]
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        new_states, taus, ok = ensemble_return_step(katok_sphere, SPHERE_SPEC, states, config, chart=chart)
+        assert ok.all()
+        tau_err = np.abs(taus - [r.tau for r in want])
+        u_err = np.abs(chart.points_of_states(new_states)[:, 1] - [r.image[1] for r in want])
+        got = (np.quantile(tau_err, 0.9), tau_err.max(), np.quantile(u_err, 0.9), u_err.max())
+        assert all(g <= b for g, b in zip(got, bounds)), got
+
+    def test_zero_covector_orbit_fails_alone(self, katok_sphere, fast_config):
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        valid = chart.point_to_state(0.3, 0.5)
+        states = np.array([valid, [0.7, 0.0, 0.0, 0.0]])
+        new_states, taus, ok = ensemble_return_step(katok_sphere, SPHERE_SPEC, states, fast_config, chart=chart)
+        alone = ensemble_return_step(katok_sphere, SPHERE_SPEC, valid[None], fast_config, chart=chart)
+        assert ok.tolist() == [True, False]
+        assert new_states[1].tobytes() == states[1].tobytes() and math.isnan(taus[1])
+        assert new_states[0].tobytes() == alone[0][0].tobytes() and taus[0].tobytes() == alone[1][0].tobytes()
+
+    def test_empty_cloud(self, katok_sphere, fast_config):
+        new_states, taus, ok = ensemble_return_step(katok_sphere, SPHERE_SPEC, np.empty((0, 4)), fast_config)
+        assert (new_states.shape, taus.shape, ok.shape) == ((0, 4), (0,), (0,))
+
     def test_transversality_rejects_orbit_by_orbit(self, katok_sphere, fast_config):
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         rng = np.random.default_rng(31)
@@ -365,16 +409,33 @@ def _reference_detect(H, y0, spec, config):
 
 
 def _reference_ensemble_step(H, spec, states, config, chart):
-    """ensemble_return_step from one stacked solve_ivp over max_return_time; also its nfev."""
+    """ensemble_return_step from scipy's stepper run over max_return_time; also its nfev.
+
+    Every orbit keeps the first step after the first whose ends straddle the
+    section upward, read from scipy's solver; the kept steps are refined on
+    march_rows' interpolant and checked for transversality.
+    """
     n = len(states)
-    m = int(spec.max_return_time / spec.scan_dt) + 1
-    ts = np.linspace(0.0, spec.max_return_time, m)
-    sol = solve_ivp(
-        stacked_rhs(H, n), (0.0, float(ts[-1])), states.reshape(-1), method=config.method,
-        rtol=config.rel_tol, atol=config.abs_tol, t_eval=ts,
+    solver = SCIPY_STEPPERS[config.method](
+        stacked_rhs(H, n), 0.0, states.reshape(-1), spec.max_return_time, rtol=config.rel_tol, atol=config.abs_tol
     )
-    assert sol.status == 0
-    return _hermite_returns(H, spec, chart, states, ts, sol.y.T.reshape(m, n, 4)), sol.nfev
+    kept = {}
+    g = chart.coordinate(states)
+    while solver.status == "running":
+        assert solver.step() is None
+        g_old, g = g, chart.coordinate(solver.y.reshape(n, 4))
+        for i in np.flatnonzero((g_old < 0.0) & (g >= 0.0)):
+            if solver.t_old > 0.0 and i not in kept:
+                kept[i] = last_step_rows(solver, [i], 4)
+    rows = sorted(kept)
+    sol = RowInterpolant(STACKED_STEPPERS[config.method], H.vector_field, [kept[i] for i in rows])
+    taus = _refine_roots(lambda t: chart.coordinate(sol(t)), sol.t_old, sol.t)
+    y = sol(taus)
+    ok = np.zeros(n, dtype=bool)
+    ok[rows] = chart.transverse_velocity(y) >= spec.transversality_tol
+    new_states, tau = states.copy(), np.full(n, np.nan)
+    new_states[ok], tau[ok] = y[ok[rows]], taus[ok[rows]]
+    return (new_states, tau, ok), solver.nfev
 
 
 def _reference_iterate(H, spec, point, n, config):
@@ -428,7 +489,8 @@ class TestMarchAgainstFullSolve:
 
     Single orbits sum stages term by term in stage order and scipy with
     ``np.dot``, so they match to a measured bound; the stacked ensemble step
-    runs the array stepper and matches bit for bit.
+    runs the array stepper, brackets on its step ends and matches scipy's
+    stepper bit for bit.
     """
 
     @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
@@ -490,11 +552,10 @@ class TestMarchAgainstFullSolve:
         # orbit 9 starts in the perturbation cone and returns at tau = 6.42
         assert ok[9] == (max_return_time > 6.42)
         assert np.count_nonzero(ok) == 11 - (max_return_time < 6.42)
-        # one more vector_field call gives the Hermite slopes
         if ok[9]:
-            assert counting.calls - 1 < nfev  # every orbit returned: stopped early
+            assert counting.calls < nfev  # every orbit returned: stopped early
         else:
-            assert counting.calls - 1 == nfev  # orbit 9 never crossed: ran to the end
+            assert counting.calls == nfev  # orbit 9 never crossed: ran to the end
 
 
 class TestAreaPreservation:

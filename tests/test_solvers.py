@@ -27,7 +27,8 @@ from finslerlab.flow import ORBIT_STEPPERS, STACKED_STEPPERS, IntegratorConfig, 
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
-    DOP853, EPS, MAXITER, RK45, RTOL, DenseSolution, FloatDOP853, TOO_SMALL_STEP, brent_root, march_rows,
+    DOP853, EPS, MAXITER, RK45, RTOL, DenseSolution, FloatDOP853, RowInterpolant, TOO_SMALL_STEP, brent_root,
+    last_step_rows, march_rows,
 )
 
 PAIRS = {"RK45": (RK45, ScipyRK45), "DOP853": (DOP853, ScipyDOP853)}
@@ -70,13 +71,29 @@ class TestStepper:
             while b.status == "running":
                 assert a.step() == b.step()
                 assert (a.status, a.nfev) == (b.status, b.nfev)
-                assert _same(a.t, b.t) and _same(a.t_old, b.t_old) and _same(a.y, b.y)
-                da, db = a.dense_output(), b.dense_output()
-                ts = np.linspace(a.t_old, a.t, 7)
-                assert _same(da(ts), db(ts))  # array of times: matrix-matrix path
-                assert _same(da(ts[3]), db(ts[3]))  # one time: matrix-vector path
-                assert _same(da(float(ts[5])), db(float(ts[5])))
+                assert _same(a.t, b.t) and _same(a.t_old, b.t_old) and _same(a.y, b.y) and _same(a.K, b.K)
             assert a.status == "finished"
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_row_interpolant_follows_scipy_dense_output(self, katok_sphere, method):
+        # each row of the stacked cloud on its own step, with march_rows' sums
+        # against scipy's np.dot interpolant of the same step
+        ours, theirs = PAIRS[method]
+        n = 40
+        states = sample_covectors(np.random.default_rng(3), n, x2_range=(-0.5, 0.5))
+        a = ours(stacked_rhs(katok_sphere, n), 0.0, states.reshape(-1), 6.0, rtol=1e-8, atol=1e-8)
+        b = theirs(stacked_rhs(katok_sphere, n), 0.0, states.reshape(-1), 6.0, rtol=1e-8, atol=1e-8)
+        rng = np.random.default_rng(4)
+        rows = np.arange(n)
+        gap = 0.0
+        while b.status == "running":
+            a.step(), b.step()
+            sol = RowInterpolant(ours, katok_sphere.vector_field, [last_step_rows(a, rows, 4)])
+            assert _same(sol(sol.t_old), a.y_old.reshape(n, 4))
+            t = a.t_old + (a.t - a.t_old) * rng.uniform(0.0, 1.0, n)
+            want = b.dense_output()(t).T.reshape(n, n, 4)[rows, rows]
+            gap = max(gap, float(np.max(np.abs(sol(t) - want))))
+        assert gap <= 1e-14, gap  # measured 1.8e-15 for both methods
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_zero_length_run_has_constant_interpolant(self, katok_sphere, method):
@@ -86,9 +103,6 @@ class TestStepper:
         b = theirs(katok_sphere.scalar_rhs(), 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
         assert a.step() is None and b.step() is None
         assert (a.status, a.nfev, a.t, a.t_old) == (b.status, b.nfev, b.t, b.t_old) == ("finished", 1, 0.0, 0.0)
-        da, db = a.dense_output(), b.dense_output()
-        assert _same(da(0.0), db(0.0)) and _same(da(0.0), y0)
-        assert _same(da(np.zeros(3)), db(np.zeros(3)))
         trace = integrate_orbit(katok_sphere, y0, 0.0, IntegratorConfig(method=method))
         assert _same(trace.times, [0.0, 0.0])
         assert _same(trace.states, [y0, y0])
@@ -105,20 +119,19 @@ class TestStepper:
         while b.status == "running":
             message = b.step()
         assert message == TOO_SMALL_STEP
-        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
-        march = _March(STACKED_STEPPERS, blowup, np.array([1.0]), 2.0, config)
-        with pytest.raises(StepFailure, match="^Required step size is less than spacing between numbers.$"):
-            while march.step():
-                pass
-        assert march.solver.status == "failed"
-        assert (march.solver.t, march.solver.nfev) == (b.t, b.nfev)
+        a = ours(blowup, 0.0, np.array([1.0]), 2.0, rtol=1e-8, atol=1e-8)
+        while a.status == "running":
+            ours_message = a.step()
+        assert ours_message == TOO_SMALL_STEP
+        assert a.status == "failed"
+        assert (a.t, a.nfev) == (b.t, b.nfev)
 
     @pytest.mark.parametrize("t_end", [9.0, -9.0])
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_dense_solution_matches_ode_solution(self, katok_sphere, method, t_end):
         config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
         y0 = np.array([0.3, 0.2, 0.7, 0.6])
-        march = _March(ORBIT_STEPPERS, katok_sphere.scalar_rhs(), y0, t_end, config, dense=True)
+        march = _March(katok_sphere.scalar_rhs(), y0, t_end, config, dense=True)
         while march.step():
             pass
         ours = march.solution()
@@ -172,7 +185,7 @@ class TestFloatStepper:
                     ours.t_old, ours.t, ours.y_old, ours.y, ours.f, ours.h_previous = 0.0, h, ours.y, y_new, f_new, h
                     sol = ours.dense_output()
                     ts = h * rng.uniform(0.0, 1.0, 5)
-                    want = rows.sample(K, hs, y, row_new, np.zeros(5, dtype=int), ts / h)
+                    want = rows.sample(rows.dense(fun, K, hs, y, row_new), hs, y, np.zeros(5, dtype=int), ts / h)
                     assert _same(sol(ts), want.T)
                     assert _same(sol(float(ts[2])), want[2])
                     pairs += 1
@@ -196,7 +209,7 @@ class TestFloatStepper:
             (katok_torus_reversible, [0.0, 0.3, 0.7, -0.5]),  # trapped, xi1 > 0
         ]
         for H, y0 in cases:
-            march = _March(ORBIT_STEPPERS, H.scalar_rhs(), np.array(y0), T, config, ts)
+            march = _March(H.scalar_rhs(), np.array(y0), T, config, ts)
             while march.step():
                 pass
             rows = march_rows(
@@ -221,7 +234,7 @@ class TestFloatStepper:
             return [y[0] * y[0], 0.0, 0.0, 0.0]
 
         config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
-        march = _March(ORBIT_STEPPERS, blowup, np.array([1.0, 0.0, 0.0, 0.0]), 2.0, config)
+        march = _March(blowup, np.array([1.0, 0.0, 0.0, 0.0]), 2.0, config)
         with pytest.raises(StepFailure, match="^Required step size is less than spacing between numbers.$"):
             while march.step():
                 pass
@@ -257,7 +270,7 @@ class TestFloatStepper:
             handed.update(map(type, y))
             return rhs(t, y)
 
-        march = _March(ORBIT_STEPPERS, recording, np.array([0.3, 0.2, 0.7, 0.6]), 2.0, IntegratorConfig(), [1.0, 2.0])
+        march = _March(recording, np.array([0.3, 0.2, 0.7, 0.6]), 2.0, IntegratorConfig(), [1.0, 2.0])
         while march.step():
             pass
         assert handed == {float, tuple}
