@@ -18,14 +18,12 @@ checkpoint sampling, with dense output for the section solves, and with its
 terminal-event rule applied to the pole cap, a height (:func:`pole_cap`).
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
-longer sets the step of the rest.  The stacked return steps of
-:func:`~finslerlab.sections.ensemble_return_step` keep one shared step of
-scipy's classes ported to numpy bit for bit (:data:`STACKED_STEPPERS`): on
-the Katok sphere the orbit nearest the pole needs more attempts alone than
-the shared step takes, and a batched field call costs the same for few
-orbits as for many.  Each orbit's crossing is refined on the interpolant of
-its own shared step, as :func:`~finslerlab.solvers.march_rows` would sample
-it.
+longer sets the step of the rest.  The return steps of a cloud,
+:func:`~finslerlab.sections.ensemble_return_step`, take the same row attempt
+under one shared step (:class:`~finslerlab.solvers.CloudStepper`): on the
+Katok sphere the orbit nearest the pole needs more attempts alone than the
+shared step takes, and a batched field call costs the same for few orbits
+as for many.
 """
 
 from __future__ import annotations
@@ -38,13 +36,12 @@ import numpy as np
 
 from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
-from .solvers import DOP853, EPS, RK45, DenseSolution, FloatDOP853, FloatRK45, brent_root, march_rows
+from .solvers import EPS, DenseSolution, FloatDOP853, FloatRK45, brent_root, march_rows
 
 __all__ = [
     "IntegratorConfig",
     "OrbitTrace",
     "EnsembleTrace",
-    "stacked_rhs",
     "integrate_orbit",
     "integrate_ensemble",
     "check_periodicity",
@@ -58,9 +55,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# the steppers of one orbit (floats) and of a stacked system (numpy arrays)
+# the steppers of one orbit; batched solves take the method by name
 ORBIT_STEPPERS = {"RK45": FloatRK45, "DOP853": FloatDOP853}
-STACKED_STEPPERS = {"RK45": RK45, "DOP853": DOP853}
 
 
 @dataclass(frozen=True)
@@ -102,19 +98,6 @@ def metric_profile(H: DualMetric):
 def metric_x2_period(H: DualMetric) -> float | None:
     """Fundamental x2-period of the metric's base (None on the sphere chart)."""
     return getattr(metric_profile(H), "period", None)
-
-
-def stacked_rhs(H: DualMetric, n: int):
-    """rhs(t, flat) for n orbits stacked into one (4n,) system.
-
-    The shared right-hand side of every stacked solve: one batched
-    ``H.vector_field`` call per evaluation.
-    """
-
-    def rhs(t, flat):
-        return H.vector_field(flat.reshape(n, 4)).reshape(-1)
-
-    return rhs
 
 
 @dataclass(frozen=True)
@@ -353,7 +336,7 @@ def integrate_ensemble(
 
     zero = np.hypot(states0[:, 2], states0[:, 3]) == 0.0
     run = march_rows(
-        STACKED_STEPPERS[config.method], H.vector_field, states0[~zero], float(t_eval[-1]), t_eval,
+        config.method, H.vector_field, states0[~zero], float(t_eval[-1]), t_eval,
         rtol=config.rel_tol, atol=config.abs_tol,
     )
     states = np.full((len(t_eval), n, 4), np.nan)

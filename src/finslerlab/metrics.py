@@ -94,7 +94,7 @@ def _as_state_array(p) -> np.ndarray:
 
 
 def _check_nonzero(R) -> None:
-    if np.any(np.asarray(R) == 0.0):
+    if not np.all(R):
         raise ZeroCovector("metric evaluated at xi = 0")
 
 

@@ -93,24 +93,19 @@ def smooth_step_pair_array(u):
     """Array twin of :func:`smooth_step_pair`: (w, dw) from one exp per bump.
 
     w = a / (a + b) and dw = a*b*(1/u^2 + 1/(1-u)^2) / (a+b)^2 with the bumps
-    a = exp(-1/u), b = exp(-1/(1-u)).  Where a bump factor vanishes in double
-    precision (u <= 1/760 or 1 - u <= 1/760, and of course u <= 0 or u >= 1)
-    the pair is exactly (0, 0) or (1, 0); the bumps are evaluated only in
-    between, where 1/u and 1/u^2 cannot overflow, so no floating-point error
-    state needs silencing.
+    a = exp(-1/u), b = exp(-1/(1-u)), on u clipped to [1/760, 1 - 1/760].  At
+    either end of the clip one bump underflows to exactly 0, so the flats
+    (u <= 1/760 or 1 - u <= 1/760, and of course u <= 0 or u >= 1) are
+    exactly (0, 0) and (1, 0); inside it 1/u and 1/u^2 cannot overflow, so
+    no floating-point error state needs silencing.  NaN maps to NaN.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.where(u >= 1.0 - _FLAT, 1.0, 0.0)
-    dw = np.zeros_like(w)
-    mid = (u > _FLAT) & (u < 1.0 - _FLAT)
-    if np.any(mid):
-        um = u[mid]
-        vm = 1.0 - um
-        a = np.exp(-1.0 / um)
-        b = np.exp(-1.0 / vm)
-        s = a + b
-        w[mid] = a / s
-        dw[mid] = a * b * (1.0 / um**2 + 1.0 / vm**2) / s**2
+    u = np.clip(np.asarray(u, dtype=float), _FLAT, 1.0 - _FLAT)
+    v = 1.0 - u
+    a = np.exp(-1.0 / u)
+    b = np.exp(-1.0 / v)
+    s = a + b
+    w = a / s
+    dw = a * b * (1.0 / u**2 + 1.0 / v**2) / s**2
     if w.ndim:
         return w, dw
     return float(w), float(dw)
@@ -189,8 +184,7 @@ class CutoffPair:
     eta: SmoothStep
 
     def chi(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        out = (np.abs(x2) <= self.b).astype(float)
+        out = np.where(np.abs(x2) <= self.b, 1.0, 0.0)
         return out if out.ndim else float(out)
 
 

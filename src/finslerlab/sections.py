@@ -23,8 +23,8 @@ march cut at ``max_return_time`` in :func:`detect_crossing` (behind
 :func:`first_return`, the return grid and the boundary extension), on windows
 of 16 ``max_return_time`` in :func:`iterate_section_map`.  So a first return
 is the map's first iterate bit for bit, unless the budget cuts short the step
-that brackets it.  The stacked :func:`ensemble_return_step` brackets each
-orbit on the ends of the shared steps instead, and refines it on the
+that brackets it.  The cloud's :func:`ensemble_return_step` brackets each
+orbit on the ends of its shared steps instead, and refines it on the
 interpolant of its own step.
 """
 
@@ -45,11 +45,9 @@ from .errors import (
     StepFailure,
     require_positive,
 )
-from .flow import (
-    DEFAULT_CONFIG, STACKED_STEPPERS, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap, stacked_rhs,
-)
+from .flow import DEFAULT_CONFIG, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap
 from .metrics import DualMetric
-from .solvers import RowInterpolant, brent_root, last_step_rows
+from .solvers import CloudStepper, RowInterpolant, brent_root
 
 __all__ = [
     "SectionSpec",
@@ -122,6 +120,7 @@ class AnnulusChart:
     def __init__(self, H: DualMetric, spec: SectionSpec):
         self.H = H
         self.spec = spec
+        self._rhs = H.scalar_rhs()
         self.profile = metric_profile(H)
         if self.profile is None:
             raise ValueError("metric does not expose a rotational profile")
@@ -211,8 +210,8 @@ class AnnulusChart:
 
     def _covector_angle_for_direction(self, x1, x2, target_angle):
         def mismatch(theta):
-            v = self.H.grad_xi(np.array([x1, x2, math.cos(theta), math.sin(theta)]))
-            d = math.atan2(v[1], v[0]) - target_angle
+            dx1, dx2, _, _ = self._rhs(0.0, (x1, x2, math.cos(theta), math.sin(theta)))
+            d = math.atan2(dx2, dx1) - target_angle
             return (d + math.pi) % TWO_PI - math.pi
 
         lo, hi = target_angle - 1.0, target_angle + 1.0
@@ -492,19 +491,18 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Steps the stacked system (``STACKED_STEPPERS[config.method]``; right-hand
-    side :func:`~finslerlab.flow.stacked_rhs`, one batched ``H.vector_field``
-    call per evaluation) under one shared step.  After each accepted step but
-    the first (the start lies on the section), an orbit without a crossing yet
-    whose step ends straddle a section level upward keeps that step
-    (:func:`~finslerlab.solvers.last_step_rows`).  The run stops at the step in
-    which the last orbit crosses, so its length is set by the cloud's slowest
-    return; only a cloud with an orbit that never crosses runs to
-    ``max_return_time``.  The crossings are then refined together
-    (:func:`_refine_roots`), each on the interpolant of its own step
-    (:class:`~finslerlab.solvers.RowInterpolant`), and checked for
-    transversality together.  Brackets come from step ends, so ``scan_dt``
-    does not apply here.  Returns (new_states, taus, ok_mask); failed orbits
+    Steps the cloud under one shared step
+    (:class:`~finslerlab.solvers.CloudStepper`, one batched ``H.vector_field``
+    call per evaluation).  After each accepted step but the first (the start
+    lies on the section), an orbit without a crossing yet whose step ends
+    straddle a section level upward keeps that step: its ends, its states
+    there and its stages.  The run stops at the step in which the last orbit
+    crosses, so its length is set by the cloud's slowest return; only a cloud
+    with an orbit that never crosses runs to ``max_return_time``.  The
+    crossings are then refined together (:func:`_refine_roots`), each on the
+    interpolant of its own step (:class:`~finslerlab.solvers.RowInterpolant`),
+    and checked for transversality together.  Brackets come from step ends,
+    so ``scan_dt`` does not apply here.  Returns (new_states, taus, ok_mask); failed orbits
     keep their input state and tau = nan.  An orbit that starts at xi = 0
     fails alone; a step size that underflows raises StepFailure.
     """
@@ -514,20 +512,18 @@ def ensemble_return_step(
     taus = np.full(len(states), np.nan)
     ok = np.zeros(len(states), dtype=bool)
     live = np.flatnonzero(np.hypot(states[:, 2], states[:, 3]) != 0.0)
-    n = len(live)
-    method = STACKED_STEPPERS[config.method]
-    solver = method(
-        stacked_rhs(H, n), 0.0, states[live].reshape(-1), spec.max_return_time,
+    solver = CloudStepper(
+        config.method, H.vector_field, 0.0, states[live], spec.max_return_time,
         rtol=config.rel_tol, atol=config.abs_tol,
     )
-    pending = np.ones(n, dtype=bool)
+    pending = np.ones(len(live), dtype=bool)
     g = chart.coordinate(states[live])
     found, levels, steps = [], [], []
     while pending.any() and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise StepFailure(message)
-        g_old, g = g, chart.coordinate(solver.y.reshape(n, 4))
+        g_old, g = g, chart.coordinate(solver.y)
         if solver.t_old == 0.0:  # the first step leaves the section it starts on
             continue
         up, level = _upward_brackets(np.stack([g_old, g]), chart.periodic_levels)
@@ -536,11 +532,11 @@ def ensemble_return_step(
             pending[hits] = False
             found.append(hits)
             levels.append(level[0, hits])
-            steps.append(last_step_rows(solver, hits, 4))
+            steps.append((solver.t_old, solver.t, solver.y_old[hits], solver.y[hits], solver.K[:, hits]))
     if not found:
         return new_states, taus, ok
 
-    sol = RowInterpolant(method, H.vector_field, steps)
+    sol = RowInterpolant(config.method, H.vector_field, steps)
     level = np.concatenate(levels)
     tau = _refine_roots(lambda t: chart.coordinate(sol(t)) - level, sol.t_old, sol.t)
     y = sol(tau)

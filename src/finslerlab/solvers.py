@@ -7,30 +7,25 @@ dense output, and Hairer's DOP853 8(5,3) pair
 (:mod:`~finslerlab.dop853_coefficients`) with its 7th-degree dense output;
 Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
 Sec. II.4-II.6.  There is no ``max_step``: the step is bounded by the
-interval only.  One controller loop, :meth:`_RungeKutta._step_impl`, steps
-both flat families below; they differ in the state and in one attempt.
+interval only.  :class:`RK45` and :class:`DOP853` hold the tableaux.
 
-* :class:`RK45` and :class:`DOP853` are the stepping of ``scipy.integrate``'s
-  classes of the same names on an (n,) numpy state, ported operation for
-  operation, so their steps are scipy's bits (the stage sums are
-  ``np.dot(K[:s].T, a[:s]) * h`` on a C-order ``K``).  They step the stacked
-  systems and have no dense output of their own: :func:`last_step_rows`
-  reads the last step of some of the stacked systems, and
-  :class:`RowInterpolant` interpolates those steps with the dense output of
-  :func:`march_rows`.
+Two stepper families share one arithmetic: every sum runs term by term in
+stage order over the nonzero tableau entries, so no number depends on a BLAS
+kernel, and a row's stages do not depend on the other rows.  One controller
+loop, :meth:`_RungeKutta._step_impl`, steps every system under one step size.
+
 * :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
-  Python floats, with the arithmetic of :func:`march_rows`: every sum runs
-  term by term in stage order over the nonzero tableau entries, so one
-  attempt is :func:`march_rows`' attempt on a one-row batch, bit for bit,
-  and no number depends on a BLAS kernel or on numpy's per-call overhead.
-* :class:`DenseSolution` is ``OdeSolution``: the step interpolants joined,
+  Python floats: one attempt is :func:`march_rows`' attempt on a one-row
+  batch, bit for bit, without numpy's per-call overhead.
+  :class:`DenseSolution` is ``OdeSolution``: their step interpolants joined,
   each time evaluated alone on the step scipy would pick.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
   Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
-  Its sums run term by term, so a row's numbers do not depend on the other
-  rows.
+  :class:`CloudStepper` takes the same row attempt under one shared step,
+  with one error norm over all rows, and :class:`RowInterpolant`
+  interpolates some rows' steps with :func:`march_rows`' dense output.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 """
@@ -47,7 +42,7 @@ import numpy as np
 from . import dop853_coefficients as _dop853
 
 __all__ = [
-    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "RowSteps", "last_step_rows",
+    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "CloudStepper",
     "RowInterpolant", "brent_root",
 ]
 
@@ -77,10 +72,6 @@ def _clamp_rtol(rtol):
     return rtol
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
 class _RungeKutta:
     """An embedded explicit Runge-Kutta pair stepped from ``t0`` toward ``t_bound``.
 
@@ -89,9 +80,9 @@ class _RungeKutta:
     'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
     None, or scipy's message when the step size underflows.
 
-    The step-size controller is this class's; a subclass gives the state and
-    its stage storage (``_state``), the initial step and one attempt
-    (``_attempt``: the new state, its derivative and the error norm).
+    The step-size controller is this class's; a subclass gives the state
+    (``_state``), the initial step and one attempt (``_attempt``: the new
+    state, its derivative and the error norm).
     """
 
     error_estimator_order: int
@@ -174,65 +165,8 @@ class _RungeKutta:
         return None
 
 
-
-class _ArrayRungeKutta(_RungeKutta):
-    """The state is an (n,) array, summed with scipy's ``np.dot`` (see the module docstring)."""
-
-    C: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-    def _state(self, y0):
-        y0 = np.asarray(y0).astype(float, copy=False)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        self.K = np.empty((self.n_stages + 1, y0.size))
-        return y0
-
-    def fun(self, t, y):
-        return np.asarray(super().fun(t, y), dtype=float)
-
-    def _initial_step(self):
-        """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner, Sec. II.4)."""
-        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
-        if y0.size == 0:
-            return np.inf
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
-        f1 = self.fun(t0 + h0 * direction, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
-        return min(100 * h0, h1, interval_length)
-
-    def _attempt(self, t, y, f, h):
-        """scipy's ``rk_step`` (the stages into ``K``) and its error norm."""
-        K = self.K
-        K[0] = f
-        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        return y_new, f_new, self._error_norm(h, scale)
-
-
-class RK45(_ArrayRungeKutta):
-    """Dormand-Prince 5(4) with Shampine's quartic dense output (scipy's ``RK45``)."""
+class RK45:
+    """The tableau of Dormand-Prince 5(4) with Shampine's quartic dense output (scipy's ``RK45``)."""
 
     error_estimator_order = 4
     n_stages = 6
@@ -261,12 +195,9 @@ class RK45(_ArrayRungeKutta):
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    def _error_norm(self, h, scale):
-        return _rms(np.dot(self.K.T, self.E) * h / scale)
 
-
-class DOP853(_ArrayRungeKutta):
-    """Hairer's DOP853 8(5,3) pair with its 7th-degree dense output (scipy's ``DOP853``)."""
+class DOP853:
+    """The tableau of Hairer's DOP853 8(5,3) pair with its 7th-degree dense output (scipy's ``DOP853``)."""
 
     error_estimator_order = 7
     n_stages = _dop853.N_STAGES
@@ -278,17 +209,6 @@ class DOP853(_ArrayRungeKutta):
     D = _dop853.D
     A_EXTRA = _dop853.A[n_stages + 1:]
     C_EXTRA = _dop853.C[n_stages + 1:]
-
-    def _error_norm(self, h, scale):
-        K = self.K
-        err5 = np.dot(K.T, self.E5) / scale
-        err3 = np.dot(K.T, self.E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
 # --- one orbit in Python floats ----------------------------------------------
@@ -554,6 +474,11 @@ def _row_rms(x):
     return np.sqrt(_row_sum_squares(x)) / x.shape[1] ** 0.5
 
 
+def _cloud_rms(x):
+    """The RMS of all entries of x: each row's :func:`_row_sum_squares`, then one numpy sum over the rows."""
+    return np.sqrt(np.sum(_row_sum_squares(x))) / x.size ** 0.5
+
+
 class RowRun(NamedTuple):
     """Result of :func:`march_rows`."""
 
@@ -564,15 +489,16 @@ class RowRun(NamedTuple):
 
 
 class _RowStepper:
-    """The controller of :class:`_RungeKutta` applied to each row of an (N, n) state.
+    """The arithmetic of :class:`_RungeKutta` applied to each row of an (N, n) state.
 
     ``method`` is :class:`RK45` or :class:`DOP853`, whose tableau is used;
     ``fun(y)`` maps an (m, n) batch of states to their derivatives (the
-    systems are autonomous).  Subclasses give the error norm and the dense
-    output of their pair in two parts: ``dense(fun, K, h, y_old, y)`` computes
-    the interpolant coefficients of each row's step once, and
-    ``sample(F, h, y_old, which, x)`` evaluates those of the step of row
-    ``which[k]`` at the fraction ``x[k]``.
+    systems are autonomous).  Subclasses give their pair's error norm as
+    ``error_sums(y, y_new, K, h)``, each row's sums of squares, and
+    ``norm(sums, h, count)``, the norm of ``count`` components with those
+    sums (one row's, or a cloud's); and its dense output as ``dense(fun, K,
+    h, y_old, y)``, each row's interpolant coefficients, and ``sample(F, h,
+    y_old, which, x)``, those of row ``which[k]`` at the fraction ``x[k]``.
     """
 
     method: type
@@ -581,16 +507,16 @@ class _RowStepper:
         self.fun, self.rtol, self.atol = fun, _clamp_rtol(rtol), atol
         self.error_exponent = -1 / (self.method.error_estimator_order + 1)
 
-    def initial_step(self, y0, f0, interval_length, direction):
-        """``select_initial_step`` for each row."""
+    def initial_step(self, y0, f0, interval_length, direction, rms):
+        """``select_initial_step`` under the norm ``rms``: each row's (:func:`_row_rms`) or the cloud's."""
         scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _row_rms(y0 / scale)
-        d1 = _row_rms(f0 / scale)
+        d0 = rms(y0 / scale)
+        d1 = rms(f0 / scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
             h0 = np.minimum(h0, interval_length)
-            y1 = y0 + (h0 * direction)[:, None] * f0
-            d2 = _row_rms((self.fun(y1) - f0) / scale) / h0
+            y1 = y0 + (h0 * direction)[..., None] * f0
+            d2 = rms((self.fun(y1) - f0) / scale) / h0
             h1 = np.where(
                 (d1 <= 1e-15) & (d2 <= 1e-15),
                 np.maximum(1e-6, h0 * 1e-3),
@@ -610,12 +536,19 @@ class _RowStepper:
         K[m.n_stages] = self.fun(y_new)
         return y_new, K
 
+    def _scale(self, y, y_new):
+        return self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+
 
 class _RowsRK45(_RowStepper):
     method = RK45
 
-    def error_norm(self, K, h, scale):
-        return _row_rms(_stage_sum(RK45.E, K) * h[:, None] / scale)
+    def error_sums(self, y, y_new, K, h):
+        return (_row_sum_squares(_stage_sum(RK45.E, K) * h[:, None] / self._scale(y, y_new)),)
+
+    @staticmethod
+    def norm(sums, h, count):
+        return np.sqrt(sums[0]) / count ** 0.5
 
     @staticmethod
     def dense(fun, K, h, y_old, y):
@@ -634,11 +567,15 @@ class _RowsRK45(_RowStepper):
 class _RowsDOP853(_RowStepper):
     method = DOP853
 
-    def error_norm(self, K, h, scale):
-        err5 = _row_sum_squares(_stage_sum(DOP853.E5, K) / scale)
-        err3 = _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
+    def error_sums(self, y, y_new, K, h):
+        scale = self._scale(y, y_new)
+        return _row_sum_squares(_stage_sum(DOP853.E5, K) / scale), _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
+
+    @staticmethod
+    def norm(sums, h, count):
+        err5, err3 = sums
         with np.errstate(divide="ignore", invalid="ignore"):
-            norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.shape[1])
+            norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * count)
         return np.where((err5 == 0) & (err3 == 0), 0.0, norm)
 
     @staticmethod
@@ -662,22 +599,22 @@ class _RowsDOP853(_RowStepper):
         return out + y_old[which]
 
 
-_ROW_STEPPERS = {RK45: _RowsRK45, DOP853: _RowsDOP853}
+# the methods of march_rows, CloudStepper and RowInterpolant, by name
+_ROW_STEPPERS = {"RK45": _RowsRK45, "DOP853": _RowsDOP853}
 
 
 def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     """Step each row of ``y0`` (N, n) from t = 0 to ``t_bound`` under its own step control.
 
-    ``method`` is :class:`RK45` or :class:`DOP853` and ``fun(y)`` the
-    derivative of an (m, n) batch of states.  Each row is the system
-    ``method`` would step alone: its own initial step, t, h, rejection flag
-    and RMS error norm over its n components, and its samples at the times
-    ``ts`` (ordered from 0 toward ``t_bound``) taken from its own step
-    interpolants.  Every iteration makes one attempt for each row still
-    running, with one ``fun`` call per stage on all of them; a row stops at
-    ``t_bound``, or fails when its step size underflows, and then leaves the
-    batch.  The sums run term by term, so a row's bits do not depend on the
-    other rows.
+    ``method`` is "RK45" or "DOP853" and ``fun(y)`` the derivative of an
+    (m, n) batch of states.  Each row is the system ``method`` would step
+    alone: its own initial step, t, h, rejection flag and RMS error norm over
+    its n components, and its samples at the times ``ts`` (ordered from 0
+    toward ``t_bound``) taken from its own step interpolants.  Every
+    iteration makes one attempt for each row still running, with one ``fun``
+    call per stage on all of them; a row stops at ``t_bound``, or fails when
+    its step size underflows, and then leaves the batch.  The sums run term
+    by term, so a row's bits do not depend on the other rows.
     """
     stepper = _ROW_STEPPERS[method](fun, rtol, atol)
     y = np.asarray(y0, dtype=float)
@@ -693,7 +630,7 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     rows = np.arange(N)
     t = np.zeros(N)
     f = fun(y)
-    h_abs = stepper.initial_step(y, f, abs(t_bound), d)
+    h_abs = stepper.initial_step(y, f, abs(t_bound), d, _row_rms)
     rejected = np.zeros(N, dtype=bool)
     done = np.zeros(N, dtype=np.int64)  # samples taken
     iterations = attempts = 0
@@ -715,8 +652,7 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
         h = t_new - t
         h_abs = np.abs(h)
         y_new, K = stepper.attempt(y, f, h)
-        scale = stepper.atol + np.maximum(np.abs(y), np.abs(y_new)) * stepper.rtol
-        error_norm = stepper.error_norm(K, h, scale)
+        error_norm = stepper.norm(stepper.error_sums(y, y_new, K, h), h, n)
         with np.errstate(divide="ignore"):
             factor = SAFETY * error_norm ** stepper.error_exponent
         accept = error_norm < 1
@@ -740,7 +676,7 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
             done[cover] = hi[cover]
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
-        f = np.where(accept[:, None], K[method.n_stages], f)
+        f = np.where(accept[:, None], K[stepper.method.n_stages], f)
 
         running = ~accept | (d * (t - t_bound) < 0)
         if not running.all():
@@ -750,42 +686,71 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     return RowRun(path, failed, iterations, attempts)
 
 
-class RowSteps(NamedTuple):
-    """Accepted steps of independent n-component systems, one per row: what their interpolants need."""
+class CloudStepper(_RungeKutta):
+    """The rows of an (N, n) state, independent systems, stepped from ``t0`` toward ``t_bound`` under one shared step.
 
-    t_old: np.ndarray  # (m,) the start of each step
-    t: np.ndarray  # (m,) its end
-    y_old: np.ndarray  # (m, n) the states at the starts
-    y: np.ndarray  # (m, n) and at the ends
-    K: np.ndarray  # (m, n_stages + 1, n) the stages, the last one the derivative at y
+    ``method`` is "RK45" or "DOP853" and ``fun(y)`` the derivative of an
+    (m, n) batch of states.  One attempt is :func:`march_rows`' attempt with
+    every row at the same h, so a row's new state and stages (``K``, of shape
+    (n_stages + 1, N, n) after each attempt) are the same bits in any
+    company.  The error norm and the initial step are scipy's, over all N n
+    components as one system: each row's squares are summed as
+    :func:`march_rows` sums them, and the rows' sums are reduced once by
+    numpy.  The controller is :class:`_RungeKutta`'s, with scalar t and h.
+    """
 
+    def __init__(self, method, fun, t0, y0, t_bound, *, rtol, atol):
+        self.rows = _ROW_STEPPERS[method](fun, rtol, atol)
+        self.error_estimator_order = self.rows.method.error_estimator_order
+        super().__init__(fun, t0, y0, t_bound, rtol=self.rows.rtol, atol=atol)
 
-def last_step_rows(solver, rows, n) -> RowSteps:
-    """The last step of ``solver``, an :class:`RK45` or :class:`DOP853` on a stack of n-component systems, for the systems ``rows``."""
-    k = len(rows)
-    return RowSteps(
-        np.full(k, solver.t_old), np.full(k, solver.t), solver.y_old.reshape(-1, n)[rows],
-        solver.y.reshape(-1, n)[rows], solver.K.reshape(len(solver.K), -1, n)[:, rows].swapaxes(0, 1),
-    )
+    def _state(self, y0):
+        y0 = np.asarray(y0, dtype=float)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        return y0
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return self.rows.fun(y)
+
+    def _initial_step(self):
+        interval_length = abs(self.t_bound - self.t)
+        if interval_length == 0.0 or not self.y.size:  # nothing to step
+            return 0.0
+        self.nfev += 1
+        return float(self.rows.initial_step(self.y, self.f, interval_length, self.direction, _cloud_rms))
+
+    def _attempt(self, t, y, f, h):
+        rows = self.rows
+        hs = np.full(len(y), h)
+        y_new, self.K = rows.attempt(y, f, hs)
+        self.nfev += rows.method.n_stages
+        sums = [np.sum(s) for s in rows.error_sums(y, y_new, self.K, hs)]
+        return y_new, self.K[-1], float(rows.norm(sums, h, y.size))
 
 
 class RowInterpolant:
-    """The step interpolants of ``method`` over the :class:`RowSteps` in ``steps``, joined in order.
+    """The step interpolants of ``method`` over some rows' steps, joined in order.
 
-    Called with one time per step, in ``t_old .. t``, it returns the states
-    there, each from its own step: the dense output :func:`march_rows`
-    samples, bit for bit.  The coefficients of every step are computed once,
-    here (DOP853's 3 extra stages are batched calls of ``fun``, the derivative
-    of an (m, n) batch of states).
+    ``steps`` holds a tuple (t_old, t, y_old, y, K) per step: its ends, the
+    states of its m rows there, (m, n) each, and their stages, (n_stages + 1,
+    m, n).  Called with one time per row, in its step's ``t_old .. t``, it
+    returns the states there, each from its own step: the dense output
+    :func:`march_rows` samples, bit for bit.  The coefficients of every step
+    are computed once, here (DOP853's 3 extra stages are batched calls of
+    ``fun``, the derivative of an (m, n) batch of states).
     """
 
     def __init__(self, method, fun, steps):
-        t_old, t, y_old, y, K = map(np.concatenate, zip(*steps))
+        t_old, t, y_old, y, K = zip(*steps)
+        m = [len(a) for a in y]
         rows = _ROW_STEPPERS[method]
-        self.t_old, self.t, self.h, self.y_old = t_old, t, t - t_old, y_old
+        self.t_old, self.t, self.y_old = np.repeat(t_old, m), np.repeat(t, m), np.concatenate(y_old)
+        self.h = self.t - self.t_old
         self._sample = rows.sample
-        self._F = rows.dense(fun, K.swapaxes(0, 1), self.h, y_old, y)
-        self._which = np.arange(len(t))
+        self._F = rows.dense(fun, np.concatenate(K, axis=1), self.h, self.y_old, np.concatenate(y))
+        self._which = np.arange(len(self.t))
 
     def __call__(self, t):
         return self._sample(self._F, self.h, self.y_old, self._which, (t - self.t_old) / self.h)

@@ -3,7 +3,9 @@
 ``compose_commuting_flows`` gives the Katok flow on its invariant cone from
 the rotational flow and a rigid shift; ``lift_to_cover`` re-lifts reduced base
 points, a second route to the lift an orbit trace stores; ``pole_cap_event``
-is the lab's pole cap as a ``solve_ivp`` event, for the scipy references.
+is the lab's pole cap as a ``solve_ivp`` event, ``stacked_rhs`` a cloud of
+orbits as one flat system and ``scipy_step_rows`` some orbits' last step of
+such a system, for the scipy references.
 """
 
 import numpy as np
@@ -42,6 +44,21 @@ def pole_cap_event(H, config: IntegratorConfig):
     event.terminal = True
     event.direction = -1
     return event
+
+
+def stacked_rhs(H, n: int):
+    """rhs(t, flat) of n orbits stacked into one (4n,) system: one batched ``H.vector_field`` call."""
+
+    def rhs(t, flat):
+        return H.vector_field(flat.reshape(n, 4)).reshape(-1)
+
+    return rhs
+
+
+def scipy_step_rows(solver, rows):
+    """The last step of scipy's stepper on :func:`stacked_rhs`, for the orbits ``rows``, as a ``RowInterpolant`` step."""
+    K = solver.K.reshape(len(solver.K), -1, 4)
+    return solver.t_old, solver.t, solver.y_old.reshape(-1, 4)[rows], solver.y.reshape(-1, 4)[rows], K[:, rows]
 
 
 def compose_commuting_flows(

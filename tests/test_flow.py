@@ -26,13 +26,14 @@ from finslerlab.flow import (
     integrate_ensemble,
     integrate_orbit,
     phase_space_distance,
-    stacked_rhs,
 )
 from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
-from finslerlab.solvers import EPS, RK45, FloatRK45, march_rows
-from flow_oracles import ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event
+from finslerlab.solvers import EPS, CloudStepper, FloatRK45, march_rows
+from flow_oracles import (
+    ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event, stacked_rhs,
+)
 
 
 def reduced_orbit_quadrature(profile, c, t_target, n_grid=400_001, x2_span=40.0):
@@ -244,32 +245,38 @@ class TestCommutingFlows:
 
 
 class TestRtolFloor:
-    """Every stepper floors rtol at 100 eps with scipy's warning, naming the same frame."""
+    """Every stepper floors rtol at 100 eps with scipy's warning, once.
+
+    The warning names the frame two above the ``__init__`` that floors it:
+    the caller of the float stepper's builder, and the line that builds the
+    cloud stepper or calls ``march_rows`` (both floor in their row stepper).
+    """
 
     @staticmethod
-    def _flat(rtol, stepper=RK45):
-        return stepper(lambda t, y: [-v for v in y], 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, rtol=rtol, atol=1e-12)
+    def _float(rtol):
+        return FloatRK45(lambda t, y: [-v for v in y], 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, rtol=rtol, atol=1e-12)
 
     @staticmethod
     def _warned_line(record) -> str:
         assert record.filename == __file__
         return linecache.getline(record.filename, record.lineno)
 
-    def test_flat_stepper_names_its_builders_caller(self):
+    def test_cloud_stepper_names_its_builder(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            solver = self._flat(1e-17)
-        assert solver.rtol == 100 * EPS
-        assert "self._flat(1e-17)" in self._warned_line(rec[0])
+            solver = CloudStepper("RK45", lambda y: -y, 0.0, np.ones((2, 2)), 1.0, rtol=1e-17, atol=1e-12)
+        assert solver.rtol == solver.rows.rtol == 100 * EPS
+        assert len(rec) == 1
+        assert "CloudStepper(" in self._warned_line(rec[0])
 
     def test_float_stepper_names_its_builders_caller(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            solver = self._flat(1e-17, FloatRK45)
+            solver = self._float(1e-17)
         assert solver.rtol == 100 * EPS
-        assert "self._flat(1e-17, FloatRK45)" in self._warned_line(rec[0])
+        assert "self._float(1e-17)" in self._warned_line(rec[0])
 
     def test_row_stepper_names_the_caller_of_march_rows(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            run = march_rows(RK45, lambda y: -y, np.ones((2, 2)), 1.0, [1.0], rtol=1e-17, atol=1e-12)
+            run = march_rows("RK45", lambda y: -y, np.ones((2, 2)), 1.0, [1.0], rtol=1e-17, atol=1e-12)
         assert np.allclose(run.path[-1], math.exp(-1.0), rtol=1e-10)
         assert "march_rows(" in self._warned_line(rec[0])
 
