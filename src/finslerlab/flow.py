@@ -14,8 +14,10 @@ output.
 Single orbits and their section solves in :mod:`~finslerlab.sections` step
 one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
 (:data:`ORBIT_STEPPERS`) advanced by hand with a one-shot scipy solve's
-checkpoint sampling, with dense output for the section solves, and with its
-terminal-event rule applied to the pole cap, a height (:func:`pole_cap`).
+checkpoint sampling, and with its terminal-event rule applied to the pole
+cap, a height (:func:`pole_cap`).  A section solve reads the steps as they
+come and builds the interpolant of a step that brackets a crossing only;
+the boundary extension's quotient route keeps every step's interpolant.
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The return steps of a cloud,
@@ -179,7 +181,8 @@ class _March:
       where ``cap - |x2|`` first falls to 0 (scipy's rule for a terminal event
       of direction -1), at the root of that step, and sets ``capped`` to the
       (time, state) there;
-    * with ``dense=True`` the step interpolants are kept for :meth:`solution`.
+    * with ``dense=True`` the step interpolants are kept for :meth:`solution`
+      (the boundary extension's quotient route).
 
     Callers step it to ``t_end``, or stop once they have what they need; the
     solver's ``t`` and ``y`` are where the march stands.  A step size that

@@ -297,28 +297,20 @@ class ReversibilizedDualMetric(DualMetric):
 
     @staticmethod
     def _mirror(y):
-        m = np.array(y, dtype=float, copy=True)
-        m[..., 2] *= -1.0
-        m[..., 3] *= -1.0
-        return m
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        neg = y[..., 2] < 0.0
-        if not np.any(neg):
-            return self.inner.value(y)
-        out = np.atleast_1d(np.array(self.inner.value(y), dtype=float, copy=True))
-        flat_neg = np.atleast_1d(neg)
-        out[flat_neg] = self.inner.value(self._mirror(np.atleast_2d(y)[flat_neg]))
-        return out.reshape(np.shape(neg)) if np.ndim(neg) else float(out[0])
-
-    def vector_field(self, y):
-        # rows with xi1 < 0 are evaluated at the mirror (x, -xi), where
-        # dH'/dxi = -dH/dxi and dH'/dx = dH/dx: one inner call for the batch
+        """``y`` with xi negated on the rows where xi1 < 0, and the sign per row."""
         y = np.asarray(y, dtype=float)
         sign = np.where(y[..., 2] < 0.0, -1.0, 1.0)[..., None]
         m = np.array(y, copy=True)
         m[..., 2:] *= sign
+        return m, sign
+
+    # rows with xi1 < 0 are evaluated at the mirror (x, -xi), where H' = H,
+    # dH'/dxi = -dH/dxi and dH'/dx = dH/dx: one inner call for the batch
+    def value(self, y):
+        return self.inner.value(self._mirror(y)[0])
+
+    def vector_field(self, y):
+        m, sign = self._mirror(y)
         out = self.inner.vector_field(m)
         out[..., :2] *= sign
         return out

@@ -18,14 +18,15 @@ ds_coordinate x dmomentum (x1 with xi1 on a parallel, x2 with xi2 on a
 meridian), which is exactly the flux measure the return map preserves.
 Every (s, u) comes from :meth:`AnnulusChart.points_of_states`.
 
-The crossings of one orbit come from one loop, :func:`_window_crossings`: on a
-march cut at ``max_return_time`` in :func:`detect_crossing` (behind
-:func:`first_return`, the return grid and the boundary extension), on windows
-of 16 ``max_return_time`` in :func:`iterate_section_map`.  So a first return
-is the map's first iterate bit for bit, unless the budget cuts short the step
-that brackets it.  The cloud's :func:`ensemble_return_step` brackets each
-orbit on the ends of its shared steps instead, and refines it on the
-interpolant of its own step.
+Crossings are located by one rule: after the first step (the start lies on
+the section), a step whose ends straddle a section level upward is refined on
+that step's own interpolant, and the crossing is then filtered for
+transversality.  The crossings of one orbit come from one loop,
+:func:`_orbit_returns`, which marches to n ``max_return_time`` for n returns:
+:func:`detect_crossing` (behind :func:`first_return`, the return grid and the
+boundary extension) is its n = 1 case and :func:`iterate_section_map` its n
+case, so a first return is the map's first iterate bit for bit.  The cloud's
+:func:`ensemble_return_step` applies the rule to the ends of its shared steps.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SectionSpec:
-    """Which annulus to cut, and the detection tolerances."""
+    """Which annulus to cut, and the detection tolerances.
+
+    ``scan_dt`` is validated and read by nothing: crossings are bracketed on
+    the integrator's own step ends.  It stays a field (out of the config
+    schema) until the benchmark's own workloads stop setting it.
+    """
 
     kind: str = "equator_birkhoff"
     x2_star: float = 0.0
@@ -236,9 +242,10 @@ class AnnulusChart:
 
 
 def _upward_brackets(coord: np.ndarray, spacing: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Scan steps on which the transverse coordinate crosses a section level upward.
+    """Steps on which the transverse coordinate crosses a section level upward.
 
-    ``coord`` has time along axis 0 (one orbit's scan, or an (m, n) cloud).
+    ``coord`` has time along axis 0 (one orbit's step ends, a sampled path,
+    or an (m, n) cloud).
     Returns ``(up, levels)``, both shaped like ``coord[1:]``: ``up[i]`` flags an
     upward crossing between rows i and i + 1, at level ``levels[i]`` (the
     highest level passed when a step passes several periodic levels).
@@ -296,29 +303,51 @@ def _orbit_march(H, y0, t_end, config, ts) -> _March:
     return _March(H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap(H, config), dense=True)
 
 
-def _scan_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Scan times from ``t_start`` in steps of ``dt``, closed by ``t_end`` itself."""
-    ts = np.arange(t_start, t_end, dt)
-    return ts if len(ts) and ts[-1] >= t_end else np.append(ts, t_end)
+def _orbit_returns(H: DualMetric, y0, spec: SectionSpec, config: IntegratorConfig, chart: AnnulusChart, n: int):
+    """The first n transverse upward crossings of one orbit, marched to n ``max_return_time``.
 
-
-def _march_crossings(march: _March, chart: AnnulusChart):
-    """Upward crossings of a dense march over the scan times it has sampled.
-
-    Bracketed on the sampled scan states and refined together on the dense
-    solution so far.  Returns the crossing times (in time order), the states
-    there and their transverse speeds.
+    The one crossing loop of single orbits (:func:`detect_crossing` is its
+    n = 1 case, :func:`iterate_section_map` its n case).  The orbit is marched
+    once (:class:`_March`); after the first step (the start lies on the
+    section), each step whose ends straddle a section level upward
+    (:func:`_upward_brackets`) is refined at once (:func:`_refine_roots`) on
+    that step's own interpolant, the only one built, and its crossing is kept
+    unless its transverse speed is known to be below the tolerance.  The
+    capping step brackets from its start to the pole cap, so a crossing
+    before the cap counts.  Returns the times, states and speeds of the n
+    crossings and the tangencies skipped before the first.  NoCrossing is
+    raised when the budget runs out, or when the orbit meets the sphere
+    chart's pole cap, short of n crossings.
     """
-    ts = march.ts[: march.n]
-    up, levels = _upward_brackets(chart.coordinate(march.path[: march.n]), chart.periodic_levels)
-    hits = np.flatnonzero(up)
-    if not len(hits):
-        return np.empty(0), np.empty((0, march.path.shape[1])), np.empty(0)
-    sol = march.solution()
-    levels = levels[hits]
-    t_events = _refine_roots(lambda t: chart.coordinate(sol(t).T) - levels, ts[hits], ts[hits + 1])
-    states = sol(t_events).T
-    return t_events, states, chart.transverse_velocity(states)
+    T = n * spec.max_return_time
+    march = _March(H.scalar_rhs(), y0, T, config, cap=pole_cap(H, config))
+    solver = march.solver
+    g = chart.coordinate(y0)
+    times, states, speeds = [], [], []
+    skipped = 0
+    while len(times) < n and march.step():
+        t_end, y_end = march.capped or (solver.t, solver.y)
+        g_old, g = g, chart.coordinate(y_end)
+        if solver.t_old == 0.0:  # the first step leaves the section it starts on
+            continue
+        up, level = _upward_brackets(np.array([g_old, g]), chart.periodic_levels)
+        if not up[0]:
+            continue
+        sol = solver.dense_output()
+        t = float(_refine_roots(lambda t: chart.coordinate(sol(t).T) - level, [solver.t_old], [t_end])[0])
+        state = np.array(sol(t))
+        speed = float(chart.transverse_velocity(state))
+        if speed < spec.transversality_tol:  # only speeds known to be below the tolerance are skipped (NaN is kept)
+            skipped += not times
+            continue
+        times.append(t)
+        states.append(state)
+        speeds.append(speed)
+    if len(times) < n:
+        if march.capped:
+            raise NoCrossing("orbit left the chart strip before its returns")
+        raise NoCrossing(f"{len(times)} of {n} transverse crossings within t = {T} ({skipped} tangencies skipped)")
+    return times, states, speeds, skipped
 
 
 def detect_crossing(
@@ -329,30 +358,18 @@ def detect_crossing(
     *,
     chart: AnnulusChart | None = None,
 ) -> CrossingEvent:
-    """First transverse upward crossing of the section after ``scan_dt``, within ``max_return_time``.
+    """First transverse upward crossing of the section after the first step, within ``max_return_time``.
 
-    The first window of :func:`iterate_section_map`, cut at
-    ``max_return_time``: the orbit is marched (:class:`_March`) and its
-    crossings found by the same loop (:func:`_window_crossings`), which stops
-    at the step that brackets the first transverse crossing.  Up to a step the
-    budget cuts short, the march is the window's, so the crossing comes out
-    bit for bit as the first iterate of the section map.  Near-tangent
-    candidates (transverse speed below tolerance) before it are skipped and
-    counted; NoCrossing is raised when the time budget runs out, or when the
-    orbit reaches the sphere chart's pole cap before it crosses.
+    The n = 1 case of the crossing loop of :func:`iterate_section_map`
+    (:func:`_orbit_returns`), so the crossing comes out bit for bit as the
+    first iterate of the section map.  Near-tangent candidates (transverse
+    speed below tolerance) before it are skipped and counted; NoCrossing is
+    raised when the time budget runs out, or when the orbit reaches the sphere
+    chart's pole cap before it crosses.
     """
     chart = chart or AnnulusChart(H, spec)
-    T = spec.max_return_time
-    march = _orbit_march(H, start_state, T, config, _scan_grid(spec.scan_dt, T, spec.scan_dt))
-    t_events, states, speeds = _window_crossings(march, chart, spec, 0.0, 1)
-    # only speeds known to be below the tolerance are skipped (NaN is kept)
-    transverse = np.flatnonzero(~(speeds < spec.transversality_tol))
-    if not len(transverse):
-        raise NoCrossing(f"no transverse crossing within t = {T} ({len(t_events)} tangencies skipped)")
-    j = int(transverse[0])
-    return CrossingEvent(
-        time=float(t_events[j]), state=states[j], transverse_speed=float(speeds[j]), skipped_tangencies=j
-    )
+    times, states, speeds, skipped = _orbit_returns(H, start_state, spec, config, chart, 1)
+    return CrossingEvent(time=times[0], state=states[0], transverse_speed=speeds[0], skipped_tangencies=skipped)
 
 
 def first_return(
@@ -391,41 +408,6 @@ class SectionOrbit:
         return np.diff(self.lift_s) / self.circumference
 
 
-def _window_crossings(march: _March, chart: AnnulusChart, spec: SectionSpec, prev_t: float, need: int):
-    """Refined crossings of one dense march, marched only as far as ``need`` returns need.
-
-    The one crossing loop of single orbits (:func:`detect_crossing` and each
-    window of :func:`iterate_section_map`).  Upward brackets are counted as
-    scan samples arrive (a new scan interval holds at most one, so counting
-    waits until it could reach the count wanted).  With enough brackets, all
-    brackets so far are refined in one batch, and the march stops once that
-    batch holds ``need`` transverse crossings after ``prev_t``.  A bracket is
-    refined on the interpolants of its own steps, one time at a time, so its
-    crossing comes out bit for bit as from a march over the whole window.
-    Otherwise the march runs to its end and all its crossings are returned.
-    A crossing bracketed before the pole cap counts; a march that reaches the
-    cap short of ``need`` returns raises NoCrossing.
-    """
-    brackets = lo = 0
-    want = need
-    while march.step():
-        if brackets + march.n - 1 - lo >= want:
-            up, _ = _upward_brackets(chart.coordinate(march.path[lo : march.n]), chart.periodic_levels)
-            lo = march.n - 1
-            brackets += int(np.count_nonzero(up))
-        if brackets < want:
-            continue
-        crossings = _march_crossings(march, chart)
-        t_events, _, speeds = crossings
-        kept = int(np.count_nonzero((t_events > prev_t) & ~(speeds < spec.transversality_tol)))
-        if kept >= need:
-            return crossings
-        want = brackets + need - kept
-    if march.capped:
-        raise NoCrossing("orbit left the chart strip before its returns")
-    return _march_crossings(march, chart)
-
-
 def iterate_section_map(
     H: DualMetric,
     spec: SectionSpec,
@@ -435,48 +417,20 @@ def iterate_section_map(
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is marched in dense windows of 16 ``max_return_time``
-    (:class:`_March`); the upward crossings inside a window are bracketed on
-    the ``scan_dt`` grid (:func:`_upward_brackets`), refined together
-    (:func:`_refine_roots`), and the transverse ones kept.  A window is
-    marched to its end unless it holds the n-th return, where the march stops
-    at the step that brackets it (:func:`_window_crossings`).  This keeps the
-    per-iterate cost near one flow period even for thousands of iterates.
+    The orbit is marched once, to a budget of n ``max_return_time``, and its
+    first n transverse crossings are taken from the crossing loop
+    (:func:`_orbit_returns`), which stops at the step that brackets the n-th.
     """
     chart = AnnulusChart(H, spec)
     y = chart.point_to_state(*start_point)
     if float(chart.transverse_velocity(y)) < spec.transversality_tol:
         raise NonTransverse("start point is not transverse")
-    window = 16.0 * spec.max_return_time
-
-    points = [chart.state_to_point(y)]
-    lift = [chart.lift_s(y)]
-    times = [0.0]
-    t_base = 0.0
-    guard = 0
-    while len(times) <= n:
-        guard += 1
-        if guard > max(4, 4 * int(n * spec.max_return_time / window) + 4):
-            raise NoCrossing(f"return rate too low: {len(times) - 1} of {n} found")
-        ts = _scan_grid(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt)
-        march = _orbit_march(H, y, window, config, ts)
-        prev_t = times[-1] - t_base
-        t_events, states_ev, speeds = _window_crossings(march, chart, spec, prev_t, n + 1 - len(times))
-        pts = chart.points_of_states(states_ev)
-        for j in range(len(t_events)):
-            if len(times) > n:
-                break
-            if t_events[j] <= prev_t or speeds[j] < spec.transversality_tol:
-                continue
-            points.append((float(pts[j, 0]), float(pts[j, 1])))
-            lift.append(chart.lift_s(states_ev[j]))
-            times.append(t_base + float(t_events[j]))
-        y = march.solver.y
-        t_base += window
+    times, states, _, _ = _orbit_returns(H, y, spec, config, chart, n)
+    states = [y, *states]
     return SectionOrbit(
-        points=np.array(points[: n + 1]),
-        lift_s=np.array(lift[: n + 1]),
-        times=np.array(times[: n + 1]),
+        points=chart.points_of_states(states),
+        lift_s=np.array([chart.lift_s(state) for state in states]),
+        times=np.array([0.0, *times]),
         circumference=chart.circumference,
     )
 
@@ -501,8 +455,7 @@ def ensemble_return_step(
     with an orbit that never crosses runs to ``max_return_time``.  The
     crossings are then refined together (:func:`_refine_roots`), each on the
     interpolant of its own step (:class:`~finslerlab.solvers.RowInterpolant`),
-    and checked for transversality together.  Brackets come from step ends,
-    so ``scan_dt`` does not apply here.  Returns (new_states, taus, ok_mask); failed orbits
+    and checked for transversality together.  Returns (new_states, taus, ok_mask); failed orbits
     keep their input state and tau = nan.  An orbit that starts at xi = 0
     fails alone; a step size that underflows raises StepFailure.
     """

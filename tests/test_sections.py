@@ -36,8 +36,8 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
-from finslerlab.solvers import RowInterpolant
-from flow_oracles import compose_commuting_flows, pole_cap_event, scipy_step_rows, stacked_rhs
+from finslerlab.solvers import FloatDOP853, RowInterpolant
+from flow_oracles import compose_commuting_flows, scipy_step_rows, stacked_rhs
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
 SCIPY_STEPPERS = {"RK45": ScipyRK45, "DOP853": ScipyDOP853}
@@ -192,6 +192,16 @@ class TestFirstReturn:
         sample = first_return(h0_sphere, SPHERE_SPEC, (1.0, math.pi / 4), tight_config)
         assert abs(circdiff(sample.image[0] - 1.0)) <= 1e-6
         assert sample.image[1] == pytest.approx(math.pi / 4, abs=1e-6)
+
+    def test_only_the_bracketing_step_builds_its_interpolant(self, h0_sphere, tight_config, monkeypatch):
+        # the return is refined on the interpolant of the one step that brackets it
+        # (a march that sampled every step's dense output built 52 here)
+        steps = []
+        dense_output = FloatDOP853.dense_output
+        monkeypatch.setattr(FloatDOP853, "dense_output", lambda self: steps.append(self.t) or dense_output(self))
+        sample = first_return(h0_sphere, SPHERE_SPEC, (1.0, 0.8), tight_config)
+        assert sample.tau == pytest.approx(TWO_PI, abs=1e-9)
+        assert len(steps) == 1 and steps[0] > sample.tau
 
     def test_cone_point_shift_matches_composed_flow(
         self, sphere_profile, cutoffs, katok_sphere, tight_config
@@ -376,34 +386,61 @@ class TestIterateSectionMap:
         assert taus[ok].tobytes() == base_taus[ok].tobytes()
 
 
-    def test_return_at_window_end_is_kept(self, h0_sphere, tight_config):
-        # windows of 16 max_return_time = 4 pi + 0.01 end just after every second return at 2 pi k
-        spec = SectionSpec(max_return_time=(4 * math.pi + 0.01) / 16)
+    def test_returns_within_the_budget(self, h0_sphere, h0_torus, tight_config):
+        # n returns are marched to n max_return_time; on the round sphere every
+        # return takes 2 pi, so the 6th lies in the step clamped at 12 pi + 6e-7
+        spec = SectionSpec(max_return_time=TWO_PI + 1e-7)
         orbit = iterate_section_map(h0_sphere, spec, (1.0, 0.8), 6, tight_config)
         assert np.allclose(np.diff(orbit.times), TWO_PI, atol=1e-9)
         assert np.allclose(orbit.displacements, 1.0, atol=1e-9)
+        # this meridian orbit's k-th return comes at k times 6.97, 6.68, 6.55,
+        # 6.49, 6.47 and 6.56 (k = 1, ..., 6): a budget just past the 5th
+        # return holds 5 returns, the 5th in the clamped step, but not 6
+        meridian = SectionSpec(kind="meridian", max_return_time=40.0)
+        t5 = iterate_section_map(h0_torus, meridian, (0.3, 0.3), 5, tight_config).times[5]
+        tight_budget = replace(meridian, max_return_time=(t5 + 1e-6) / 5)
+        orbit = iterate_section_map(h0_torus, tight_budget, (0.3, 0.3), 5, tight_config)
+        y0 = AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)
+        march = _orbit_march(h0_torus, y0, 5 * tight_budget.max_return_time, tight_config, ())
+        while march.step():
+            pass
+        assert march.solver.t_old < orbit.times[5] <= march.solver.t
+        assert orbit.times[5] == pytest.approx(t5, abs=1e-12)
+        with pytest.raises(NoCrossing, match="5 of 6"):
+            iterate_section_map(h0_torus, tight_budget, (0.3, 0.3), 6, tight_config)
 
 
-def _reference_detect(H, y0, spec, config):
-    """detect_crossing from one dense solve_ivp over the whole budget."""
+def _reference_returns(H, y0, spec, n, config):
+    """The first n transverse crossings of scipy's stepper run by hand to n max_return_time.
+
+    After the first step, every step whose ends straddle a section level
+    upward is refined on that step's own ``dense_output()``.  Returns the
+    times, states and speeds of the crossings kept and the tangencies skipped
+    before the first.
+    """
     chart = AnnulusChart(H, spec)
-    t_max = spec.max_return_time
-    sol = solve_ivp(
-        H.scalar_rhs(), (0.0, t_max), y0, method=config.method, rtol=config.rel_tol,
-        atol=config.abs_tol, dense_output=True,
-        events=pole_cap_event(H, config),
+    solver = SCIPY_STEPPERS[config.method](
+        H.scalar_rhs(), 0.0, y0, n * spec.max_return_time, rtol=config.rel_tol, atol=config.abs_tol
     )
-    assert sol.status == 0
-    ts = np.append(np.arange(spec.scan_dt, t_max, spec.scan_dt), t_max)
-    up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
-    hits = np.flatnonzero(up)
-    t_events = _refine_roots(
-        lambda t: chart.coordinate(sol.sol(t).T) - levels[hits], ts[hits], ts[hits + 1]
-    )
-    states = sol.sol(t_events).T
-    speeds = chart.transverse_velocity(states)
-    j = int(np.flatnonzero(~(speeds < spec.transversality_tol))[0])
-    return t_events[j], states[j], speeds[j], j
+    g = chart.coordinate(y0)
+    times, states, speeds, skipped = [], [], [], 0
+    while len(times) < n and solver.status == "running":
+        assert solver.step() is None
+        g_old, g = g, chart.coordinate(solver.y)
+        up, level = _upward_brackets(np.array([g_old, g]), chart.periodic_levels)
+        if solver.t_old == 0.0 or not up[0]:
+            continue
+        sol = solver.dense_output()
+        t = _refine_roots(lambda t: chart.coordinate(sol(t).T) - level, [solver.t_old], [solver.t])[0]
+        speed = float(chart.transverse_velocity(sol(t)))
+        if speed < spec.transversality_tol:
+            skipped += not times
+            continue
+        times.append(t)
+        states.append(sol(t))
+        speeds.append(speed)
+    assert len(times) == n
+    return np.array(times), np.array(states), np.array(speeds), skipped
 
 
 def _reference_ensemble_step(H, spec, states, config, chart):
@@ -436,40 +473,6 @@ def _reference_ensemble_step(H, spec, states, config, chart):
     return (new_states, tau, ok), solver.nfev
 
 
-def _reference_iterate(H, spec, point, n, config):
-    """iterate_section_map from dense solve_ivp windows, each solved to its end."""
-    chart = AnnulusChart(H, spec)
-    window = 16 * spec.max_return_time
-    y = chart.point_to_state(*point)
-    points, lift, times = [chart.state_to_point(y)], [chart.lift_s(y)], [0.0]
-    t_base = 0.0
-    while len(times) <= n:
-        sol = solve_ivp(
-            H.scalar_rhs(), (0.0, window), y, method=config.method, rtol=config.rel_tol,
-            atol=config.abs_tol, dense_output=True,
-            events=pole_cap_event(H, config),
-        )
-        assert sol.status == 0
-        ts = np.append(np.arange(spec.scan_dt if t_base == 0.0 else 0.0, window, spec.scan_dt), window)
-        up, levels = _upward_brackets(chart.coordinate(sol.sol(ts).T), chart.periodic_levels)
-        hits = np.flatnonzero(up)
-        t_events = _refine_roots(
-            lambda t: chart.coordinate(sol.sol(t).T) - levels[hits], ts[hits], ts[hits + 1]
-        )
-        states = sol.sol(t_events).T
-        speeds = chart.transverse_velocity(states)
-        pts = chart.points_of_states(states)
-        prev_t = times[-1] - t_base
-        for j in range(len(t_events)):
-            if len(times) <= n and t_events[j] > prev_t and not speeds[j] < spec.transversality_tol:
-                points.append((float(pts[j, 0]), float(pts[j, 1])))
-                lift.append(chart.lift_s(states[j]))
-                times.append(t_base + float(t_events[j]))
-        y = sol.y[:, -1].copy()
-        t_base += window
-    return np.array(points), np.array(lift), np.array(times)
-
-
 class _CountingMetric:
     """A metric whose vector_field calls are counted."""
 
@@ -483,11 +486,12 @@ class _CountingMetric:
 
 
 class TestMarchAgainstFullSolve:
-    """Section solves that stop at the needed crossing match a full-horizon solve.
+    """Section solves match scipy's stepper run by hand with the same crossing rule.
 
     The lab's steppers sum stages term by term in stage order and scipy with
-    ``np.dot``, so single orbits and the cloud's return step, which brackets
-    on its shared step ends, match scipy to measured bounds.
+    ``np.dot``, so single orbits, which bracket on their own step ends, and the
+    cloud's return step, which brackets on its shared step ends, match scipy
+    to measured bounds.
     """
 
     @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
@@ -502,31 +506,34 @@ class TestMarchAgainstFullSolve:
         cases.append((h0_torus, meridian, AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)))
         for H, spec, y0 in cases:
             got = detect_crossing(H, y0, spec, config)
-            time, state, speed, skipped = _reference_detect(H, y0, spec, config)
+            times, states, speeds, skipped = _reference_returns(H, y0, spec, 1, config)
             # largest gaps measured: 5.3e-14 (time), 2.0e-13 (state), 9.8e-13 (speed)
-            assert abs(got.time - time) <= 1e-12
-            assert np.max(np.abs(got.state - state)) <= 1e-12
-            assert abs(got.transverse_speed - speed) <= 5e-12
+            assert abs(got.time - times[0]) <= 1e-12
+            assert np.max(np.abs(got.state - states[0])) <= 1e-12
+            assert abs(got.transverse_speed - speeds[0]) <= 5e-12
             assert got.skipped_tangencies == skipped
         assert got.skipped_tangencies == 1
 
     @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
     def test_iterate_section_map_bitwise(self, katok_sphere, h0_torus, method, tol):
-        # the march stops after the n-th return; the windows before it run to their end
+        # budgets of 24, 63 and 14 for returns by t = 19.2, 61.4 and 13.4
         config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
-        # windows of 128, 20 and 100
         cases = [
             (katok_sphere, SPHERE_SPEC, (1.0, 0.9), 3),
-            (katok_sphere, SectionSpec(max_return_time=1.25), (0.7, 0.6), 9),
-            (h0_torus, SectionSpec(kind="meridian", max_return_time=6.25), (0.3, 0.3), 2),  # both returns by t = 13.4
+            (katok_sphere, SectionSpec(max_return_time=7.0), (0.7, 0.6), 9),
+            (h0_torus, SectionSpec(kind="meridian", max_return_time=7.0), (0.3, 0.3), 2),
         ]
         for H, spec, point, n in cases:
             got = iterate_section_map(H, spec, point, n, config)
-            want = _reference_iterate(H, spec, point, n, config)
-            # largest gaps measured: 3.2e-13 (points), 1.8e-13 (lift), 1.3e-13 (times)
-            assert np.max(np.abs(got.points - want[0])) <= 1e-12
-            assert np.max(np.abs(got.lift_s - want[1])) <= 1e-12
-            assert np.max(np.abs(got.times - want[2])) <= 1e-12
+            chart = AnnulusChart(H, spec)
+            y0 = chart.point_to_state(*point)
+            times, states, _, _ = _reference_returns(H, y0, spec, n, config)
+            points = chart.points_of_states([y0, *states])
+            lift = [chart.lift_s(y) for y in [y0, *states]]
+            # largest gaps measured: 3.2e-13 (points), 9.9e-14 (lift), 7.1e-14 (times)
+            assert np.max(np.abs(got.points - points)) <= 1e-12
+            assert np.max(np.abs(got.lift_s - lift)) <= 1e-12
+            assert np.max(np.abs(got.times[1:] - times)) <= 1e-12
 
     @pytest.mark.parametrize("max_return_time", [8.0, 6.35])
     def test_ensemble_step_bitwise(self, katok_sphere, max_return_time):
