@@ -25,7 +25,9 @@ longer sets the step of the rest.  The return steps of a cloud,
 under one shared step (:class:`~finslerlab.solvers.CloudStepper`): on the
 Katok sphere the orbit nearest the pole needs more attempts alone than the
 shared step takes, and a batched field call costs the same for few orbits
-as for many.
+as for many.  Single orbits take ``scalar_rhs`` (libm) and batches
+``vector_field`` (numpy): an orbit stepped alone and in an ensemble agree
+to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ class _March:
       where ``cap - |x2|`` first falls to 0 (scipy's rule for a terminal event
       of direction -1), at the root of that step, and sets ``capped`` to the
       (time, state) there;
-    * with ``dense=True`` the step interpolants are kept for :meth:`solution`
-      (the boundary extension's quotient route).
+    * with ``dense=True`` (a forward run) the step interpolants are kept for
+      :meth:`solution` (the boundary extension's quotient route).
 
     Callers step it to ``t_end``, or stop once they have what they need; the
     solver's ``t`` and ``y`` are where the march stands.  A step size that

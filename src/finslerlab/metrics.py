@@ -20,7 +20,7 @@ Each kind has one batched definition of its canonical equations,
 ``vector_field(y) -> (..., 4)`` = (dH/dxi, -dH/dx): it evaluates the profile,
 the cone ratio and the cutoffs once per call.  ``grad_xi`` and ``grad_x`` are
 its slices, so no kind carries a second gradient formula; ``scalar_rhs`` is the
-pure-``math`` single-orbit route to the same equations.
+pure-``math`` single-orbit route to the same equations (not numpy's bits).
 
 Everything is immutable after construction and evaluation is pure, so metric
 values can be shared freely across concurrent orbit computations.
@@ -94,7 +94,7 @@ def _as_state_array(p) -> np.ndarray:
 
 
 def _check_nonzero(R) -> None:
-    if not np.all(R):
+    if not np.asarray(R).all():
         raise ZeroCovector("metric evaluated at xi = 0")
 
 
@@ -236,17 +236,18 @@ class KatokDualMetric(DualMetric):
         _check_nonzero(R)
         f, fp = self.profile.f_fp(y[..., 1])
         ratio = self._ratio(y, R, f)
-        achi = self.alpha * self.cutoffs.chi(y[..., 1])
+        achi = np.where(np.abs(y[..., 1]) <= self.cutoffs.b, self.alpha, 0.0 * self.alpha)  # alpha * chi, bit for bit
         eta, etad = self.cutoffs.eta.with_deriv(ratio)
         fR = f * R
         R3 = R**3
+        xi1_2, ae = xi1 * xi1, achi * etad
         out = np.empty(y.shape)
-        out[..., 0] = xi1 / fR + achi * (eta + xi1 * etad * f * xi2**2 / R3)
-        out[..., 1] = xi2 / fR - achi * etad * f * xi1**2 * xi2 / R3
+        out[..., 0] = xi1 / fR + achi * (eta + xi1 * etad * f * (xi2 * xi2) / R3)
+        out[..., 1] = xi2 / fR - ae * f * xi1_2 * xi2 / R3
         out[..., 2] = -0.0
         # -dH/dx2, negated as a whole so grad_x is this closed form bit for bit;
-        # d ratio / d x2 = xi1 * f' / R
-        out[..., 3] = -(-R * fp / f**2 + achi * etad * (xi1**2) * fp / R)
+        # d ratio / d x2 = xi1 * f' / R; f**2 stays: at one state f is a float, squared by libm's pow
+        out[..., 3] = -(-R * fp / f**2 + ae * xi1_2 * fp / R)
         return out
 
     def scalar_rhs(self):
@@ -310,6 +311,8 @@ class ReversibilizedDualMetric(DualMetric):
         return self.inner.value(self._mirror(y)[0])
 
     def vector_field(self, y):
+        if not (np.asarray(y)[..., 2] < 0.0).any():  # a sign of 1 changes no bit
+            return self.inner.vector_field(y)
         m, sign = self._mirror(y)
         out = self.inner.vector_field(m)
         out[..., :2] *= sign

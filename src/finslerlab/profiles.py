@@ -99,13 +99,13 @@ def smooth_step_pair_array(u):
     exactly (0, 0) and (1, 0); inside it 1/u and 1/u^2 cannot overflow, so
     no floating-point error state needs silencing.  NaN maps to NaN.
     """
-    u = np.clip(np.asarray(u, dtype=float), _FLAT, 1.0 - _FLAT)
+    u = np.minimum(np.maximum(u, _FLAT), 1.0 - _FLAT)
     v = 1.0 - u
     a = np.exp(-1.0 / u)
     b = np.exp(-1.0 / v)
     s = a + b
     w = a / s
-    dw = a * b * (1.0 / u**2 + 1.0 / v**2) / s**2
+    dw = a * b * (1.0 / (u * u) + 1.0 / (v * v)) / (s * s)
     if w.ndim:
         return w, dw
     return float(w), float(dw)
@@ -281,10 +281,6 @@ class SplicedTorusProfile(RotationalProfile):
         if fmin <= 0.0:
             raise InvalidSplice("eps", f"bridge lost positivity (min f = {fmin:.3e})")
 
-    def _reduce(self, x2):
-        L = self.period
-        return x2 - L * np.round(x2 / L)
-
     def f(self, x2):
         return self.f_fp(x2)[0]
 
@@ -292,23 +288,27 @@ class SplicedTorusProfile(RotationalProfile):
         return self.f_fp(x2)[1]
 
     def f_fp(self, x2):
-        t = self._reduce(np.asarray(x2, dtype=float))
-        f0 = eval_f0(t)
-        fp = np.atleast_1d(-f0 * np.tanh(t))
-        f = np.atleast_1d(np.asarray(f0, dtype=float))
-        t1 = np.atleast_1d(t)
-        bridge = np.abs(t1) > self._zone
-        if np.any(bridge):
-            s = np.where(t1[bridge] < 0, t1[bridge] + self.period, t1[bridge])
-            u = (s - self._zone) / (2.0 * self.eps_splice)
-            w, dw = smooth_step_pair_array(u)
-            dw = dw / (2.0 * self.eps_splice)
-            fa, fb = eval_f0(s), eval_f0(s - self.period)
-            da, db = -fa * np.tanh(s), -fb * np.tanh(s - self.period)
-            f[bridge] = (1.0 - w) * fa + w * fb
-            fp[bridge] = (1.0 - w) * da + w * db + dw * (fb - fa)
-        if np.ndim(t):
-            return f.reshape(np.shape(t)), fp.reshape(np.shape(t))
+        x2 = np.asarray(x2, dtype=float)
+        L = self.period
+        t = x2.reshape(-1)
+        t = t - L * np.rint(t / L)
+        bridge = np.flatnonzero(np.abs(t) > self._zone)
+        s = t[bridge]
+        s = np.where(s < 0, s + L, s)
+        # f0 and f0' at t and at the bridge rows' s and s - L, in one pass
+        z = np.concatenate([t, s, s - L])
+        f = eval_f0(z)
+        fp = -f * np.tanh(z)
+        n, m = len(t), len(s)
+        if m:
+            width = 2.0 * self.eps_splice
+            w, dw = smooth_step_pair_array((s - self._zone) / width)
+            fa, fb, da, db = f[n : n + m], f[n + m :], fp[n : n + m], fp[n + m :]
+            v = 1.0 - w
+            f[bridge] = v * fa + w * fb
+            fp[bridge] = v * da + w * db + dw / width * (fb - fa)
+        if x2.ndim:
+            return f[:n].reshape(x2.shape), fp[:n].reshape(x2.shape)
         return float(f[0]), float(fp[0])
 
     def f_fp_scalar(self, x2):

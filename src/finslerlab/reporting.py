@@ -41,12 +41,12 @@ class Check:
 
 def at_most(name: str, value: float, bound: float, detail: str = "") -> Check:
     """Passes iff value <= bound (so a NaN value fails)."""
-    return Check(name, value <= bound, value, bound, detail)
+    return Check(name, bool(value <= bound), float(value), bound, detail)
 
 
 def at_least(name: str, value: float, bound: float, detail: str = "") -> Check:
     """Passes iff value >= bound (so a NaN value fails)."""
-    return Check(name, value >= bound, value, bound, detail)
+    return Check(name, bool(value >= bound), float(value), bound, detail)
 
 
 def holds(name: str, passed: bool, value: float, tolerance: float | None = None, detail: str = "") -> Check:

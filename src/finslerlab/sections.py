@@ -485,7 +485,8 @@ def ensemble_return_step(
             pending[hits] = False
             found.append(hits)
             levels.append(level[0, hits])
-            steps.append((solver.t_old, solver.t, solver.y_old[hits], solver.y[hits], solver.K[:, hits]))
+            ends = [np.full(len(hits), e) for e in (solver.t_old, solver.t)]
+            steps.append((*ends, solver.y_old[hits], solver.y[hits], solver.K[:, hits]))
     if not found:
         return new_states, taus, ok
 

@@ -15,17 +15,18 @@ kernel, and a row's stages do not depend on the other rows.  One controller
 loop, :meth:`_RungeKutta._step_impl`, steps every system under one step size.
 
 * :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
-  Python floats: one attempt is :func:`march_rows`' attempt on a one-row
-  batch, bit for bit, without numpy's per-call overhead.
-  :class:`DenseSolution` is ``OdeSolution``: their step interpolants joined,
-  each time evaluated alone on the step scipy would pick.
+  Python floats: given the same derivative (a metric's ``scalar_rhs`` is not
+  its ``vector_field`` bit for bit), one attempt is :func:`march_rows`'
+  attempt on a one-row batch, bit for bit, without numpy's per-call overhead.
+  :class:`DenseSolution` is ``OdeSolution`` over a forward run: their step
+  interpolants joined, each time evaluated alone on the step scipy would pick.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
   Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
   :class:`CloudStepper` takes the same row attempt under one shared step,
-  with one error norm over all rows, and :class:`RowInterpolant`
-  interpolates some rows' steps with :func:`march_rows`' dense output.
+  with one error norm over all rows.  :class:`RowInterpolant` is the dense
+  output of both, formed for many steps at once (Sec. II.6).
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +53,7 @@ EPS = float(np.finfo(float).eps)
 SAFETY = 0.9  # multiplies the asymptotically optimal step factor
 MIN_FACTOR = 0.2  # smallest step decrease
 MAX_FACTOR = 10  # largest step increase
+DENSE_BUDGET = 512  # march_rows samples its held covering steps once they reach this many rows
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -423,7 +425,7 @@ class _ConstantDense:
 
 
 class DenseSolution:
-    """Step interpolants joined over the step ends ``ts`` (scipy's ``OdeSolution``), one time at a time.
+    """Step interpolants joined over a forward run's step ends ``ts`` (scipy's ``OdeSolution``), one time at a time.
 
     A time on a step end takes the step that ends there (the lower-index
     step, as ``OdeSolution`` with ``alt_segment=False``), a time outside the
@@ -433,19 +435,12 @@ class DenseSolution:
 
     def __init__(self, ts, interpolants):
         self.interpolants = interpolants
-        self.ascending = bool(ts[-1] >= ts[0])
-        self.ends = list(ts) if self.ascending else list(reversed(ts))
-
-    def _at(self, t):
-        last = len(self.interpolants) - 1
-        if self.ascending:
-            return self.interpolants[min(max(bisect_left(self.ends, t) - 1, 0), last)](t)
-        return self.interpolants[last - min(max(bisect_right(self.ends, t) - 1, 0), last)](t)
+        self.ends = list(ts)
 
     def __call__(self, t):
         if np.ndim(t):
-            return np.array([self._at(s) for s in np.asarray(t, dtype=float).tolist()]).T
-        return self._at(t)
+            return np.array([self(s) for s in np.asarray(t, dtype=float).tolist()]).T
+        return self.interpolants[min(max(bisect_left(self.ends, t) - 1, 0), len(self.interpolants) - 1)](t)
 
 
 def _stage_sum(coefficients, K):
@@ -454,7 +449,7 @@ def _stage_sum(coefficients, K):
     Elementwise, so each row of K sums to the same bits however many rows K has.
     """
     total = None
-    for c, k in zip(coefficients, K):
+    for c, k in zip(coefficients.tolist(), K):
         if c != 0:
             if total is None:
                 total = k * c
@@ -613,8 +608,10 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     toward ``t_bound``) taken from its own step interpolants.  Every
     iteration makes one attempt for each row still running, with one ``fun``
     call per stage on all of them; a row stops at ``t_bound``, or fails when
-    its step size underflows, and then leaves the batch.  The sums run term
-    by term, so a row's bits do not depend on the other rows.
+    its step size underflows (keeping the samples it reached), and then
+    leaves the batch.  Steps that cover sample times are held and sampled
+    together, at ``DENSE_BUDGET`` rows and at the end.  The sums run term by
+    term, so a row's bits do not depend on the other rows.
     """
     stepper = _ROW_STEPPERS[method](fun, rtol, atol)
     y = np.asarray(y0, dtype=float)
@@ -632,7 +629,8 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     f = fun(y)
     h_abs = stepper.initial_step(y, f, abs(t_bound), d, _row_rms)
     rejected = np.zeros(N, dtype=bool)
-    done = np.zeros(N, dtype=np.int64)  # samples taken
+    done = np.zeros(N, dtype=np.int64)  # samples covered
+    held, held_rows = [], 0  # covering steps whose samples are not formed yet
     iterations = attempts = 0
     while rows.size:
         min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
@@ -665,15 +663,14 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
         hi = np.where(accept, np.searchsorted(dts, d * t_new, side="right"), done)
         cover = np.flatnonzero(hi > done)
         if cover.size:
-            count = hi[cover] - done[cover]
-            which = np.repeat(np.arange(cover.size), count)
-            k = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count) + done[cover][which]
-            step = h[cover]
-            x = (ts[k] - t[cover][which]) / step[which]
-            y_old = y[cover]
-            F = stepper.dense(fun, K[:, cover], step, y_old, y_new[cover])
-            path[k, rows[cover][which]] = stepper.sample(F, step, y_old, which, x)
+            first = done[cover]
+            step = (t[cover], t_new[cover], y[cover], y_new[cover], K[:, cover])
+            held.append((step, rows[cover], first, hi[cover] - first))
+            held_rows += cover.size
             done[cover] = hi[cover]
+            if held_rows >= DENSE_BUDGET:
+                _sample_held(method, fun, ts, path, held)
+                held, held_rows = [], 0
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
         f = np.where(accept[:, None], K[stepper.method.n_stages], f)
@@ -683,7 +680,19 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
             rows, t, y, f, h_abs, rejected, done = (
                 a[running] for a in (rows, t, y, f, h_abs, rejected, done)
             )
+    if held:
+        _sample_held(method, fun, ts, path, held)
     return RowRun(path, failed, iterations, attempts)
+
+
+def _sample_held(method, fun, ts, path, held):
+    """Sample held (step, rows, first sample, sample count) of :func:`march_rows` into ``path`` with one interpolant."""
+    steps, rows, first, count = zip(*held)
+    sol = RowInterpolant(method, fun, steps)
+    rows, first, count = map(np.concatenate, (rows, first, count))
+    which = np.repeat(np.arange(rows.size), count)
+    k = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count) + first[which]
+    path[k, rows[which]] = sol.at(which, ts[k])
 
 
 class CloudStepper(_RungeKutta):
@@ -733,27 +742,32 @@ class CloudStepper(_RungeKutta):
 class RowInterpolant:
     """The step interpolants of ``method`` over some rows' steps, joined in order.
 
-    ``steps`` holds a tuple (t_old, t, y_old, y, K) per step: its ends, the
-    states of its m rows there, (m, n) each, and their stages, (n_stages + 1,
-    m, n).  Called with one time per row, in its step's ``t_old .. t``, it
-    returns the states there, each from its own step: the dense output
-    :func:`march_rows` samples, bit for bit.  The coefficients of every step
-    are computed once, here (DOP853's 3 extra stages are batched calls of
-    ``fun``, the derivative of an (m, n) batch of states).
+    ``steps`` holds a tuple (t_old, t, y_old, y, K) per step of m rows: the
+    ends of each row's step, (m,) each, its states there, (m, n) each, and
+    its stages, (n_stages + 1, m, n).  Called with one time per
+    row, in its step's ``t_old .. t``, it returns the states there, each from
+    its own step; :meth:`at` takes any rows at any times.  This is the one
+    dense output of :func:`march_rows` and the cloud's return steps.  The
+    coefficients of every step are computed once, here (DOP853's 3 extra
+    stages are batched calls of ``fun``, the derivative of an (m, n) batch
+    of states).
     """
 
     def __init__(self, method, fun, steps):
         t_old, t, y_old, y, K = zip(*steps)
-        m = [len(a) for a in y]
         rows = _ROW_STEPPERS[method]
-        self.t_old, self.t, self.y_old = np.repeat(t_old, m), np.repeat(t, m), np.concatenate(y_old)
+        self.t_old, self.t, self.y_old = np.concatenate(t_old), np.concatenate(t), np.concatenate(y_old)
         self.h = self.t - self.t_old
         self._sample = rows.sample
         self._F = rows.dense(fun, np.concatenate(K, axis=1), self.h, self.y_old, np.concatenate(y))
         self._which = np.arange(len(self.t))
 
     def __call__(self, t):
-        return self._sample(self._F, self.h, self.y_old, self._which, (t - self.t_old) / self.h)
+        return self.at(self._which, t)
+
+    def at(self, which, t):
+        """The states of the rows ``which`` at the times ``t``, each on its own step."""
+        return self._sample(self._F, self.h, self.y_old, which, (t - self.t_old[which]) / self.h[which])
 
 
 def brent_root(f, a: float, b: float, *, xtol: float) -> float:

@@ -58,7 +58,8 @@ def stacked_rhs(H, n: int):
 def scipy_step_rows(solver, rows):
     """The last step of scipy's stepper on :func:`stacked_rhs`, for the orbits ``rows``, as a ``RowInterpolant`` step."""
     K = solver.K.reshape(len(solver.K), -1, 4)
-    return solver.t_old, solver.t, solver.y_old.reshape(-1, 4)[rows], solver.y.reshape(-1, 4)[rows], K[:, rows]
+    ends = [np.full(len(rows), e) for e in (solver.t_old, solver.t)]
+    return *ends, solver.y_old.reshape(-1, 4)[rows], solver.y.reshape(-1, 4)[rows], K[:, rows]
 
 
 def compose_commuting_flows(

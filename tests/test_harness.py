@@ -222,6 +222,12 @@ class TestCheckConstructors:
         assert not at_most("x", np.nextafter(1e-6, 1.0), 1e-6).passed
         assert not at_least("x", np.nextafter(5.0, 0.0), 5.0).passed
 
+    def test_stores_plain_values(self):
+        # a numpy value would print as np.float64(...) in the scenario verdicts
+        for check in (at_most("x", np.float64(0.5), 1.0), at_least("x", np.float64(0.5), 1.0)):
+            assert type(check.value) is float and type(check.passed) is bool
+            assert repr(check.value) == "0.5"
+
     def test_nan_fails_both_ways(self):
         assert not at_most("x", math.nan, 1.0).passed
         assert not at_least("x", math.nan, 1.0).passed

@@ -161,7 +161,9 @@ class TestStepper:
         assert a.nfev == b.nfev
         assert abs(a.t - b.t) <= 1e-15  # 2 ulp apart (RK45), measured
 
-    @pytest.mark.parametrize("t_end", [9.0, -9.0])
+    # forward only: a dense march (the boundary extension's) runs forward, and
+    # DenseSolution joins ascending step ends
+    @pytest.mark.parametrize("t_end", [9.0])
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_dense_solution_matches_ode_solution(self, katok_sphere, method, t_end):
         config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
@@ -306,6 +308,112 @@ class TestFloatStepper:
         while march.step():
             pass
         assert handed == {float, tuple}
+
+
+def _duffing(y):
+    """Duffing oscillators x'' = -x - x^3 in (y1, y2) on rows with y3 != 0; constant velocity on rows with y3 == 0.
+
+    Basic operations only, so a row's derivative is the same bits in any
+    company.  Under RK45 a constant-velocity row with power-of-two
+    components has error estimate exactly 0, so from y = 0 each of its steps
+    is MAX_FACTOR times the last (under DOP853 its first two steps are).
+    """
+    x, p = y[:, 1], y[:, 2]
+    out = np.empty_like(y)
+    out[:, 0] = 1.0
+    out[:, 1] = p
+    out[:, 2] = -x - x * x * x
+    out[:, 3] = 0.0
+    out[y[:, 3] == 0.0] = (1.0, 0.5, -0.25, 0.0)
+    return out
+
+
+def _growing_ends(T):
+    """The step ends of march_rows on a row from y = 0 whose error estimate is 0.
+
+    Its initial step is 100 h0 with h0 = 1e-6 (``select_initial_step`` at
+    y = 0), and every later step is MAX_FACTOR times the last.
+    """
+    d = math.copysign(1.0, T)
+    t, h_abs, ends = 0.0, 100 * 1e-6, []
+    while d * t < d * T:
+        t_new = t + h_abs * d
+        if d * (t_new - T) > 0:
+            t_new = T
+        h_abs = abs(t_new - t) * solvers.MAX_FACTOR
+        t = t_new
+        ends.append(t)
+    return ends
+
+
+class TestDeferredSampling:
+    """march_rows samples its covering steps in batches; a row's samples are its bits alone."""
+
+    @pytest.mark.parametrize("T", [10.0, -10.0], ids=["forward", "backward"])
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-7), ("DOP853", 1e-11)])
+    def test_every_orbit_is_its_run_alone(self, monkeypatch, method, tol, T):
+        # a sample grid finer than the steps, with the constant rows' step ends
+        # on it: every step of every row covers samples, and the covering steps
+        # fill a budget cut to 64 rows many times over
+        monkeypatch.setattr(solvers, "DENSE_BUDGET", 64)
+        rng = np.random.default_rng(21)
+        n = 8
+        y0 = np.zeros((n, 4))
+        y0[2:, 1:3] = rng.uniform(-1.5, 1.5, (n - 2, 2))
+        y0[2:, 3] = 1.0
+        ts = np.union1d(np.linspace(0.0, T, 1001), _growing_ends(T))
+        ts = ts if T > 0 else ts[::-1]
+        run = march_rows(method, _duffing, y0, T, ts, rtol=tol, atol=tol)
+        alone = [march_rows(method, _duffing, y0[[i]], T, ts, rtol=tol, atol=tol) for i in range(n)]
+        assert not run.failed.any()
+        assert (run.iterations, run.attempts) == (max(a.iterations for a in alone), sum(a.attempts for a in alone))
+        assert run.attempts > 5 * solvers.DENSE_BUDGET
+        for i in range(n):
+            assert run.path[:, i].tobytes() == alone[i].path[:, 0].tobytes(), i
+        # the constant rows: y = (1, 0.5, -0.25, 0) t, also at their step ends
+        assert run.path[:, 0].tobytes() == run.path[:, 1].tobytes()
+        assert np.max(np.abs(run.path[:, 0] - np.outer(ts, (1.0, 0.5, -0.25, 0.0)))) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_failed_row_keeps_every_sample_it_reached(self, method):
+        # x' = x^2 blows up at t = 1 (x0 = 1) and t = 1.25 (x0 = 0.8), where the
+        # step size underflows; x0 < 0 runs on.  Both failures, and a batch of
+        # failing rows alone, keep every sample before the blow-up
+        def fun(y):
+            return np.column_stack([y[:, 0] * y[:, 0], -y[:, 1]])
+
+        ts = np.linspace(0.0, 2.0, 801)
+        y0 = np.array([[1.0, 1.0], [-1.0, 0.5], [0.8, -1.0], [-0.5, 2.0]])
+        run = march_rows(method, fun, y0, 2.0, ts, rtol=1e-8, atol=1e-8)
+        assert run.failed.tolist() == [True, False, True, False]
+        for i, blowup in ((0, 1.0), (2, 1.25)):
+            reached = ~np.isnan(run.path[:, i, 0])
+            assert reached[ts < blowup].all() and not reached[ts > blowup].any()
+            early = ts < 0.9 * blowup
+            exact = y0[i, 0] / (1.0 - y0[i, 0] * ts[early])
+            assert np.max(np.abs(run.path[early, i, 0] / exact - 1.0)) <= 1e-6
+        assert np.isfinite(run.path[:, [1, 3]]).all()
+        failing = march_rows(method, fun, y0[[0, 2]], 2.0, ts, rtol=1e-8, atol=1e-8)
+        assert failing.failed.all()
+        assert failing.path.tobytes() == run.path[:, [0, 2]].tobytes()
+
+    def test_dense_stages_are_three_batched_calls(self, katok_torus_reversible):
+        # a 5-orbit DOP853 march: 2 calls for the initial step, 12 per
+        # iteration, and the 3 extra dense stages once, on every covering step
+        sizes = []
+
+        def counting(y):
+            sizes.append(len(y))
+            return katok_torus_reversible.vector_field(y)
+
+        y0 = sample_covectors(np.random.default_rng(5), 5, x2_range=(-0.5, 0.5))
+        ts = np.linspace(0.0, 5.0, 51)
+        run = march_rows("DOP853", counting, y0, 5.0, ts, rtol=1e-9, atol=1e-9)
+        assert len(sizes) == 2 + 12 * run.iterations + 3
+        assert max(sizes[:-3]) == 5
+        assert sizes[-3] == sizes[-2] == sizes[-1] > 5
+        want = march_rows("DOP853", katok_torus_reversible.vector_field, y0, 5.0, ts, rtol=1e-9, atol=1e-9)
+        assert run.path.tobytes() == want.path.tobytes()
 
 
 def _brent_pair(f, a, b, xtol):
