@@ -25,9 +25,12 @@ longer sets the step of the rest.  The return steps of a cloud,
 under one shared step (:class:`~finslerlab.solvers.CloudStepper`): on the
 Katok sphere the orbit nearest the pole needs more attempts alone than the
 shared step takes, and a batched field call costs the same for few orbits
-as for many.  Single orbits take ``scalar_rhs`` (libm) and batches
-``vector_field`` (numpy): an orbit stepped alone and in an ensemble agree
-to rounding, not bit for bit.
+as for many.  The near-polar orbits set that step, so it is finer than most
+orbits need: their returns beat the tolerance, and stepping each orbit to
+its own crossing would give up that accuracy.  Given the same derivative,
+the three stepper shapes take the same steps with the same bits; but single
+orbits take ``scalar_rhs`` (libm) and batches ``vector_field`` (numpy), so an
+orbit stepped alone and in an ensemble agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations

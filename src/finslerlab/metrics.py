@@ -18,9 +18,11 @@ Concrete kinds:
 
 Each kind has one batched definition of its canonical equations,
 ``vector_field(y) -> (..., 4)`` = (dH/dxi, -dH/dx): it evaluates the profile,
-the cone ratio and the cutoffs once per call.  ``grad_xi`` and ``grad_x`` are
-its slices, so no kind carries a second gradient formula; ``scalar_rhs`` is the
-pure-``math`` single-orbit route to the same equations (not numpy's bits).
+the cone ratio and the cutoffs once per call, and one state (4,) as a batch of
+one row, so a state's field is the same bits alone and in any batch.
+``grad_xi`` and ``grad_x`` are its slices, so no kind carries a second
+gradient formula; ``scalar_rhs`` is the pure-``math`` single-orbit route to
+the same equations (not numpy's bits).
 
 Everything is immutable after construction and evaluation is pure, so metric
 values can be shared freely across concurrent orbit computations.
@@ -101,9 +103,10 @@ def _check_nonzero(R) -> None:
 class DualMetric:
     """Positively 1-homogeneous Hamiltonian H(x, xi) with its canonical equations.
 
-    ``vector_field`` is the one batched definition of the equations;
-    ``grad_xi`` and ``grad_x`` are its slices.  ``scalar_rhs`` is each kind's
-    pure-math closure of the same equations, for integrator inner loops.
+    ``vector_field`` is the one batched definition of the equations, a
+    kind's ``_batch_field`` on a batch (..., 4); ``grad_xi`` and ``grad_x``
+    are its slices.  ``scalar_rhs`` is each kind's pure-math closure of the
+    same equations, for integrator inner loops.
     """
 
     kind: str = "abstract"
@@ -114,7 +117,11 @@ class DualMetric:
         raise NotImplementedError
 
     def vector_field(self, y):
-        """(dH/dxi, -dH/dx) at one state (4,) or a batch (..., 4)."""
+        """(dH/dxi, -dH/dx) at one state (4,) or a batch (..., 4); one state is a batch of one row."""
+        y = np.asarray(y, dtype=float)
+        return self._batch_field(y[None])[0] if y.ndim == 1 else self._batch_field(y)
+
+    def _batch_field(self, y):
         raise NotImplementedError
 
     def grad_x(self, y):
@@ -146,8 +153,7 @@ class RotationalDualMetric(DualMetric):
         _check_nonzero(R)
         return R / self.profile.f(y[..., 1])
 
-    def vector_field(self, y):
-        y = np.asarray(y, dtype=float)
+    def _batch_field(self, y):
         R = np.hypot(y[..., 2], y[..., 3])
         _check_nonzero(R)
         f, fp = self.profile.f_fp(y[..., 1])
@@ -184,8 +190,7 @@ class AngularDualMetric(DualMetric):
         y = np.asarray(y, dtype=float)
         return y[..., 2] + 0.0
 
-    def vector_field(self, y):
-        y = np.asarray(y, dtype=float)
+    def _batch_field(self, y):
         out = np.zeros(y.shape)
         out[..., 0] = 1.0
         out[..., 2:] = -0.0  # -dH/dx of an x-invariant metric; grad_x gets +0.0
@@ -229,8 +234,7 @@ class KatokDualMetric(DualMetric):
         psi = self.cutoffs.chi(y[..., 1]) * self.cutoffs.eta(ratio) * y[..., 2]
         return R / f + self.alpha * psi
 
-    def vector_field(self, y):
-        y = np.asarray(y, dtype=float)
+    def _batch_field(self, y):
         xi1, xi2 = y[..., 2], y[..., 3]
         R = np.hypot(xi1, xi2)
         _check_nonzero(R)
@@ -246,7 +250,7 @@ class KatokDualMetric(DualMetric):
         out[..., 1] = xi2 / fR - ae * f * xi1_2 * xi2 / R3
         out[..., 2] = -0.0
         # -dH/dx2, negated as a whole so grad_x is this closed form bit for bit;
-        # d ratio / d x2 = xi1 * f' / R; f**2 stays: at one state f is a float, squared by libm's pow
+        # d ratio / d x2 = xi1 * f' / R
         out[..., 3] = -(-R * fp / f**2 + ae * xi1_2 * fp / R)
         return out
 
@@ -310,8 +314,8 @@ class ReversibilizedDualMetric(DualMetric):
     def value(self, y):
         return self.inner.value(self._mirror(y)[0])
 
-    def vector_field(self, y):
-        if not (np.asarray(y)[..., 2] < 0.0).any():  # a sign of 1 changes no bit
+    def _batch_field(self, y):
+        if not (y[..., 2] < 0.0).any():  # a sign of 1 changes no bit
             return self.inner.vector_field(y)
         m, sign = self._mirror(y)
         out = self.inner.vector_field(m)

@@ -13,11 +13,13 @@ Two stepper families share one arithmetic: every sum runs term by term in
 stage order over the nonzero tableau entries, so no number depends on a BLAS
 kernel, and a row's stages do not depend on the other rows.  One controller
 loop, :meth:`_RungeKutta._step_impl`, steps every system under one step size.
+Every controller raises with numpy's ``power`` kernel, never libm's ``pow``.
 
 * :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
   Python floats: given the same derivative (a metric's ``scalar_rhs`` is not
-  its ``vector_field`` bit for bit), one attempt is :func:`march_rows`'
-  attempt on a one-row batch, bit for bit, without numpy's per-call overhead.
+  its ``vector_field`` bit for bit), a run takes the steps of
+  :func:`march_rows` and of :class:`CloudStepper` on a one-row batch, bit for
+  bit, without numpy's per-call overhead.
   :class:`DenseSolution` is ``OdeSolution`` over a forward run: their step
   interpolants joined, each time evaluated alone on the step scipy would pick.
 * :func:`march_rows` steps many independent systems at once with the same
@@ -150,12 +152,12 @@ class _RungeKutta:
                 if error_norm == 0:
                     factor = MAX_FACTOR
                 else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                    factor = min(MAX_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            h_abs *= max(MIN_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
             step_rejected = True
 
         self.h_previous = h
@@ -254,8 +256,8 @@ class _FloatRungeKutta(_RungeKutta):
     the new state, the error norm, the initial step and the interpolants run
     term by term in stage order over the nonzero entries of the tableau of
     :class:`RK45` or :class:`DOP853`, as :func:`march_rows` runs them on each
-    row, so an attempt is :func:`march_rows`' attempt on a one-row batch, bit
-    for bit, and no number depends on a BLAS kernel.
+    row, so a run is :func:`march_rows`' run of a one-row batch, bit for bit,
+    and no number depends on a BLAS kernel.
     """
 
     STAGES: list  # see _stage_terms
@@ -283,7 +285,7 @@ class _FloatRungeKutta(_RungeKutta):
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+            h1 = float(np.power(0.01 / max(d1, d2), 1 / (self.error_estimator_order + 1)))
         return min(100 * h0, h1, interval_length)
 
     def dense_output(self):
@@ -515,7 +517,7 @@ class _RowStepper:
             h1 = np.where(
                 (d1 <= 1e-15) & (d2 <= 1e-15),
                 np.maximum(1e-6, h0 * 1e-3),
-                (0.01 / np.maximum(d1, d2)) ** (1 / (self.method.error_estimator_order + 1)),
+                np.power(0.01 / np.maximum(d1, d2), 1 / (self.method.error_estimator_order + 1)),
             )
         return np.minimum(np.minimum(100 * h0, h1), interval_length)
 

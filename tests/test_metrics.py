@@ -335,11 +335,24 @@ def _field_states(rng, cutoffs, spliced_profile):
     return np.concatenate([np.array(special), sample_covectors(rng, 400, x2_range=(-2.5, 2.5))])
 
 
+def _pow_states():
+    """6,000 seeded states, xi1 of both signs.
+
+    Among them are states (5 to 8 per kind, about one in 1,000) where libm's
+    pow and numpy's square or cube kernel give different last bits for f**2
+    or R**3, so a state evaluated with 0-d profile values (Python floats,
+    raised by libm) would not be its batch row.
+    """
+    return sample_covectors(np.random.default_rng(11), 6000, x2_range=(-2.5, 2.5))
+
+
 class TestVectorField:
     @pytest.mark.parametrize("name", FIELD_KINDS)
     def test_batch_matches_rows_bitwise(self, request, name, rng, cutoffs, spliced_profile):
+        # one state is evaluated as a batch of one row: the same bits alone and
+        # in any company
         H = _field_metric(request, name)
-        states = _field_states(rng, cutoffs, spliced_profile)
+        states = np.concatenate([_field_states(rng, cutoffs, spliced_profile), _pow_states()])
         batch = H.vector_field(states)
         assert batch.shape == states.shape
         rows = np.array([H.vector_field(y) for y in states])
@@ -375,16 +388,20 @@ class TestVectorField:
             H.vector_field(batch)
 
     def test_reversibilized_rows_with_and_without_mirrored_company(self, katok_torus_reversible, rng, cutoffs, spliced_profile):
-        # a batch with no xi1 < 0 row skips the mirror; its rows keep their bytes
-        # beside mirrored rows, and alone
+        # a batch with no xi1 < 0 row skips the mirror and a batch of xi1 < 0
+        # rows mirrors them all; either keeps its rows' bytes beside the other
+        # rows, and alone (as one-row batches and as single states)
         H = katok_torus_reversible
-        states = _field_states(rng, cutoffs, spliced_profile)
-        forward = states[~(states[:, 2] < 0.0)]
-        assert len(forward) < len(states)
-        mixed = H.vector_field(states)[~(states[:, 2] < 0.0)]
-        assert H.vector_field(forward).tobytes() == mixed.tobytes()
-        alone = np.concatenate([H.vector_field(forward[i : i + 1]) for i in range(len(forward))])
-        assert alone.tobytes() == mixed.tobytes()
+        states = np.concatenate([_field_states(rng, cutoffs, spliced_profile), _pow_states()])
+        for mirrored in (False, True):
+            keep = (states[:, 2] < 0.0) == mirrored
+            rows = states[keep]
+            assert 0 < len(rows) < len(states)
+            mixed = H.vector_field(states)[keep]
+            assert H.vector_field(rows).tobytes() == mixed.tobytes()
+            alone = np.concatenate([H.vector_field(rows[i : i + 1]) for i in range(len(rows))])
+            assert alone.tobytes() == mixed.tobytes()
+            assert np.array([H.vector_field(y) for y in rows]).tobytes() == mixed.tobytes()
 
     @pytest.mark.parametrize("name", FIELD_KINDS)
     def test_scalar_route_matches(self, request, name, rng, cutoffs, spliced_profile):

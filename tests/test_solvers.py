@@ -6,8 +6,9 @@ here only: no library module imports it.  The port follows SciPy 1.17
 empty interval, and the C ``brentq``), the floor of the ``test`` extra.  The
 steppers sum as ``march_rows`` sums, term by term: an attempt of the float
 stepper of one orbit, or of a row of the cloud stepper in any company, is a
-``march_rows`` row attempt bit for bit; their runs match scipy's and
-``march_rows``' to stated bounds.
+``march_rows`` row attempt bit for bit, and a float orbit, a one-row
+``march_rows`` run and a one-row cloud run take the same steps bit for bit;
+their runs match scipy's to stated bounds.
 """
 
 import inspect
@@ -228,14 +229,19 @@ class TestFloatStepper:
         assert pairs == 520
 
     @pytest.mark.parametrize("T", [30.0, -30.0])
-    @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("DOP853", 1e-9), ("DOP853", 1e-7), ("RK45", 1e-8)])
+    @pytest.mark.parametrize(
+        "method, tol",
+        [("RK45", 1e-12), ("RK45", 1e-9), ("RK45", 1e-8), ("RK45", 1e-7),
+         ("DOP853", 1e-12), ("DOP853", 1e-9), ("DOP853", 1e-7)],
+    )
     def test_trajectory_follows_march_rows(self, katok_sphere, katok_torus_reversible, method, tol, T):
-        # not bit for bit: march_rows raises the error norm to its exponent with
-        # numpy's array pow, which can differ from libm's pow in the last bit;
-        # the largest gap measured on these orbits is 1.3e-13.  A torus orbit
-        # that rotates across the negatively curved splice bridge is left out:
-        # there neighbouring orbits separate fast, and a 1e-16 gap after three
-        # steps grows to 1.1e-5 by t = 30 at DOP853 1e-9
+        # bit for bit, over the whole run, for the float stepper, a one-row
+        # march_rows run and a one-row CloudStepper on the same RHS: an attempt
+        # is the same arithmetic in all three, and every controller raises the
+        # error norm with numpy's pow kernel (libm's pow differs from it in the
+        # last bit on about 5% of values).  So even the torus orbit that rotates
+        # across the negatively curved splice bridge, where neighbouring orbits
+        # separate fast, stays exact
         config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
         ts = np.linspace(0.0, T, 301)
         cases = [
@@ -243,13 +249,44 @@ class TestFloatStepper:
             (katok_sphere, [1.0, -0.4, 0.95, 0.1]),  # starts in the perturbation cone
             (katok_torus_reversible, [0.0, 0.1, -0.6, 0.8]),  # trapped, xi1 < 0
             (katok_torus_reversible, [0.0, 0.3, 0.7, -0.5]),  # trapped, xi1 > 0
+            (katok_torus_reversible, [0.0, 0.0, 0.3, 0.95]),  # rotates across the bridge
         ]
         for H, y0 in cases:
-            march = _March(H.scalar_rhs(), np.array(y0), T, config, ts)
+            rhs = H.scalar_rhs()
+            seen = {"float": [], "rows": [], "cloud": []}  # every state handed to the RHS, in order
+
+            def recorded(t, y):
+                seen["float"].append(y)
+                return rhs(t, y)
+
+            def batch(name):
+                def fun(y):
+                    seen[name].extend(map(tuple, y.tolist()))
+                    return _row_fun(rhs)(y)
+                return fun
+
+            one = ORBIT_STEPPERS[method](recorded, 0.0, y0, T, rtol=tol, atol=tol)
+            cloud = CloudStepper(method, batch("cloud"), 0.0, np.array([y0]), T, rtol=tol, atol=tol)
+            steps = 0
+            while one.status == "running":
+                assert one.step() is None and cloud.step() is None
+                assert cloud.status == one.status
+                assert _same([one.t, one.t - one.t_old], [cloud.t, cloud.t - cloud.t_old])
+                assert _same(one.y, cloud.y[0])
+                assert _same(one.K, cloud.K[:, 0])
+                steps += 1
+            assert one.nfev == cloud.nfev
+            attempts = (one.nfev - 2) // one.n_stages  # f(y0), the initial step's call, n_stages per attempt
+            assert steps > 20 and attempts >= steps
+            rows = march_rows(method, batch("rows"), np.array([y0]), T, ts, rtol=tol, atol=tol)
+            assert (rows.iterations, rows.attempts) == (attempts, attempts)
+            assert _same(seen["float"], seen["cloud"])
+            # then march_rows forms the dense output of the covering steps: DOP853's extra stages
+            assert _same(seen["float"], seen["rows"][: len(seen["float"])])
+            march = _March(rhs, np.array(y0), T, config, ts)
             while march.step():
                 pass
-            rows = march_rows(method, _row_fun(H.scalar_rhs()), np.array([y0]), T, ts, rtol=tol, atol=tol)
-            assert np.max(np.abs(march.path - rows.path[:, 0])) <= 1e-12
+            assert _same(march.path, rows.path[:, 0])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_zero_length_run(self, katok_sphere, method):
