@@ -15,9 +15,13 @@ Single orbits and their section solves in :mod:`~finslerlab.sections` step
 one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
 (:data:`ORBIT_STEPPERS`) advanced by hand with a one-shot scipy solve's
 checkpoint sampling, and with its terminal-event rule applied to the pole
-cap, a height (:func:`pole_cap`).  A section solve reads the steps as they
-come and builds the interpolant of a step that brackets a crossing only;
-the boundary extension's quotient route keeps every step's interpolant.
+cap, a height (:func:`pole_cap`).  Every stepper has one dense output,
+:class:`~finslerlab.solvers.RowInterpolant`, formed for many steps at once:
+checkpoints are sampled from held steps in flushes, as
+:func:`~finslerlab.solvers.march_rows` samples its rows.  A section solve
+reads the steps as they come and builds the interpolant of a step that
+brackets a crossing only; the boundary extension's quotient route keeps
+every step and builds one interpolant over them all.
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The return steps of a cloud,
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
-from .solvers import EPS, DenseSolution, FloatDOP853, FloatRK45, brent_root, march_rows
+from .solvers import DENSE_BUDGET, EPS, FloatDOP853, FloatRK45, RowInterpolant, _sample_held, brent_root, march_rows
 
 __all__ = [
     "IntegratorConfig",
@@ -176,38 +180,46 @@ class _March:
     The stepping loop of single orbits and their section solves.  The solver
     is ``ORBIT_STEPPERS[config.method]`` (a state of 4 floats, see
     :mod:`~finslerlab.solvers`) with the configured ``rtol`` and ``atol``.
-    Each step is handled the way a one-shot scipy solve handles it:
+    Its steps have one dense output, :meth:`interpolant`: the
+    :class:`~finslerlab.solvers.RowInterpolant` of :func:`march_rows`, whose
+    derivative is ``fun`` called row by row, so a float orbit's samples are a
+    one-row :func:`march_rows` run's, bit for bit.  Each step is handled the
+    way a one-shot scipy solve handles it:
 
     * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
-      are taken from its dense output in one call (as ``t_eval`` is, by
-      ``searchsorted(d * ts, d * t, side="right")`` with ``d`` the direction of
-      integration) into ``path[:n]``;
+      (as ``t_eval`` is, by ``searchsorted(d * ts, d * t, side="right")`` with
+      ``d`` the direction of integration) are taken from its interpolant into
+      ``path``; as in :func:`march_rows` the covering steps are held and
+      sampled together, in flushes, at the cap and at the end of the run;
     * the pole cap, a height ``cap`` (see :func:`pole_cap`), ends the run
       where ``cap - |x2|`` first falls to 0 (scipy's rule for a terminal event
       of direction -1), at the root of that step, and sets ``capped`` to the
       (time, state) there;
-    * with ``dense=True`` (a forward run) the step interpolants are kept for
+    * with ``dense=True`` (a forward run) every step is kept for
       :meth:`solution` (the boundary extension's quotient route).
 
     Callers step it to ``t_end``, or stop once they have what they need; the
-    solver's ``t`` and ``y`` are where the march stands.  A step size that
-    underflows raises StepFailure with the solver's message.
+    solver's ``t`` and ``y`` are where the march stands and ``last`` is its
+    last step.  A step size that underflows raises StepFailure with the
+    solver's message.
     """
 
     def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
         self.solver = ORBIT_STEPPERS[config.method](
             fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol
         )
+        self._method = config.method
+        self._fun = lambda y: np.array([fun(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
         self.ts = np.asarray(ts, dtype=float)
         self._dts = (self.solver.direction * self.ts).tolist()
         self.path = np.empty((len(self.ts), len(y0)))
         self.n = 0
         self.capped = None
+        self.last = None
         self._cap = cap
         self._g = None if cap is None else cap - abs(y0[1])
-        self._dense = dense
-        self._t = [0.0]
-        self._interpolants = []
+        self._held = []  # (step, first sample, sample count) of covering steps not sampled yet
+        self._steps = [] if dense else None
 
     def step(self) -> bool:
         """Take one step; False once the run has reached ``t_end`` or the cap."""
@@ -217,31 +229,53 @@ class _March:
         message = solver.step()
         if solver.status == "failed":
             raise StepFailure(message)
+        if solver.t == solver.t_old:  # a run of length 0 samples its start, as march_rows does
+            self.path[:] = solver.y
+            return True
         t = solver.t
-        sol = solver.dense_output() if self._dense else None
+        self.last = step = (solver.t_old, t, solver.y_old, solver.y, solver.K)
         cap = self._cap
         if cap is not None:
             g = cap - abs(solver.y[1])
             if self._g >= 0.0 and g <= 0.0:
-                if sol is None:
-                    sol = solver.dense_output()
-                t = brent_root(lambda s: cap - abs(sol(s)[1]), solver.t_old, t, xtol=4 * EPS)
-                self.capped = (t, np.asarray(sol(t), dtype=float))
+                sol = self.interpolant([step])
+                t = brent_root(lambda s: cap - abs(sol(s)[0, 1]), solver.t_old, t, xtol=4 * EPS)
+                self.capped = (t, sol(t)[0])
             self._g = g
         hi = bisect_right(self._dts, solver.direction * t)
         if hi > self.n:
-            if sol is None:
-                sol = solver.dense_output()
-            self.path[self.n : hi] = sol(self.ts[self.n : hi]).T
+            self._held.append((step, self.n, hi - self.n))
             self.n = hi
-        if self._dense:
-            self._t.append(t)
-            self._interpolants.append(sol)
+        if self._steps is not None:
+            self._steps.append(step)
+        # a held step, Python floats in tuples and lists, takes 4.3-4.6 times the
+        # bytes of a march_rows held row: an eighth of its budget holds fewer
+        if self._held and (len(self._held) >= DENSE_BUDGET // 8 or self.capped or solver.status != "running"):
+            steps, first, count = zip(*self._held)
+            held = (self._rows(steps), np.zeros(len(steps), dtype=int), np.array(first), np.array(count))
+            _sample_held(self._method, self._fun, self.ts, self.path[:, None], [held])
+            self._held = []
         return True
 
-    def solution(self) -> DenseSolution:
-        """Dense solution over the steps taken so far."""
-        return DenseSolution(self._t, self._interpolants)
+    @staticmethod
+    def _rows(steps):
+        """Float steps (t_old, t, y_old, y, K) as one step of many rows: the arrays a RowInterpolant takes."""
+        t_old, t, y_old, y, K = zip(*steps)
+        return np.array(t_old), np.array(t), np.array(y_old), np.array(y), np.array(K).transpose(1, 0, 2)
+
+    def interpolant(self, steps) -> RowInterpolant:
+        """The dense output of some float steps of this march, one row each."""
+        return RowInterpolant(self._method, self._fun, [self._rows(steps)])
+
+    def solution(self):
+        """The states at times ``t`` (m,), (m, 4), over the steps taken so far (scipy's ``OdeSolution``).
+
+        A time takes the first step that ends at or after it, clipped to the
+        run: a time on a step end takes the step that ends there.
+        """
+        sol = self.interpolant(self._steps)
+        last = len(sol.t) - 1
+        return lambda t: sol.at(np.minimum(np.searchsorted(sol.t, t), last), np.asarray(t, dtype=float))
 
 
 def integrate_orbit(

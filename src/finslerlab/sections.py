@@ -20,7 +20,8 @@ Every (s, u) comes from :meth:`AnnulusChart.points_of_states`.
 
 Crossings are located by one rule: after the first step (the start lies on
 the section), a step whose ends straddle a section level upward is refined on
-that step's own interpolant, and the crossing is then filtered for
+that step's own interpolant (:class:`~finslerlab.solvers.RowInterpolant`,
+the one dense output of every stepper), and the crossing is then filtered for
 transversality.  The crossings of one orbit come from one loop,
 :func:`_orbit_returns`, which marches to n ``max_return_time`` for n returns:
 :func:`detect_crossing` (behind :func:`first_return`, the return grid and the
@@ -298,11 +299,6 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
-def _orbit_march(H, y0, t_end, config, ts) -> _March:
-    """A dense march of one orbit, with the sphere chart's pole cap."""
-    return _March(H.scalar_rhs(), y0, t_end, config, ts, cap=pole_cap(H, config), dense=True)
-
-
 def _orbit_returns(H: DualMetric, y0, spec: SectionSpec, config: IntegratorConfig, chart: AnnulusChart, n: int):
     """The first n transverse upward crossings of one orbit, marched to n ``max_return_time``.
 
@@ -333,9 +329,9 @@ def _orbit_returns(H: DualMetric, y0, spec: SectionSpec, config: IntegratorConfi
         up, level = _upward_brackets(np.array([g_old, g]), chart.periodic_levels)
         if not up[0]:
             continue
-        sol = solver.dense_output()
-        t = float(_refine_roots(lambda t: chart.coordinate(sol(t).T) - level, [solver.t_old], [t_end])[0])
-        state = np.array(sol(t))
+        sol = march.interpolant([march.last])
+        t = float(_refine_roots(lambda t: chart.coordinate(sol(t)) - level, [solver.t_old], [t_end])[0])
+        state = sol(t)[0]
         speed = float(chart.transverse_velocity(state))
         if speed < spec.transversality_tol:  # only speeds known to be below the tolerance are skipped (NaN is kept)
             skipped += not times
@@ -694,13 +690,14 @@ def return_time_boundary_extension(
     def transverse(tau: float, u: float) -> float:
         u = float(u)
         if u not in sols:
-            march = _orbit_march(H, chart.point_to_state(_BOUNDARY_S0, u), t_hi, config, ())
+            y0 = chart.point_to_state(_BOUNDARY_S0, u)
+            march = _March(H.scalar_rhs(), y0, t_hi, config, cap=pole_cap(H, config), dense=True)
             while march.step():
                 pass
             if march.capped:
                 raise NoCrossing("orbit left the chart strip during boundary extension")
             sols[u] = march.solution()
-        return float(chart.coordinate(sols[u](tau)))
+        return float(chart.coordinate(sols[u]([tau])[0]))
 
     quotient = smooth_divide(
         transverse,

@@ -19,16 +19,16 @@ Every controller raises with numpy's ``power`` kernel, never libm's ``pow``.
   Python floats: given the same derivative (a metric's ``scalar_rhs`` is not
   its ``vector_field`` bit for bit), a run takes the steps of
   :func:`march_rows` and of :class:`CloudStepper` on a one-row batch, bit for
-  bit, without numpy's per-call overhead.
-  :class:`DenseSolution` is ``OdeSolution`` over a forward run: their step
-  interpolants joined, each time evaluated alone on the step scipy would pick.
+  bit, without numpy's per-call overhead.  They have no dense output of
+  their own: their steps are sampled by :class:`RowInterpolant`.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
   Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
   :class:`CloudStepper` takes the same row attempt under one shared step,
-  with one error norm over all rows.  :class:`RowInterpolant` is the dense
-  output of both, formed for many steps at once (Sec. II.6).
+  with one error norm over all rows.  :class:`RowInterpolant` is the one
+  dense output of every stepper, formed for many steps at once (Sec. II.6):
+  a step's interpolant depends on that step alone.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from . import dop853_coefficients as _dop853
 
 __all__ = [
-    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "DenseSolution", "RowRun", "march_rows", "CloudStepper",
+    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "RowRun", "march_rows", "CloudStepper",
     "RowInterpolant", "brent_root",
 ]
 
@@ -107,7 +106,6 @@ class _RungeKutta:
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.error_exponent = -1 / (self.error_estimator_order + 1)
-        self.h_previous = None
 
     def fun(self, t, y):
         self.nfev += 1
@@ -160,7 +158,6 @@ class _RungeKutta:
             h_abs *= max(MIN_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
             step_rejected = True
 
-        self.h_previous = h
         self.y_old = y
         self.t = t_new
         self.y = y_new
@@ -253,11 +250,12 @@ class _FloatRungeKutta(_RungeKutta):
     """One orbit of 4 components, stepped in Python floats with the arithmetic of :func:`march_rows`.
 
     The state is a tuple of 4 floats and ``fun(t, y)`` gets one.  Stage sums,
-    the new state, the error norm, the initial step and the interpolants run
-    term by term in stage order over the nonzero entries of the tableau of
-    :class:`RK45` or :class:`DOP853`, as :func:`march_rows` runs them on each
-    row, so a run is :func:`march_rows`' run of a one-row batch, bit for bit,
-    and no number depends on a BLAS kernel.
+    the new state, the error norm and the initial step run term by term in
+    stage order over the nonzero entries of the tableau of :class:`RK45` or
+    :class:`DOP853`, as :func:`march_rows` runs them on each row, so a run is
+    :func:`march_rows`' run of a one-row batch, bit for bit, and no number
+    depends on a BLAS kernel.  After each step ``K`` holds its stages, the
+    last the derivative at its end.
     """
 
     STAGES: list  # see _stage_terms
@@ -287,12 +285,6 @@ class _FloatRungeKutta(_RungeKutta):
         else:
             h1 = float(np.power(0.01 / max(d1, d2), 1 / (self.error_estimator_order + 1)))
         return min(100 * h0, h1, interval_length)
-
-    def dense_output(self):
-        """Interpolant over the last step (constant over a step of length 0)."""
-        if self.t == self.t_old:
-            return _ConstantDense(self.y)
-        return self._dense_output_impl()
 
     def _attempt(self, t, y, f, h):
         y0, y1, y2, y3 = y
@@ -331,14 +323,9 @@ class FloatRK45(_FloatRungeKutta):
     STAGES = _stage_terms(RK45)
     B = _terms(RK45.B)
     E = _terms(RK45.E)
-    P = [_terms(q) for q in RK45.P.T]
 
     def _error_norm(self, K, h, scale):
         return _rms4([e * h / s for e, s in zip(_combine(self.E, K), scale)])
-
-    def _dense_output_impl(self):
-        Q = [_combine(q, self.K) for q in self.P]
-        return _FloatRkDense(self.t_old, self.h_previous, list(zip(*Q, self.y_old)))
 
 
 class FloatDOP853(_FloatRungeKutta):
@@ -350,11 +337,6 @@ class FloatDOP853(_FloatRungeKutta):
     B = _terms(DOP853.B)
     E5 = _terms(DOP853.E5)
     E3 = _terms(DOP853.E3)
-    EXTRA = [
-        (float(c), _terms(a[:s]))
-        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1)
-    ]
-    D = [_terms(d) for d in DOP853.D]
 
     def _error_norm(self, K, h, scale):
         err5 = _square_sum4([e / s for e, s in zip(_combine(self.E5, K), scale)])
@@ -362,87 +344,6 @@ class FloatDOP853(_FloatRungeKutta):
         if err5 == 0 and err3 == 0:
             return 0.0
         return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 4)
-
-    def _dense_output_impl(self):
-        K = list(self.K)
-        h, t_old = self.h_previous, self.t_old
-        u0, u1, u2, u3 = self.y_old
-        for c, terms in self.EXTRA:
-            d0, d1, d2, d3 = _combine(terms, K)
-            K.append(self._rhs(t_old + c * h, (u0 + d0 * h, u1 + d1 * h, u2 + d2 * h, u3 + d3 * h)))
-        self.nfev += len(self.EXTRA)
-        rows = []  # per component: F[6], ..., F[0] (the order of evaluation) and y_old
-        high = [_combine(d, K) for d in reversed(self.D)]
-        for u, v, k0, k12, *d in zip(self.y_old, self.y, K[0], K[self.n_stages], *high):
-            dy = v - u
-            rows.append((*[h * e for e in d], 2 * dy - h * (k12 + k0), h * k0 - dy, dy, u))
-        return _FloatDop853Dense(t_old, h, rows)
-
-
-class _FloatDense:
-    """Step interpolant of a float stepper: a tuple at one time, (4, m) at m times.
-
-    The times of an array are taken one by one, each as at one time.
-    """
-
-    def __init__(self, t_old, h, rows):
-        self.t_old, self.h, self.rows = t_old, h, rows
-
-    def __call__(self, t):
-        t_old, h = self.t_old, self.h
-        if np.ndim(t):
-            rows = [self._at((s - t_old) / h) for s in np.asarray(t, dtype=float).tolist()]
-            return np.array(rows).reshape(-1, 4).T
-        return self._at((float(t) - t_old) / h)
-
-
-class _FloatRkDense(_FloatDense):
-    def _at(self, x):
-        """``_RowsRK45.sample`` at one fraction ``x`` of the step."""
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        h = self.h
-        return tuple(h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4) + u for q1, q2, q3, q4, u in self.rows)
-
-
-class _FloatDop853Dense(_FloatDense):
-    def _at(self, x):
-        """``_RowsDOP853.sample`` at one fraction ``x`` of the step (which starts from zeros)."""
-        a = 1 - x
-        return tuple(
-            (((((((0.0 + f6) * x + f5) * a + f4) * x + f3) * a + f2) * x + f1) * a + f0) * x + u
-            for f6, f5, f4, f3, f2, f1, f0, u in self.rows
-        )
-
-
-class _ConstantDense:
-    """The state of a step of length 0, at any time."""
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=float)
-
-    def __call__(self, t):
-        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T
-
-
-class DenseSolution:
-    """Step interpolants joined over a forward run's step ends ``ts`` (scipy's ``OdeSolution``), one time at a time.
-
-    A time on a step end takes the step that ends there (the lower-index
-    step, as ``OdeSolution`` with ``alt_segment=False``), a time outside the
-    run the nearest end step.  An array of m times gives an (n, m) array,
-    each time evaluated alone on its step.
-    """
-
-    def __init__(self, ts, interpolants):
-        self.interpolants = interpolants
-        self.ends = list(ts)
-
-    def __call__(self, t):
-        if np.ndim(t):
-            return np.array([self(s) for s in np.asarray(t, dtype=float).tolist()]).T
-        return self.interpolants[min(max(bisect_left(self.ends, t) - 1, 0), len(self.interpolants) - 1)](t)
 
 
 def _stage_sum(coefficients, K):
@@ -749,7 +650,8 @@ class RowInterpolant:
     its stages, (n_stages + 1, m, n).  Called with one time per
     row, in its step's ``t_old .. t``, it returns the states there, each from
     its own step; :meth:`at` takes any rows at any times.  This is the one
-    dense output of :func:`march_rows` and the cloud's return steps.  The
+    dense output of the lab: of :func:`march_rows`, the cloud's return steps
+    and the float steppers' single orbits (``flow._March``).  The
     coefficients of every step are computed once, here (DOP853's 3 extra
     stages are batched calls of ``fun``, the derivative of an (m, n) batch
     of states).

@@ -18,9 +18,12 @@ from finslerlab.errors import (
     StepFailure,
     ZeroCovector,
 )
+from finslerlab import flow
 from finslerlab.flow import (
+    ORBIT_STEPPERS,
     TWO_PI,
     IntegratorConfig,
+    _March,
     check_periodicity,
     circle_difference,
     integrate_ensemble,
@@ -408,6 +411,75 @@ class TestFlowAgainstFullSolve:
             )
             assert sol.status == 0
             assert np.max(np.abs(ens.states[:, i] - sol.y.T)) <= 1e-11
+
+
+def _rows_of(rhs):
+    """The float RHS ``rhs(t, y)`` as march_rows' derivative of an (m, 4) batch, row by row."""
+    return lambda y: np.array([rhs(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
+
+
+def _counting_flushes(monkeypatch):
+    """Record the number of steps in each flush of _March's held steps."""
+    flushes = []
+    sample_held = flow._sample_held
+
+    def counting(method, fun, ts, path, held):
+        flushes.append(sum(len(first) for _, _, first, _ in held))
+        sample_held(method, fun, ts, path, held)
+
+    monkeypatch.setattr(flow, "_sample_held", counting)
+    return flushes
+
+
+class TestHeldSampling:
+    """A single orbit holds its covering steps and samples them in flushes, as march_rows samples its rows."""
+
+    @pytest.mark.parametrize("T", [40.0, -40.0], ids=["forward", "backward"])
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-11)])
+    def test_flushes_are_a_one_row_march_rows_run(self, katok_torus_reversible, monkeypatch, method, tol, T):
+        # a sample grid finer than the steps, with every step end on it: each
+        # of the 706-996 steps covers samples, so the held steps fill the
+        # flush budget several times over
+        rhs = katok_torus_reversible.scalar_rhs()
+        y0 = np.array([0.0, 0.0, 0.1, 0.99])  # climbs the lift, to |x2| = 60 at |t| = 40
+        solver = ORBIT_STEPPERS[method](rhs, 0.0, y0, T, rtol=tol, atol=tol)
+        ends = []
+        while solver.status == "running":
+            solver.step()
+            ends.append(solver.t)
+        ts = np.union1d(np.linspace(0.0, T, 401), ends)
+        ts = ts if T > 0 else ts[::-1]
+        flushes = _counting_flushes(monkeypatch)
+        march = _March(rhs, y0, T, IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol), ts)
+        while march.step():
+            pass
+        assert len(flushes) >= 4 and sum(flushes) == len(ends)
+        rows = march_rows(method, _rows_of(rhs), y0[None], T, ts, rtol=tol, atol=tol)
+        assert march.path.tobytes() == rows.path[:, 0].tobytes()
+
+    @pytest.mark.parametrize("T", [40.0, -40.0], ids=["forward", "backward"])
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-11)])
+    def test_cap_keeps_every_sample_before_it(self, katok_torus_reversible, monkeypatch, method, tol, T):
+        # a cap at three quarters of the orbit's height in the lift: the capped
+        # march flushes before the cap and at it, and keeps the bits of the free one
+        rhs = katok_torus_reversible.scalar_rhs()
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        y0 = np.array([0.0, 0.0, 0.1, 0.99])
+        ts = np.linspace(0.0, T, 4001)
+        free = _March(rhs, y0, T, config, ts)
+        while free.step():
+            pass
+        cap = 0.75 * float(np.max(np.abs(free.path[:, 1])))
+        flushes = _counting_flushes(monkeypatch)
+        capped = _March(rhs, y0, T, config, ts, cap=cap)
+        while capped.step():
+            pass
+        assert capped.capped is not None and len(flushes) >= 3
+        t_cap, state = capped.capped
+        n = capped.n
+        assert abs(ts[n - 1]) <= abs(t_cap) < abs(ts[n])
+        assert capped.path[:n].tobytes() == free.path[:n].tobytes()
+        assert abs(abs(state[1]) - cap) <= 1e-12
 
 
 def _is_scipy(name) -> bool:

@@ -18,14 +18,15 @@ from finslerlab.errors import (
 from finslerlab.flow import (
     TWO_PI,
     IntegratorConfig,
+    _March,
     integrate_orbit,
     phase_space_distance,
+    pole_cap,
 )
 from finslerlab.metrics import ALPHA_GOLDEN
 from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
-    _orbit_march,
     _refine_roots,
     _upward_brackets,
     build_return_map_grid,
@@ -36,7 +37,7 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
-from finslerlab.solvers import FloatDOP853, RowInterpolant
+from finslerlab.solvers import RowInterpolant
 from flow_oracles import compose_commuting_flows, scipy_step_rows, stacked_rhs
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
@@ -155,11 +156,12 @@ class TestDetectCrossing:
         # crosses the equator at t = 0.050, inside the step [0.019, 0.202] that meets the cap |x2| = 0.03
         y0 = np.array([0.0, -0.01, 0.98, float(np.sqrt(h0_sphere.profile.f(-0.01) ** 2 - 0.98**2))])
         capped = tight_config.with_(x2_cap=0.03)
-        march = _orbit_march(h0_sphere, y0, SPHERE_SPEC.max_return_time, capped, ())
+        march = _March(h0_sphere.scalar_rhs(), y0, SPHERE_SPEC.max_return_time, capped, cap=pole_cap(h0_sphere, capped))
         while march.step():
             pass
         event = detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped)
-        assert march._t[-2] < event.time < march.capped[0]
+        t_old, t, *_ = march.last  # the capping step
+        assert t_old < event.time < march.capped[0] < t
         free = detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config)
         assert event.state.tobytes() == free.state.tobytes()
 
@@ -195,13 +197,19 @@ class TestFirstReturn:
 
     def test_only_the_bracketing_step_builds_its_interpolant(self, h0_sphere, tight_config, monkeypatch):
         # the return is refined on the interpolant of the one step that brackets it
-        # (a march that sampled every step's dense output built 52 here)
-        steps = []
-        dense_output = FloatDOP853.dense_output
-        monkeypatch.setattr(FloatDOP853, "dense_output", lambda self: steps.append(self.t) or dense_output(self))
+        # (a march that sampled every step's dense output built 52 here); each
+        # interpolant built is recorded by the ends of its steps
+        built = []
+        init = RowInterpolant.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            built.append(self.t.tolist())
+
+        monkeypatch.setattr(RowInterpolant, "__init__", recording)
         sample = first_return(h0_sphere, SPHERE_SPEC, (1.0, 0.8), tight_config)
         assert sample.tau == pytest.approx(TWO_PI, abs=1e-9)
-        assert len(steps) == 1 and steps[0] > sample.tau
+        assert len(built) == 1 and len(built[0]) == 1 and built[0][0] > sample.tau
 
     def test_cone_point_shift_matches_composed_flow(
         self, sphere_profile, cutoffs, katok_sphere, tight_config
@@ -401,7 +409,7 @@ class TestIterateSectionMap:
         tight_budget = replace(meridian, max_return_time=(t5 + 1e-6) / 5)
         orbit = iterate_section_map(h0_torus, tight_budget, (0.3, 0.3), 5, tight_config)
         y0 = AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)
-        march = _orbit_march(h0_torus, y0, 5 * tight_budget.max_return_time, tight_config, ())
+        march = _March(h0_torus.scalar_rhs(), y0, 5 * tight_budget.max_return_time, tight_config)
         while march.step():
             pass
         assert march.solver.t_old < orbit.times[5] <= march.solver.t

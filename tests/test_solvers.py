@@ -30,7 +30,7 @@ from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, _March, integrate_
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
-    DOP853, EPS, MAXITER, RK45, RTOL, CloudStepper, DenseSolution, FloatDOP853, RowInterpolant, TOO_SMALL_STEP,
+    DOP853, EPS, MAXITER, RK45, RTOL, CloudStepper, FloatDOP853, RowInterpolant, TOO_SMALL_STEP,
     brent_root, march_rows,
 )
 from flow_oracles import scipy_step_rows, stacked_rhs
@@ -163,7 +163,7 @@ class TestStepper:
         assert abs(a.t - b.t) <= 1e-15  # 2 ulp apart (RK45), measured
 
     # forward only: a dense march (the boundary extension's) runs forward, and
-    # DenseSolution joins ascending step ends
+    # its solution looks times up among ascending step ends
     @pytest.mark.parametrize("t_end", [9.0])
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_dense_solution_matches_ode_solution(self, katok_sphere, method, t_end):
@@ -173,19 +173,24 @@ class TestStepper:
         while march.step():
             pass
         ours = march.solution()
-        assert isinstance(ours, DenseSolution)
-        theirs = OdeSolution(march._t, march._interpolants)
-        ends = np.asarray(march._t)
+        # scipy's OdeSolution rule over the interpolants of the steps one by one,
+        # each evaluated as an (n, m) array of its own times
+        def alone(step):
+            sol = march.interpolant([step])
+            return lambda t: sol.at(np.zeros(np.size(t), dtype=int), np.atleast_1d(t)).T.reshape(4, *np.shape(t))
+
+        ends = [0.0] + [step[1] for step in march._steps]
+        theirs = OdeSolution(ends, [alone(step) for step in march._steps])
         # step ends, points inside steps (unsorted), and times outside the run
         ts = np.concatenate([ends, t_end * np.random.default_rng(0).uniform(0.0, 1.0, 50), [-0.5 * t_end, 1.5 * t_end]])
-        assert _same(ours(ts), theirs(ts))
+        assert _same(ours(ts), theirs(ts).T)
         for t in ts[::7]:
-            assert _same(ours(t), theirs(t))
+            assert _same(ours([t])[0], theirs(t))
         # the float stepper sums in stage order, not with np.dot: within the run
         # the two solutions differ by at most 2.2e-13 (measured); far outside it
         # the last step's polynomial amplifies that rounding, so those are skipped
         sol = solve_ivp(katok_sphere.scalar_rhs(), (0.0, t_end), y0, method=method, rtol=1e-8, atol=1e-8, dense_output=True)
-        assert np.max(np.abs(ours(ts[:-2]) - sol.sol(ts[:-2]))) <= 1e-12
+        assert np.max(np.abs(ours(ts[:-2]) - sol.sol(ts[:-2]).T)) <= 1e-12
 
 
 def _row_fun(rhs):
@@ -199,7 +204,7 @@ class TestFloatStepper:
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_attempt_is_march_rows_attempt(self, katok_sphere, katok_torus_reversible, method):
         # 2 metrics x 2 directions x 130 random (state, h) pairs: the stages, the
-        # new state, the error norm and the dense samples agree bit for bit
+        # new state and the error norm agree bit for bit
         rng = np.random.default_rng(11)
         rows_class = solvers._ROW_STEPPERS[method]
         pairs = 0
@@ -211,20 +216,13 @@ class TestFloatStepper:
                     h = sign * rng.uniform(1e-3, 0.4)
                     tol = 10.0 ** rng.uniform(-12.0, -7.0)
                     ours = ORBIT_STEPPERS[method](rhs, 0.0, y0, 100.0 * sign, rtol=tol, atol=tol)
-                    y_new, f_new, error_norm = ours._attempt(0.0, ours.y, ours.f, h)
+                    y_new, _, error_norm = ours._attempt(0.0, ours.y, ours.f, h)
                     rows = rows_class(fun, tol, tol)
                     y, hs = np.array([ours.y]), np.array([h])
                     row_new, K = rows.attempt(y, fun(y), hs)
                     assert _same(y_new, row_new[0])
                     assert _same(ours.K, K[: len(ours.K), 0])
                     assert _same(error_norm, rows.norm(rows.error_sums(y, row_new, K, hs), hs, 4)[0])
-                    # the interpolant of this attempt, taken as the step
-                    ours.t_old, ours.t, ours.y_old, ours.y, ours.f, ours.h_previous = 0.0, h, ours.y, y_new, f_new, h
-                    sol = ours.dense_output()
-                    ts = h * rng.uniform(0.0, 1.0, 5)
-                    want = rows.sample(rows.dense(fun, K, hs, y, row_new), hs, y, np.zeros(5, dtype=int), ts / h)
-                    assert _same(sol(ts), want.T)
-                    assert _same(sol(float(ts[2])), want[2])
                     pairs += 1
         assert pairs == 520
 
@@ -294,9 +292,13 @@ class TestFloatStepper:
         ours = ORBIT_STEPPERS[method](katok_sphere.scalar_rhs(), 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
         assert ours.step() is None
         assert (ours.status, ours.nfev, ours.t, ours.t_old, ours.y) == ("finished", 1, 0.0, 0.0, y0)
-        sol = ours.dense_output()
-        assert _same(sol(0.0), y0)
-        assert _same(sol(np.zeros(3)), np.transpose([y0] * 3))
+        # a march of length 0 samples its start, as march_rows' run of length 0 does
+        config = IntegratorConfig(method=method, rel_tol=1e-9, abs_tol=1e-9)
+        march = _March(katok_sphere.scalar_rhs(), np.array(y0), 0.0, config, np.zeros(3))
+        assert march.step() and not march.step()
+        assert _same(march.path, [y0] * 3)
+        rows = march_rows(method, katok_sphere.vector_field, np.array([y0]), 0.0, np.zeros(3), rtol=1e-9, atol=1e-9)
+        assert _same(march.path, rows.path[:, 0])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_underflow(self, method):
