@@ -13,9 +13,9 @@ output.
 
 Single orbits and their section solves in :mod:`~finslerlab.sections` step
 one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
-(:data:`ORBIT_STEPPERS`) advanced by hand with a one-shot scipy solve's
-checkpoint sampling, and with its terminal-event rule applied to the pole
-cap, a height (:func:`pole_cap`).  Every stepper has one dense output,
+(:data:`~finslerlab.solvers.ORBIT_STEPPERS`) advanced by hand with a
+one-shot scipy solve's checkpoint sampling, and with its terminal-event rule
+applied to the pole cap, a height (:func:`pole_cap`).  Every stepper has one dense output,
 :class:`~finslerlab.solvers.RowInterpolant`, formed for many steps at once:
 checkpoints are sampled from held steps in flushes, as
 :func:`~finslerlab.solvers.march_rows` samples its rows.  A section solve
@@ -25,16 +25,14 @@ every step and builds one interpolant over them all.
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The return steps of a cloud,
-:func:`~finslerlab.sections.ensemble_return_step`, take the same row attempt
-under one shared step (:class:`~finslerlab.solvers.CloudStepper`): on the
-Katok sphere the orbit nearest the pole needs more attempts alone than the
-shared step takes, and a batched field call costs the same for few orbits
-as for many.  The near-polar orbits set that step, so it is finer than most
-orbits need: their returns beat the tolerance, and stepping each orbit to
-its own crossing would give up that accuracy.  Given the same derivative,
-the three stepper shapes take the same steps with the same bits; but single
-orbits take ``scalar_rhs`` (libm) and batches ``vector_field`` (numpy), so an
-orbit stepped alone and in an ensemble agree to rounding, not bit for bit.
+:func:`~finslerlab.sections.ensemble_return_step`, step the same way and stop
+each orbit at the step that brackets its crossing; the cloud's last
+``TAIL_ROWS`` orbits (the slow ones near the pole) finish on the float
+stepper, where a step costs a few microseconds, not a batched call.  Given
+the same derivative, the two stepper shapes take the same steps with the
+same bits; but single orbits take ``scalar_rhs`` (libm) and batches
+``vector_field`` (numpy), so an orbit stepped alone and in an ensemble agree
+to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +45,9 @@ import numpy as np
 
 from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
-from .solvers import DENSE_BUDGET, EPS, FloatDOP853, FloatRK45, RowInterpolant, _sample_held, brent_root, march_rows
+from .solvers import (
+    DENSE_BUDGET, EPS, ORBIT_STEPPERS, RowInterpolant, _float_rows, _sample_held, brent_root, march_rows,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -65,9 +65,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# the steppers of one orbit; batched solves take the method by name
-ORBIT_STEPPERS = {"RK45": FloatRK45, "DOP853": FloatDOP853}
 
 
 @dataclass(frozen=True)
@@ -252,20 +249,14 @@ class _March:
         # bytes of a march_rows held row: an eighth of its budget holds fewer
         if self._held and (len(self._held) >= DENSE_BUDGET // 8 or self.capped or solver.status != "running"):
             steps, first, count = zip(*self._held)
-            held = (self._rows(steps), np.zeros(len(steps), dtype=int), np.array(first), np.array(count))
+            held = (_float_rows(steps), np.zeros(len(steps), dtype=int), np.array(first), np.array(count))
             _sample_held(self._method, self._fun, self.ts, self.path[:, None], [held])
             self._held = []
         return True
 
-    @staticmethod
-    def _rows(steps):
-        """Float steps (t_old, t, y_old, y, K) as one step of many rows: the arrays a RowInterpolant takes."""
-        t_old, t, y_old, y, K = zip(*steps)
-        return np.array(t_old), np.array(t), np.array(y_old), np.array(y), np.array(K).transpose(1, 0, 2)
-
     def interpolant(self, steps) -> RowInterpolant:
         """The dense output of some float steps of this march, one row each."""
-        return RowInterpolant(self._method, self._fun, [self._rows(steps)])
+        return RowInterpolant(self._method, self._fun, [_float_rows(steps)])
 
     def solution(self):
         """The states at times ``t`` (m,), (m, 4), over the steps taken so far (scipy's ``OdeSolution``).

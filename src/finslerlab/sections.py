@@ -27,7 +27,8 @@ transversality.  The crossings of one orbit come from one loop,
 :func:`detect_crossing` (behind :func:`first_return`, the return grid and the
 boundary extension) is its n = 1 case and :func:`iterate_section_map` its n
 case, so a first return is the map's first iterate bit for bit.  The cloud's
-:func:`ensemble_return_step` applies the rule to the ends of its shared steps.
+:func:`ensemble_return_step` applies the rule to each orbit's own steps, as
+the stop rule of :func:`~finslerlab.solvers.march_rows`.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from .errors import (
     NoCrossing,
     NonTransverse,
     NotVanishing,
-    StepFailure,
     require_positive,
 )
 from .flow import DEFAULT_CONFIG, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap
 from .metrics import DualMetric
-from .solvers import CloudStepper, RowInterpolant, brent_root
+from .solvers import RowInterpolant, brent_root, march_rows
 
 __all__ = [
     "SectionSpec",
@@ -128,6 +128,8 @@ class AnnulusChart:
         self.H = H
         self.spec = spec
         self._rhs = H.scalar_rhs()
+        # the state component whose upward crossings of the level `_star` are events
+        self._axis, self._star = (1, spec.x2_star) if spec.kind == "equator_birkhoff" else (0, spec.x1_star)
         self.profile = metric_profile(H)
         if self.profile is None:
             raise ValueError("metric does not expose a rotational profile")
@@ -149,14 +151,10 @@ class AnnulusChart:
 
     def coordinate(self, states) -> np.ndarray:
         """Signed transverse coordinate whose upward zero-crossings are events."""
-        states = np.asarray(states, dtype=float)
-        if self.spec.kind == "equator_birkhoff":
-            return states[..., 1] - self.spec.x2_star
-        return states[..., 0] - self.spec.x1_star
+        return np.asarray(states, dtype=float)[..., self._axis] - self._star
 
     def transverse_velocity(self, states) -> np.ndarray:
-        v = self.H.grad_xi(np.asarray(states, dtype=float))
-        return v[..., 1] if self.spec.kind == "equator_birkhoff" else v[..., 0]
+        return self.H.grad_xi(np.asarray(states, dtype=float))[..., self._axis]
 
     @property
     def periodic_levels(self) -> float | None:
@@ -242,19 +240,18 @@ class AnnulusChart:
 # --- crossing location -------------------------------------------------------
 
 
-def _upward_brackets(coord: np.ndarray, spacing: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Steps on which the transverse coordinate crosses a section level upward.
+def _upward_brackets(g_old, g, spacing: float | None):
+    """Whether the transverse coordinate crosses a section level upward from ``g_old`` to ``g``.
 
-    ``coord`` has time along axis 0 (one orbit's step ends, a sampled path,
-    or an (m, n) cloud).
-    Returns ``(up, levels)``, both shaped like ``coord[1:]``: ``up[i]`` flags an
-    upward crossing between rows i and i + 1, at level ``levels[i]`` (the
-    highest level passed when a step passes several periodic levels).
+    Elementwise over arrays of step ends (or sample pairs), and in plain
+    float comparisons on one step's floats.  Returns ``(up, level)``: the
+    flags, and the level crossed (the highest passed when a step passes
+    several periodic levels; 0.0 for the one level of a non-periodic chart).
     """
     if spacing is None:
-        return (coord[:-1] < 0.0) & (coord[1:] >= 0.0), np.zeros_like(coord[1:])
-    k = np.floor(coord / spacing)
-    return k[1:] > k[:-1], k[1:] * spacing
+        return (g_old < 0.0) & (g >= 0.0), 0.0
+    k = np.floor(g / spacing)
+    return k > np.floor(g_old / spacing), k * spacing
 
 
 def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
@@ -326,8 +323,8 @@ def _orbit_returns(H: DualMetric, y0, spec: SectionSpec, config: IntegratorConfi
         g_old, g = g, chart.coordinate(y_end)
         if solver.t_old == 0.0:  # the first step leaves the section it starts on
             continue
-        up, level = _upward_brackets(np.array([g_old, g]), chart.periodic_levels)
-        if not up[0]:
+        up, level = _upward_brackets(g_old, g, chart.periodic_levels)
+        if not up:
             continue
         sol = march.interpolant([march.last])
         t = float(_refine_roots(lambda t: chart.coordinate(sol(t)) - level, [solver.t_old], [t_end])[0])
@@ -431,6 +428,27 @@ def iterate_section_map(
     )
 
 
+class _ReturnStop:
+    """:func:`~finslerlab.solvers.march_rows`' stop rule for return steps: an upward crossing of a section level.
+
+    ``batch`` flags the (m, 4) step ends of many orbits, ``one`` the ends of
+    one orbit's float step, both by :func:`_upward_brackets`; ``rhs`` is the
+    float derivative the last orbits finish on.
+    """
+
+    def __init__(self, chart: AnnulusChart, rhs):
+        self.rhs = rhs
+        self._axis, self._star, self._spacing = chart._axis, chart._star, chart.periodic_levels
+
+    def batch(self, y_old, y):
+        axis, star = self._axis, self._star
+        return _upward_brackets(y_old[:, axis] - star, y[:, axis] - star, self._spacing)[0]
+
+    def one(self, y_old, y):
+        axis, star = self._axis, self._star
+        return _upward_brackets(y_old[axis] - star, y[axis] - star, self._spacing)[0]
+
+
 def ensemble_return_step(
     H: DualMetric,
     spec: SectionSpec,
@@ -441,19 +459,23 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Steps the cloud under one shared step
-    (:class:`~finslerlab.solvers.CloudStepper`, one batched ``H.vector_field``
-    call per evaluation).  After each accepted step but the first (the start
-    lies on the section), an orbit without a crossing yet whose step ends
-    straddle a section level upward keeps that step: its ends, its states
-    there and its stages.  The run stops at the step in which the last orbit
-    crosses, so its length is set by the cloud's slowest return; only a cloud
-    with an orbit that never crosses runs to ``max_return_time``.  The
-    crossings are then refined together (:func:`_refine_roots`), each on the
-    interpolant of its own step (:class:`~finslerlab.solvers.RowInterpolant`),
-    and checked for transversality together.  Returns (new_states, taus, ok_mask); failed orbits
-    keep their input state and tau = nan.  An orbit that starts at xi = 0
-    fails alone; a step size that underflows raises StepFailure.
+    Steps every orbit under its own step control
+    (:func:`~finslerlab.solvers.march_rows`, one batched ``H.vector_field``
+    call per stage), to ``max_return_time`` at most.  After its first
+    accepted step (the start lies on the section), an orbit leaves the batch
+    at the step whose ends straddle a section level upward and keeps that
+    step: its ends, its states there and its stages.  Once ``TAIL_ROWS`` or
+    fewer orbits remain, each finishes on its float stepper with
+    ``H.scalar_rhs()``.  The crossings are then refined together
+    (:func:`_refine_roots`), each on the interpolant of its own step
+    (:class:`~finslerlab.solvers.RowInterpolant`), and checked for
+    transversality together.  An orbit stepped in the batch to its crossing
+    is the same bits alone and in any cloud; one that finishes in the tail
+    moves by the rounding difference of ``scalar_rhs`` and ``vector_field``.
+    Returns (new_states, taus, ok_mask); failed orbits keep their input state
+    and tau = nan.  An orbit that starts at xi = 0, whose step size
+    underflows, or that does not cross within ``max_return_time`` fails
+    alone.
     """
     chart = chart or AnnulusChart(H, spec)
     states = np.asarray(states, dtype=float).reshape(-1, 4)
@@ -461,38 +483,20 @@ def ensemble_return_step(
     taus = np.full(len(states), np.nan)
     ok = np.zeros(len(states), dtype=bool)
     live = np.flatnonzero(np.hypot(states[:, 2], states[:, 3]) != 0.0)
-    solver = CloudStepper(
-        config.method, H.vector_field, 0.0, states[live], spec.max_return_time,
-        rtol=config.rel_tol, atol=config.abs_tol,
+    run = march_rows(
+        config.method, H.vector_field, states[live], spec.max_return_time, (),
+        rtol=config.rel_tol, atol=config.abs_tol, stop=_ReturnStop(chart, H.scalar_rhs()),
     )
-    pending = np.ones(len(live), dtype=bool)
-    g = chart.coordinate(states[live])
-    found, levels, steps = [], [], []
-    while pending.any() and solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(message)
-        g_old, g = g, chart.coordinate(solver.y)
-        if solver.t_old == 0.0:  # the first step leaves the section it starts on
-            continue
-        up, level = _upward_brackets(np.stack([g_old, g]), chart.periodic_levels)
-        hits = np.flatnonzero(pending & up[0])
-        if len(hits):
-            pending[hits] = False
-            found.append(hits)
-            levels.append(level[0, hits])
-            ends = [np.full(len(hits), e) for e in (solver.t_old, solver.t)]
-            steps.append((*ends, solver.y_old[hits], solver.y[hits], solver.K[:, hits]))
-    if not found:
+    if not run.stopped.size:
         return new_states, taus, ok
 
-    sol = RowInterpolant(config.method, H.vector_field, steps)
-    level = np.concatenate(levels)
+    sol = RowInterpolant(config.method, H.vector_field, run.steps)
+    _, level = _upward_brackets(chart.coordinate(sol.y_old), chart.coordinate(sol.y), chart.periodic_levels)
     tau = _refine_roots(lambda t: chart.coordinate(sol(t)) - level, sol.t_old, sol.t)
     y = sol(tau)
     # only speeds known to be below the tolerance are rejected (NaN is kept)
     keep = ~(chart.transverse_velocity(y) < spec.transversality_tol)
-    accepted = live[np.concatenate(found)[keep]]
+    accepted = live[run.stopped[keep]]
     new_states[accepted] = y[keep]
     taus[accepted] = tau[keep]
     ok[accepted] = True
@@ -683,21 +687,28 @@ def return_time_boundary_extension(
     # Route (b): the transverse coordinate x(tau; u), divided by the launch
     # angle u, extends through u = 0; the boundary return time is the zero in
     # tau of that quotient at u = 0.  Dense orbits are integrated lazily per
-    # requested angle and cached, so the quotient's Taylor nodes are cheap.
+    # requested angle and cached, and each angle's orbit is read at all the
+    # times of one g_at_zero call in one lookup, so the quotient's Taylor
+    # nodes are cheap.
     t_hi = float(np.max(taus)) + 1.0
     sols: dict[float, object] = {}
+    values: dict[tuple[float, float], float] = {}
+    batch: list[float] = []  # the times of the g_at_zero call in progress
 
     def transverse(tau: float, u: float) -> float:
         u = float(u)
-        if u not in sols:
-            y0 = chart.point_to_state(_BOUNDARY_S0, u)
-            march = _March(H.scalar_rhs(), y0, t_hi, config, cap=pole_cap(H, config), dense=True)
-            while march.step():
-                pass
-            if march.capped:
-                raise NoCrossing("orbit left the chart strip during boundary extension")
-            sols[u] = march.solution()
-        return float(chart.coordinate(sols[u]([tau])[0]))
+        if (tau, u) not in values:  # first read of this angle in this call: read it at every time of the call
+            if u not in sols:
+                y0 = chart.point_to_state(_BOUNDARY_S0, u)
+                march = _March(H.scalar_rhs(), y0, t_hi, config, cap=pole_cap(H, config), dense=True)
+                while march.step():
+                    pass
+                if march.capped:
+                    raise NoCrossing("orbit left the chart strip during boundary extension")
+                sols[u] = march.solution()
+            x = chart.coordinate(sols[u](np.array(batch))).tolist()
+            values.update(((t, u), v) for t, v in zip(batch, x))
+        return values[(tau, u)]
 
     quotient = smooth_divide(
         transverse,
@@ -707,13 +718,15 @@ def return_time_boundary_extension(
     )
 
     def g_at_zero(taus: np.ndarray) -> np.ndarray:
-        return np.array([quotient(float(tau), 0.0) for tau in taus])
+        batch[:] = np.asarray(taus, dtype=float).tolist()
+        return np.array([quotient(tau, 0.0) for tau in batch])
 
     # first upward zero of G(., 0) near the observed return times
     lo = max(float(np.min(taus)) - 0.5, 0.1)
     hi = min(float(np.max(taus)) + 0.5, t_hi)
     grid = np.linspace(lo, hi, 101)
-    up, _ = _upward_brackets(g_at_zero(grid), None)
+    g = g_at_zero(grid)
+    up, _ = _upward_brackets(g[:-1], g[1:], None)
     hits = np.flatnonzero(up)[:1]
     if not len(hits):
         raise ExtrapolationUnstable("no sign change of the divided coordinate at u = 0")

@@ -11,24 +11,24 @@ interval only.  :class:`RK45` and :class:`DOP853` hold the tableaux.
 
 Two stepper families share one arithmetic: every sum runs term by term in
 stage order over the nonzero tableau entries, so no number depends on a BLAS
-kernel, and a row's stages do not depend on the other rows.  One controller
-loop, :meth:`_RungeKutta._step_impl`, steps every system under one step size.
-Every controller raises with numpy's ``power`` kernel, never libm's ``pow``.
+kernel, and a row's stages do not depend on the other rows.  Every
+controller raises with numpy's ``power`` kernel, never libm's ``pow``.
 
 * :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
   Python floats: given the same derivative (a metric's ``scalar_rhs`` is not
   its ``vector_field`` bit for bit), a run takes the steps of
-  :func:`march_rows` and of :class:`CloudStepper` on a one-row batch, bit for
-  bit, without numpy's per-call overhead.  They have no dense output of
-  their own: their steps are sampled by :class:`RowInterpolant`.
+  :func:`march_rows` on a one-row batch, bit for bit, without numpy's
+  per-call overhead.  They have no dense output of their own: their steps
+  are sampled by :class:`RowInterpolant`.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
   Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
-  :class:`CloudStepper` takes the same row attempt under one shared step,
-  with one error norm over all rows.  :class:`RowInterpolant` is the one
-  dense output of every stepper, formed for many steps at once (Sec. II.6):
-  a step's interpolant depends on that step alone.
+  With a stop rule, a row leaves at the step that brackets its event, and
+  the last ``TAIL_ROWS`` rows finish on the float stepper, where a row's
+  step costs far less than a batched call.  :class:`RowInterpolant` is the
+  one dense output of every stepper, formed for many steps at once (Sec.
+  II.6): a step's interpolant depends on that step alone.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 """
@@ -44,7 +44,7 @@ import numpy as np
 from . import dop853_coefficients as _dop853
 
 __all__ = [
-    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "RowRun", "march_rows", "CloudStepper",
+    "RK45", "DOP853", "FloatRK45", "FloatDOP853", "ORBIT_STEPPERS", "RowRun", "march_rows",
     "RowInterpolant", "brent_root",
 ]
 
@@ -55,6 +55,7 @@ SAFETY = 0.9  # multiplies the asymptotically optimal step factor
 MIN_FACTOR = 0.2  # smallest step decrease
 MAX_FACTOR = 10  # largest step increase
 DENSE_BUDGET = 512  # march_rows samples its held covering steps once they reach this many rows
+TAIL_ROWS = 16  # a march_rows stop run finishes its last rows, this many or fewer, on the float stepper
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -73,97 +74,6 @@ def _clamp_rtol(rtol):
         )
         rtol = 100 * EPS
     return rtol
-
-
-class _RungeKutta:
-    """An embedded explicit Runge-Kutta pair stepped from ``t0`` toward ``t_bound``.
-
-    Attributes as scipy's solvers: ``t``, ``y``, ``t_old`` (None before the
-    first step), ``direction``, ``status`` ('running', 'finished' or
-    'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
-    None, or scipy's message when the step size underflows.
-
-    The step-size controller is this class's; a subclass gives the state
-    (``_state``), the initial step and one attempt (``_attempt``: the new
-    state, its derivative and the error norm).
-    """
-
-    error_estimator_order: int
-    n_stages: int
-
-    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
-        self._rhs = fun
-        self.t_old = None
-        self.t = t0
-        self.y = self._state(y0)
-        self.t_bound = t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
-        self.n = len(self.y)
-        self.status = "running"
-        self.nfev = 0
-        self.y_old = None
-        self.rtol, self.atol = _clamp_rtol(rtol), atol
-        self.f = self.fun(self.t, self.y)
-        self.h_abs = self._initial_step()
-        self.error_exponent = -1 / (self.error_estimator_order + 1)
-
-    def fun(self, t, y):
-        self.nfev += 1
-        return self._rhs(t, y)
-
-    def step(self):
-        """Advance one accepted step (scipy's ``OdeSolver.step``)."""
-        if self.n == 0 or self.t == self.t_bound:
-            self.t_old = self.t
-            self.t = self.t_bound
-            self.status = "finished"
-            return None
-        t = self.t
-        message = self._step_impl()
-        if message is not None:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
-
-    def _step_impl(self):
-        t = self.t
-        y = self.y
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                return TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            y_new, f_new, error_norm = self._attempt(t, y, self.f, h)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
-            step_rejected = True
-
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return None
 
 
 class RK45:
@@ -246,26 +156,119 @@ def _rms4(v):
     return math.sqrt(_square_sum4(v)) / 2.0
 
 
-class _FloatRungeKutta(_RungeKutta):
-    """One orbit of 4 components, stepped in Python floats with the arithmetic of :func:`march_rows`.
+class _FloatRungeKutta:
+    """One orbit of 4 components, stepped in Python floats from ``t0`` toward ``t_bound``.
+
+    Attributes as scipy's solvers: ``t``, ``y``, ``t_old`` (None before the
+    first step), ``direction``, ``status`` ('running', 'finished' or
+    'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
+    None, or scipy's message when the step size underflows.  After each step
+    ``y_old`` is its start and ``K`` holds its stages, the last the
+    derivative at its end.
 
     The state is a tuple of 4 floats and ``fun(t, y)`` gets one.  Stage sums,
     the new state, the error norm and the initial step run term by term in
     stage order over the nonzero entries of the tableau of :class:`RK45` or
     :class:`DOP853`, as :func:`march_rows` runs them on each row, so a run is
     :func:`march_rows`' run of a one-row batch, bit for bit, and no number
-    depends on a BLAS kernel.  After each step ``K`` holds its stages, the
-    last the derivative at its end.
+    depends on a BLAS kernel.  A subclass gives its pair's error norm.
     """
 
+    error_estimator_order: int
+    n_stages: int
     STAGES: list  # see _stage_terms
     B: list
 
-    def _state(self, y0):
-        y0 = tuple(map(float, y0))
-        if not all(map(math.isfinite, y0)):
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
+        self._start(fun, t0, y0, t_bound, _clamp_rtol(rtol), atol)
+        self.f = self.fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+
+    @classmethod
+    def resume(cls, fun, t, y, f, h_abs, t_bound, *, rtol, atol):
+        """A stepper standing at (t, y), with derivative ``f`` there and next step size ``h_abs``.
+
+        It takes no initial step and calls no ``fun``: the state a row of
+        :func:`march_rows` holds after an accepted attempt, which this
+        stepper then steps as the row's batch would.  ``rtol`` is taken as
+        given (the batch has floored it).
+        """
+        self = cls.__new__(cls)
+        self._start(fun, t, y, t_bound, rtol, atol)
+        self.f, self.h_abs = tuple(f), h_abs
+        return self
+
+    def _start(self, fun, t0, y0, t_bound, rtol, atol):
+        self._rhs = fun
+        self.t_old = None
+        self.t = t0
+        self.y = tuple(map(float, y0))
+        if not all(map(math.isfinite, self.y)):
             raise ValueError("All components of the initial state `y0` must be finite.")
-        return y0
+        self.t_bound = t_bound
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.status = "running"
+        self.nfev = 0
+        self.y_old = None
+        self.rtol, self.atol = rtol, atol
+        self.error_exponent = -1 / (self.error_estimator_order + 1)
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return self._rhs(t, y)
+
+    def step(self):
+        """Advance one accepted step (scipy's ``OdeSolver.step``)."""
+        if self.t == self.t_bound:
+            self.t_old = self.t
+            self.status = "finished"
+            return None
+        t = self.t
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            y_new, f_new, error_norm = self._attempt(t, y, self.f, h)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * float(np.power(error_norm, self.error_exponent)))
+            step_rejected = True
+
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return None
 
     def _initial_step(self):
         """``select_initial_step`` as :func:`march_rows` takes it for a row."""
@@ -372,31 +375,28 @@ def _row_rms(x):
     return np.sqrt(_row_sum_squares(x)) / x.shape[1] ** 0.5
 
 
-def _cloud_rms(x):
-    """The RMS of all entries of x: each row's :func:`_row_sum_squares`, then one numpy sum over the rows."""
-    return np.sqrt(np.sum(_row_sum_squares(x))) / x.size ** 0.5
-
-
 class RowRun(NamedTuple):
     """Result of :func:`march_rows`."""
 
     path: np.ndarray  # (len(ts), N, n); NaN at samples a failed row never reached
     failed: np.ndarray  # (N,) bool: the row's step size underflowed
-    iterations: int  # lockstep iterations, each one attempt of every active row
-    attempts: int  # step attempts of all rows together
+    iterations: int  # lockstep iterations, each one attempt of every batched row
+    attempts: int  # step attempts of all rows together, the float tail's included
+    stopped: np.ndarray  # ids of the rows the stop rule stopped, in the order of ``steps``
+    steps: list  # their stopping steps, (t_old, t, y_old, y, K) of some rows each: RowInterpolant's steps
 
 
 class _RowStepper:
-    """The arithmetic of :class:`_RungeKutta` applied to each row of an (N, n) state.
+    """The arithmetic of :class:`_FloatRungeKutta` applied to each row of an (N, n) state.
 
     ``method`` is :class:`RK45` or :class:`DOP853`, whose tableau is used;
     ``fun(y)`` maps an (m, n) batch of states to their derivatives (the
     systems are autonomous).  Subclasses give their pair's error norm as
     ``error_sums(y, y_new, K, h)``, each row's sums of squares, and
-    ``norm(sums, h, count)``, the norm of ``count`` components with those
-    sums (one row's, or a cloud's); and its dense output as ``dense(fun, K,
-    h, y_old, y)``, each row's interpolant coefficients, and ``sample(F, h,
-    y_old, which, x)``, those of row ``which[k]`` at the fraction ``x[k]``.
+    ``norm(sums, h, count)``, the norm of a row of ``count`` components with
+    those sums; and its dense output as ``dense(fun, K, h, y_old, y)``, each
+    row's interpolant coefficients, and ``sample(F, h, y_old, which, x)``,
+    those of row ``which[k]`` at the fraction ``x[k]``.
     """
 
     method: type
@@ -405,16 +405,16 @@ class _RowStepper:
         self.fun, self.rtol, self.atol = fun, _clamp_rtol(rtol), atol
         self.error_exponent = -1 / (self.method.error_estimator_order + 1)
 
-    def initial_step(self, y0, f0, interval_length, direction, rms):
-        """``select_initial_step`` under the norm ``rms``: each row's (:func:`_row_rms`) or the cloud's."""
+    def initial_step(self, y0, f0, interval_length, direction):
+        """``select_initial_step`` of each row, under its own RMS norm (:func:`_row_rms`)."""
         scale = self.atol + np.abs(y0) * self.rtol
-        d0 = rms(y0 / scale)
-        d1 = rms(f0 / scale)
+        d0 = _row_rms(y0 / scale)
+        d1 = _row_rms(f0 / scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
             h0 = np.minimum(h0, interval_length)
             y1 = y0 + (h0 * direction)[..., None] * f0
-            d2 = rms((self.fun(y1) - f0) / scale) / h0
+            d2 = _row_rms((self.fun(y1) - f0) / scale) / h0
             h1 = np.where(
                 (d1 <= 1e-15) & (d2 <= 1e-15),
                 np.maximum(1e-6, h0 * 1e-3),
@@ -497,11 +497,12 @@ class _RowsDOP853(_RowStepper):
         return out + y_old[which]
 
 
-# the methods of march_rows, CloudStepper and RowInterpolant, by name
+# the methods of march_rows and RowInterpolant, and of one orbit in floats, by name
 _ROW_STEPPERS = {"RK45": _RowsRK45, "DOP853": _RowsDOP853}
+ORBIT_STEPPERS = {"RK45": FloatRK45, "DOP853": FloatDOP853}
 
 
-def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
+def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun:
     """Step each row of ``y0`` (N, n) from t = 0 to ``t_bound`` under its own step control.
 
     ``method`` is "RK45" or "DOP853" and ``fun(y)`` the derivative of an
@@ -515,6 +516,17 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     leaves the batch.  Steps that cover sample times are held and sampled
     together, at ``DENSE_BUDGET`` rows and at the end.  The sums run term by
     term, so a row's bits do not depend on the other rows.
+
+    A ``stop`` rule also stops a row at its first accepted step after the
+    first whose ends it flags, ``stop.batch(y_old, y)`` for (m, n) ends; the
+    row keeps that step in ``stopped`` and ``steps``.  Once ``TAIL_ROWS`` or
+    fewer rows remain, each row whose last attempt was accepted finishes on
+    its float stepper (``ORBIT_STEPPERS[method]``, 4-component rows), which
+    resumes from the row's t, state, derivative and next step size with the
+    float derivative ``stop.rhs(t, y)`` and flags a step with
+    ``stop.one(y_old, y)``.  The float stepper takes the batch's step on the
+    same derivative, so the tail moves a row's bits only as far as
+    ``stop.rhs`` and ``fun`` differ.  A stop run takes no sample times.
     """
     stepper = _ROW_STEPPERS[method](fun, rtol, atol)
     y = np.asarray(y0, dtype=float)
@@ -522,20 +534,28 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
     ts = np.asarray(ts, dtype=float)
     path = np.full((len(ts), N, n), np.nan)
     failed = np.zeros(N, dtype=bool)
+    stopped, steps = [], []  # the rows the stop rule stopped, and their stopping steps
     if N == 0 or t_bound == 0.0:
         path[:] = y
-        return RowRun(path, failed, 0, 0)
+        return RowRun(path, failed, 0, 0, np.zeros(0, dtype=int), steps)
     d = 1.0 if t_bound > 0 else -1.0
     dts = d * ts
     rows = np.arange(N)
     t = np.zeros(N)
     f = fun(y)
-    h_abs = stepper.initial_step(y, f, abs(t_bound), d, _row_rms)
+    h_abs = stepper.initial_step(y, f, abs(t_bound), d)
     rejected = np.zeros(N, dtype=bool)
     done = np.zeros(N, dtype=np.int64)  # samples covered
     held, held_rows = [], 0  # covering steps whose samples are not formed yet
+    tail = []  # (rows, t, y, f, h_abs) of the rows handed to the float stepper
     iterations = attempts = 0
     while rows.size:
+        if stop is not None and rows.size <= TAIL_ROWS:
+            hand = ~rejected
+            tail.append(tuple(a[hand] for a in (rows, t, y, f, h_abs)))
+            rows, t, y, f, h_abs, rejected, done = (a[rejected] for a in (rows, t, y, f, h_abs, rejected, done))
+            if not rows.size:
+                break
         min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
         h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
         keep = h_abs >= min_step  # False for an underflowed step, or a NaN one
@@ -563,29 +583,68 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol) -> RowRun:
         h_abs = h_abs * np.where(accept, grow, shrink)
         rejected = ~accept
 
-        hi = np.where(accept, np.searchsorted(dts, d * t_new, side="right"), done)
-        cover = np.flatnonzero(hi > done)
-        if cover.size:
-            first = done[cover]
-            step = (t[cover], t_new[cover], y[cover], y_new[cover], K[:, cover])
-            held.append((step, rows[cover], first, hi[cover] - first))
-            held_rows += cover.size
-            done[cover] = hi[cover]
-            if held_rows >= DENSE_BUDGET:
-                _sample_held(method, fun, ts, path, held)
-                held, held_rows = [], 0
+        running = ~accept | (d * (t_new - t_bound) < 0)
+        if stop is not None:
+            hit = accept & (t != 0.0) & stop.batch(y, y_new)  # a row's first step leaves its start
+            if hit.any():
+                stopped.append(rows[hit])
+                steps.append((t[hit], t_new[hit], y[hit], y_new[hit], K[:, hit]))
+                running &= ~hit
+        if ts.size:
+            hi = np.where(accept, np.searchsorted(dts, d * t_new, side="right"), done)
+            cover = np.flatnonzero(hi > done)
+            if cover.size:
+                first = done[cover]
+                step = (t[cover], t_new[cover], y[cover], y_new[cover], K[:, cover])
+                held.append((step, rows[cover], first, hi[cover] - first))
+                held_rows += cover.size
+                done[cover] = hi[cover]
+                if held_rows >= DENSE_BUDGET:
+                    _sample_held(method, fun, ts, path, held)
+                    held, held_rows = [], 0
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
         f = np.where(accept[:, None], K[stepper.method.n_stages], f)
-
-        running = ~accept | (d * (t - t_bound) < 0)
         if not running.all():
             rows, t, y, f, h_abs, rejected, done = (
                 a[running] for a in (rows, t, y, f, h_abs, rejected, done)
             )
     if held:
         _sample_held(method, fun, ts, path, held)
-    return RowRun(path, failed, iterations, attempts)
+    if tail:
+        attempts += _finish_on_floats(method, stop, t_bound, stepper.rtol, atol, tail, failed, stopped, steps)
+    return RowRun(path, failed, iterations, attempts, np.concatenate(stopped or [np.zeros(0, dtype=int)]), steps)
+
+
+def _finish_on_floats(method, stop, t_bound, rtol, atol, tail, failed, stopped, steps) -> int:
+    """Step the rows handed over by :func:`march_rows` on the float stepper, to their stop; returns their attempts.
+
+    A row that stops appends its id to ``stopped`` and its step to ``steps``;
+    a row whose step size underflows is flagged in ``failed``.
+    """
+    rows, t, y, f, h_abs = (np.concatenate(a).tolist() for a in zip(*tail))
+    ids, kept, nfev = [], [], 0
+    stepper = ORBIT_STEPPERS[method]
+    for row, t0, y0, f0, h0 in zip(rows, t, y, f, h_abs):
+        solver = stepper.resume(stop.rhs, t0, y0, f0, h0, t_bound, rtol=rtol, atol=atol)
+        while solver.status == "running":
+            if solver.step() is not None:
+                failed[row] = True
+            elif solver.t_old != 0.0 and stop.one(solver.y_old, solver.y):
+                ids.append(row)
+                kept.append((solver.t_old, solver.t, solver.y_old, solver.y, solver.K))
+                break
+        nfev += solver.nfev
+    if kept:
+        stopped.append(np.array(ids))
+        steps.append(_float_rows(kept))
+    return nfev // stepper.n_stages
+
+
+def _float_rows(steps):
+    """Float steps (t_old, t, y_old, y, K) as one step of many rows: the arrays a RowInterpolant takes."""
+    t_old, t, y_old, y, K = zip(*steps)
+    return np.array(t_old), np.array(t), np.array(y_old), np.array(y), np.array(K).transpose(1, 0, 2)
 
 
 def _sample_held(method, fun, ts, path, held):
@@ -598,50 +657,6 @@ def _sample_held(method, fun, ts, path, held):
     path[k, rows[which]] = sol.at(which, ts[k])
 
 
-class CloudStepper(_RungeKutta):
-    """The rows of an (N, n) state, independent systems, stepped from ``t0`` toward ``t_bound`` under one shared step.
-
-    ``method`` is "RK45" or "DOP853" and ``fun(y)`` the derivative of an
-    (m, n) batch of states.  One attempt is :func:`march_rows`' attempt with
-    every row at the same h, so a row's new state and stages (``K``, of shape
-    (n_stages + 1, N, n) after each attempt) are the same bits in any
-    company.  The error norm and the initial step are scipy's, over all N n
-    components as one system: each row's squares are summed as
-    :func:`march_rows` sums them, and the rows' sums are reduced once by
-    numpy.  The controller is :class:`_RungeKutta`'s, with scalar t and h.
-    """
-
-    def __init__(self, method, fun, t0, y0, t_bound, *, rtol, atol):
-        self.rows = _ROW_STEPPERS[method](fun, rtol, atol)
-        self.error_estimator_order = self.rows.method.error_estimator_order
-        super().__init__(fun, t0, y0, t_bound, rtol=self.rows.rtol, atol=atol)
-
-    def _state(self, y0):
-        y0 = np.asarray(y0, dtype=float)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        return y0
-
-    def fun(self, t, y):
-        self.nfev += 1
-        return self.rows.fun(y)
-
-    def _initial_step(self):
-        interval_length = abs(self.t_bound - self.t)
-        if interval_length == 0.0 or not self.y.size:  # nothing to step
-            return 0.0
-        self.nfev += 1
-        return float(self.rows.initial_step(self.y, self.f, interval_length, self.direction, _cloud_rms))
-
-    def _attempt(self, t, y, f, h):
-        rows = self.rows
-        hs = np.full(len(y), h)
-        y_new, self.K = rows.attempt(y, f, hs)
-        self.nfev += rows.method.n_stages
-        sums = [np.sum(s) for s in rows.error_sums(y, y_new, self.K, hs)]
-        return y_new, self.K[-1], float(rows.norm(sums, h, y.size))
-
-
 class RowInterpolant:
     """The step interpolants of ``method`` over some rows' steps, joined in order.
 
@@ -650,8 +665,9 @@ class RowInterpolant:
     its stages, (n_stages + 1, m, n).  Called with one time per
     row, in its step's ``t_old .. t``, it returns the states there, each from
     its own step; :meth:`at` takes any rows at any times.  This is the one
-    dense output of the lab: of :func:`march_rows`, the cloud's return steps
-    and the float steppers' single orbits (``flow._March``).  The
+    dense output of the lab: of :func:`march_rows`, its stop run's stopping
+    steps (the cloud's returns) and the float steppers' single orbits
+    (``flow._March``).  The
     coefficients of every step are computed once, here (DOP853's 3 extra
     stages are batched calls of ``fun``, the derivative of an (m, n) batch
     of states).
@@ -660,10 +676,11 @@ class RowInterpolant:
     def __init__(self, method, fun, steps):
         t_old, t, y_old, y, K = zip(*steps)
         rows = _ROW_STEPPERS[method]
-        self.t_old, self.t, self.y_old = np.concatenate(t_old), np.concatenate(t), np.concatenate(y_old)
+        self.t_old, self.t = np.concatenate(t_old), np.concatenate(t)
+        self.y_old, self.y = np.concatenate(y_old), np.concatenate(y)
         self.h = self.t - self.t_old
         self._sample = rows.sample
-        self._F = rows.dense(fun, np.concatenate(K, axis=1), self.h, self.y_old, np.concatenate(y))
+        self._F = rows.dense(fun, np.concatenate(K, axis=1), self.h, self.y_old, self.y)
         self._which = np.arange(len(self.t))
 
     def __call__(self, t):

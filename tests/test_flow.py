@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import linecache
 import math
 import os
@@ -18,7 +19,7 @@ from finslerlab.errors import (
     StepFailure,
     ZeroCovector,
 )
-from finslerlab import flow
+from finslerlab import flow, sections
 from finslerlab.flow import (
     ORBIT_STEPPERS,
     TWO_PI,
@@ -33,7 +34,8 @@ from finslerlab.flow import (
 from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
-from finslerlab.solvers import EPS, CloudStepper, FloatRK45, march_rows
+from finslerlab.sections import AnnulusChart, SectionSpec, ensemble_return_step
+from finslerlab.solvers import EPS, FloatRK45, march_rows
 from flow_oracles import (
     ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event, stacked_rhs,
 )
@@ -149,6 +151,18 @@ class TestIntegrateOrbit:
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class _Coupled:
+    """Coupled nonlinear oscillators in basic arithmetic: x1'' = -x1 - x1^3, x2'' = -(1 + x1^2) x2."""
+
+    def vector_field(self, y):
+        x1, x2, p1, p2 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+        return np.stack([p1, p2, -x1 - x1 * x1 * x1, -x2 * (1.0 + x1 * x1)], axis=-1)
+
+
 class TestEnsemble:
     def test_matches_per_orbit_integration(self, katok_sphere, fast_config, rng):
         states = sample_covectors(rng, 5, x2_range=(-0.5, 0.5))
@@ -173,6 +187,26 @@ class TestEnsemble:
             ens = integrate_ensemble(h0_torus, cloud[rows], T, config)
             for j, i in enumerate(rows):
                 assert ens.states[:, j].tobytes() == alone[i].tobytes(), (rows, j)
+
+    def test_samples_are_pinned(self):
+        # integrate_ensemble's bytes on a seeded cloud, pinned from the version
+        # before march_rows took a stop rule: a run without one takes the same
+        # steps.  The field is basic arithmetic, so the step controller's pow
+        # is the only numpy kernel whose bits differ between CPUs; the pins
+        # hold where it gives the pinning host's bits (AVX-512, numpy 2.4)
+        x = np.geomspace(1e-6, 50.0, 2001)
+        probe = np.stack([x ** e for e in (-1 / 5, -1 / 8, 1 / 5, 1 / 8)])
+        if _sha256(probe) != "8c32721e362a090534161ec3e68dcd47ec74eb92f0fbac26b91e146de4859901":
+            pytest.skip("numpy's pow kernel differs from the pinning host's")
+        cloud = np.random.default_rng(17).uniform(-1.0, 1.0, (40, 4))
+        for method, tol, T, digest, work in [
+            ("RK45", 1e-8, 10.0, "06e4f42e43f49a25480120a221a9f5fef6ff86f62b26dece3fbf0517a6c2218e", (166, 4606)),
+            ("DOP853", 1e-9, -10.0, "7afe4e3a29d9ab3ddf9934c62f52ebf0cb4a33ef7aeb3c1f16c86475fd7841af", (69, 1809)),
+        ]:
+            config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+            trace = integrate_ensemble(_Coupled(), cloud, T, config)
+            assert (trace.iterations, trace.orbit_attempts) == work
+            assert _sha256(trace.states) == digest, method
 
     def test_work_counters_repeat_and_add_up(self, h0_torus, fast_config):
         cloud = sample_covectors(np.random.default_rng(12), 6, x2_range=(0.0, 4.0))
@@ -251,8 +285,8 @@ class TestRtolFloor:
     """Every stepper floors rtol at 100 eps with scipy's warning, once.
 
     The warning names the frame two above the ``__init__`` that floors it:
-    the caller of the float stepper's builder, and the line that builds the
-    cloud stepper or calls ``march_rows`` (both floor in their row stepper).
+    the caller of the float stepper's builder, and the line that calls
+    ``march_rows`` (it floors in its row stepper).
     """
 
     @staticmethod
@@ -264,12 +298,18 @@ class TestRtolFloor:
         assert record.filename == __file__
         return linecache.getline(record.filename, record.lineno)
 
-    def test_cloud_stepper_names_its_builder(self):
+    def test_return_step_warns_once_from_its_march(self, katok_sphere):
+        # the batch floors rtol and its float tail resumes at the floor, so a
+        # return step warns once, naming its own call of march_rows
+        spec = SectionSpec()
+        chart = AnnulusChart(katok_sphere, spec)
+        config = IntegratorConfig(method="RK45", rel_tol=1e-17, abs_tol=1e-12)
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            solver = CloudStepper("RK45", lambda y: -y, 0.0, np.ones((2, 2)), 1.0, rtol=1e-17, atol=1e-12)
-        assert solver.rtol == solver.rows.rtol == 100 * EPS
+            _, taus, ok = ensemble_return_step(katok_sphere, spec, chart.point_to_state(1.0, 0.9)[None], config, chart=chart)
+        assert ok.all() and 6.0 < taus[0] < 7.0
         assert len(rec) == 1
-        assert "CloudStepper(" in self._warned_line(rec[0])
+        assert rec[0].filename == sections.__file__
+        assert "march_rows(" in linecache.getline(rec[0].filename, rec[0].lineno)
 
     def test_float_stepper_names_its_builders_caller(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:

@@ -37,8 +37,9 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
+from finslerlab import solvers
 from finslerlab.solvers import RowInterpolant
-from flow_oracles import compose_commuting_flows, scipy_step_rows, stacked_rhs
+from flow_oracles import compose_commuting_flows
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
 SCIPY_STEPPERS = {"RK45": ScipyRK45, "DOP853": ScipyDOP853}
@@ -334,15 +335,19 @@ class TestIterateSectionMap:
 
     @pytest.mark.parametrize(
         "method, tol, bounds",
-        # (tau p90, tau max, u p90, u max); measured 1.8e-8, 1.1e-7, 7.8e-9, 9.9e-9
-        # at RK45 1e-8 and 3.4e-10, 7.3e-10, 3.6e-10, 6.3e-10 at DOP853 1e-9
-        [("RK45", 1e-8, (4e-8, 2e-7, 1.5e-8, 2e-8)), ("DOP853", 1e-9, (7e-10, 1.5e-9, 7e-10, 1.5e-9))],
-        ids=["RK45-1e-08", "DOP853-1e-09"],
+        # (tau p90, tau max, u p90, u max); measured 8.0e-9, 1.7e-8, 3.1e-9, 3.7e-9
+        # at RK45 1e-9 and 1.6e-11, 4.9e-10, 2.0e-11, 2.0e-10 at DOP853 1e-11.
+        # Each orbit holds its own error to the tolerance, so these are tighter
+        # tolerances than the shared step met the same bounds at (RK45 1e-8,
+        # DOP853 1e-9): per-row DOP853 1e-10 still reads 1.97e-9 (tau max) and
+        # 2.35e-9 (u max)
+        [("RK45", 1e-9, (4e-8, 2e-7, 1.5e-8, 2e-8)), ("DOP853", 1e-11, (7e-10, 1.5e-9, 7e-10, 1.5e-9))],
+        ids=["RK45-1e-09", "DOP853-1e-11"],
     )
     def test_ensemble_step_accuracy(self, katok_sphere, method, tol, bounds):
         # 120 equator points with u in the entropy cloud's range [0.15 pi, 0.85 pi]
         # against DOP853 1e-13 first returns: each crossing is refined on the
-        # interpolant of its own shared step
+        # interpolant of its own step
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         rng = np.random.default_rng(23)
         s = rng.uniform(0.0, chart.circumference, 120)
@@ -367,6 +372,69 @@ class TestIterateSectionMap:
         assert ok.tolist() == [True, False]
         assert new_states[1].tobytes() == states[1].tobytes() and math.isnan(taus[1])
         assert new_states[0].tobytes() == alone[0][0].tobytes() and taus[0].tobytes() == alone[1][0].tobytes()
+
+    def test_batched_return_is_its_return_alone(self, katok_sphere, monkeypatch):
+        # with no float tail, every orbit is stepped in the batch to its own
+        # crossing, and its return is the same bytes alone and in any company
+        monkeypatch.setattr(solvers, "TAIL_ROWS", 0)
+        config = IntegratorConfig(method="RK45", rel_tol=1e-9, abs_tol=1e-9)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(41)
+        pts = zip(rng.uniform(0.0, chart.circumference, 16), rng.uniform(0.15 * math.pi, 0.85 * math.pi, 16))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        got = ensemble_return_step(katok_sphere, SPHERE_SPEC, states, config, chart=chart)
+        assert got[2].all()
+        company = rng.choice(16, 6, replace=False)
+        part = ensemble_return_step(katok_sphere, SPHERE_SPEC, states[company], config, chart=chart)
+        for i in range(16):
+            alone = ensemble_return_step(katok_sphere, SPHERE_SPEC, states[[i]], config, chart=chart)
+            for a, b in zip(got, alone):
+                assert a[i].tobytes() == b[0].tobytes(), i
+        for a, b in zip(got, part):
+            assert a[company].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-9)])
+    def test_tail_return_is_first_return(self, katok_sphere, monkeypatch, method, tol):
+        # every orbit on the float tail steps as first_return steps it, from the
+        # batch's derivative and initial step (vector_field, not scalar_rhs)
+        monkeypatch.setattr(solvers, "TAIL_ROWS", 24)
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(42)
+        pts = list(zip(rng.uniform(0.0, chart.circumference, 24), rng.uniform(0.15 * math.pi, 0.85 * math.pi, 24)))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        new_states, taus, ok = ensemble_return_step(katok_sphere, SPHERE_SPEC, states, config, chart=chart)
+        assert ok.all()
+        points = chart.points_of_states(new_states)
+        for i, point in enumerate(pts):
+            want = first_return(katok_sphere, SPHERE_SPEC, point, config, chart=chart)
+            # largest gaps measured: 0 (tau: 24 of 24 equal, both methods) and
+            # 1.8e-15 (s, u); the start's derivative and initial step are not
+            # scalar_rhs's bits, so equality is not promised
+            assert abs(taus[i] - want.tau) <= 1e-13
+            assert abs(circdiff(points[i, 0] - want.image[0])) <= 1e-13
+            assert abs(points[i, 1] - want.image[1]) <= 1e-13
+
+    def test_step_underflow_fails_alone(self, katok_sphere, monkeypatch):
+        # an orbit whose step size underflows fails on its own, in the batch
+        # and on the float tail, and the cloud's other orbits return
+        config = IntegratorConfig(method="RK45", rel_tol=1e-9, abs_tol=1e-9)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(43)
+        pts = zip(rng.uniform(0.0, chart.circumference, 20), rng.uniform(0.15 * math.pi, 0.85 * math.pi, 20))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        states[7] = (100.0, 0.0, 0.6, 0.8)
+        H = _BlowUp(katok_sphere)
+        for tail in (0, 16, 20):  # the blow-up in the batch, in the batch, on the float tail
+            monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
+            new_states, taus, ok = ensemble_return_step(H, SPHERE_SPEC, states, config, chart=chart)
+            assert ok.tolist() == [i != 7 for i in range(20)]
+            assert new_states[7].tobytes() == states[7].tobytes() and math.isnan(taus[7])
+            others = np.arange(20) != 7
+            if tail == 0:
+                want = ensemble_return_step(katok_sphere, SPHERE_SPEC, states[others], config, chart=chart)
+                assert new_states[others].tobytes() == want[0].tobytes()
+                assert taus[others].tobytes() == want[1].tobytes()
 
     def test_empty_cloud(self, katok_sphere, fast_config):
         new_states, taus, ok = ensemble_return_step(katok_sphere, SPHERE_SPEC, np.empty((0, 4)), fast_config)
@@ -419,7 +487,7 @@ class TestIterateSectionMap:
 
 
 def _reference_returns(H, y0, spec, n, config):
-    """The first n transverse crossings of scipy's stepper run by hand to n max_return_time.
+    """The first n (or fewer) transverse crossings of scipy's stepper run by hand to n max_return_time.
 
     After the first step, every step whose ends straddle a section level
     upward is refined on that step's own ``dense_output()``.  Returns the
@@ -435,8 +503,8 @@ def _reference_returns(H, y0, spec, n, config):
     while len(times) < n and solver.status == "running":
         assert solver.step() is None
         g_old, g = g, chart.coordinate(solver.y)
-        up, level = _upward_brackets(np.array([g_old, g]), chart.periodic_levels)
-        if solver.t_old == 0.0 or not up[0]:
+        up, level = _upward_brackets(g_old, g, chart.periodic_levels)
+        if solver.t_old == 0.0 or not up:
             continue
         sol = solver.dense_output()
         t = _refine_roots(lambda t: chart.coordinate(sol(t).T) - level, [solver.t_old], [solver.t])[0]
@@ -447,59 +515,38 @@ def _reference_returns(H, y0, spec, n, config):
         times.append(t)
         states.append(sol(t))
         speeds.append(speed)
-    assert len(times) == n
     return np.array(times), np.array(states), np.array(speeds), skipped
 
 
-def _reference_ensemble_step(H, spec, states, config, chart):
-    """ensemble_return_step from scipy's stepper run over max_return_time; also its nfev.
-
-    Every orbit keeps the first step after the first whose ends straddle the
-    section upward, read from scipy's solver; the kept steps are refined on
-    march_rows' interpolant and checked for transversality.
-    """
-    n = len(states)
-    solver = SCIPY_STEPPERS[config.method](
-        stacked_rhs(H, n), 0.0, states.reshape(-1), spec.max_return_time, rtol=config.rel_tol, atol=config.abs_tol
-    )
-    kept = {}
-    g = chart.coordinate(states)
-    while solver.status == "running":
-        assert solver.step() is None
-        g_old, g = g, chart.coordinate(solver.y.reshape(n, 4))
-        for i in np.flatnonzero((g_old < 0.0) & (g >= 0.0)):
-            if solver.t_old > 0.0 and i not in kept:
-                kept[i] = scipy_step_rows(solver, [i])
-    rows = sorted(kept)
-    sol = RowInterpolant(config.method, H.vector_field, [kept[i] for i in rows])
-    taus = _refine_roots(lambda t: chart.coordinate(sol(t)), sol.t_old, sol.t)
-    y = sol(taus)
-    ok = np.zeros(n, dtype=bool)
-    ok[rows] = chart.transverse_velocity(y) >= spec.transversality_tol
-    new_states, tau = states.copy(), np.full(n, np.nan)
-    new_states[ok], tau[ok] = y[ok[rows]], taus[ok[rows]]
-    return (new_states, tau, ok), solver.nfev
-
-
-class _CountingMetric:
-    """A metric whose vector_field calls are counted."""
+class _BlowUp:
+    """A metric's equations, but x1' = x1^2 (the rest 0) at x1 >= 100: such an orbit blows up at t = 1 / x1."""
 
     def __init__(self, H):
         self.H = H
-        self.calls = 0
 
     def vector_field(self, states):
-        self.calls += 1
-        return self.H.vector_field(states)
+        out = self.H.vector_field(states)
+        far = states[:, 0] >= 100.0
+        out[far] = 0.0
+        out[far, 0] = states[far, 0] * states[far, 0]
+        return out
+
+    def scalar_rhs(self):
+        rhs = self.H.scalar_rhs()
+
+        def fun(t, y):
+            return (y[0] * y[0], 0.0, 0.0, 0.0) if y[0] >= 100.0 else rhs(t, y)
+
+        return fun
 
 
 class TestMarchAgainstFullSolve:
     """Section solves match scipy's stepper run by hand with the same crossing rule.
 
     The lab's steppers sum stages term by term in stage order and scipy with
-    ``np.dot``, so single orbits, which bracket on their own step ends, and the
-    cloud's return step, which brackets on its shared step ends, match scipy
-    to measured bounds.
+    ``np.dot``, so single orbits and the orbits of the cloud's return step,
+    each of which brackets on its own step ends, match scipy to measured
+    bounds.
     """
 
     @pytest.mark.parametrize("method, tol", [("DOP853", 1e-12), ("RK45", 1e-8)])
@@ -544,8 +591,11 @@ class TestMarchAgainstFullSolve:
             assert np.max(np.abs(got.times[1:] - times)) <= 1e-12
 
     @pytest.mark.parametrize("max_return_time", [8.0, 6.35])
-    def test_ensemble_step_bitwise(self, katok_sphere, max_return_time):
-        # katok-sphere's entropy settings, with a stricter transversality tolerance
+    def test_ensemble_step_bitwise(self, katok_sphere, monkeypatch, max_return_time):
+        # katok-sphere's entropy settings, with a stricter transversality
+        # tolerance; each orbit against scipy's run of that orbit alone, with
+        # every orbit batched to its crossing (vector_field) and with every
+        # orbit finished on the float stepper (scalar_rhs)
         spec = SectionSpec(scan_dt=0.04, max_return_time=max_return_time, transversality_tol=1e-3)
         config = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
         chart = AnnulusChart(katok_sphere, spec)
@@ -554,23 +604,23 @@ class TestMarchAgainstFullSolve:
         u = rng.uniform(0.1, 3.0, 12)
         u[0] = 1e-4  # grazes the section: crosses again at speed ~1e-4, below the tolerance
         states = np.array([chart.point_to_state(a, b) for a, b in zip(s, u)])
-        counting = _CountingMetric(katok_sphere)
-        got = ensemble_return_step(counting, spec, states, config, chart=chart)
-        want, nfev = _reference_ensemble_step(katok_sphere, spec, states, config, chart)
-        new_states, taus, ok = got
-        assert ok.tobytes() == want[2].tobytes()
-        assert np.array_equal(np.isnan(taus), np.isnan(want[1]))
-        # largest gaps measured: 5.5e-14 (states), 5.3e-14 (taus)
-        assert np.max(np.abs(new_states - want[0])) <= 1e-12
-        assert np.nanmax(np.abs(taus - want[1])) <= 1e-12
-        assert not ok[0]
-        # orbit 9 starts in the perturbation cone and returns at tau = 6.42
-        assert ok[9] == (max_return_time > 6.42)
-        assert np.count_nonzero(ok) == 11 - (max_return_time < 6.42)
-        if ok[9]:
-            assert counting.calls < nfev  # every orbit returned: stopped early
-        else:
-            assert counting.calls == nfev  # orbit 9 never crossed: ran to the end
+        want = [_reference_returns(katok_sphere, y0, spec, 1, config) for y0 in states]
+        for tail in (0, len(states)):
+            monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
+            new_states, taus, ok = ensemble_return_step(katok_sphere, spec, states, config, chart=chart)
+            # the cloud rejects an orbit whose first crossing is a tangency, where
+            # the single orbit skips it and looks on
+            assert ok.tolist() == [len(times) == 1 and not skipped for times, _, _, skipped in want]
+            assert new_states[~ok].tobytes() == states[~ok].tobytes() and np.isnan(taus[~ok]).all()
+            for i in np.flatnonzero(ok):
+                times, crossings, _, _ = want[i]
+                # largest gaps measured: 5.4e-14 (states), 5.8e-14 (taus)
+                assert abs(taus[i] - times[0]) <= 1e-12
+                assert np.max(np.abs(new_states[i] - crossings[0])) <= 1e-12
+            assert not ok[0]
+            # orbit 9 starts in the perturbation cone and returns at tau = 6.42
+            assert ok[9] == (max_return_time > 6.42)
+            assert np.count_nonzero(ok) == 11 - (max_return_time < 6.42)
 
 
 class TestAreaPreservation:

@@ -5,10 +5,11 @@ here only: no library module imports it.  The port follows SciPy 1.17
 (``select_initial_step`` with its ``t_bound`` cap and its early return on an
 empty interval, and the C ``brentq``), the floor of the ``test`` extra.  The
 steppers sum as ``march_rows`` sums, term by term: an attempt of the float
-stepper of one orbit, or of a row of the cloud stepper in any company, is a
-``march_rows`` row attempt bit for bit, and a float orbit, a one-row
-``march_rows`` run and a one-row cloud run take the same steps bit for bit;
-their runs match scipy's to stated bounds.
+stepper of one orbit is a ``march_rows`` row attempt bit for bit, a row's
+attempt is the same bits in any company, and a float orbit and a one-row
+``march_rows`` run take the same steps bit for bit, so a stop run's rows can
+finish on the float stepper without moving a bit; their runs match scipy's
+to stated bounds.
 """
 
 import inspect
@@ -30,8 +31,7 @@ from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, _March, integrate_
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
-    DOP853, EPS, MAXITER, RK45, RTOL, CloudStepper, FloatDOP853, RowInterpolant, TOO_SMALL_STEP,
-    brent_root, march_rows,
+    DOP853, EPS, MAXITER, RK45, RTOL, FloatDOP853, RowInterpolant, TOO_SMALL_STEP, brent_root, march_rows,
 )
 from flow_oracles import scipy_step_rows, stacked_rhs
 
@@ -55,64 +55,68 @@ class TestTableaux:
 
 
 def _runs(katok_sphere, katok_torus_reversible):
-    """(metric, cloud, t_bound, tol, gap) for a 40-orbit cloud, a one-orbit cloud and a backward one.
+    """(metric, orbit, t_bound, tol, gap) for 5 orbits of a cloud, a torus orbit and a backward orbit.
 
-    ``gap`` bounds the largest difference from scipy's run in t, the states
-    and the stages.  The largest measured (RK45, DOP853): 5.7e-10 and 8.1e-8
-    on the cloud, 1.3e-10 and 2.4e-7 on the torus orbit, 2.3e-8 and 2.2e-5
-    on the backward orbit, which climbs to |x2| = 15, where the sphere chart
-    stretches a last-bit difference by many orders of magnitude.
+    ``gap`` bounds the largest difference from scipy's run in t, the state
+    and the stages.  The largest measured (RK45, DOP853): 2.4e-10 and 1.0e-6
+    on the cloud orbits, 3.9e-10 and 9.1e-8 on the torus orbit, 2.3e-8 and
+    5.1e-5 on the backward orbit, which climbs to |x2| = 15, where the sphere
+    chart stretches a last-bit difference by many orders of magnitude.
     """
-    states = sample_covectors(np.random.default_rng(3), 40, x2_range=(-0.5, 0.5))
+    states = sample_covectors(np.random.default_rng(3), 5, x2_range=(-0.5, 0.5))
     return [
-        (katok_sphere, states, 6.0, 1e-8, 1e-6),
-        (katok_torus_reversible, np.array([[0.0, 0.1, -0.6, 0.8]]), 30.0, 1e-9, 1e-6),
-        (katok_sphere, np.array([[0.3, 0.2, 0.7, 0.6]]), -15.0, 1e-12, 1e-4),
+        *((katok_sphere, y0, 6.0, 1e-8, 5e-6) for y0 in states),
+        (katok_torus_reversible, np.array([0.0, 0.1, -0.6, 0.8]), 30.0, 1e-9, 5e-6),
+        (katok_sphere, np.array([0.3, 0.2, 0.7, 0.6]), -15.0, 1e-12, 2e-4),
     ]
 
 
 class TestStepper:
-    """The cloud stepper against scipy's steppers on the same stacked system."""
+    """The lab's steppers against scipy's on the same system."""
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_every_step_matches_scipy(self, katok_sphere, katok_torus_reversible, method):
-        # the same steps, attempts and calls; scipy's np.dot sums and norms
-        # differ from the term-by-term ones in the last bits, so the times,
-        # states and stages agree to a measured bound
-        for H, states, t_bound, tol, bound in _runs(katok_sphere, katok_torus_reversible):
-            n = len(states)
+        # the float stepper of one orbit takes scipy's steps, attempts and calls;
+        # scipy's np.dot sums and norms differ from the term-by-term ones in the
+        # last bits, so the times, states and stages agree to a measured bound
+        for H, y0, t_bound, tol, bound in _runs(katok_sphere, katok_torus_reversible):
+            rhs = H.scalar_rhs()
             gap = 0.0
-            a = CloudStepper(method, H.vector_field, 0.0, states, t_bound, rtol=tol, atol=tol)
-            b = SCIPY_STEPPERS[method](stacked_rhs(H, n), 0.0, states.reshape(-1), t_bound, rtol=tol, atol=tol)
+            a = ORBIT_STEPPERS[method](rhs, 0.0, y0, t_bound, rtol=tol, atol=tol)
+            b = SCIPY_STEPPERS[method](rhs, 0.0, y0, t_bound, rtol=tol, atol=tol)
             assert a.direction == b.direction
             while b.status == "running":
                 assert a.step() == b.step()
                 assert (a.status, a.nfev) == (b.status, b.nfev)
                 gap = max(
-                    gap, abs(a.t - b.t), abs(a.t_old - b.t_old), np.max(np.abs(a.y - b.y.reshape(n, 4))),
-                    np.max(np.abs(a.K - b.K.reshape(len(b.K), n, 4))),
+                    gap, abs(a.t - b.t), abs(a.t_old - b.t_old), np.max(np.abs(np.subtract(a.y, b.y))),
+                    np.max(np.abs(np.subtract(a.K, b.K))),
                 )
             assert a.status == "finished"
             assert gap <= bound, gap
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_attempt_is_a_row_attempt_in_any_company(self, katok_sphere, method):
-        # each row of one shared-step attempt is march_rows' attempt of that row
-        # alone at the same h, bit for bit, whichever rows it is stepped with
+        # each row's attempt, at its own h, and its error norm are the bits of
+        # that row's attempt alone, whichever rows it is stepped with
         rng = np.random.default_rng(12)
         fun = katok_sphere.vector_field
         states = sample_covectors(rng, 40, x2_range=(-1.5, 1.5))
+        h = rng.uniform(-0.3, 0.3, 40)
         rows = solvers._ROW_STEPPERS[method](fun, 1e-8, 1e-8)
-        for h in (0.3, -0.05):
-            for company in (np.arange(40), rng.choice(40, 7, replace=False), [5]):
-                cloud = CloudStepper(method, fun, 0.0, states[company], 1.0, rtol=1e-8, atol=1e-8)
-                y_new, f_new, _ = cloud._attempt(0.0, cloud.y, cloud.f, h)
-                assert _same(f_new, cloud.K[-1])
-                for k, i in enumerate(company):
-                    one = states[[i]]
-                    row_new, K = rows.attempt(one, fun(one), np.array([h]))
-                    assert _same(y_new[k], row_new[0])
-                    assert _same(cloud.K[:, k], K[:, 0])
+
+        def attempt(i):
+            y, hs = states[i], h[i]
+            y_new, K = rows.attempt(y, fun(y), hs)
+            return y_new, K, rows.norm(rows.error_sums(y, y_new, K, hs), hs, 4)
+
+        for company in (np.arange(40), rng.choice(40, 7, replace=False), [5]):
+            y_new, K, norm = attempt(company)
+            for k, i in enumerate(company):
+                row_new, row_K, row_norm = attempt([i])
+                assert _same(y_new[k], row_new[0])
+                assert _same(K[:, k], row_K[:, 0])
+                assert _same(norm[k], row_norm[0])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_row_interpolant_follows_scipy_dense_output(self, katok_sphere, method):
@@ -136,8 +140,9 @@ class TestStepper:
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_zero_length_run_has_constant_interpolant(self, katok_sphere, method):
         y0 = np.array([0.3, 0.2, 0.7, 0.6])
-        a = CloudStepper(method, katok_sphere.vector_field, 0.0, y0[None], 0.0, rtol=1e-9, atol=1e-9)
-        b = SCIPY_STEPPERS[method](stacked_rhs(katok_sphere, 1), 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
+        rhs = katok_sphere.scalar_rhs()
+        a = ORBIT_STEPPERS[method](rhs, 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
+        b = SCIPY_STEPPERS[method](rhs, 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
         assert a.step() is None and b.step() is None
         assert (a.status, a.nfev, a.t, a.t_old) == (b.status, b.nfev, b.t, b.t_old) == ("finished", 1, 0.0, 0.0)
         trace = integrate_orbit(katok_sphere, y0, 0.0, IntegratorConfig(method=method))
@@ -146,21 +151,22 @@ class TestStepper:
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_underflow(self, method):
-        # y' = y^2 from y(0) = 1 blows up at t = 1
+        # x' = x^2 from x(0) = 1 blows up at t = 1
         def blowup(t, y):
-            return y * y
+            return [y[0] * y[0], 0.0, 0.0, 0.0]
 
-        b = SCIPY_STEPPERS[method](blowup, 0.0, np.array([1.0]), 2.0, rtol=1e-8, atol=1e-8)
+        y0 = np.array([1.0, 0.0, 0.0, 0.0])
+        b = SCIPY_STEPPERS[method](blowup, 0.0, y0, 2.0, rtol=1e-8, atol=1e-8)
         while b.status == "running":
             message = b.step()
         assert message == TOO_SMALL_STEP
-        a = CloudStepper(method, lambda y: y * y, 0.0, np.array([[1.0]]), 2.0, rtol=1e-8, atol=1e-8)
+        a = ORBIT_STEPPERS[method](blowup, 0.0, y0, 2.0, rtol=1e-8, atol=1e-8)
         while a.status == "running":
             ours_message = a.step()
         assert ours_message == TOO_SMALL_STEP
         assert a.status == "failed"
         assert a.nfev == b.nfev
-        assert abs(a.t - b.t) <= 1e-15  # 2 ulp apart (RK45), measured
+        assert abs(a.t - b.t) <= 1e-15
 
     # forward only: a dense march (the boundary extension's) runs forward, and
     # its solution looks times up among ascending step ends
@@ -233,11 +239,11 @@ class TestFloatStepper:
          ("DOP853", 1e-12), ("DOP853", 1e-9), ("DOP853", 1e-7)],
     )
     def test_trajectory_follows_march_rows(self, katok_sphere, katok_torus_reversible, method, tol, T):
-        # bit for bit, over the whole run, for the float stepper, a one-row
-        # march_rows run and a one-row CloudStepper on the same RHS: an attempt
-        # is the same arithmetic in all three, and every controller raises the
-        # error norm with numpy's pow kernel (libm's pow differs from it in the
-        # last bit on about 5% of values).  So even the torus orbit that rotates
+        # bit for bit, over the whole run, for the float stepper and a one-row
+        # march_rows run on the same RHS: an attempt is the same arithmetic in
+        # both, and every controller raises the error norm with numpy's pow
+        # kernel (libm's pow differs from it in the last bit on about 5% of
+        # values).  So even the torus orbit that rotates
         # across the negatively curved splice bridge, where neighbouring orbits
         # separate fast, stays exact
         config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
@@ -251,7 +257,7 @@ class TestFloatStepper:
         ]
         for H, y0 in cases:
             rhs = H.scalar_rhs()
-            seen = {"float": [], "rows": [], "cloud": []}  # every state handed to the RHS, in order
+            seen = {"float": [], "rows": []}  # every state handed to the RHS, in order
 
             def recorded(t, y):
                 seen["float"].append(y)
@@ -264,21 +270,14 @@ class TestFloatStepper:
                 return fun
 
             one = ORBIT_STEPPERS[method](recorded, 0.0, y0, T, rtol=tol, atol=tol)
-            cloud = CloudStepper(method, batch("cloud"), 0.0, np.array([y0]), T, rtol=tol, atol=tol)
             steps = 0
             while one.status == "running":
-                assert one.step() is None and cloud.step() is None
-                assert cloud.status == one.status
-                assert _same([one.t, one.t - one.t_old], [cloud.t, cloud.t - cloud.t_old])
-                assert _same(one.y, cloud.y[0])
-                assert _same(one.K, cloud.K[:, 0])
+                assert one.step() is None
                 steps += 1
-            assert one.nfev == cloud.nfev
             attempts = (one.nfev - 2) // one.n_stages  # f(y0), the initial step's call, n_stages per attempt
             assert steps > 20 and attempts >= steps
             rows = march_rows(method, batch("rows"), np.array([y0]), T, ts, rtol=tol, atol=tol)
             assert (rows.iterations, rows.attempts) == (attempts, attempts)
-            assert _same(seen["float"], seen["cloud"])
             # then march_rows forms the dense output of the covering steps: DOP853's extra stages
             assert _same(seen["float"], seen["rows"][: len(seen["float"])])
             march = _March(rhs, np.array(y0), T, config, ts)
@@ -453,6 +452,68 @@ class TestDeferredSampling:
         assert sizes[-3] == sizes[-2] == sizes[-1] > 5
         want = march_rows("DOP853", katok_torus_reversible.vector_field, y0, 5.0, ts, rtol=1e-9, atol=1e-9)
         assert run.path.tobytes() == want.path.tobytes()
+
+
+def _stops_by_row(run) -> dict:
+    """Each stopped row's stopping step (t_old, t, y_old, y, K) as bytes, by row id."""
+    t_old, t, y_old, y, K = (np.concatenate(a, axis=-2 if k == 4 else 0) for k, a in enumerate(zip(*run.steps)))
+    return {
+        int(i): (t_old[k].tobytes(), t[k].tobytes(), y_old[k].tobytes(), y[k].tobytes(), K[:, k].tobytes())
+        for k, i in enumerate(run.stopped)
+    }
+
+
+class TestStopRule:
+    """march_rows' per-row stop and its float tail: on the same derivative the tail moves no bit."""
+
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-9)])
+    def test_tail_takes_the_batch_steps(self, katok_sphere, monkeypatch, method, tol):
+        # 40 Katok-sphere equator orbits, two of them 0.002 from the polar
+        # direction, stepped to their first return on the float RHS, batched
+        # row by row and in floats alike: whichever rows finish on the float
+        # stepper, and whenever they are handed over, every row stops at the
+        # same step with the same bits after the same attempts
+        spec = SectionSpec()
+        chart = AnnulusChart(katok_sphere, spec)
+        rng = np.random.default_rng(8)
+        u = rng.uniform(0.15 * math.pi, 0.85 * math.pi, 40)
+        u[:2] = math.pi / 2 - 0.002, math.pi / 2 + 0.002
+        y0 = np.array([chart.point_to_state(s, v) for s, v in zip(rng.uniform(0.0, chart.circumference, 40), u)])
+        rhs = katok_sphere.scalar_rhs()
+        stop = sections._ReturnStop(chart, rhs)
+        runs = {}
+        for tail in (0, 7, 16, 40):
+            monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
+            runs[tail] = march_rows(method, _row_fun(rhs), y0, spec.max_return_time, (), rtol=tol, atol=tol, stop=stop)
+        want = runs[0]
+        assert sorted(want.stopped.tolist()) == list(range(40)) and not want.failed.any()
+        assert want.iterations * 40 > want.attempts > 40 * 20
+        for tail, run in runs.items():
+            assert _stops_by_row(run) == _stops_by_row(want), tail
+            assert run.attempts == want.attempts
+            assert not run.failed.any()
+        assert runs[40].iterations == 0  # every row finished on the float stepper
+        # each stopping step brackets the section
+        for _, _, y_old, y, _ in _stops_by_row(want).values():
+            g_old, g = (np.frombuffer(v)[1] for v in (y_old, y))
+            assert g_old < 0.0 <= g
+
+    def test_rows_stop_alone_as_in_company(self, katok_sphere, monkeypatch):
+        # without the tail, a row stops at the same step with the same bits in any company
+        monkeypatch.setattr(solvers, "TAIL_ROWS", 0)
+        spec = SectionSpec()
+        chart = AnnulusChart(katok_sphere, spec)
+        rng = np.random.default_rng(9)
+        pts = zip(rng.uniform(0.0, chart.circumference, 12), rng.uniform(0.2, 2.9, 12))
+        y0 = np.array([chart.point_to_state(s, u) for s, u in pts])
+        stop = sections._ReturnStop(chart, katok_sphere.scalar_rhs())
+        fun = katok_sphere.vector_field
+        run = march_rows("RK45", fun, y0, spec.max_return_time, (), rtol=1e-8, atol=1e-8, stop=stop)
+        got = _stops_by_row(run)
+        assert sorted(got) == list(range(12))
+        for i in range(12):
+            alone = march_rows("RK45", fun, y0[[i]], spec.max_return_time, (), rtol=1e-8, atol=1e-8, stop=stop)
+            assert _stops_by_row(alone)[0] == got[i], i
 
 
 def _brent_pair(f, a, b, xtol):
