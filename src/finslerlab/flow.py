@@ -15,24 +15,23 @@ Single orbits and their section solves in :mod:`~finslerlab.sections` step
 one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
 (:data:`~finslerlab.solvers.ORBIT_STEPPERS`) advanced by hand with a
 one-shot scipy solve's checkpoint sampling, and with its terminal-event rule
-applied to the pole cap, a height (:func:`pole_cap`).  Every stepper has one dense output,
-:class:`~finslerlab.solvers.RowInterpolant`, formed for many steps at once:
-checkpoints are sampled from held steps in flushes, as
+applied to the pole cap, a height (:func:`pole_cap`).  Every stepper has one
+dense output, :class:`~finslerlab.solvers.RowInterpolant`, formed for many
+steps at once: checkpoints are sampled from held steps in flushes, as
 :func:`~finslerlab.solvers.march_rows` samples its rows.  A section solve
-reads the steps as they come and builds the interpolant of a step that
-brackets a crossing only; the boundary extension's quotient route keeps
-every step and builds one interpolant over them all.
+keeps the steps that bracket a crossing and builds their interpolant at the
+end of the run; the boundary extension's quotient route keeps every step and
+builds one interpolant over them all.
 Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
-longer sets the step of the rest.  The return steps of a cloud,
-:func:`~finslerlab.sections.ensemble_return_step`, step the same way and stop
-each orbit at the step that brackets its crossing; the cloud's last
-``TAIL_ROWS`` orbits (the slow ones near the pole) finish on the float
-stepper, where a step costs a few microseconds, not a batched call.  Given
-the same derivative, the two stepper shapes take the same steps with the
-same bits; but single orbits take ``scalar_rhs`` (libm) and batches
-``vector_field`` (numpy), so an orbit stepped alone and in an ensemble agree
-to rounding, not bit for bit.
+longer sets the step of the rest.  The crossings of a cloud step the same
+way, and the cloud's last ``TAIL_ROWS`` orbits (the slow ones near the pole)
+go on :class:`_March` from where they stand (:meth:`_March.resume`), where a
+step costs a few microseconds, not a batched call.  Given the same
+derivative, the two stepper shapes take the same steps with the same bits;
+but single orbits take ``scalar_rhs`` (libm) and batches ``vector_field``
+(numpy), so an orbit stepped alone and in an ensemble agree to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ def pole_cap(H: DualMetric, config: IntegratorConfig) -> float | None:
 
 
 class _March:
-    """One adaptive solve of one orbit from t = 0 toward ``t_end``, advanced a step at a time.
+    """One adaptive solve of one orbit from t = 0 (or :meth:`resume`) toward ``t_end``, a step at a time.
 
     The stepping loop of single orbits and their section solves.  The solver
     is ``ORBIT_STEPPERS[config.method]`` (a state of 4 floats, see
@@ -202,19 +201,29 @@ class _March:
     """
 
     def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
-        self.solver = ORBIT_STEPPERS[config.method](
-            fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol
-        )
-        self._method = config.method
+        solver = ORBIT_STEPPERS[config.method](fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol)
+        self._begin(solver, fun, config.method, ts, cap, dense)
+
+    @classmethod
+    def resume(cls, fun, stand, t_end, config, *, cap=None) -> "_March":
+        """A march from a :func:`march_rows` row's stand, (t, y, f, h_abs) in floats: no initial step or ``fun`` call."""
+        march = cls.__new__(cls)
+        solver = ORBIT_STEPPERS[config.method].resume(fun, *stand, t_end, rtol=config.rel_tol, atol=config.abs_tol)
+        march._begin(solver, fun, config.method, (), cap, False)
+        return march
+
+    def _begin(self, solver, fun, method, ts, cap, dense):
+        self.solver = solver
+        self._method = method
         self._fun = lambda y: np.array([fun(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
         self.ts = np.asarray(ts, dtype=float)
-        self._dts = (self.solver.direction * self.ts).tolist()
-        self.path = np.empty((len(self.ts), len(y0)))
+        self._dts = (solver.direction * self.ts).tolist()
+        self.path = np.empty((len(self.ts), len(solver.y)))
         self.n = 0
         self.capped = None
         self.last = None
         self._cap = cap
-        self._g = None if cap is None else cap - abs(y0[1])
+        self._g = None if cap is None else cap - abs(solver.y[1])
         self._held = []  # (step, first sample, sample count) of covering steps not sampled yet
         self._steps = [] if dense else None
 

@@ -61,8 +61,8 @@ from .sampling import (
 )
 from .sections import (
     AnnulusChart,
+    _returns,
     build_return_map_grid,
-    ensemble_return_step,
     first_return,
     iterate_section_map,
     return_time_boundary_extension,
@@ -297,23 +297,21 @@ def _conservation_checks(H, starts, config) -> list[Check]:
 def _return_map_entropy(H, spec, rng, *, n_cloud, T_list, eps_list, config) -> tuple:
     """Separated-set entropy of the section return map on a random cloud.
 
-    The fit window (T_list) should sit in the tail of the iterate range: a
-    zero-entropy twist map has linear count growth, whose log-slope over an
-    early window reflects the window, not the map.
+    Each orbit is marched once through ``max(T_list)`` returns (the crossing
+    loop of :mod:`~finslerlab.sections`); orbits short of them are left out
+    and counted.  The fit window (T_list) should sit in the tail of the
+    iterate range: a zero-entropy twist map has linear count growth, whose
+    log-slope over an early window reflects the window, not the map.
     """
     chart = AnnulusChart(H, spec)
     n_iter = max(T_list)
     s = rng.uniform(0.0, chart.circumference, n_cloud)
     u = rng.uniform(0.15 * math.pi, 0.85 * math.pi, n_cloud)
     states = np.array([chart.point_to_state(si, ui) for si, ui in zip(s, u)])
-    segments = np.empty((n_cloud, n_iter + 1, 2))
-    segments[:, 0, :] = chart.points_of_states(states)
-    alive = np.ones(n_cloud, dtype=bool)
-    for k in range(1, n_iter + 1):
-        states, _, ok = ensemble_return_step(H, spec, states, config, chart=chart)
-        alive &= ok
-        segments[:, k, :] = chart.points_of_states(states)
-    segments = segments[alive]
+    _, crossings, _, errors = _returns(H, states, spec, config, chart, n_iter)
+    alive = np.array([err is None for err in errors], dtype=bool)
+    orbits = np.concatenate([states[alive, None], crossings[alive]], axis=1)
+    segments = chart.points_of_states(orbits.reshape(-1, 4)).reshape(-1, n_iter + 1, 2)
     est = entropy_separated_sets(
         segments,
         T_list=T_list,

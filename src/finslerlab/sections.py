@@ -19,16 +19,17 @@ meridian), which is exactly the flux measure the return map preserves.
 Every (s, u) comes from :meth:`AnnulusChart.points_of_states`.
 
 Crossings are located by one rule: after the first step (the start lies on
-the section), a step whose ends straddle a section level upward is refined on
-that step's own interpolant (:class:`~finslerlab.solvers.RowInterpolant`,
-the one dense output of every stepper), and the crossing is then filtered for
-transversality.  The crossings of one orbit come from one loop,
-:func:`_orbit_returns`, which marches to n ``max_return_time`` for n returns:
+the section), a step whose ends straddle a section level upward is a
+bracket, refined on that step's own interpolant
+(:class:`~finslerlab.solvers.RowInterpolant`, the one dense output of every
+stepper), and the crossing is then filtered for transversality.  One loop,
+:func:`_returns`, marches each of N orbits once to n ``max_return_time`` for
+n returns, refines all the brackets of a run together, and lets an orbit
+short of n because of a tangency step on from its last bracket.
 :func:`detect_crossing` (behind :func:`first_return`, the return grid and the
-boundary extension) is its n = 1 case and :func:`iterate_section_map` its n
-case, so a first return is the map's first iterate bit for bit.  The cloud's
-:func:`ensemble_return_step` applies the rule to each orbit's own steps, as
-the stop rule of :func:`~finslerlab.solvers.march_rows`.
+boundary extension) is its one-orbit, n = 1 case, :func:`iterate_section_map`
+its one-orbit case and :func:`ensemble_return_step` its n = 1 case, so a
+first return is the map's first iterate bit for bit.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ from .errors import (
     NoCrossing,
     NonTransverse,
     NotVanishing,
+    StepFailure,
+    ZeroCovector,
     require_positive,
 )
 from .flow import DEFAULT_CONFIG, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap
 from .metrics import DualMetric
-from .solvers import RowInterpolant, brent_root, march_rows
+from . import solvers
+from .solvers import TOO_SMALL_STEP, RowInterpolant, brent_root, march_rows
 
 __all__ = [
     "SectionSpec",
@@ -296,51 +300,104 @@ def _refine_roots(g, lo, hi, xtol: float = 1e-13) -> np.ndarray:
     return np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
 
 
-def _orbit_returns(H: DualMetric, y0, spec: SectionSpec, config: IntegratorConfig, chart: AnnulusChart, n: int):
-    """The first n transverse upward crossings of one orbit, marched to n ``max_return_time``.
+def _returns(H: DualMetric, states, spec: SectionSpec, config: IntegratorConfig, chart: AnnulusChart, n: int):
+    """The first n transverse upward crossings of each orbit of ``states`` (N, 4), within n ``max_return_time``.
 
-    The one crossing loop of single orbits (:func:`detect_crossing` is its
-    n = 1 case, :func:`iterate_section_map` its n case).  The orbit is marched
-    once (:class:`_March`); after the first step (the start lies on the
-    section), each step whose ends straddle a section level upward
-    (:func:`_upward_brackets`) is refined at once (:func:`_refine_roots`) on
-    that step's own interpolant, the only one built, and its crossing is kept
-    unless its transverse speed is known to be below the tolerance.  The
-    capping step brackets from its start to the pole cap, so a crossing
-    before the cap counts.  Returns the times, states and speeds of the n
-    crossings and the tangencies skipped before the first.  NoCrossing is
-    raised when the budget runs out, or when the orbit meets the sphere
-    chart's pole cap, short of n crossings.
+    The one crossing loop (module docstring).  A cloud of more than
+    ``TAIL_ROWS`` orbits steps in :func:`~finslerlab.solvers.march_rows`, which
+    keeps each orbit's bracketing steps, stops it at its n-th and lets the
+    last orbits go; every other orbit steps on :class:`_March` with
+    ``H.scalar_rhs()`` and the pole cap, from its start or from where the
+    batch let it go.  Returns (times (N, n), states (N, n, 4), skipped (N,),
+    errors): the crossings of the orbits that have n (NaN for the others),
+    the tangencies skipped before each orbit's first, and None or the error
+    that left it short (ZeroCovector, StepFailure or NoCrossing).  An orbit
+    fails alone.
     """
     T = n * spec.max_return_time
-    march = _March(H.scalar_rhs(), y0, T, config, cap=pole_cap(H, config))
-    solver = march.solver
-    g = chart.coordinate(y0)
-    times, states, speeds = [], [], []
-    skipped = 0
-    while len(times) < n and march.step():
-        t_end, y_end = march.capped or (solver.t, solver.y)
-        g_old, g = g, chart.coordinate(y_end)
-        if solver.t_old == 0.0:  # the first step leaves the section it starts on
-            continue
-        up, level = _upward_brackets(g_old, g, chart.periodic_levels)
-        if not up:
-            continue
-        sol = march.interpolant([march.last])
-        t = float(_refine_roots(lambda t: chart.coordinate(sol(t)) - level, [solver.t_old], [t_end])[0])
-        state = sol(t)[0]
-        speed = float(chart.transverse_velocity(state))
-        if speed < spec.transversality_tol:  # only speeds known to be below the tolerance are skipped (NaN is kept)
-            skipped += not times
-            continue
-        times.append(t)
-        states.append(state)
-        speeds.append(speed)
-    if len(times) < n:
-        if march.capped:
-            raise NoCrossing("orbit left the chart strip before its returns")
-        raise NoCrossing(f"{len(times)} of {n} transverse crossings within t = {T} ({skipped} tangencies skipped)")
-    return times, states, speeds, skipped
+    states = np.asarray(states, dtype=float).reshape(-1, 4)
+    zero = (np.hypot(states[:, 2], states[:, 3]) == 0.0).tolist()
+    errors = [ZeroCovector("orbit start has xi = 0") if z else None for z in zero]
+    need = [0 if z else n for z in zero]  # the brackets each orbit is still to step to
+    found, skipped = [[] for _ in zero], [0] * len(zero)  # each orbit's (time, state) crossings; its tangencies
+    live = np.flatnonzero(np.logical_not(zero))
+    rhs, cap = H.scalar_rhs(), pole_cap(H, config)
+    axis, star, spacing = chart._axis, chart._star, chart.periodic_levels
+    marches, stands, parts = {}, {}, []  # float marches; where the batch let orbits go; brackets to refine
+    if live.size > solvers.TAIL_ROWS:
+        run = march_rows(
+            config.method, H.vector_field, states[live], T, (), rtol=config.rel_tol, atol=config.abs_tol,
+            stop=(lambda y_old, y: _upward_brackets(y_old[:, axis] - star, y[:, axis] - star, spacing)[0], n),
+        )
+        for i in live[run.failed].tolist():
+            errors[i] = StepFailure(TOO_SMALL_STEP)
+        if run.steps:
+            sol = RowInterpolant(config.method, H.vector_field, run.steps)
+            _, level = _upward_brackets(chart.coordinate(sol.y_old), chart.coordinate(sol.y), spacing)
+            parts.append((sol, live[run.flagged], sol.t, level))
+        for i in live[run.flagged].tolist():
+            need[i] -= 1
+        for rows, *stand in run.ends:
+            stands.update(zip(live[rows].tolist(), zip(*(a.tolist() for a in stand))))
+    else:
+        marches = {i: _March(rhs, states[i], T, config, cap=cap) for i in live.tolist()}
+    stepping = [i for i in [*marches, *stands] if need[i]]
+    while stepping or parts:
+        brackets = []  # (orbit, step, end, level) of each float step that brackets a crossing
+        for i in stepping:
+            if i in stands:
+                marches[i] = _March.resume(rhs, stands.pop(i), T, config, cap=cap)
+            march = marches[i]
+            solver = march.solver
+            g = solver.y[axis] - star
+            try:
+                while need[i] and march.step():
+                    t_end, y_end = march.capped or (solver.t, solver.y)
+                    g_old, g = g, y_end[axis] - star
+                    up, level = _upward_brackets(g_old, g, spacing)
+                    if up and solver.t_old != 0.0:  # the first step leaves the section it starts on
+                        brackets.append((i, march.last, t_end, level))
+                        need[i] -= 1
+            except StepFailure as err:
+                errors[i] = err
+        if brackets:
+            orbits, steps, ends, levels = zip(*brackets)
+            # every march steps rhs by the same method, so one interpolant serves them all
+            parts.append((march.interpolant(steps), np.array(orbits), np.array(ends), np.array(levels)))
+        if parts:
+            sols, orbits, ends, levels = zip(*parts)
+            cuts = np.cumsum([0, *map(len, orbits)]).tolist()
+            pieces = list(zip(sols, levels, cuts, cuts[1:]))
+            tau = _refine_roots(
+                lambda t: np.concatenate([chart.coordinate(sol(t[a:b])) - level for sol, level, a, b in pieces]),
+                np.concatenate([sol.t_old for sol in sols]), np.concatenate(ends),
+            )
+            y = np.concatenate([sol(tau[a:b]) for sol, _, a, b in pieces])
+            keep = ~(chart.transverse_velocity(y) < spec.transversality_tol)  # NaN is kept
+            # each orbit's brackets come in time order: the batch's, then the floats'
+            for i, t, state, kept in zip(np.concatenate(orbits).tolist(), tau.tolist(), y, keep.tolist()):
+                if kept:
+                    found[i].append((t, state))
+                else:
+                    skipped[i] += not found[i]
+                    need[i] += 1
+        stepping = [
+            i for i, k in enumerate(need)
+            if k and (i in stands or i in marches and not marches[i].capped and marches[i].solver.status == "running")
+        ]
+        parts = []
+    times, crossings = np.full((len(zero), n), np.nan), np.full((len(zero), n, 4), np.nan)
+    full = [i for i, hits in enumerate(found) if len(hits) == n]
+    if full:
+        t, y = zip(*(hit for i in full for hit in found[i]))
+        times[full], crossings[full] = np.reshape(t, (-1, n)), np.reshape(y, (-1, n, 4))
+    for i, hits in enumerate(found):
+        if len(hits) < n and errors[i] is None:
+            errors[i] = NoCrossing(
+                "orbit left the chart strip before its returns" if i in marches and marches[i].capped
+                else f"{len(hits)} of {n} transverse crossings within t = {T} ({skipped[i]} tangencies skipped)"
+            )
+    return times, crossings, np.array(skipped), errors
 
 
 def detect_crossing(
@@ -353,16 +410,19 @@ def detect_crossing(
 ) -> CrossingEvent:
     """First transverse upward crossing of the section after the first step, within ``max_return_time``.
 
-    The n = 1 case of the crossing loop of :func:`iterate_section_map`
-    (:func:`_orbit_returns`), so the crossing comes out bit for bit as the
-    first iterate of the section map.  Near-tangent candidates (transverse
-    speed below tolerance) before it are skipped and counted; NoCrossing is
-    raised when the time budget runs out, or when the orbit reaches the sphere
-    chart's pole cap before it crosses.
+    The one-orbit, n = 1 case of the crossing loop (:func:`_returns`), so the
+    crossing is the section map's first iterate bit for bit.  Tangencies
+    before it are skipped and counted; NoCrossing is raised when the time
+    budget runs out, or at the sphere chart's pole cap.
     """
     chart = chart or AnnulusChart(H, spec)
-    times, states, speeds, skipped = _orbit_returns(H, start_state, spec, config, chart, 1)
-    return CrossingEvent(time=times[0], state=states[0], transverse_speed=speeds[0], skipped_tangencies=skipped)
+    times, states, skipped, errors = _returns(H, start_state, spec, config, chart, 1)
+    if errors[0]:
+        raise errors[0]
+    speed = float(chart.transverse_velocity(states[0, 0]))
+    return CrossingEvent(
+        time=float(times[0, 0]), state=states[0, 0], transverse_speed=speed, skipped_tangencies=int(skipped[0])
+    )
 
 
 def first_return(
@@ -410,43 +470,24 @@ def iterate_section_map(
 ) -> SectionOrbit:
     """Harvest n successive returns from one continuous orbit integration.
 
-    The orbit is marched once, to a budget of n ``max_return_time``, and its
-    first n transverse crossings are taken from the crossing loop
-    (:func:`_orbit_returns`), which stops at the step that brackets the n-th.
+    The one-orbit case of the crossing loop (:func:`_returns`): one march to
+    a budget of n ``max_return_time``, stopped at the step that brackets the
+    n-th return.
     """
     chart = AnnulusChart(H, spec)
     y = chart.point_to_state(*start_point)
     if float(chart.transverse_velocity(y)) < spec.transversality_tol:
         raise NonTransverse("start point is not transverse")
-    times, states, _, _ = _orbit_returns(H, y, spec, config, chart, n)
-    states = [y, *states]
+    times, states, _, errors = _returns(H, y, spec, config, chart, n)
+    if errors[0]:
+        raise errors[0]
+    states = [y, *states[0]]
     return SectionOrbit(
         points=chart.points_of_states(states),
         lift_s=np.array([chart.lift_s(state) for state in states]),
-        times=np.array([0.0, *times]),
+        times=np.array([0.0, *times[0]]),
         circumference=chart.circumference,
     )
-
-
-class _ReturnStop:
-    """:func:`~finslerlab.solvers.march_rows`' stop rule for return steps: an upward crossing of a section level.
-
-    ``batch`` flags the (m, 4) step ends of many orbits, ``one`` the ends of
-    one orbit's float step, both by :func:`_upward_brackets`; ``rhs`` is the
-    float derivative the last orbits finish on.
-    """
-
-    def __init__(self, chart: AnnulusChart, rhs):
-        self.rhs = rhs
-        self._axis, self._star, self._spacing = chart._axis, chart._star, chart.periodic_levels
-
-    def batch(self, y_old, y):
-        axis, star = self._axis, self._star
-        return _upward_brackets(y_old[:, axis] - star, y[:, axis] - star, self._spacing)[0]
-
-    def one(self, y_old, y):
-        axis, star = self._axis, self._star
-        return _upward_brackets(y_old[axis] - star, y[axis] - star, self._spacing)[0]
 
 
 def ensemble_return_step(
@@ -459,48 +500,21 @@ def ensemble_return_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One return-map step for a whole cloud of section states (statistics tier).
 
-    Steps every orbit under its own step control
-    (:func:`~finslerlab.solvers.march_rows`, one batched ``H.vector_field``
-    call per stage), to ``max_return_time`` at most.  After its first
-    accepted step (the start lies on the section), an orbit leaves the batch
-    at the step whose ends straddle a section level upward and keeps that
-    step: its ends, its states there and its stages.  Once ``TAIL_ROWS`` or
-    fewer orbits remain, each finishes on its float stepper with
-    ``H.scalar_rhs()``.  The crossings are then refined together
-    (:func:`_refine_roots`), each on the interpolant of its own step
-    (:class:`~finslerlab.solvers.RowInterpolant`), and checked for
-    transversality together.  An orbit stepped in the batch to its crossing
-    is the same bits alone and in any cloud; one that finishes in the tail
-    moves by the rounding difference of ``scalar_rhs`` and ``vector_field``.
-    Returns (new_states, taus, ok_mask); failed orbits keep their input state
-    and tau = nan.  An orbit that starts at xi = 0, whose step size
-    underflows, or that does not cross within ``max_return_time`` fails
-    alone.
+    The n = 1 case of the crossing loop (:func:`_returns`): each orbit steps
+    under its own step control to its first transverse crossing, within
+    ``max_return_time``, and a tangency is skipped, as a single orbit skips
+    it.  An orbit stepped in the batch is the same bits alone and in any
+    cloud; in a cloud of ``TAIL_ROWS`` or fewer orbits each returns as
+    :func:`first_return` does, bit for bit.  Returns (new_states, taus,
+    ok_mask); an orbit that starts at xi = 0, whose step size underflows,
+    that meets the pole cap or that does not cross fails alone, keeping its
+    input state and tau = nan.
     """
     chart = chart or AnnulusChart(H, spec)
     states = np.asarray(states, dtype=float).reshape(-1, 4)
-    new_states = states.copy()
-    taus = np.full(len(states), np.nan)
-    ok = np.zeros(len(states), dtype=bool)
-    live = np.flatnonzero(np.hypot(states[:, 2], states[:, 3]) != 0.0)
-    run = march_rows(
-        config.method, H.vector_field, states[live], spec.max_return_time, (),
-        rtol=config.rel_tol, atol=config.abs_tol, stop=_ReturnStop(chart, H.scalar_rhs()),
-    )
-    if not run.stopped.size:
-        return new_states, taus, ok
-
-    sol = RowInterpolant(config.method, H.vector_field, run.steps)
-    _, level = _upward_brackets(chart.coordinate(sol.y_old), chart.coordinate(sol.y), chart.periodic_levels)
-    tau = _refine_roots(lambda t: chart.coordinate(sol(t)) - level, sol.t_old, sol.t)
-    y = sol(tau)
-    # only speeds known to be below the tolerance are rejected (NaN is kept)
-    keep = ~(chart.transverse_velocity(y) < spec.transversality_tol)
-    accepted = live[run.stopped[keep]]
-    new_states[accepted] = y[keep]
-    taus[accepted] = tau[keep]
-    ok[accepted] = True
-    return new_states, taus, ok
+    times, crossings, _, errors = _returns(H, states, spec, config, chart, 1)
+    ok = np.array([err is None for err in errors], dtype=bool)
+    return np.where(ok[:, None], crossings[:, 0], states), times[:, 0], ok
 
 
 # --- return-map tables -------------------------------------------------------

@@ -24,9 +24,10 @@ controller raises with numpy's ``power`` kernel, never libm's ``pow``.
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
   Wanner, Sec. II.4), so an easy row is not held to the step of a hard one.
-  With a stop rule, a row leaves at the step that brackets its event, and
-  the last ``TAIL_ROWS`` rows finish on the float stepper, where a row's
-  step costs far less than a batched call.  :class:`RowInterpolant` is the
+  With a stop rule, a row leaves at the n-th step that brackets its event,
+  and the last ``TAIL_ROWS`` rows leave together, each where a float
+  stepper can resume it (``resume``), since there a row's step costs far
+  less than a batched call.  :class:`RowInterpolant` is the
   one dense output of every stepper, formed for many steps at once (Sec.
   II.6): a step's interpolant depends on that step alone.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
@@ -55,7 +56,7 @@ SAFETY = 0.9  # multiplies the asymptotically optimal step factor
 MIN_FACTOR = 0.2  # smallest step decrease
 MAX_FACTOR = 10  # largest step increase
 DENSE_BUDGET = 512  # march_rows samples its held covering steps once they reach this many rows
-TAIL_ROWS = 16  # a march_rows stop run finishes its last rows, this many or fewer, on the float stepper
+TAIL_ROWS = 16  # a march_rows stop run lets its last rows, this many or fewer, go to a float stepper
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -190,11 +191,11 @@ class _FloatRungeKutta:
 
         It takes no initial step and calls no ``fun``: the state a row of
         :func:`march_rows` holds after an accepted attempt, which this
-        stepper then steps as the row's batch would.  ``rtol`` is taken as
-        given (the batch has floored it).
+        stepper then steps as the row's batch would.  ``rtol`` is floored
+        as the batch floors it, which has warned of it.
         """
         self = cls.__new__(cls)
-        self._start(fun, t, y, t_bound, rtol, atol)
+        self._start(fun, t, y, t_bound, max(rtol, 100 * EPS), atol)
         self.f, self.h_abs = tuple(f), h_abs
         return self
 
@@ -381,9 +382,10 @@ class RowRun(NamedTuple):
     path: np.ndarray  # (len(ts), N, n); NaN at samples a failed row never reached
     failed: np.ndarray  # (N,) bool: the row's step size underflowed
     iterations: int  # lockstep iterations, each one attempt of every batched row
-    attempts: int  # step attempts of all rows together, the float tail's included
-    stopped: np.ndarray  # ids of the rows the stop rule stopped, in the order of ``steps``
-    steps: list  # their stopping steps, (t_old, t, y_old, y, K) of some rows each: RowInterpolant's steps
+    attempts: int  # step attempts of all rows together
+    flagged: np.ndarray  # the row of each step the stop rule flagged, in the order of ``steps``
+    steps: list  # the flagged steps, (t_old, t, y_old, y, K) of some rows each: RowInterpolant's steps
+    ends: list  # (rows, t, y, f, h_abs) of some rows each: where the rows the stop rule stopped or let go stand
 
 
 class _RowStepper:
@@ -517,16 +519,14 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
     together, at ``DENSE_BUDGET`` rows and at the end.  The sums run term by
     term, so a row's bits do not depend on the other rows.
 
-    A ``stop`` rule also stops a row at its first accepted step after the
-    first whose ends it flags, ``stop.batch(y_old, y)`` for (m, n) ends; the
-    row keeps that step in ``stopped`` and ``steps``.  Once ``TAIL_ROWS`` or
-    fewer rows remain, each row whose last attempt was accepted finishes on
-    its float stepper (``ORBIT_STEPPERS[method]``, 4-component rows), which
-    resumes from the row's t, state, derivative and next step size with the
-    float derivative ``stop.rhs(t, y)`` and flags a step with
-    ``stop.one(y_old, y)``.  The float stepper takes the batch's step on the
-    same derivative, so the tail moves a row's bits only as far as
-    ``stop.rhs`` and ``fun`` differ.  A stop run takes no sample times.
+    A ``stop`` rule, (flags, count), keeps each row's accepted steps after
+    its first whose ends ``flags(y_old, y)`` flags, for (m, n) ends, in
+    ``flagged`` and ``steps``, and stops the row at its count-th.  Once
+    ``TAIL_ROWS`` or fewer rows remain, each row whose last attempt was
+    accepted leaves too.  Where each row the rule stopped or let go stands,
+    its t, state, derivative and next step size, is in ``ends``: the caller
+    steps such a row on from there as the batch would.  A stop run takes no
+    sample times.
     """
     stepper = _ROW_STEPPERS[method](fun, rtol, atol)
     y = np.asarray(y0, dtype=float)
@@ -534,10 +534,11 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
     ts = np.asarray(ts, dtype=float)
     path = np.full((len(ts), N, n), np.nan)
     failed = np.zeros(N, dtype=bool)
-    stopped, steps = [], []  # the rows the stop rule stopped, and their stopping steps
+    flagged, steps = [], []  # the rows of the steps the stop rule flagged, and those steps
+    ends = []  # (rows, t, y, f, h_abs) of the rows the stop rule stopped or let go
     if N == 0 or t_bound == 0.0:
         path[:] = y
-        return RowRun(path, failed, 0, 0, np.zeros(0, dtype=int), steps)
+        return RowRun(path, failed, 0, 0, np.zeros(0, dtype=int), steps, ends)
     d = 1.0 if t_bound > 0 else -1.0
     dts = d * ts
     rows = np.arange(N)
@@ -546,13 +547,13 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
     h_abs = stepper.initial_step(y, f, abs(t_bound), d)
     rejected = np.zeros(N, dtype=bool)
     done = np.zeros(N, dtype=np.int64)  # samples covered
+    left = np.full(N, stop[1] if stop is not None else 0)  # each row's flagged steps to go
     held, held_rows = [], 0  # covering steps whose samples are not formed yet
-    tail = []  # (rows, t, y, f, h_abs) of the rows handed to the float stepper
     iterations = attempts = 0
     while rows.size:
         if stop is not None and rows.size <= TAIL_ROWS:
             hand = ~rejected
-            tail.append(tuple(a[hand] for a in (rows, t, y, f, h_abs)))
+            ends.append(tuple(a[hand] for a in (rows, t, y, f, h_abs)))
             rows, t, y, f, h_abs, rejected, done = (a[rejected] for a in (rows, t, y, f, h_abs, rejected, done))
             if not rows.size:
                 break
@@ -585,11 +586,15 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
 
         running = ~accept | (d * (t_new - t_bound) < 0)
         if stop is not None:
-            hit = accept & (t != 0.0) & stop.batch(y, y_new)  # a row's first step leaves its start
+            hit = accept & (t != 0.0) & stop[0](y, y_new)  # a row's first step leaves its start
             if hit.any():
-                stopped.append(rows[hit])
+                flagged.append(rows[hit])
                 steps.append((t[hit], t_new[hit], y[hit], y_new[hit], K[:, hit]))
-                running &= ~hit
+                left[rows[hit]] -= 1
+                last = hit & (left[rows] == 0)
+                if last.any():  # these rows stop, standing at the end of this step
+                    ends.append((rows[last], t_new[last], y_new[last], K[stepper.method.n_stages, last], h_abs[last]))
+                    running &= ~last
         if ts.size:
             hi = np.where(accept, np.searchsorted(dts, d * t_new, side="right"), done)
             cover = np.flatnonzero(hi > done)
@@ -611,34 +616,8 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
             )
     if held:
         _sample_held(method, fun, ts, path, held)
-    if tail:
-        attempts += _finish_on_floats(method, stop, t_bound, stepper.rtol, atol, tail, failed, stopped, steps)
-    return RowRun(path, failed, iterations, attempts, np.concatenate(stopped or [np.zeros(0, dtype=int)]), steps)
-
-
-def _finish_on_floats(method, stop, t_bound, rtol, atol, tail, failed, stopped, steps) -> int:
-    """Step the rows handed over by :func:`march_rows` on the float stepper, to their stop; returns their attempts.
-
-    A row that stops appends its id to ``stopped`` and its step to ``steps``;
-    a row whose step size underflows is flagged in ``failed``.
-    """
-    rows, t, y, f, h_abs = (np.concatenate(a).tolist() for a in zip(*tail))
-    ids, kept, nfev = [], [], 0
-    stepper = ORBIT_STEPPERS[method]
-    for row, t0, y0, f0, h0 in zip(rows, t, y, f, h_abs):
-        solver = stepper.resume(stop.rhs, t0, y0, f0, h0, t_bound, rtol=rtol, atol=atol)
-        while solver.status == "running":
-            if solver.step() is not None:
-                failed[row] = True
-            elif solver.t_old != 0.0 and stop.one(solver.y_old, solver.y):
-                ids.append(row)
-                kept.append((solver.t_old, solver.t, solver.y_old, solver.y, solver.K))
-                break
-        nfev += solver.nfev
-    if kept:
-        stopped.append(np.array(ids))
-        steps.append(_float_rows(kept))
-    return nfev // stepper.n_stages
+    flagged = np.concatenate(flagged or [np.zeros(0, dtype=int)])
+    return RowRun(path, failed, iterations, attempts, flagged, steps, ends)
 
 
 def _float_rows(steps):
@@ -665,12 +644,11 @@ class RowInterpolant:
     its stages, (n_stages + 1, m, n).  Called with one time per
     row, in its step's ``t_old .. t``, it returns the states there, each from
     its own step; :meth:`at` takes any rows at any times.  This is the one
-    dense output of the lab: of :func:`march_rows`, its stop run's stopping
-    steps (the cloud's returns) and the float steppers' single orbits
-    (``flow._March``).  The
-    coefficients of every step are computed once, here (DOP853's 3 extra
-    stages are batched calls of ``fun``, the derivative of an (m, n) batch
-    of states).
+    dense output of the lab: of :func:`march_rows`, its stop run's flagged
+    steps (a cloud's returns) and the float steppers' orbits
+    (``flow._March``).  The coefficients of every step are computed once,
+    here (DOP853's 3 extra stages are batched calls of ``fun``, the
+    derivative of an (m, n) batch of states).
     """
 
     def __init__(self, method, fun, steps):

@@ -35,7 +35,7 @@ from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
 from finslerlab.sections import AnnulusChart, SectionSpec, ensemble_return_step
-from finslerlab.solvers import EPS, FloatRK45, march_rows
+from finslerlab.solvers import EPS, TAIL_ROWS, FloatRK45, march_rows
 from flow_oracles import (
     ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event, stacked_rhs,
 )
@@ -299,17 +299,21 @@ class TestRtolFloor:
         return linecache.getline(record.filename, record.lineno)
 
     def test_return_step_warns_once_from_its_march(self, katok_sphere):
-        # the batch floors rtol and its float tail resumes at the floor, so a
-        # return step warns once, naming its own call of march_rows
+        # one orbit steps on the float stepper, which floors rtol; a cloud of
+        # more than TAIL_ROWS orbits floors in the batch, and its last orbits
+        # resume on the float stepper at the floor: a return step warns once, naming its own call
         spec = SectionSpec()
         chart = AnnulusChart(katok_sphere, spec)
         config = IntegratorConfig(method="RK45", rel_tol=1e-17, abs_tol=1e-12)
-        with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            _, taus, ok = ensemble_return_step(katok_sphere, spec, chart.point_to_state(1.0, 0.9)[None], config, chart=chart)
-        assert ok.all() and 6.0 < taus[0] < 7.0
-        assert len(rec) == 1
-        assert rec[0].filename == sections.__file__
-        assert "march_rows(" in linecache.getline(rec[0].filename, rec[0].lineno)
+        u = np.linspace(0.9, 1.1, TAIL_ROWS + 1)
+        for states, call in [(chart.point_to_state(1.0, 0.9)[None], "_March("),
+                             (np.array([chart.point_to_state(1.0, v) for v in u]), "march_rows(")]:
+            with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
+                _, taus, ok = ensemble_return_step(katok_sphere, spec, states, config, chart=chart)
+            assert ok.all() and (6.0 < taus).all() and (taus < 7.0).all()
+            assert len(rec) == 1
+            assert rec[0].filename == sections.__file__
+            assert call in linecache.getline(rec[0].filename, rec[0].lineno)
 
     def test_float_stepper_names_its_builders_caller(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:

@@ -28,6 +28,7 @@ from finslerlab.sections import (
     AnnulusChart,
     SectionSpec,
     _refine_roots,
+    _returns,
     _upward_brackets,
     build_return_map_grid,
     detect_crossing,
@@ -374,7 +375,7 @@ class TestIterateSectionMap:
         assert new_states[0].tobytes() == alone[0][0].tobytes() and taus[0].tobytes() == alone[1][0].tobytes()
 
     def test_batched_return_is_its_return_alone(self, katok_sphere, monkeypatch):
-        # with no float tail, every orbit is stepped in the batch to its own
+        # with TAIL_ROWS = 0, every orbit is stepped in the batch to its own
         # crossing, and its return is the same bytes alone and in any company
         monkeypatch.setattr(solvers, "TAIL_ROWS", 0)
         config = IntegratorConfig(method="RK45", rel_tol=1e-9, abs_tol=1e-9)
@@ -395,8 +396,8 @@ class TestIterateSectionMap:
 
     @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-9)])
     def test_tail_return_is_first_return(self, katok_sphere, monkeypatch, method, tol):
-        # every orbit on the float tail steps as first_return steps it, from the
-        # batch's derivative and initial step (vector_field, not scalar_rhs)
+        # a cloud of TAIL_ROWS or fewer orbits steps each orbit on the float
+        # stepper from its start, as first_return steps it: the same bytes
         monkeypatch.setattr(solvers, "TAIL_ROWS", 24)
         config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
@@ -408,16 +409,54 @@ class TestIterateSectionMap:
         points = chart.points_of_states(new_states)
         for i, point in enumerate(pts):
             want = first_return(katok_sphere, SPHERE_SPEC, point, config, chart=chart)
-            # largest gaps measured: 0 (tau: 24 of 24 equal, both methods) and
-            # 1.8e-15 (s, u); the start's derivative and initial step are not
-            # scalar_rhs's bits, so equality is not promised
-            assert abs(taus[i] - want.tau) <= 1e-13
-            assert abs(circdiff(points[i, 0] - want.image[0])) <= 1e-13
-            assert abs(points[i, 1] - want.image[1]) <= 1e-13
+            assert taus[i].tobytes() == np.float64(want.tau).tobytes()
+            assert points[i].tobytes() == np.array(want.image).tobytes()
+
+    @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-9)])
+    def test_cloud_iterates_are_single_orbit_iterates(self, katok_sphere, monkeypatch, method, tol):
+        # with TAIL_ROWS or fewer orbits, the crossing loop steps each orbit of
+        # a cloud as iterate_section_map steps it alone, near-polar orbits
+        # (u = pi/2 -+ 0.002) included: its n iterates are the same bytes
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(44)
+        u = rng.uniform(0.15 * math.pi, 0.85 * math.pi, 12)
+        u[:2] = math.pi / 2 - 0.002, math.pi / 2 + 0.002
+        pts = list(zip(rng.uniform(0.0, chart.circumference, 12), u))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        monkeypatch.setattr(solvers, "TAIL_ROWS", len(states))
+        times, crossings, _, errors = _returns(katok_sphere, states, SPHERE_SPEC, config, chart, 5)
+        assert errors == [None] * 12
+        for i, point in enumerate(pts):
+            want = iterate_section_map(katok_sphere, SPHERE_SPEC, point, 5, config)
+            orbit = [states[i], *crossings[i]]
+            assert times[i].tobytes() == want.times[1:].tobytes(), i
+            assert chart.points_of_states(orbit).tobytes() == want.points.tobytes(), i
+            assert np.array([chart.lift_s(y) for y in orbit]).tobytes() == want.lift_s.tobytes(), i
+
+    def test_batched_iterates_are_their_iterates_alone(self, katok_sphere, monkeypatch):
+        # with TAIL_ROWS = 0, every orbit is stepped in the batch through its n
+        # crossings, and its iterates are the same bytes alone and in any company
+        monkeypatch.setattr(solvers, "TAIL_ROWS", 0)
+        config = IntegratorConfig(method="RK45", rel_tol=1e-9, abs_tol=1e-9)
+        chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
+        rng = np.random.default_rng(45)
+        pts = zip(rng.uniform(0.0, chart.circumference, 16), rng.uniform(0.15 * math.pi, 0.85 * math.pi, 16))
+        states = np.array([chart.point_to_state(s, u) for s, u in pts])
+        got = _returns(katok_sphere, states, SPHERE_SPEC, config, chart, 4)
+        assert got[3] == [None] * 16
+        company = rng.choice(16, 6, replace=False)
+        part = _returns(katok_sphere, states[company], SPHERE_SPEC, config, chart, 4)
+        for a, b in zip(got[:3], part[:3]):
+            assert a[company].tobytes() == b.tobytes()
+        for i in range(16):
+            alone = _returns(katok_sphere, states[[i]], SPHERE_SPEC, config, chart, 4)
+            for a, b in zip(got[:3], alone[:3]):
+                assert a[i].tobytes() == b[0].tobytes(), i
 
     def test_step_underflow_fails_alone(self, katok_sphere, monkeypatch):
         # an orbit whose step size underflows fails on its own, in the batch
-        # and on the float tail, and the cloud's other orbits return
+        # and on the float stepper, and the cloud's other orbits return
         config = IntegratorConfig(method="RK45", rel_tol=1e-9, abs_tol=1e-9)
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         rng = np.random.default_rng(43)
@@ -425,7 +464,7 @@ class TestIterateSectionMap:
         states = np.array([chart.point_to_state(s, u) for s, u in pts])
         states[7] = (100.0, 0.0, 0.6, 0.8)
         H = _BlowUp(katok_sphere)
-        for tail in (0, 16, 20):  # the blow-up in the batch, in the batch, on the float tail
+        for tail in (0, 16, 20):  # the blow-up in the batch, in the batch, on the float stepper from its start
             monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
             new_states, taus, ok = ensemble_return_step(H, SPHERE_SPEC, states, config, chart=chart)
             assert ok.tolist() == [i != 7 for i in range(20)]
@@ -443,7 +482,7 @@ class TestIterateSectionMap:
     def test_transversality_rejects_orbit_by_orbit(self, katok_sphere, fast_config):
         chart = AnnulusChart(katok_sphere, SPHERE_SPEC)
         rng = np.random.default_rng(31)
-        pts = zip(rng.uniform(0.0, chart.circumference, 12), rng.uniform(0.3, 2.8, 12))
+        pts = list(zip(rng.uniform(0.0, chart.circumference, 12), rng.uniform(0.3, 2.8, 12)))
         states = np.array([chart.point_to_state(s, u) for s, u in pts])
         base_states, base_taus, base_ok = ensemble_return_step(
             katok_sphere, SPHERE_SPEC, states, fast_config, chart=chart
@@ -453,6 +492,8 @@ class TestIterateSectionMap:
         tol = float(np.median(speeds))
         slow = speeds < tol
         assert 0 < np.count_nonzero(slow) < len(states)
+        # a slow orbit skips its first crossing as a tangency, as a single orbit
+        # does, and finds no other within max_return_time: it fails alone
         strict = replace(SPHERE_SPEC, transversality_tol=tol)
         new_states, taus, ok = ensemble_return_step(katok_sphere, strict, states, fast_config, chart=chart)
         assert np.array_equal(ok, ~slow)
@@ -460,7 +501,18 @@ class TestIterateSectionMap:
         assert np.isnan(taus[slow]).all()
         assert new_states[ok].tobytes() == base_states[ok].tobytes()
         assert taus[ok].tobytes() == base_taus[ok].tobytes()
-
+        for i in np.flatnonzero(slow):
+            with pytest.raises(NoCrossing, match=r"0 of 1 .* \(1 tangencies skipped\)"):
+                detect_crossing(katok_sphere, states[i], strict, fast_config, chart=chart)
+        # the map keeps u, so each later crossing is as slow: with three times
+        # the budget, a slow orbit skips every crossing, as detect_crossing does
+        longer = replace(strict, max_return_time=3 * SPHERE_SPEC.max_return_time)
+        _, _, skipped, errors = _returns(katok_sphere, states, longer, fast_config, chart, 1)
+        assert [err is None for err in errors] == (~slow).tolist()
+        for i in np.flatnonzero(slow):
+            with pytest.raises(NoCrossing) as want:
+                detect_crossing(katok_sphere, states[i], longer, fast_config, chart=chart)
+            assert str(errors[i]) == str(want.value) and skipped[i] >= 2
 
     def test_returns_within_the_budget(self, h0_sphere, h0_torus, tight_config):
         # n returns are marched to n max_return_time; on the round sphere every
@@ -595,7 +647,7 @@ class TestMarchAgainstFullSolve:
         # katok-sphere's entropy settings, with a stricter transversality
         # tolerance; each orbit against scipy's run of that orbit alone, with
         # every orbit batched to its crossing (vector_field) and with every
-        # orbit finished on the float stepper (scalar_rhs)
+        # orbit stepped on the float stepper from its start (scalar_rhs)
         spec = SectionSpec(scan_dt=0.04, max_return_time=max_return_time, transversality_tol=1e-3)
         config = IntegratorConfig(method="RK45", rel_tol=1e-8, abs_tol=1e-8)
         chart = AnnulusChart(katok_sphere, spec)
@@ -608,16 +660,16 @@ class TestMarchAgainstFullSolve:
         for tail in (0, len(states)):
             monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
             new_states, taus, ok = ensemble_return_step(katok_sphere, spec, states, config, chart=chart)
-            # the cloud rejects an orbit whose first crossing is a tangency, where
-            # the single orbit skips it and looks on
-            assert ok.tolist() == [len(times) == 1 and not skipped for times, _, _, skipped in want]
+            # the cloud skips a tangency and looks on, as the single orbit does
+            assert ok.tolist() == [len(times) == 1 for times, _, _, _ in want]
             assert new_states[~ok].tobytes() == states[~ok].tobytes() and np.isnan(taus[~ok]).all()
             for i in np.flatnonzero(ok):
                 times, crossings, _, _ = want[i]
                 # largest gaps measured: 5.4e-14 (states), 5.8e-14 (taus)
                 assert abs(taus[i] - times[0]) <= 1e-12
                 assert np.max(np.abs(new_states[i] - crossings[0])) <= 1e-12
-            assert not ok[0]
+            # orbit 0 skips its graze and crosses no more within the budget
+            assert not ok[0] and want[0][3] == 1
             # orbit 9 starts in the perturbation cone and returns at tau = 6.42
             assert ok[9] == (max_return_time > 6.42)
             assert np.count_nonzero(ok) == 11 - (max_return_time < 6.42)

@@ -7,9 +7,9 @@ empty interval, and the C ``brentq``), the floor of the ``test`` extra.  The
 steppers sum as ``march_rows`` sums, term by term: an attempt of the float
 stepper of one orbit is a ``march_rows`` row attempt bit for bit, a row's
 attempt is the same bits in any company, and a float orbit and a one-row
-``march_rows`` run take the same steps bit for bit, so a stop run's rows can
-finish on the float stepper without moving a bit; their runs match scipy's
-to stated bounds.
+``march_rows`` run take the same steps bit for bit, so a cloud's orbits can
+go from ``march_rows`` to the float stepper without moving a bit; their runs
+match scipy's to stated bounds.
 """
 
 import inspect
@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from finslerlab.errors import StepFailure
 from finslerlab import analysis, dop853_coefficients, sampling, sections, solvers
 from finslerlab.analysis import turning_point_bisect
-from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, _March, integrate_orbit
+from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, _March, integrate_orbit, metric_profile
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
@@ -454,66 +454,114 @@ class TestDeferredSampling:
         assert run.path.tobytes() == want.path.tobytes()
 
 
-def _stops_by_row(run) -> dict:
-    """Each stopped row's stopping step (t_old, t, y_old, y, K) as bytes, by row id."""
+def _flagged_by_row(run) -> dict:
+    """Each row's flagged steps (t_old, t, y_old, y, K) as bytes, in order, by row id."""
     t_old, t, y_old, y, K = (np.concatenate(a, axis=-2 if k == 4 else 0) for k, a in enumerate(zip(*run.steps)))
-    return {
-        int(i): (t_old[k].tobytes(), t[k].tobytes(), y_old[k].tobytes(), y[k].tobytes(), K[:, k].tobytes())
-        for k, i in enumerate(run.stopped)
-    }
+    out = {}
+    for k, i in enumerate(run.flagged.tolist()):
+        step = (t_old[k], t[k], y_old[k], y[k], K[:, k])
+        out.setdefault(i, []).append(tuple(a.tobytes() for a in step))
+    return out
+
+
+class _RowsOf:
+    """A metric whose batched field is its float RHS row by row, counting the states both are called on."""
+
+    def __init__(self, H):
+        self.profile = metric_profile(H)  # pole_cap reads it
+        self._rhs = H.scalar_rhs()
+        self.calls = 0
+
+    def scalar_rhs(self):
+        def fun(t, y):
+            self.calls += 1
+            return self._rhs(t, y)
+
+        return fun
+
+    def vector_field(self, y):
+        self.calls += len(y)
+        return np.array([self._rhs(0.0, row) for row in y.tolist()], dtype=float)
 
 
 class TestStopRule:
-    """march_rows' per-row stop and its float tail: on the same derivative the tail moves no bit."""
+    """The crossing loop's hand-offs between march_rows and the float stepper move no bit on one derivative."""
 
     @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-9)])
-    def test_tail_takes_the_batch_steps(self, katok_sphere, monkeypatch, method, tol):
-        # 40 Katok-sphere equator orbits, two of them 0.002 from the polar
-        # direction, stepped to their first return on the float RHS, batched
-        # row by row and in floats alike: whichever rows finish on the float
-        # stepper, and whenever they are handed over, every row stops at the
-        # same step with the same bits after the same attempts
-        spec = SectionSpec()
-        chart = AnnulusChart(katok_sphere, spec)
+    def test_tail_takes_the_batch_steps(self, katok_sphere, h0_torus, monkeypatch, method, tol):
+        # 40 orbits to their third return, stepped on the float RHS, batched row
+        # by row and in floats alike: Katok-sphere equator orbits, two of them
+        # 0.002 from the polar direction, and spliced-torus meridian orbits
+        # whose crossings slower than 1.0 are skipped as tangencies, so that an
+        # orbit short of 3 steps on from its last bracket or fails.  Whichever
+        # orbits step in the batch, and whenever they go to the float stepper,
+        # every orbit keeps the same brackets and crossings with the same bits
+        # after the same attempts (the same count of RHS states)
+        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
         rng = np.random.default_rng(8)
         u = rng.uniform(0.15 * math.pi, 0.85 * math.pi, 40)
         u[:2] = math.pi / 2 - 0.002, math.pi / 2 + 0.002
-        y0 = np.array([chart.point_to_state(s, v) for s, v in zip(rng.uniform(0.0, chart.circumference, 40), u)])
-        rhs = katok_sphere.scalar_rhs()
-        stop = sections._ReturnStop(chart, rhs)
-        runs = {}
-        for tail in (0, 7, 16, 40):
-            monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
-            runs[tail] = march_rows(method, _row_fun(rhs), y0, spec.max_return_time, (), rtol=tol, atol=tol, stop=stop)
-        want = runs[0]
-        assert sorted(want.stopped.tolist()) == list(range(40)) and not want.failed.any()
-        assert want.iterations * 40 > want.attempts > 40 * 20
-        for tail, run in runs.items():
-            assert _stops_by_row(run) == _stops_by_row(want), tail
-            assert run.attempts == want.attempts
-            assert not run.failed.any()
-        assert runs[40].iterations == 0  # every row finished on the float stepper
-        # each stopping step brackets the section
-        for _, _, y_old, y, _ in _stops_by_row(want).values():
-            g_old, g = (np.frombuffer(v)[1] for v in (y_old, y))
-            assert g_old < 0.0 <= g
+        meridian = SectionSpec(kind="meridian", max_return_time=16.0, transversality_tol=1.0)
+        cases = [(katok_sphere, SectionSpec(), u), (h0_torus, meridian, rng.uniform(0.2, 2.9, 40))]
+        real_refine = sections._refine_roots
+        for H, spec, u in cases:
+            chart = AnnulusChart(H, spec)
+            s = rng.uniform(0.0, chart.circumference, 40)
+            s[2], u[2] = 1.3, 1.2  # on the torus: skips its first crossing (speed 0.41) and a later one
+            y0 = np.array([chart.point_to_state(a, b) for a, b in zip(s, u)])
+            runs = {}
+            for tail in (0, 7, 16, 40):
+                monkeypatch.setattr(solvers, "TAIL_ROWS", tail)
+                brackets = []
+
+                def refine(g, lo, hi):
+                    brackets.extend(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+                    return real_refine(g, lo, hi)
+
+                monkeypatch.setattr(sections, "_refine_roots", refine)
+                rows = _RowsOf(H)
+                *out, errors = sections._returns(rows, y0, spec, config, chart, 3)
+                runs[tail] = ([a.tobytes() for a in out], [repr(err) for err in errors], sorted(brackets), rows.calls)
+            want = runs[0]
+            for tail, run in runs.items():
+                assert run == want, tail
+            found = ~np.isnan(np.frombuffer(want[0][0]).reshape(40, 3))
+            if spec.kind == "meridian":
+                # every path: orbits that skip a tangency and return, and orbits that fail
+                skipped = np.frombuffer(want[0][2], dtype=int)
+                assert (skipped[found.all(axis=1)] > 0).any() and want[1].count("None") < 40
+            else:
+                assert found.all() and want[1] == ["None"] * 40
 
     def test_rows_stop_alone_as_in_company(self, katok_sphere, monkeypatch):
-        # without the tail, a row stops at the same step with the same bits in any company
+        # without the tail, a row keeps the same 3 flagged steps with the same
+        # bits and stands at the same place in any company
         monkeypatch.setattr(solvers, "TAIL_ROWS", 0)
         spec = SectionSpec()
         chart = AnnulusChart(katok_sphere, spec)
         rng = np.random.default_rng(9)
         pts = zip(rng.uniform(0.0, chart.circumference, 12), rng.uniform(0.2, 2.9, 12))
         y0 = np.array([chart.point_to_state(s, u) for s, u in pts])
-        stop = sections._ReturnStop(chart, katok_sphere.scalar_rhs())
+        stop = (lambda y_old, y: sections._upward_brackets(chart.coordinate(y_old), chart.coordinate(y), None)[0], 3)
         fun = katok_sphere.vector_field
-        run = march_rows("RK45", fun, y0, spec.max_return_time, (), rtol=1e-8, atol=1e-8, stop=stop)
-        got = _stops_by_row(run)
-        assert sorted(got) == list(range(12))
+        T = 3 * spec.max_return_time
+
+        def ends(run):
+            return {i: [a[k].tobytes() for a in end] for rows, *end in run.ends for k, i in enumerate(rows.tolist())}
+
+        run = march_rows("RK45", fun, y0, T, (), rtol=1e-8, atol=1e-8, stop=stop)
+        got = _flagged_by_row(run)
+        assert sorted(got) == list(range(12)) and all(len(v) == 3 for v in got.values())
+        assert sorted(ends(run)) == list(range(12))
         for i in range(12):
-            alone = march_rows("RK45", fun, y0[[i]], spec.max_return_time, (), rtol=1e-8, atol=1e-8, stop=stop)
-            assert _stops_by_row(alone)[0] == got[i], i
+            alone = march_rows("RK45", fun, y0[[i]], T, (), rtol=1e-8, atol=1e-8, stop=stop)
+            assert _flagged_by_row(alone)[0] == got[i], i
+            assert ends(alone)[0] == ends(run)[i], i
+        # each flagged step brackets the section
+        for steps in got.values():
+            for _, _, y_old, y, _ in steps:
+                g_old, g = (np.frombuffer(v)[1] for v in (y_old, y))
+                assert g_old < 0.0 <= g
 
 
 def _brent_pair(f, a, b, xtol):
