@@ -12,7 +12,7 @@ because the Hamiltonians are piecewise-defined and event location needs dense
 output.
 
 Single orbits and their section solves in :mod:`~finslerlab.sections` step
-one loop, :class:`_March`: a float stepper of :mod:`~finslerlab.solvers`
+one object, a float stepper of :mod:`~finslerlab.solvers`
 (:data:`~finslerlab.solvers.ORBIT_STEPPERS`) advanced by hand with a
 one-shot scipy solve's checkpoint sampling, and with its terminal-event rule
 applied to the pole cap, a height (:func:`pole_cap`).  Every stepper has one
@@ -26,7 +26,7 @@ Orbit ensembles (:func:`integrate_ensemble`) step each orbit under its own
 step control (:func:`~finslerlab.solvers.march_rows`), so one hard orbit no
 longer sets the step of the rest.  The crossings of a cloud step the same
 way, and the cloud's last ``TAIL_ROWS`` orbits (the slow ones near the pole)
-go on :class:`_March` from where they stand (:meth:`_March.resume`), where a
+go on the float stepper from where they stand (its ``resume``), where a
 step costs a few microseconds, not a batched call.  Given the same
 derivative, the two stepper shapes take the same steps with the same bits;
 but single orbits take ``scalar_rhs`` (libm) and batches ``vector_field``
@@ -37,16 +37,13 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidField, InvariantDrift, PoleProximity, StepFailure, ZeroCovector, require_positive
 from .metrics import CotangentPoint, DualMetric
-from .solvers import (
-    DENSE_BUDGET, EPS, ORBIT_STEPPERS, RowInterpolant, _float_rows, _sample_held, brent_root, march_rows,
-)
+from .solvers import ORBIT_STEPPERS, march_rows
 
 __all__ = [
     "IntegratorConfig",
@@ -170,114 +167,6 @@ def pole_cap(H: DualMetric, config: IntegratorConfig) -> float | None:
     return None if metric_x2_period(H) is not None else config.x2_cap
 
 
-class _March:
-    """One adaptive solve of one orbit from t = 0 (or :meth:`resume`) toward ``t_end``, a step at a time.
-
-    The stepping loop of single orbits and their section solves.  The solver
-    is ``ORBIT_STEPPERS[config.method]`` (a state of 4 floats, see
-    :mod:`~finslerlab.solvers`) with the configured ``rtol`` and ``atol``.
-    Its steps have one dense output, :meth:`interpolant`: the
-    :class:`~finslerlab.solvers.RowInterpolant` of :func:`march_rows`, whose
-    derivative is ``fun`` called row by row, so a float orbit's samples are a
-    one-row :func:`march_rows` run's, bit for bit.  Each step is handled the
-    way a one-shot scipy solve handles it:
-
-    * the sample times ``ts`` (ordered from 0 toward ``t_end``) the step covers
-      (as ``t_eval`` is, by ``searchsorted(d * ts, d * t, side="right")`` with
-      ``d`` the direction of integration) are taken from its interpolant into
-      ``path``; as in :func:`march_rows` the covering steps are held and
-      sampled together, in flushes, at the cap and at the end of the run;
-    * the pole cap, a height ``cap`` (see :func:`pole_cap`), ends the run
-      where ``cap - |x2|`` first falls to 0 (scipy's rule for a terminal event
-      of direction -1), at the root of that step, and sets ``capped`` to the
-      (time, state) there;
-    * with ``dense=True`` (a forward run) every step is kept for
-      :meth:`solution` (the boundary extension's quotient route).
-
-    Callers step it to ``t_end``, or stop once they have what they need; the
-    solver's ``t`` and ``y`` are where the march stands and ``last`` is its
-    last step.  A step size that underflows raises StepFailure with the
-    solver's message.
-    """
-
-    def __init__(self, fun, y0, t_end, config, ts=(), *, cap=None, dense=False):
-        solver = ORBIT_STEPPERS[config.method](fun, 0.0, y0, t_end, rtol=config.rel_tol, atol=config.abs_tol)
-        self._begin(solver, fun, config.method, ts, cap, dense)
-
-    @classmethod
-    def resume(cls, fun, stand, t_end, config, *, cap=None) -> "_March":
-        """A march from a :func:`march_rows` row's stand, (t, y, f, h_abs) in floats: no initial step or ``fun`` call."""
-        march = cls.__new__(cls)
-        solver = ORBIT_STEPPERS[config.method].resume(fun, *stand, t_end, rtol=config.rel_tol, atol=config.abs_tol)
-        march._begin(solver, fun, config.method, (), cap, False)
-        return march
-
-    def _begin(self, solver, fun, method, ts, cap, dense):
-        self.solver = solver
-        self._method = method
-        self._fun = lambda y: np.array([fun(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
-        self.ts = np.asarray(ts, dtype=float)
-        self._dts = (solver.direction * self.ts).tolist()
-        self.path = np.empty((len(self.ts), len(solver.y)))
-        self.n = 0
-        self.capped = None
-        self.last = None
-        self._cap = cap
-        self._g = None if cap is None else cap - abs(solver.y[1])
-        self._held = []  # (step, first sample, sample count) of covering steps not sampled yet
-        self._steps = [] if dense else None
-
-    def step(self) -> bool:
-        """Take one step; False once the run has reached ``t_end`` or the cap."""
-        solver = self.solver
-        if self.capped or solver.status != "running":
-            return False
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(message)
-        if solver.t == solver.t_old:  # a run of length 0 samples its start, as march_rows does
-            self.path[:] = solver.y
-            return True
-        t = solver.t
-        self.last = step = (solver.t_old, t, solver.y_old, solver.y, solver.K)
-        cap = self._cap
-        if cap is not None:
-            g = cap - abs(solver.y[1])
-            if self._g >= 0.0 and g <= 0.0:
-                sol = self.interpolant([step])
-                t = brent_root(lambda s: cap - abs(sol(s)[0, 1]), solver.t_old, t, xtol=4 * EPS)
-                self.capped = (t, sol(t)[0])
-            self._g = g
-        hi = bisect_right(self._dts, solver.direction * t)
-        if hi > self.n:
-            self._held.append((step, self.n, hi - self.n))
-            self.n = hi
-        if self._steps is not None:
-            self._steps.append(step)
-        # a held step, Python floats in tuples and lists, takes 4.3-4.6 times the
-        # bytes of a march_rows held row: an eighth of its budget holds fewer
-        if self._held and (len(self._held) >= DENSE_BUDGET // 8 or self.capped or solver.status != "running"):
-            steps, first, count = zip(*self._held)
-            held = (_float_rows(steps), np.zeros(len(steps), dtype=int), np.array(first), np.array(count))
-            _sample_held(self._method, self._fun, self.ts, self.path[:, None], [held])
-            self._held = []
-        return True
-
-    def interpolant(self, steps) -> RowInterpolant:
-        """The dense output of some float steps of this march, one row each."""
-        return RowInterpolant(self._method, self._fun, [_float_rows(steps)])
-
-    def solution(self):
-        """The states at times ``t`` (m,), (m, 4), over the steps taken so far (scipy's ``OdeSolution``).
-
-        A time takes the first step that ends at or after it, clipped to the
-        run: a time on a step end takes the step that ends there.
-        """
-        sol = self.interpolant(self._steps)
-        last = len(sol.t) - 1
-        return lambda t: sol.at(np.minimum(np.searchsorted(sol.t, t), last), np.asarray(t, dtype=float))
-
-
 def integrate_orbit(
     H: DualMetric,
     p0,
@@ -299,18 +188,19 @@ def integrate_orbit(
     if not h0 > 0.0:
         raise ValueError(f"H(p0) = {h0!r} must be positive")
 
-    march = _March(
-        H.scalar_rhs(), y0, float(T), config, _checkpoint_grid(T, config.checkpoint_dt), cap=pole_cap(H, config)
+    orbit = ORBIT_STEPPERS[config.method](
+        H.scalar_rhs(), 0.0, y0, float(T), rtol=config.rel_tol, atol=config.abs_tol,
+        ts=_checkpoint_grid(T, config.checkpoint_dt), cap=pole_cap(H, config),
     )
-    while march.step():
+    while orbit.step():
         pass
-    if march.capped:
-        raise PoleProximity(*march.capped)
-    states = march.path
+    if orbit.capped:
+        raise PoleProximity(*orbit.capped)
+    states = orbit.path
     h = np.asarray(H.value(states))
     h1 = states[:, 2].copy()
     trace = OrbitTrace(
-        times=march.ts, states=states, h_values=h, h1_values=h1, x2_period=metric_x2_period(H)
+        times=orbit.ts, states=states, h_values=h, h1_values=h1, x2_period=metric_x2_period(H)
     )
     if enforce_drift:
         if trace.h_drift() > config.invariant_drift_tol:

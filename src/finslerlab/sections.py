@@ -50,10 +50,10 @@ from .errors import (
     ZeroCovector,
     require_positive,
 )
-from .flow import DEFAULT_CONFIG, TWO_PI, IntegratorConfig, _March, metric_profile, pole_cap
+from .flow import DEFAULT_CONFIG, TWO_PI, IntegratorConfig, metric_profile, pole_cap
 from .metrics import DualMetric
 from . import solvers
-from .solvers import TOO_SMALL_STEP, RowInterpolant, brent_root, march_rows
+from .solvers import ORBIT_STEPPERS, TOO_SMALL_STEP, RowInterpolant, _float_rows, _rows_of, brent_root, march_rows
 
 __all__ = [
     "SectionSpec",
@@ -306,13 +306,18 @@ def _returns(H: DualMetric, states, spec: SectionSpec, config: IntegratorConfig,
     The one crossing loop (module docstring).  A cloud of more than
     ``TAIL_ROWS`` orbits steps in :func:`~finslerlab.solvers.march_rows`, which
     keeps each orbit's bracketing steps, stops it at its n-th and lets the
-    last orbits go; every other orbit steps on :class:`_March` with
-    ``H.scalar_rhs()`` and the pole cap, from its start or from where the
-    batch let it go.  Returns (times (N, n), states (N, n, 4), skipped (N,),
-    errors): the crossings of the orbits that have n (NaN for the others),
-    the tangencies skipped before each orbit's first, and None or the error
-    that left it short (ZeroCovector, StepFailure or NoCrossing).  An orbit
-    fails alone.
+    last orbits go; every other orbit steps on the float stepper
+    (``ORBIT_STEPPERS``) with ``H.scalar_rhs()`` and the pole cap, from its
+    start or from where the batch let it go (``resume``).  Each round refines
+    the brackets found so far, the batch's and the float steppers' alike, on
+    one :class:`~finslerlab.solvers.RowInterpolant` whose derivative is
+    ``H.scalar_rhs()`` row by row (only DOP853 calls it), with one
+    :func:`_refine_roots` call; an orbit a tangency left short of n steps on
+    in the next round.  Returns (times (N, n), states (N, n, 4), skipped
+    (N,), errors): the crossings of the orbits that have n (NaN for the
+    others), the tangencies skipped before each orbit's first, and None or
+    the error that left it short (ZeroCovector, StepFailure or NoCrossing).
+    An orbit fails alone.
     """
     T = n * spec.max_return_time
     states = np.asarray(states, dtype=float).reshape(-1, 4)
@@ -322,60 +327,59 @@ def _returns(H: DualMetric, states, spec: SectionSpec, config: IntegratorConfig,
     found, skipped = [[] for _ in zero], [0] * len(zero)  # each orbit's (time, state) crossings; its tangencies
     live = np.flatnonzero(np.logical_not(zero))
     rhs, cap = H.scalar_rhs(), pole_cap(H, config)
+    stepper = ORBIT_STEPPERS[config.method]
+    tols = {"rtol": config.rel_tol, "atol": config.abs_tol}
     axis, star, spacing = chart._axis, chart._star, chart.periodic_levels
-    marches, stands, parts = {}, {}, []  # float marches; where the batch let orbits go; brackets to refine
+    orbits, stands = {}, {}  # float steppers; where the batch let orbits go
+    steps, rows, ends = [], [], []  # the brackets to refine: steps of some rows each, their orbits, their ends (t, y)
     if live.size > solvers.TAIL_ROWS:
         run = march_rows(
-            config.method, H.vector_field, states[live], T, (), rtol=config.rel_tol, atol=config.abs_tol,
+            config.method, H.vector_field, states[live], T, (), **tols,
             stop=(lambda y_old, y: _upward_brackets(y_old[:, axis] - star, y[:, axis] - star, spacing)[0], n),
         )
         for i in live[run.failed].tolist():
             errors[i] = StepFailure(TOO_SMALL_STEP)
-        if run.steps:
-            sol = RowInterpolant(config.method, H.vector_field, run.steps)
-            _, level = _upward_brackets(chart.coordinate(sol.y_old), chart.coordinate(sol.y), spacing)
-            parts.append((sol, live[run.flagged], sol.t, level))
-        for i in live[run.flagged].tolist():
+        steps += run.steps
+        rows += live[run.flagged].tolist()
+        ends += [(step[1], step[3]) for step in run.steps]
+        for i in rows:
             need[i] -= 1
-        for rows, *stand in run.ends:
-            stands.update(zip(live[rows].tolist(), zip(*(a.tolist() for a in stand))))
+        for flagged, *stand in run.ends:
+            stands.update(zip(live[flagged].tolist(), zip(*(a.tolist() for a in stand))))
     else:
-        marches = {i: _March(rhs, states[i], T, config, cap=cap) for i in live.tolist()}
-    stepping = [i for i in [*marches, *stands] if need[i]]
-    while stepping or parts:
-        brackets = []  # (orbit, step, end, level) of each float step that brackets a crossing
+        orbits = {i: stepper(rhs, 0.0, states[i], T, **tols, cap=cap) for i in live.tolist()}
+    stepping = [i for i in [*orbits, *stands] if need[i]]
+    while stepping or steps:
+        brackets, tops = [], []  # the float steps that bracket a crossing, and their ends (a cap's (t, y))
         for i in stepping:
             if i in stands:
-                marches[i] = _March.resume(rhs, stands.pop(i), T, config, cap=cap)
-            march = marches[i]
-            solver = march.solver
-            g = solver.y[axis] - star
+                orbits[i] = stepper.resume(rhs, *stands.pop(i), T, **tols, cap=cap)
+            orbit = orbits[i]
+            g = orbit.y[axis] - star
             try:
-                while need[i] and march.step():
-                    t_end, y_end = march.capped or (solver.t, solver.y)
+                while need[i] and orbit.step():
+                    t_end, y_end = orbit.capped or (orbit.t, orbit.y)
                     g_old, g = g, y_end[axis] - star
-                    up, level = _upward_brackets(g_old, g, spacing)
-                    if up and solver.t_old != 0.0:  # the first step leaves the section it starts on
-                        brackets.append((i, march.last, t_end, level))
+                    up, _ = _upward_brackets(g_old, g, spacing)
+                    if up and orbit.t_old != 0.0:  # the first step leaves the section it starts on
+                        brackets.append(orbit.last_step())
+                        tops.append((t_end, y_end))
+                        rows.append(i)
                         need[i] -= 1
             except StepFailure as err:
                 errors[i] = err
         if brackets:
-            orbits, steps, ends, levels = zip(*brackets)
-            # every march steps rhs by the same method, so one interpolant serves them all
-            parts.append((march.interpolant(steps), np.array(orbits), np.array(ends), np.array(levels)))
-        if parts:
-            sols, orbits, ends, levels = zip(*parts)
-            cuts = np.cumsum([0, *map(len, orbits)]).tolist()
-            pieces = list(zip(sols, levels, cuts, cuts[1:]))
-            tau = _refine_roots(
-                lambda t: np.concatenate([chart.coordinate(sol(t[a:b])) - level for sol, level, a, b in pieces]),
-                np.concatenate([sol.t_old for sol in sols]), np.concatenate(ends),
-            )
-            y = np.concatenate([sol(tau[a:b]) for sol, _, a, b in pieces])
+            steps.append(_float_rows(brackets))
+            ends.append(tuple(map(np.array, zip(*tops))))
+        if steps:
+            sol = RowInterpolant(config.method, _rows_of(rhs), steps)
+            t_end, y_end = (np.concatenate(a) for a in zip(*ends))
+            _, level = _upward_brackets(chart.coordinate(sol.y_old), chart.coordinate(y_end), spacing)
+            tau = _refine_roots(lambda t: chart.coordinate(sol(t)) - level, sol.t_old, t_end)
+            y = sol(tau)
             keep = ~(chart.transverse_velocity(y) < spec.transversality_tol)  # NaN is kept
             # each orbit's brackets come in time order: the batch's, then the floats'
-            for i, t, state, kept in zip(np.concatenate(orbits).tolist(), tau.tolist(), y, keep.tolist()):
+            for i, t, state, kept in zip(rows, tau.tolist(), y, keep.tolist()):
                 if kept:
                     found[i].append((t, state))
                 else:
@@ -383,9 +387,9 @@ def _returns(H: DualMetric, states, spec: SectionSpec, config: IntegratorConfig,
                     need[i] += 1
         stepping = [
             i for i, k in enumerate(need)
-            if k and (i in stands or i in marches and not marches[i].capped and marches[i].solver.status == "running")
+            if k and (i in stands or i in orbits and orbits[i].capped is None and orbits[i].status == "running")
         ]
-        parts = []
+        steps, rows, ends = [], [], []
     times, crossings = np.full((len(zero), n), np.nan), np.full((len(zero), n, 4), np.nan)
     full = [i for i, hits in enumerate(found) if len(hits) == n]
     if full:
@@ -394,7 +398,7 @@ def _returns(H: DualMetric, states, spec: SectionSpec, config: IntegratorConfig,
     for i, hits in enumerate(found):
         if len(hits) < n and errors[i] is None:
             errors[i] = NoCrossing(
-                "orbit left the chart strip before its returns" if i in marches and marches[i].capped
+                "orbit left the chart strip before its returns" if i in orbits and orbits[i].capped
                 else f"{len(hits)} of {n} transverse crossings within t = {T} ({skipped[i]} tangencies skipped)"
             )
     return times, crossings, np.array(skipped), errors
@@ -714,12 +718,15 @@ def return_time_boundary_extension(
         if (tau, u) not in values:  # first read of this angle in this call: read it at every time of the call
             if u not in sols:
                 y0 = chart.point_to_state(_BOUNDARY_S0, u)
-                march = _March(H.scalar_rhs(), y0, t_hi, config, cap=pole_cap(H, config), dense=True)
-                while march.step():
+                orbit = ORBIT_STEPPERS[config.method](
+                    H.scalar_rhs(), 0.0, y0, t_hi, rtol=config.rel_tol, atol=config.abs_tol,
+                    cap=pole_cap(H, config), dense=True,
+                )
+                while orbit.step():
                     pass
-                if march.capped:
+                if orbit.capped:
                     raise NoCrossing("orbit left the chart strip during boundary extension")
-                sols[u] = march.solution()
+                sols[u] = orbit.solution()
             x = chart.coordinate(sols[u](np.array(batch))).tolist()
             values.update(((t, u), v) for t, v in zip(batch, x))
         return values[(tau, u)]

@@ -14,12 +14,13 @@ stage order over the nonzero tableau entries, so no number depends on a BLAS
 kernel, and a row's stages do not depend on the other rows.  Every
 controller raises with numpy's ``power`` kernel, never libm's ``pow``.
 
-* :class:`FloatRK45` and :class:`FloatDOP853` step one orbit, a tuple of 4
-  Python floats: given the same derivative (a metric's ``scalar_rhs`` is not
-  its ``vector_field`` bit for bit), a run takes the steps of
-  :func:`march_rows` on a one-row batch, bit for bit, without numpy's
-  per-call overhead.  They have no dense output of their own: their steps
-  are sampled by :class:`RowInterpolant`.
+* :class:`FloatRK45` and :class:`FloatDOP853` are the float orbit, a tuple
+  of 4 Python floats stepped a step at a time: given the same derivative (a
+  metric's ``scalar_rhs`` is not its ``vector_field`` bit for bit), a run
+  takes the steps of :func:`march_rows` on a one-row batch, bit for bit,
+  without numpy's per-call overhead.  The same object samples checkpoints
+  from its held steps, in flushes, ends the run at a pole cap and keeps the
+  steps of a dense run.
 * :func:`march_rows` steps many independent systems at once with the same
   tableaux, initial step, controller and dense outputs applied to each row on
   its own: every row has its own t, h and error norm (Hairer, Norsett and
@@ -29,7 +30,8 @@ controller raises with numpy's ``power`` kernel, never libm's ``pow``.
   stepper can resume it (``resume``), since there a row's step costs far
   less than a batched call.  :class:`RowInterpolant` is the
   one dense output of every stepper, formed for many steps at once (Sec.
-  II.6): a step's interpolant depends on that step alone.
+  II.6): a step's interpolant depends on that step alone, and a float
+  orbit's steps are rows of it like any others.
 * :func:`brent_root` is ``scipy.optimize.brentq`` (its C ``brentq``):
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4.
 """
@@ -38,11 +40,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dop853_coefficients as _dop853
+from .errors import StepFailure
 
 __all__ = [
     "RK45", "DOP853", "FloatRK45", "FloatDOP853", "ORBIT_STEPPERS", "RowRun", "march_rows",
@@ -66,12 +70,15 @@ MAXITER = 100
 
 
 def _clamp_rtol(rtol):
-    """scipy's floor of 100 eps on ``rtol``; the warning names the frame two above the stepper's ``__init__``."""
+    """scipy's floor of 100 eps on ``rtol``; the warning names the line that calls its caller.
+
+    Its callers are a float stepper's ``__init__`` and :func:`march_rows`.
+    """
     if rtol < 100 * EPS:
         warnings.warn(
             "At least one element of `rtol` is too small. "
             f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-            stacklevel=4,
+            stacklevel=3,
         )
         rtol = 100 * EPS
     return rtol
@@ -126,6 +133,11 @@ class DOP853:
 # --- one orbit in Python floats ----------------------------------------------
 
 
+def _rows_of(fun):
+    """The float RHS ``fun(t, y)`` of one orbit as the derivative of an (m, n) batch of states, row by row."""
+    return lambda y: np.array([fun(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
+
+
 def _terms(coefficients) -> list:
     """The nonzero (stage, coefficient) pairs of a tableau row, in stage order."""
     return [(s, float(c)) for s, c in enumerate(coefficients) if c != 0]
@@ -160,10 +172,10 @@ def _rms4(v):
 class _FloatRungeKutta:
     """One orbit of 4 components, stepped in Python floats from ``t0`` toward ``t_bound``.
 
-    Attributes as scipy's solvers: ``t``, ``y``, ``t_old`` (None before the
-    first step), ``direction``, ``status`` ('running', 'finished' or
-    'failed'), ``nfev``.  :meth:`step` takes one accepted step and returns
-    None, or scipy's message when the step size underflows.  After each step
+    The float orbit of the lab: single orbits, their section solves and the
+    last orbits of a cloud.  Attributes as scipy's solvers: ``t``, ``y``,
+    ``t_old`` (None before the first step), ``direction``, ``status``
+    ('running', 'finished' or 'failed'), ``nfev``.  After each step
     ``y_old`` is its start and ``K`` holds its stages, the last the
     derivative at its end.
 
@@ -173,20 +185,39 @@ class _FloatRungeKutta:
     :class:`DOP853`, as :func:`march_rows` runs them on each row, so a run is
     :func:`march_rows`' run of a one-row batch, bit for bit, and no number
     depends on a BLAS kernel.  A subclass gives its pair's error norm.
+
+    The steps have one dense output, :meth:`interpolant`: the
+    :class:`RowInterpolant` of :func:`march_rows`, whose derivative is
+    ``fun`` called row by row, so the orbit's samples are a one-row
+    :func:`march_rows` run's too.  :meth:`step` handles each step the way a
+    one-shot scipy solve handles it:
+
+    * the sample times ``ts`` (ordered from ``t0`` toward ``t_bound``) the
+      step covers (as ``t_eval`` is, by ``searchsorted(d * ts, d * t,
+      side="right")`` with ``d`` the direction) are taken from its
+      interpolant into ``path``; as in :func:`march_rows` the covering steps
+      are held and sampled together, in flushes, at the cap and at the end;
+    * the pole cap, a height ``cap``, ends the run where ``cap - |x2|``
+      first falls to 0 (scipy's rule for a terminal event of direction -1),
+      at the root of that step, and sets ``capped`` to the (time, state)
+      there;
+    * with ``dense=True`` (a forward run) every step is kept for
+      :meth:`solution`.
     """
 
+    method: str  # the name of the tableau in ORBIT_STEPPERS
     error_estimator_order: int
     n_stages: int
     STAGES: list  # see _stage_terms
     B: list
 
-    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
-        self._start(fun, t0, y0, t_bound, _clamp_rtol(rtol), atol)
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol, ts=(), cap=None, dense=False):
+        self._start(fun, t0, y0, t_bound, _clamp_rtol(rtol), atol, ts, cap, dense)
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step()
 
     @classmethod
-    def resume(cls, fun, t, y, f, h_abs, t_bound, *, rtol, atol):
+    def resume(cls, fun, t, y, f, h_abs, t_bound, *, rtol, atol, cap=None):
         """A stepper standing at (t, y), with derivative ``f`` there and next step size ``h_abs``.
 
         It takes no initial step and calls no ``fun``: the state a row of
@@ -195,11 +226,11 @@ class _FloatRungeKutta:
         as the batch floors it, which has warned of it.
         """
         self = cls.__new__(cls)
-        self._start(fun, t, y, t_bound, max(rtol, 100 * EPS), atol)
+        self._start(fun, t, y, t_bound, max(rtol, 100 * EPS), atol, (), cap, False)
         self.f, self.h_abs = tuple(f), h_abs
         return self
 
-    def _start(self, fun, t0, y0, t_bound, rtol, atol):
+    def _start(self, fun, t0, y0, t_bound, rtol, atol, ts, cap, dense):
         self._rhs = fun
         self.t_old = None
         self.t = t0
@@ -213,26 +244,82 @@ class _FloatRungeKutta:
         self.y_old = None
         self.rtol, self.atol = rtol, atol
         self.error_exponent = -1 / (self.error_estimator_order + 1)
+        self.ts = np.asarray(ts, dtype=float)
+        self._dts = (self.direction * self.ts).tolist()
+        self.path = np.empty((len(self.ts), len(self.y)))
+        self.n = 0  # the samples covered
+        self.capped = None
+        self._cap = cap
+        self._g = None if cap is None else cap - abs(self.y[1])
+        self._held = []  # (step, first sample, sample count) of covering steps not sampled yet
+        self._steps = [] if dense else None
 
     def fun(self, t, y):
         self.nfev += 1
         return self._rhs(t, y)
 
-    def step(self):
-        """Advance one accepted step (scipy's ``OdeSolver.step``)."""
-        if self.t == self.t_bound:
-            self.t_old = self.t
-            self.status = "finished"
-            return None
+    def step(self) -> bool:
+        """Take one accepted step; False once the run has reached ``t_bound`` or the cap.
+
+        A step size that underflows raises StepFailure with scipy's message.
+        """
+        if self.capped or self.status != "running":
+            return False
         t = self.t
+        if t == self.t_bound:  # a run of length 0 samples its start, as march_rows does
+            self.t_old = t
+            self.status = "finished"
+            self.path[:] = self.y
+            return True
         message = self._step_impl()
         if message is not None:
             self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
+            raise StepFailure(message)
+        self.t_old = t
+        t = self.t
+        if self.direction * (t - self.t_bound) >= 0:
+            self.status = "finished"
+        cap = self._cap
+        if cap is not None:
+            g = cap - abs(self.y[1])
+            if self._g >= 0.0 and g <= 0.0:
+                sol = self.interpolant([self.last_step()])
+                t = brent_root(lambda s: cap - abs(sol(s)[0, 1]), self.t_old, t, xtol=4 * EPS)
+                self.capped = (t, sol(t)[0])
+            self._g = g
+        if self._dts:
+            hi = bisect_right(self._dts, self.direction * t)
+            if hi > self.n:
+                self._held.append((self.last_step(), self.n, hi - self.n))
+                self.n = hi
+            # a held step, Python floats in tuples and lists, takes 4.3-4.6 times the
+            # bytes of a march_rows held row: an eighth of its budget holds fewer
+            if self._held and (len(self._held) >= DENSE_BUDGET // 8 or self.capped or self.status != "running"):
+                steps, first, count = zip(*self._held)
+                held = (_float_rows(steps), np.zeros(len(steps), dtype=int), np.array(first), np.array(count))
+                _sample_held(self.method, _rows_of(self._rhs), self.ts, self.path[:, None], [held])
+                self._held = []
+        if self._steps is not None:
+            self._steps.append(self.last_step())
+        return True
+
+    def last_step(self):
+        """The last step, (t_old, t, y_old, y, K): a step of :meth:`interpolant`."""
+        return self.t_old, self.t, self.y_old, self.y, self.K
+
+    def interpolant(self, steps) -> RowInterpolant:
+        """The dense output of some steps of this orbit, one row each."""
+        return RowInterpolant(self.method, _rows_of(self._rhs), [_float_rows(steps)])
+
+    def solution(self):
+        """The states at times ``t`` (m,), (m, 4), over the steps of a dense run so far (scipy's ``OdeSolution``).
+
+        A time takes the first step that ends at or after it, clipped to the
+        run: a time on a step end takes the step that ends there.
+        """
+        sol = self.interpolant(self._steps)
+        last = len(sol.t) - 1
+        return lambda t: sol.at(np.minimum(np.searchsorted(sol.t, t), last), np.asarray(t, dtype=float))
 
     def _step_impl(self):
         t = self.t
@@ -322,6 +409,7 @@ def _stage_terms(method) -> list:
 class FloatRK45(_FloatRungeKutta):
     """:class:`RK45` on one orbit in floats."""
 
+    method = "RK45"
     error_estimator_order = RK45.error_estimator_order
     n_stages = RK45.n_stages
     STAGES = _stage_terms(RK45)
@@ -335,6 +423,7 @@ class FloatRK45(_FloatRungeKutta):
 class FloatDOP853(_FloatRungeKutta):
     """:class:`DOP853` on one orbit in floats."""
 
+    method = "DOP853"
     error_estimator_order = DOP853.error_estimator_order
     n_stages = DOP853.n_stages
     STAGES = _stage_terms(DOP853)
@@ -393,18 +482,18 @@ class _RowStepper:
 
     ``method`` is :class:`RK45` or :class:`DOP853`, whose tableau is used;
     ``fun(y)`` maps an (m, n) batch of states to their derivatives (the
-    systems are autonomous).  Subclasses give their pair's error norm as
-    ``error_sums(y, y_new, K, h)``, each row's sums of squares, and
-    ``norm(sums, h, count)``, the norm of a row of ``count`` components with
-    those sums; and its dense output as ``dense(fun, K, h, y_old, y)``, each
-    row's interpolant coefficients, and ``sample(F, h, y_old, which, x)``,
-    those of row ``which[k]`` at the fraction ``x[k]``.
+    systems are autonomous); ``rtol`` is taken as given (:func:`march_rows`
+    floors it).  Subclasses give their pair's error norm as
+    ``error_norm(y, y_new, K, h)``, each row's norm over its n components;
+    and its dense output as ``dense(fun, K, h, y_old, y)``, each row's
+    interpolant coefficients, and ``sample(F, h, y_old, which, x)``, those
+    of row ``which[k]`` at the fraction ``x[k]``.
     """
 
     method: type
 
     def __init__(self, fun, rtol, atol):
-        self.fun, self.rtol, self.atol = fun, _clamp_rtol(rtol), atol
+        self.fun, self.rtol, self.atol = fun, rtol, atol
         self.error_exponent = -1 / (self.method.error_estimator_order + 1)
 
     def initial_step(self, y0, f0, interval_length, direction):
@@ -443,12 +532,9 @@ class _RowStepper:
 class _RowsRK45(_RowStepper):
     method = RK45
 
-    def error_sums(self, y, y_new, K, h):
-        return (_row_sum_squares(_stage_sum(RK45.E, K) * h[:, None] / self._scale(y, y_new)),)
-
-    @staticmethod
-    def norm(sums, h, count):
-        return np.sqrt(sums[0]) / count ** 0.5
+    def error_norm(self, y, y_new, K, h):
+        sums = _row_sum_squares(_stage_sum(RK45.E, K) * h[:, None] / self._scale(y, y_new))
+        return np.sqrt(sums) / y.shape[1] ** 0.5
 
     @staticmethod
     def dense(fun, K, h, y_old, y):
@@ -467,15 +553,12 @@ class _RowsRK45(_RowStepper):
 class _RowsDOP853(_RowStepper):
     method = DOP853
 
-    def error_sums(self, y, y_new, K, h):
+    def error_norm(self, y, y_new, K, h):
         scale = self._scale(y, y_new)
-        return _row_sum_squares(_stage_sum(DOP853.E5, K) / scale), _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
-
-    @staticmethod
-    def norm(sums, h, count):
-        err5, err3 = sums
+        err5 = _row_sum_squares(_stage_sum(DOP853.E5, K) / scale)
+        err3 = _row_sum_squares(_stage_sum(DOP853.E3, K) / scale)
         with np.errstate(divide="ignore", invalid="ignore"):
-            norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * count)
+            norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.shape[1])
         return np.where((err5 == 0) & (err3 == 0), 0.0, norm)
 
     @staticmethod
@@ -528,7 +611,7 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
     steps such a row on from there as the batch would.  A stop run takes no
     sample times.
     """
-    stepper = _ROW_STEPPERS[method](fun, rtol, atol)
+    stepper = _ROW_STEPPERS[method](fun, _clamp_rtol(rtol), atol)
     y = np.asarray(y0, dtype=float)
     N, n = y.shape
     ts = np.asarray(ts, dtype=float)
@@ -574,7 +657,7 @@ def march_rows(method, fun, y0, t_bound, ts, *, rtol, atol, stop=None) -> RowRun
         h = t_new - t
         h_abs = np.abs(h)
         y_new, K = stepper.attempt(y, f, h)
-        error_norm = stepper.norm(stepper.error_sums(y, y_new, K, h), h, n)
+        error_norm = stepper.error_norm(y, y_new, K, h)
         with np.errstate(divide="ignore"):
             factor = SAFETY * error_norm ** stepper.error_exponent
         accept = error_norm < 1
@@ -645,10 +728,10 @@ class RowInterpolant:
     row, in its step's ``t_old .. t``, it returns the states there, each from
     its own step; :meth:`at` takes any rows at any times.  This is the one
     dense output of the lab: of :func:`march_rows`, its stop run's flagged
-    steps (a cloud's returns) and the float steppers' orbits
-    (``flow._March``).  The coefficients of every step are computed once,
-    here (DOP853's 3 extra stages are batched calls of ``fun``, the
-    derivative of an (m, n) batch of states).
+    steps (a cloud's returns) and the float steppers' orbits.  The
+    coefficients of every step are computed once, here (DOP853's 3 extra
+    stages are batched calls of ``fun``, the derivative of an (m, n) batch
+    of states).
     """
 
     def __init__(self, method, fun, steps):

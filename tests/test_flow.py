@@ -19,12 +19,11 @@ from finslerlab.errors import (
     StepFailure,
     ZeroCovector,
 )
-from finslerlab import flow, sections
+from finslerlab import sections, solvers
 from finslerlab.flow import (
     ORBIT_STEPPERS,
     TWO_PI,
     IntegratorConfig,
-    _March,
     check_periodicity,
     circle_difference,
     integrate_ensemble,
@@ -35,7 +34,7 @@ from finslerlab.metrics import ALPHA_GOLDEN, AngularDualMetric, CotangentPoint
 from finslerlab.profiles import eval_f0, eval_f0_deriv
 from finslerlab.sampling import sample_cone_states, sample_covectors, sample_unit_level
 from finslerlab.sections import AnnulusChart, SectionSpec, ensemble_return_step
-from finslerlab.solvers import EPS, TAIL_ROWS, FloatRK45, march_rows
+from finslerlab.solvers import EPS, TAIL_ROWS, FloatRK45, _rows_of, march_rows
 from flow_oracles import (
     ConeViolation, LiftAmbiguity, compose_commuting_flows, lift_to_cover, pole_cap_event, stacked_rhs,
 )
@@ -284,14 +283,9 @@ class TestCommutingFlows:
 class TestRtolFloor:
     """Every stepper floors rtol at 100 eps with scipy's warning, once.
 
-    The warning names the frame two above the ``__init__`` that floors it:
-    the caller of the float stepper's builder, and the line that calls
-    ``march_rows`` (it floors in its row stepper).
+    The warning names the line that builds the float stepper, or the line
+    that calls ``march_rows`` (which floors it for its row stepper).
     """
-
-    @staticmethod
-    def _float(rtol):
-        return FloatRK45(lambda t, y: [-v for v in y], 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, rtol=rtol, atol=1e-12)
 
     @staticmethod
     def _warned_line(record) -> str:
@@ -306,7 +300,7 @@ class TestRtolFloor:
         chart = AnnulusChart(katok_sphere, spec)
         config = IntegratorConfig(method="RK45", rel_tol=1e-17, abs_tol=1e-12)
         u = np.linspace(0.9, 1.1, TAIL_ROWS + 1)
-        for states, call in [(chart.point_to_state(1.0, 0.9)[None], "_March("),
+        for states, call in [(chart.point_to_state(1.0, 0.9)[None], "stepper(rhs, 0.0,"),
                              (np.array([chart.point_to_state(1.0, v) for v in u]), "march_rows(")]:
             with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
                 _, taus, ok = ensemble_return_step(katok_sphere, spec, states, config, chart=chart)
@@ -317,9 +311,9 @@ class TestRtolFloor:
 
     def test_float_stepper_names_its_builders_caller(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
-            solver = self._float(1e-17)
+            solver = FloatRK45(lambda t, y: [-v for v in y], 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, rtol=1e-17, atol=1e-12)
         assert solver.rtol == 100 * EPS
-        assert "self._float(1e-17)" in self._warned_line(rec[0])
+        assert "solver = FloatRK45(" in self._warned_line(rec[0])
 
     def test_row_stepper_names_the_caller_of_march_rows(self):
         with pytest.warns(UserWarning, match="`rtol` is too small") as rec:
@@ -457,21 +451,16 @@ class TestFlowAgainstFullSolve:
             assert np.max(np.abs(ens.states[:, i] - sol.y.T)) <= 1e-11
 
 
-def _rows_of(rhs):
-    """The float RHS ``rhs(t, y)`` as march_rows' derivative of an (m, 4) batch, row by row."""
-    return lambda y: np.array([rhs(0.0, row) for row in map(tuple, y.tolist())], dtype=float)
-
-
 def _counting_flushes(monkeypatch):
-    """Record the number of steps in each flush of _March's held steps."""
+    """Record the number of steps in each flush of a float stepper's held steps."""
     flushes = []
-    sample_held = flow._sample_held
+    sample_held = solvers._sample_held
 
     def counting(method, fun, ts, path, held):
         flushes.append(sum(len(first) for _, _, first, _ in held))
         sample_held(method, fun, ts, path, held)
 
-    monkeypatch.setattr(flow, "_sample_held", counting)
+    monkeypatch.setattr(solvers, "_sample_held", counting)
     return flushes
 
 
@@ -488,18 +477,17 @@ class TestHeldSampling:
         y0 = np.array([0.0, 0.0, 0.1, 0.99])  # climbs the lift, to |x2| = 60 at |t| = 40
         solver = ORBIT_STEPPERS[method](rhs, 0.0, y0, T, rtol=tol, atol=tol)
         ends = []
-        while solver.status == "running":
-            solver.step()
+        while solver.step():
             ends.append(solver.t)
         ts = np.union1d(np.linspace(0.0, T, 401), ends)
         ts = ts if T > 0 else ts[::-1]
         flushes = _counting_flushes(monkeypatch)
-        march = _March(rhs, y0, T, IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol), ts)
-        while march.step():
+        orbit = ORBIT_STEPPERS[method](rhs, 0.0, y0, T, rtol=tol, atol=tol, ts=ts)
+        while orbit.step():
             pass
         assert len(flushes) >= 4 and sum(flushes) == len(ends)
         rows = march_rows(method, _rows_of(rhs), y0[None], T, ts, rtol=tol, atol=tol)
-        assert march.path.tobytes() == rows.path[:, 0].tobytes()
+        assert orbit.path.tobytes() == rows.path[:, 0].tobytes()
 
     @pytest.mark.parametrize("T", [40.0, -40.0], ids=["forward", "backward"])
     @pytest.mark.parametrize("method, tol", [("RK45", 1e-9), ("DOP853", 1e-11)])
@@ -507,15 +495,14 @@ class TestHeldSampling:
         # a cap at three quarters of the orbit's height in the lift: the capped
         # march flushes before the cap and at it, and keeps the bits of the free one
         rhs = katok_torus_reversible.scalar_rhs()
-        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
         y0 = np.array([0.0, 0.0, 0.1, 0.99])
         ts = np.linspace(0.0, T, 4001)
-        free = _March(rhs, y0, T, config, ts)
+        free = ORBIT_STEPPERS[method](rhs, 0.0, y0, T, rtol=tol, atol=tol, ts=ts)
         while free.step():
             pass
         cap = 0.75 * float(np.max(np.abs(free.path[:, 1])))
         flushes = _counting_flushes(monkeypatch)
-        capped = _March(rhs, y0, T, config, ts, cap=cap)
+        capped = ORBIT_STEPPERS[method](rhs, 0.0, y0, T, rtol=tol, atol=tol, ts=ts, cap=cap)
         while capped.step():
             pass
         assert capped.capped is not None and len(flushes) >= 3
@@ -531,7 +518,7 @@ def _is_scipy(name) -> bool:
 
 
 def test_no_library_module_imports_solve_ivp():
-    # every solve steps the lab's own stepper (flow._March or solvers.march_rows), and no module
+    # every solve steps the lab's own stepper (solvers.ORBIT_STEPPERS or solvers.march_rows), and no module
     # imports scipy in any form: statement, deferred or by name
     for path in sorted(Path(finslerlab.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

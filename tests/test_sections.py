@@ -18,7 +18,6 @@ from finslerlab.errors import (
 from finslerlab.flow import (
     TWO_PI,
     IntegratorConfig,
-    _March,
     integrate_orbit,
     phase_space_distance,
     pole_cap,
@@ -38,8 +37,8 @@ from finslerlab.sections import (
     return_time_boundary_extension,
     smooth_divide,
 )
-from finslerlab import solvers
-from finslerlab.solvers import RowInterpolant
+from finslerlab import sections, solvers
+from finslerlab.solvers import ORBIT_STEPPERS, RowInterpolant, march_rows
 from flow_oracles import compose_commuting_flows
 
 SPHERE_SPEC = SectionSpec(kind="equator_birkhoff", max_return_time=8.0)
@@ -158,12 +157,11 @@ class TestDetectCrossing:
         # crosses the equator at t = 0.050, inside the step [0.019, 0.202] that meets the cap |x2| = 0.03
         y0 = np.array([0.0, -0.01, 0.98, float(np.sqrt(h0_sphere.profile.f(-0.01) ** 2 - 0.98**2))])
         capped = tight_config.with_(x2_cap=0.03)
-        march = _March(h0_sphere.scalar_rhs(), y0, SPHERE_SPEC.max_return_time, capped, cap=pole_cap(h0_sphere, capped))
-        while march.step():
+        orbit = _orbit(h0_sphere, y0, SPHERE_SPEC.max_return_time, capped, cap=pole_cap(h0_sphere, capped))
+        while orbit.step():
             pass
         event = detect_crossing(h0_sphere, y0, SPHERE_SPEC, capped)
-        t_old, t, *_ = march.last  # the capping step
-        assert t_old < event.time < march.capped[0] < t
+        assert orbit.t_old < event.time < orbit.capped[0] < orbit.t  # the capping step
         free = detect_crossing(h0_sphere, y0, SPHERE_SPEC, tight_config)
         assert event.state.tobytes() == free.state.tobytes()
 
@@ -197,7 +195,7 @@ class TestFirstReturn:
         assert abs(circdiff(sample.image[0] - 1.0)) <= 1e-6
         assert sample.image[1] == pytest.approx(math.pi / 4, abs=1e-6)
 
-    def test_only_the_bracketing_step_builds_its_interpolant(self, h0_sphere, tight_config, monkeypatch):
+    def test_only_the_bracketing_step_builds_its_interpolant(self, h0_sphere, h0_torus, tight_config, monkeypatch):
         # the return is refined on the interpolant of the one step that brackets it
         # (a march that sampled every step's dense output built 52 here); each
         # interpolant built is recorded by the ends of its steps
@@ -212,6 +210,33 @@ class TestFirstReturn:
         sample = first_return(h0_sphere, SPHERE_SPEC, (1.0, 0.8), tight_config)
         assert sample.tau == pytest.approx(TWO_PI, abs=1e-9)
         assert len(built) == 1 and len(built[0]) == 1 and built[0][0] > sample.tau
+
+        # a cloud of more than TAIL_ROWS spliced-torus meridian orbits whose
+        # crossings slower than 1.0 are skipped: each refine round takes the
+        # brackets of the batch and of the float tail on one interpolant, in
+        # one _refine_roots call, and the orbits that skipped one step on
+        # to the next round
+        rounds, runs = [], []  # (brackets interpolated, brackets refined) of each round; the batch's runs
+        monkeypatch.setattr(sections, "march_rows", lambda *a, **kw: runs.append(march_rows(*a, **kw)) or runs[-1])
+        refine = sections._refine_roots
+
+        def counting(g, lo, hi):
+            rounds.append((len(built[-1]), len(lo)))
+            return refine(g, lo, hi)
+
+        monkeypatch.setattr(sections, "_refine_roots", counting)
+        built.clear()
+        spec = SectionSpec(kind="meridian", max_return_time=16.0, transversality_tol=1.0)
+        chart = AnnulusChart(h0_torus, spec)
+        rng = np.random.default_rng(8)
+        n = solvers.TAIL_ROWS + 8
+        points = zip(rng.uniform(0.0, chart.circumference, n), rng.uniform(0.2, 2.9, n))
+        states = [chart.point_to_state(s, u) for s, u in points]
+        _, _, ok = ensemble_return_step(h0_torus, spec, states, tight_config, chart=chart)
+        assert len(runs) == 1 and 0 < len(runs[0].flagged) < n  # brackets from the batch and the tail
+        assert len(built) == len(rounds) >= 2
+        assert all(interpolated == refined for interpolated, refined in rounds)
+        assert rounds[0][0] == n and 0 < ok.sum() < n
 
     def test_cone_point_shift_matches_composed_flow(
         self, sphere_profile, cutoffs, katok_sphere, tight_config
@@ -529,13 +554,18 @@ class TestIterateSectionMap:
         tight_budget = replace(meridian, max_return_time=(t5 + 1e-6) / 5)
         orbit = iterate_section_map(h0_torus, tight_budget, (0.3, 0.3), 5, tight_config)
         y0 = AnnulusChart(h0_torus, meridian).point_to_state(0.3, 0.3)
-        march = _March(h0_torus.scalar_rhs(), y0, 5 * tight_budget.max_return_time, tight_config)
-        while march.step():
+        whole = _orbit(h0_torus, y0, 5 * tight_budget.max_return_time, tight_config)
+        while whole.step():
             pass
-        assert march.solver.t_old < orbit.times[5] <= march.solver.t
+        assert whole.t_old < orbit.times[5] <= whole.t
         assert orbit.times[5] == pytest.approx(t5, abs=1e-12)
         with pytest.raises(NoCrossing, match="5 of 6"):
             iterate_section_map(h0_torus, tight_budget, (0.3, 0.3), 6, tight_config)
+
+
+def _orbit(H, y0, T, config, **kw):
+    """The float orbit of ``H.scalar_rhs()`` from ``y0`` at t = 0 toward ``T`` under ``config``."""
+    return ORBIT_STEPPERS[config.method](H.scalar_rhs(), 0.0, y0, T, rtol=config.rel_tol, atol=config.abs_tol, **kw)
 
 
 def _reference_returns(H, y0, spec, n, config):
@@ -758,8 +788,6 @@ class TestBoundaryExtension:
         # quotient's branch check (1e-8) still passes -- the quotient sees
         # the same orbits -- so one sampled return time is moved by 1e-3
         # instead. The quotient route never reads the samples' times.
-        from finslerlab import sections
-
         angles = 2.0 ** -np.arange(3, 11)
         exact = sections.first_return
 

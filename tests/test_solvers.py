@@ -27,11 +27,11 @@ from scipy.optimize import brentq
 from finslerlab.errors import StepFailure
 from finslerlab import analysis, dop853_coefficients, sampling, sections, solvers
 from finslerlab.analysis import turning_point_bisect
-from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, _March, integrate_orbit, metric_profile
+from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, integrate_orbit, metric_profile
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
-    DOP853, EPS, MAXITER, RK45, RTOL, FloatDOP853, RowInterpolant, TOO_SMALL_STEP, brent_root, march_rows,
+    DOP853, EPS, MAXITER, RK45, RTOL, FloatDOP853, RowInterpolant, TOO_SMALL_STEP, _rows_of, brent_root, march_rows,
 )
 from flow_oracles import scipy_step_rows, stacked_rhs
 
@@ -52,6 +52,11 @@ class TestTableaux:
             assert _same(getattr(dop853_coefficients, name), getattr(scipy_dop853, name)), name
         for name in ("A", "B", "C", "A_EXTRA", "C_EXTRA"):
             assert _same(getattr(DOP853, name), getattr(ScipyDOP853, name)), name
+
+
+def _orbit(method, rhs, y0, t_bound, tol, **kw):
+    """The float orbit of ``method`` from t = 0, at rtol = atol = ``tol``."""
+    return ORBIT_STEPPERS[method](rhs, 0.0, y0, t_bound, rtol=tol, atol=tol, **kw)
 
 
 def _runs(katok_sphere, katok_torus_reversible):
@@ -86,7 +91,7 @@ class TestStepper:
             b = SCIPY_STEPPERS[method](rhs, 0.0, y0, t_bound, rtol=tol, atol=tol)
             assert a.direction == b.direction
             while b.status == "running":
-                assert a.step() == b.step()
+                assert a.step() and b.step() is None
                 assert (a.status, a.nfev) == (b.status, b.nfev)
                 gap = max(
                     gap, abs(a.t - b.t), abs(a.t_old - b.t_old), np.max(np.abs(np.subtract(a.y, b.y))),
@@ -108,7 +113,7 @@ class TestStepper:
         def attempt(i):
             y, hs = states[i], h[i]
             y_new, K = rows.attempt(y, fun(y), hs)
-            return y_new, K, rows.norm(rows.error_sums(y, y_new, K, hs), hs, 4)
+            return y_new, K, rows.error_norm(y, y_new, K, hs)
 
         for company in (np.arange(40), rng.choice(40, 7, replace=False), [5]):
             y_new, K, norm = attempt(company)
@@ -143,7 +148,7 @@ class TestStepper:
         rhs = katok_sphere.scalar_rhs()
         a = ORBIT_STEPPERS[method](rhs, 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
         b = SCIPY_STEPPERS[method](rhs, 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
-        assert a.step() is None and b.step() is None
+        assert a.step() and b.step() is None
         assert (a.status, a.nfev, a.t, a.t_old) == (b.status, b.nfev, b.t, b.t_old) == ("finished", 1, 0.0, 0.0)
         trace = integrate_orbit(katok_sphere, y0, 0.0, IntegratorConfig(method=method))
         assert _same(trace.times, [0.0, 0.0])
@@ -161,9 +166,10 @@ class TestStepper:
             message = b.step()
         assert message == TOO_SMALL_STEP
         a = ORBIT_STEPPERS[method](blowup, 0.0, y0, 2.0, rtol=1e-8, atol=1e-8)
-        while a.status == "running":
-            ours_message = a.step()
-        assert ours_message == TOO_SMALL_STEP
+        with pytest.raises(StepFailure) as failure:
+            while a.step():
+                pass
+        assert str(failure.value) == TOO_SMALL_STEP
         assert a.status == "failed"
         assert a.nfev == b.nfev
         assert abs(a.t - b.t) <= 1e-15
@@ -173,20 +179,19 @@ class TestStepper:
     @pytest.mark.parametrize("t_end", [9.0])
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_dense_solution_matches_ode_solution(self, katok_sphere, method, t_end):
-        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
         y0 = np.array([0.3, 0.2, 0.7, 0.6])
-        march = _March(katok_sphere.scalar_rhs(), y0, t_end, config, dense=True)
-        while march.step():
+        orbit = _orbit(method, katok_sphere.scalar_rhs(), y0, t_end, 1e-8, dense=True)
+        while orbit.step():
             pass
-        ours = march.solution()
+        ours = orbit.solution()
         # scipy's OdeSolution rule over the interpolants of the steps one by one,
         # each evaluated as an (n, m) array of its own times
         def alone(step):
-            sol = march.interpolant([step])
+            sol = orbit.interpolant([step])
             return lambda t: sol.at(np.zeros(np.size(t), dtype=int), np.atleast_1d(t)).T.reshape(4, *np.shape(t))
 
-        ends = [0.0] + [step[1] for step in march._steps]
-        theirs = OdeSolution(ends, [alone(step) for step in march._steps])
+        ends = [0.0] + [step[1] for step in orbit._steps]
+        theirs = OdeSolution(ends, [alone(step) for step in orbit._steps])
         # step ends, points inside steps (unsorted), and times outside the run
         ts = np.concatenate([ends, t_end * np.random.default_rng(0).uniform(0.0, 1.0, 50), [-0.5 * t_end, 1.5 * t_end]])
         assert _same(ours(ts), theirs(ts).T)
@@ -197,11 +202,6 @@ class TestStepper:
         # the last step's polynomial amplifies that rounding, so those are skipped
         sol = solve_ivp(katok_sphere.scalar_rhs(), (0.0, t_end), y0, method=method, rtol=1e-8, atol=1e-8, dense_output=True)
         assert np.max(np.abs(ours(ts[:-2]) - sol.sol(ts[:-2]).T)) <= 1e-12
-
-
-def _row_fun(rhs):
-    """The one-orbit derivative ``rhs`` as ``march_rows``' batched derivative."""
-    return lambda y: np.array([rhs(0.0, row) for row in y.tolist()], dtype=float)
 
 
 class TestFloatStepper:
@@ -216,7 +216,7 @@ class TestFloatStepper:
         pairs = 0
         for H in (katok_sphere, katok_torus_reversible):
             rhs = H.scalar_rhs()
-            fun = _row_fun(rhs)
+            fun = _rows_of(rhs)
             for sign in (1.0, -1.0):
                 for y0 in sample_covectors(rng, 130, x2_range=(-1.5, 1.5)):
                     h = sign * rng.uniform(1e-3, 0.4)
@@ -228,7 +228,7 @@ class TestFloatStepper:
                     row_new, K = rows.attempt(y, fun(y), hs)
                     assert _same(y_new, row_new[0])
                     assert _same(ours.K, K[: len(ours.K), 0])
-                    assert _same(error_norm, rows.norm(rows.error_sums(y, row_new, K, hs), hs, 4)[0])
+                    assert _same(error_norm, rows.error_norm(y, row_new, K, hs)[0])
                     pairs += 1
         assert pairs == 520
 
@@ -246,7 +246,6 @@ class TestFloatStepper:
         # values).  So even the torus orbit that rotates
         # across the negatively curved splice bridge, where neighbouring orbits
         # separate fast, stays exact
-        config = IntegratorConfig(method=method, rel_tol=tol, abs_tol=tol)
         ts = np.linspace(0.0, T, 301)
         cases = [
             (katok_sphere, [0.3, 0.2, 0.7, 0.6]),
@@ -266,13 +265,12 @@ class TestFloatStepper:
             def batch(name):
                 def fun(y):
                     seen[name].extend(map(tuple, y.tolist()))
-                    return _row_fun(rhs)(y)
+                    return _rows_of(rhs)(y)
                 return fun
 
-            one = ORBIT_STEPPERS[method](recorded, 0.0, y0, T, rtol=tol, atol=tol)
+            one = _orbit(method, recorded, y0, T, tol)
             steps = 0
-            while one.status == "running":
-                assert one.step() is None
+            while one.step():
                 steps += 1
             attempts = (one.nfev - 2) // one.n_stages  # f(y0), the initial step's call, n_stages per attempt
             assert steps > 20 and attempts >= steps
@@ -280,24 +278,21 @@ class TestFloatStepper:
             assert (rows.iterations, rows.attempts) == (attempts, attempts)
             # then march_rows forms the dense output of the covering steps: DOP853's extra stages
             assert _same(seen["float"], seen["rows"][: len(seen["float"])])
-            march = _March(rhs, np.array(y0), T, config, ts)
-            while march.step():
+            orbit = _orbit(method, rhs, y0, T, tol, ts=ts)
+            while orbit.step():
                 pass
-            assert _same(march.path, rows.path[:, 0])
+            assert _same(orbit.path, rows.path[:, 0])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_zero_length_run(self, katok_sphere, method):
         y0 = (0.3, 0.2, 0.7, 0.6)
-        ours = ORBIT_STEPPERS[method](katok_sphere.scalar_rhs(), 0.0, y0, 0.0, rtol=1e-9, atol=1e-9)
-        assert ours.step() is None
+        # a run of length 0 takes one step, which samples its start, as march_rows' run of length 0 does
+        ours = _orbit(method, katok_sphere.scalar_rhs(), y0, 0.0, 1e-9, ts=np.zeros(3))
+        assert ours.step() and not ours.step()
         assert (ours.status, ours.nfev, ours.t, ours.t_old, ours.y) == ("finished", 1, 0.0, 0.0, y0)
-        # a march of length 0 samples its start, as march_rows' run of length 0 does
-        config = IntegratorConfig(method=method, rel_tol=1e-9, abs_tol=1e-9)
-        march = _March(katok_sphere.scalar_rhs(), np.array(y0), 0.0, config, np.zeros(3))
-        assert march.step() and not march.step()
-        assert _same(march.path, [y0] * 3)
+        assert _same(ours.path, [y0] * 3)
         rows = march_rows(method, katok_sphere.vector_field, np.array([y0]), 0.0, np.zeros(3), rtol=1e-9, atol=1e-9)
-        assert _same(march.path, rows.path[:, 0])
+        assert _same(ours.path, rows.path[:, 0])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_underflow(self, method):
@@ -305,15 +300,14 @@ class TestFloatStepper:
         def blowup(t, y):
             return [y[0] * y[0], 0.0, 0.0, 0.0]
 
-        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-8)
-        march = _March(blowup, np.array([1.0, 0.0, 0.0, 0.0]), 2.0, config)
+        orbit = _orbit(method, blowup, (1.0, 0.0, 0.0, 0.0), 2.0, 1e-8)
         with pytest.raises(StepFailure, match="^Required step size is less than spacing between numbers.$"):
-            while march.step():
+            while orbit.step():
                 pass
-        assert march.solver.status == "failed"
-        assert abs(march.solver.t - 1.0) < 1e-6
+        assert orbit.status == "failed" and not orbit.step()
+        assert abs(orbit.t - 1.0) < 1e-6
         rows = march_rows(
-            method, _row_fun(blowup), np.array([[1.0, 0.0, 0.0, 0.0]]), 2.0, [2.0],
+            method, _rows_of(blowup), np.array([[1.0, 0.0, 0.0, 0.0]]), 2.0, [2.0],
             rtol=1e-8, atol=1e-8,
         )
         assert rows.failed[0]
@@ -329,7 +323,7 @@ class TestFloatStepper:
         solver = FloatDOP853(field, 0.0, (0.0, 4.9, 0.0, 1.0), 10.0, rtol=1e-9, atol=1e-9)
         assert solver._attempt(0.0, solver.y, solver.f, 1.0)[2] == math.inf
         solver.h_abs = 1.0
-        assert solver.step() is None
+        assert solver.step()
         assert solver.t == pytest.approx(0.04)  # 1.0 rejected, 0.2 rejected, 0.04 taken
 
     def test_rhs_is_handed_floats(self, katok_sphere):
@@ -342,8 +336,8 @@ class TestFloatStepper:
             handed.update(map(type, y))
             return rhs(t, y)
 
-        march = _March(recording, np.array([0.3, 0.2, 0.7, 0.6]), 2.0, IntegratorConfig(), [1.0, 2.0])
-        while march.step():
+        orbit = _orbit("DOP853", recording, np.array([0.3, 0.2, 0.7, 0.6]), 2.0, 1e-12, ts=[1.0, 2.0])
+        while orbit.step():
             pass
         assert handed == {float, tuple}
 
