@@ -18,7 +18,10 @@ controller raises with numpy's ``power`` kernel, never libm's ``pow``.
   of 4 Python floats stepped a step at a time: given the same derivative (a
   metric's ``scalar_rhs`` is not its ``vector_field`` bit for bit), a run
   takes the steps of :func:`march_rows` on a one-row batch, bit for bit,
-  without numpy's per-call overhead.  The same object samples checkpoints
+  without numpy's per-call overhead.  Each attempt is one generated function
+  per tableau (:func:`_attempt_source`), compiled on the class's first
+  attempt: straight-line float code over the tableau's nonzero terms, in
+  stage order, with no loop.  The same object samples checkpoints
   from its held steps, in flushes, ends the run at a pole cap and keeps the
   steps of a dense run.
 * :func:`march_rows` steps many independent systems at once with the same
@@ -143,30 +146,70 @@ def _terms(coefficients) -> list:
     return [(s, float(c)) for s, c in enumerate(coefficients) if c != 0]
 
 
-def _combine(terms, K):
-    """sum_s c * K[s] over ``terms`` for 4-component stages: :func:`_stage_sum` in floats."""
-    terms = iter(terms)
-    s, c = next(terms)
-    k0, k1, k2, k3 = K[s]
-    a0, a1, a2, a3 = k0 * c, k1 * c, k2 * c, k3 * c
-    for s, c in terms:
-        k0, k1, k2, k3 = K[s]
-        a0 += k0 * c
-        a1 += k1 * c
-        a2 += k2 * c
-        a3 += k3 * c
-    return a0, a1, a2, a3
-
-
-def _square_sum4(v):
-    """:func:`_row_sum_squares` of one 4-component row."""
-    a, b, c, d = v
-    return a * a + b * b + c * c + d * d
-
-
 def _rms4(v):
     """:func:`_row_rms` of one 4-component row."""
-    return math.sqrt(_square_sum4(v)) / 2.0
+    a, b, c, d = v
+    return math.sqrt(a * a + b * b + c * c + d * d) / 2.0
+
+
+# --- the source of a float attempt: component j of stage s is the local k{s}_{j}
+
+
+def _sum_source(terms, j) -> str:
+    """sum_s c * K[s] over ``terms`` in component j, as source: :func:`_stage_sum` left to right, in stage order.
+
+    A coefficient is written with ``repr``, which reads back as the same float.
+    """
+    return " + ".join(f"k{s}_{j} * {c!r}" for s, c in terms)
+
+
+def _unpack_source(s, value) -> str:
+    """Stage s's 4 components k{s}_0 .. k{s}_3 from ``value``, as source."""
+    return ", ".join(f"k{s}_{j}" for j in range(4)) + f" = {value}"
+
+
+def _squares_source(name) -> str:
+    """:func:`_row_sum_squares` of the locals name0 .. name3, as source."""
+    return " + ".join(f"{name}{j} * {name}{j}" for j in range(4))
+
+
+def _attempt_source(cls) -> str:
+    """The source of ``attempt(self, t, y, f, h)`` for the tableau of ``cls``, one straight line of floats.
+
+    The stages, the new state, the scale and (``cls._norm_source``) the error
+    norm of :class:`_RowStepper` for one row: the same operations in the same
+    order, over the nonzero terms only, with each component a local.  Python's
+    ``max(a, b)`` is written as ``b if b > a else a``, which it is, NaN
+    included; the sums are ``+`` chains, never ``sum()``, which CPython 3.12
+    compensates.
+    """
+    n = cls.n_stages
+    lines = [
+        "rhs = self._rhs",
+        f"self.nfev += {n}",
+        "y0, y1, y2, y3 = y",
+        _unpack_source(0, "f"),
+        "try:",
+    ]
+    for s, (c, terms) in enumerate(cls.STAGES, start=1):
+        state = ", ".join(f"y{j} + ({_sum_source(terms, j)}) * h" for j in range(4))
+        lines += [f"    k{s} = rhs(t + {c!r} * h, ({state}))", "    " + _unpack_source(s, f"k{s}")]
+    lines += [f"    n{j} = y{j} + h * ({_sum_source(cls.B, j)})" for j in range(4)]
+    lines += [
+        "    y_new = (n0, n1, n2, n3)",
+        "    f_new = rhs(t + h, y_new)",
+        # a stage left the domain of the float RHS (a profile that underflows
+        # to 0 far up the sphere chart), where numpy's inf or nan would make
+        # march_rows reject the attempt: reject it too
+        "except ArithmeticError:",
+        "    return y, f, inf",
+        "self.K = [" + ", ".join(["f", *(f"k{s}" for s in range(1, n)), "f_new"]) + "]",
+        "atol, rtol = self.atol, self.rtol",
+    ]
+    for j in range(4):
+        lines += [f"a, b = abs(y{j}), abs(n{j})", f"s{j} = atol + (b if b > a else a) * rtol"]
+    lines += cls._norm_source()
+    return "def attempt(self, t, y, f, h):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 class _FloatRungeKutta:
@@ -184,7 +227,11 @@ class _FloatRungeKutta:
     stage order over the nonzero entries of the tableau of :class:`RK45` or
     :class:`DOP853`, as :func:`march_rows` runs them on each row, so a run is
     :func:`march_rows`' run of a one-row batch, bit for bit, and no number
-    depends on a BLAS kernel.  A subclass gives its pair's error norm.
+    depends on a BLAS kernel.  An attempt is straight-line code generated
+    from the class's terms (``STAGES``, ``B`` and its error rows) on its
+    first call (:func:`_attempt_source`): one float expression per
+    component and sum, with the constants written out.  A subclass gives
+    its pair's error norm as source (``_norm_source``).
 
     The steps have one dense output, :meth:`interpolant`: the
     :class:`RowInterpolant` of :func:`march_rows`, whose derivative is
@@ -378,27 +425,17 @@ class _FloatRungeKutta:
         return min(100 * h0, h1, interval_length)
 
     def _attempt(self, t, y, f, h):
-        y0, y1, y2, y3 = y
-        rhs = self._rhs
-        K = [f]
-        self.nfev += self.n_stages
-        try:
-            for c, terms in self.STAGES:
-                d0, d1, d2, d3 = _combine(terms, K)
-                K.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)))
-            d0, d1, d2, d3 = _combine(self.B, K)
-            y_new = (y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3)
-            f_new = rhs(t + h, y_new)
-        except ArithmeticError:
-            # a stage left the domain of the float RHS (a profile that underflows
-            # to 0 far up the sphere chart), where numpy's inf or nan would make
-            # march_rows reject the attempt: reject it too
-            return y, f, math.inf
-        K.append(f_new)
-        self.K = K
-        atol, rtol = self.atol, self.rtol
-        scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-        return y_new, f_new, self._error_norm(K, h, scale)
+        """One attempt of the step ``h`` from (t, y), where the derivative is ``f``: (y_new, f_new, error norm).
+
+        A stage the RHS raises ArithmeticError on gives (y, f, inf).  The first
+        attempt of a class compiles its :func:`_attempt_source`, which then
+        stands in for this method.
+        """
+        cls = type(self)
+        namespace = {"sqrt": math.sqrt, "inf": math.inf}
+        exec(compile(_attempt_source(cls), f"<{cls.__name__}._attempt>", "exec"), namespace)
+        cls._attempt = namespace["attempt"]
+        return self._attempt(t, y, f, h)
 
 
 def _stage_terms(method) -> list:
@@ -416,8 +453,14 @@ class FloatRK45(_FloatRungeKutta):
     B = _terms(RK45.B)
     E = _terms(RK45.E)
 
-    def _error_norm(self, K, h, scale):
-        return _rms4([e * h / s for e, s in zip(_combine(self.E, K), scale)])
+    @classmethod
+    def _norm_source(cls):
+        """:meth:`_RowsRK45.error_norm` of one row, as source lines."""
+        return [
+            _unpack_source(cls.n_stages, "f_new"),
+            *(f"e{j} = ({_sum_source(cls.E, j)}) * h / s{j}" for j in range(4)),
+            f"return y_new, f_new, sqrt({_squares_source('e')}) / 2.0",
+        ]
 
 
 class FloatDOP853(_FloatRungeKutta):
@@ -431,12 +474,18 @@ class FloatDOP853(_FloatRungeKutta):
     E5 = _terms(DOP853.E5)
     E3 = _terms(DOP853.E3)
 
-    def _error_norm(self, K, h, scale):
-        err5 = _square_sum4([e / s for e, s in zip(_combine(self.E5, K), scale)])
-        err3 = _square_sum4([e / s for e, s in zip(_combine(self.E3, K), scale)])
-        if err5 == 0 and err3 == 0:
-            return 0.0
-        return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 4)
+    @classmethod
+    def _norm_source(cls):
+        """:meth:`_RowsDOP853.error_norm` of one row, as source lines."""
+        lines = []
+        for name, terms in (("err5", cls.E5), ("err3", cls.E3)):
+            lines += [f"e{j} = ({_sum_source(terms, j)}) / s{j}" for j in range(4)]
+            lines.append(f"{name} = {_squares_source('e')}")
+        return lines + [
+            "if err5 == 0 and err3 == 0:",
+            "    return y_new, f_new, 0.0",
+            "return y_new, f_new, abs(h) * err5 / sqrt((err5 + 0.01 * err3) * 4)",
+        ]
 
 
 def _stage_sum(coefficients, K):

@@ -31,7 +31,7 @@ from finslerlab.flow import ORBIT_STEPPERS, IntegratorConfig, integrate_orbit, m
 from finslerlab.sampling import sample_covectors, solve_xi2_on_level
 from finslerlab.sections import AnnulusChart, SectionSpec
 from finslerlab.solvers import (
-    DOP853, EPS, MAXITER, RK45, RTOL, FloatDOP853, RowInterpolant, TOO_SMALL_STEP, _rows_of, brent_root, march_rows,
+    DOP853, EPS, MAXITER, RK45, RTOL, RowInterpolant, TOO_SMALL_STEP, _rows_of, brent_root, march_rows,
 )
 from flow_oracles import scipy_step_rows, stacked_rhs
 
@@ -312,19 +312,85 @@ class TestFloatStepper:
         )
         assert rows.failed[0]
 
-    def test_stage_outside_the_rhs_domain_is_rejected(self):
-        # this RHS raises ZeroDivisionError past x2 = 5, as a profile that
-        # underflows to 0 far up the sphere chart does; an attempt with a stage
-        # there is rejected and the step shrinks, as march_rows rejects the inf
-        # or nan that numpy gives there
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("raising", ["first", "middle", "f_new"])
+    def test_stage_outside_the_rhs_domain_is_rejected(self, method, raising):
+        # an attempt calls the RHS n_stages times: stages 1 .. n_stages - 1, then
+        # f_new at the end of the step.  A call that raises ZeroDivisionError (the
+        # first stage's, a middle stage's or f_new's), as a profile that
+        # underflows to 0 far up the sphere chart does, rejects the attempt: it
+        # returns its start and derivative with norm inf, counts all n_stages
+        # calls, makes no call after the raising one and keeps no stages
+        n = ORBIT_STEPPERS[method].n_stages
+        bad = None  # the call of the attempt that raises; the stepper's set-up calls do not
+        calls = []
+
+        def counted(t, y):
+            calls.append(y)
+            if len(calls) == bad:
+                raise ZeroDivisionError
+            return (0.0, 1.0, 0.0, 0.0)
+
+        solver = _orbit(method, counted, (0.0, 4.9, 0.0, 1.0), 10.0, 1e-9)
+        y, f, nfev = solver.y, solver.f, solver.nfev
+        calls.clear()
+        bad = {"first": 1, "middle": n // 2, "f_new": n}[raising]
+        y_new, f_new, error_norm = solver._attempt(0.0, y, f, 1.0)
+        assert y_new is y and f_new is f and error_norm == math.inf
+        assert solver.nfev == nfev + n and len(calls) == bad
+        assert not hasattr(solver, "K")
+
+        # this RHS raises past x2 = 5: the step shrinks until no stage gets there,
+        # as march_rows rejects the inf or nan that numpy gives there
         def field(t, y):
             return [0.0, 1.0 / float(y[1] <= 5.0), 0.0, 0.0]
 
-        solver = FloatDOP853(field, 0.0, (0.0, 4.9, 0.0, 1.0), 10.0, rtol=1e-9, atol=1e-9)
-        assert solver._attempt(0.0, solver.y, solver.f, 1.0)[2] == math.inf
+        solver = _orbit(method, field, (0.0, 4.9, 0.0, 1.0), 10.0, 1e-9)
         solver.h_abs = 1.0
         assert solver.step()
         assert solver.t == pytest.approx(0.04)  # 1.0 rejected, 0.2 rejected, 0.04 taken
+        assert solver.nfev == 2 + 3 * n
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_nan_stages_take_the_march_rows_steps(self, katok_sphere, method):
+        # this RHS returns NaN, and does not raise, past |x2| = 0.80681, just above
+        # the orbit's turning height (about 0.806803): stages overshoot it, the attempts
+        # they fall in are rejected, and the float stepper and a one-row
+        # march_rows run still hand the RHS the same states and take the same
+        # steps and samples, bit for bit
+        rhs = katok_sphere.scalar_rhs()
+        y0, T, tol = (0.3, 0.2, 0.7, 0.6), 30.0, 1e-7
+        ts = np.linspace(0.0, T, 301)
+        seen = {"float": [], "rows": []}
+        nan_calls = []
+
+        def field(t, y):
+            if abs(y[1]) > 0.80681:
+                nan_calls.append(y)
+                return (math.nan,) * 4
+            return rhs(t, y)
+
+        def recorded(t, y):
+            seen["float"].append(y)
+            return field(t, y)
+
+        def batch(y):
+            seen["rows"].extend(map(tuple, y.tolist()))
+            return _rows_of(field)(y)
+
+        one = _orbit(method, recorded, y0, T, tol)
+        steps = 0
+        while one.step():
+            steps += 1
+        attempts = (one.nfev - 2) // one.n_stages
+        rows = march_rows(method, batch, np.array([y0]), T, ts, rtol=tol, atol=tol)
+        assert nan_calls and attempts > steps
+        assert (rows.iterations, rows.attempts) == (attempts, attempts)
+        assert _same(seen["float"], seen["rows"][: len(seen["float"])])
+        orbit = _orbit(method, field, y0, T, tol, ts=ts)
+        while orbit.step():
+            pass
+        assert _same(orbit.path, rows.path[:, 0])
 
     def test_rhs_is_handed_floats(self, katok_sphere):
         handed = set()
